@@ -10,7 +10,11 @@ wrong-*name* tensor fails as loudly as a wrong-shape one.
 
 ``compile()`` fronts a process-wide :class:`SessionRegistry` keyed on
 graph content fingerprints: recompiling a structurally identical user
-graph returns the same live session (and its warmed pool).
+graph returns the same live session (and its warmed pool).  Underneath,
+the compile caches use the same content key, so even a *private* session
+(:func:`compile_private`, :func:`repro.serve`) of a known graph reuses
+its lowered program, ``backend_cache``, read-only parameters and cost
+report - see the "Caches" table in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -52,7 +56,9 @@ class CompiledModel:
     and :attr:`session` for the underlying execution session.
 
     Not thread-safe: concurrent callers should go through
-    :func:`repro.serve`, whose scheduler owns a private session.
+    :func:`repro.serve`, whose scheduler owns a private session
+    (private pools and stats; the program and parameters are shared,
+    read-only, with every session compiled from the same content).
     """
 
     def __init__(self, session: Session) -> None:
@@ -283,6 +289,14 @@ def compile_private(model: str | Graph,
 
     Used by :func:`repro.serve`: a service's worker thread must own its
     pool exclusively, so it never shares a session with direct callers.
+    "Private" means what is per session - pools, bucket/symbolic pools,
+    stats, fault injector, worker pool.  What is a function of graph
+    content - the lowered program and its ``backend_cache`` (runners,
+    batch variants, codegen module), the parameters (read-only arrays)
+    and the cost report - comes from the content-addressed compile
+    cache and is shared with every other session of the same model, so
+    re-serving a known graph (by name or as a structurally identical
+    rebuilt :class:`~repro.ir.graph.Graph`) does not recompile.
     """
     session = _compile_session(
         model, options.framework, options.device, options.batch,

@@ -1,7 +1,8 @@
 """``repro.serve``: a compiled model behind a micro-batching scheduler.
 
-A :class:`Service` owns a private session and a worker thread draining a
-thread-safe priority queue.  Concurrent ``submit()`` calls are admitted
+A :class:`Service` owns a private session (its own pools and stats over
+a program and parameters shared by content) and a worker thread draining
+a thread-safe priority queue.  Concurrent ``submit()`` calls are admitted
 in the submitting thread (fail-fast, and off the worker's critical
 path), queued, and coalesced - up to ``max_batch_size`` batch-compatible
 requests arriving within ``max_wait_ms`` of each other - into **one**
@@ -804,10 +805,14 @@ def serve(model: str | Graph, options: ServeOptions | None = None,
         RuntimeError: the framework cannot serve the model.
         ValueError: out-of-range scheduler options.
 
-    The service compiles through the shared compile caches but owns its
-    *session* (pool, stats) privately - its worker thread is the only
-    executor, so the compile-once/run-many pool discipline holds under
-    concurrent traffic without locking the hot loop.
+    The service compiles through the shared, content-addressed compile
+    caches - serving a model (or a structurally identical rebuilt graph)
+    a second time reuses the lowered program, its compiled runners and
+    batch variants, the read-only parameters and the cost report - but
+    owns its *session* (pools, stats, fault injector, worker pool)
+    privately: its worker thread is the only executor on those pools,
+    so the compile-once/run-many pool discipline holds under concurrent
+    traffic without locking the hot loop.
 
     Example::
 

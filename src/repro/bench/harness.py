@@ -5,6 +5,8 @@ tables, and compare simulated numbers against the paper's published ones.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -19,6 +21,8 @@ from ..ir.tensor import TensorSpec
 from ..models import build
 from ..runtime.cost_model import CostReport
 from ..runtime.device import DeviceSpec, SD8GEN2
+from ..runtime.executor import make_params
+from ..runtime.session import stable_model_key
 
 
 class Cell:
@@ -27,6 +31,8 @@ class Cell:
     The cost-model report is computed lazily on first access: operator
     count tables (Table 7) never pay for costing, while latency tables
     compute each report exactly once and share it through the cell cache.
+    So are the compiled graph's parameters: every session served from
+    this cell shares one read-only materialization (:attr:`params`).
     """
 
     def __init__(self, result: FrameworkResult | None, device: DeviceSpec,
@@ -35,6 +41,8 @@ class Cell:
         self.device = device
         self.reason = reason or (result.reason if result is not None else "")
         self._report: CostReport | None = None
+        self._params: dict | None = None
+        self._lock = threading.Lock()
 
     @property
     def supported(self) -> bool:
@@ -49,8 +57,22 @@ class Cell:
         if not self.supported:
             return None
         if self._report is None:
-            self._report = self.result.cost(self.device)
+            with self._lock:  # cells are shared across serving threads
+                if self._report is None:
+                    self._report = self.result.cost(self.device)
         return self._report
+
+    @property
+    def params(self) -> dict:
+        """Parameters and interior constants of the compiled graph
+        (:func:`~repro.runtime.executor.make_params` is a pure function
+        of the graph), drawn once per cell and shared read-only by every
+        session served from it."""
+        if self._params is None:
+            with self._lock:
+                if self._params is None:
+                    self._params = make_params(self.result.graph)
+        return self._params
 
     @property
     def latency_ms(self) -> float | None:
@@ -75,29 +97,35 @@ def cached_model(name: str, batch: int = 1) -> Graph:
 # ---------------------------------------------------------------------------
 
 _CELL_CACHE: dict = {}
-_CELL_STATS = {"hits": 0, "misses": 0}
+_CELL_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 _CORE_CACHE: dict = {}
 """Device-independent compile results, keyed on (model, framework,
 stages/kwargs, device.has_texture): figs 10/11 re-cost the same compiled
 module on several devices, so the graph rewrite runs once."""
 
-
-def model_cache_key(model):
-    """Identity of a model argument for compile caching.
-
-    Names key by value; graphs key by identity + generation (the cached
-    entry must pin the graph object so the id stays valid, and any
-    mutation changes the generation).  Shared with the session layer's
-    Engine so its registry agrees with the cell cache it fronts.
-    """
-    if isinstance(model, Graph):
-        return ("graph", id(model), model.generation)
-    return ("name", model)
+GRAPH_CACHE_CAPACITY = 64
+"""Distinct graph fingerprints the two caches keep.  Registry names stay
+unbounded (the bench tables need every cell); graph-keyed entries are
+user content, so the least recently used fingerprint is evicted - with
+every cell and core compiled from it - past this many."""
+_GRAPH_LRU: OrderedDict = OrderedDict()
+"""fingerprint -> [(cache, key), ...] of the entries compiled from it,
+least recently used first."""
+_CACHE_LOCK = threading.Lock()
+"""Guards lookups/insertions (not compiles: two threads missing the same
+key both compile, and the later insert wins)."""
 
 
 def _cell_key(model, framework, device, check_memory, batch, fw_kwargs):
-    """Hashable cache key, or None when the cell is uncacheable."""
-    key = (model_cache_key(model), framework, device, check_memory, batch,
+    """Hashable cache key, or None when the cell is uncacheable.
+
+    The model slot is :func:`~repro.runtime.session.stable_model_key` -
+    the one key function shared with ``SessionRegistry`` - so graphs are
+    content-addressed: a structurally identical rebuilt graph hits, a
+    mutated one (new generation, new fingerprint) misses, and no entry
+    has to keep the source graph alive.
+    """
+    key = (stable_model_key(model), framework, device, check_memory, batch,
            tuple(sorted(fw_kwargs.items())))
     try:
         hash(key)
@@ -106,16 +134,48 @@ def _cell_key(model, framework, device, check_memory, batch, fw_kwargs):
     return key
 
 
+def _lookup(cache: dict, key):
+    """``cache[key]`` or None, refreshing a graph key's recency."""
+    with _CACHE_LOCK:
+        found = cache.get(key)
+        kind, ident = key[0]
+        if found is not None and kind == "graph":
+            _GRAPH_LRU.move_to_end(ident)
+        return found
+
+
+def _remember(cache: dict, key, value) -> None:
+    """Insert, evicting the least recently used graph past capacity."""
+    with _CACHE_LOCK:
+        cache[key] = value
+        kind, ident = key[0]
+        if kind != "graph":
+            return
+        _GRAPH_LRU.setdefault(ident, []).append((cache, key))
+        _GRAPH_LRU.move_to_end(ident)
+        while len(_GRAPH_LRU) > GRAPH_CACHE_CAPACITY:
+            _, owned = _GRAPH_LRU.popitem(last=False)
+            for owner, owned_key in owned:
+                owner.pop(owned_key, None)
+            _CELL_STATS["evictions"] += 1
+
+
 def cell_cache_stats() -> dict[str, int]:
-    """Process-wide compile/cost cache counters (copies)."""
-    return dict(_CELL_STATS)
+    """Process-wide compile/cost cache counters (copies):
+    ``hits``/``misses`` of :func:`run_cell`, graph fingerprints evicted
+    (``evictions``) and currently cached (``graph_entries``)."""
+    return {**_CELL_STATS, "graph_entries": len(_GRAPH_LRU)}
 
 
 def clear_cell_cache() -> None:
-    _CELL_CACHE.clear()
-    _CORE_CACHE.clear()
-    _CELL_STATS["hits"] = 0
-    _CELL_STATS["misses"] = 0
+    """Drop every cell and core - and with them the lowered programs,
+    their ``backend_cache`` and the shared parameters they own."""
+    with _CACHE_LOCK:
+        _CELL_CACHE.clear()
+        _CORE_CACHE.clear()
+        _GRAPH_LRU.clear()
+        for name in _CELL_STATS:
+            _CELL_STATS[name] = 0
 
 
 def run_cell(model: str | Graph, framework: str, device: DeviceSpec = SD8GEN2,
@@ -123,10 +183,10 @@ def run_cell(model: str | Graph, framework: str, device: DeviceSpec = SD8GEN2,
     """Compile + cost one model under one framework on one device."""
     key = _cell_key(model, framework, device, check_memory, batch, fw_kwargs)
     if key is not None:
-        found = _CELL_CACHE.get(key)
+        found = _lookup(_CELL_CACHE, key)
         if found is not None:
             _CELL_STATS["hits"] += 1
-            return found[0]
+            return found
     graph = cached_model(model, batch) if isinstance(model, str) else model
     fw = make_framework(framework, **fw_kwargs)
     core = None
@@ -135,20 +195,16 @@ def run_cell(model: str | Graph, framework: str, device: DeviceSpec = SD8GEN2,
         model_key, _, _, _, batch_key, kwargs_key = key
         core_key = (model_key, framework, batch_key, kwargs_key,
                     device.has_texture)
-        found_core = _CORE_CACHE.get(core_key)
-        if found_core is not None:
-            core = found_core[0]
+        core = _lookup(_CORE_CACHE, core_key)
     if core is None:
         core = fw.compile_core(graph, device)
         if core_key is not None:
-            _CORE_CACHE[core_key] = (
-                core, model if isinstance(model, Graph) else None)
+            _remember(_CORE_CACHE, core_key, core)
     result = fw.compile(graph, device, check_memory=check_memory, core=core)
     cell = Cell(result, device)
     if key is not None:
         _CELL_STATS["misses"] += 1
-        # Pin graph-keyed models so their id cannot be recycled.
-        _CELL_CACHE[key] = (cell, model if isinstance(model, Graph) else None)
+        _remember(_CELL_CACHE, key, cell)
     return cell
 
 

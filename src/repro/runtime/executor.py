@@ -51,6 +51,19 @@ def make_inputs(graph: Graph, seed: int = 0) -> dict[str, np.ndarray]:
     return values
 
 
+def make_params(graph: Graph) -> dict[str, np.ndarray]:
+    """The non-input half of ``make_inputs(graph, seed=0)`` - parameters
+    and interior constants - as *read-only* arrays: they are shared by
+    every request, and by every session of one compiled cell, so an
+    in-place kernel that ever aliased one must fail loudly."""
+    params = {name: value
+              for name, value in make_inputs(graph, seed=0).items()
+              if name not in graph.inputs}
+    for value in params.values():
+        value.setflags(write=False)
+    return params
+
+
 def run_node(graph: Graph, node: Node, values: dict[str, np.ndarray]) -> None:
     """Execute one node: apply input views, run the kernel, store outputs."""
     args = []

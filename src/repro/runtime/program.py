@@ -266,7 +266,8 @@ class ExecutionProgram:
     __slots__ = ("graph", "steps", "slot_plan", "input_names",
                  "output_names", "input_signature", "batch_factor",
                  "timeline", "op_list", "backend_cache", "fused_chains",
-                 "fused_interiors", "fused_step_count", "symbolic_extent")
+                 "fused_interiors", "fused_step_count", "symbolic_extent",
+                 "__weakref__")
 
     def __init__(self, graph: Graph, steps: tuple[Step, ...],
                  slot_plan: SlotPlan,

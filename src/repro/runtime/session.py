@@ -5,8 +5,13 @@ the optimized graph, its lowered
 :class:`~repro.runtime.program.ExecutionProgram`, its cost-model config,
 and a long-lived :class:`~repro.memory.pool.SizeClassPool`.  Compilation
 goes through the bench harness's process-wide compile/cost cell cache
-(PR 1), so compiling the same triple twice - or costing it in a benchmark
-and then serving it - reuses one compile *and* one lowering.
+(PR 1), which is content-addressed: compiling the same triple twice -
+by name or as a structurally identical rebuilt graph - or costing it in
+a benchmark and then serving it reuses one compile *and* one lowering.
+Everything that is a function of graph content (the program and its
+``backend_cache``, the materialized parameters, the cost report) lives
+on that shared cell, read-only; a session owns only what is per-session
+(pools, statistics, fault injector, worker pool).
 
 The session itself is now only request admission + statistics: every
 ``run(inputs)`` / ``run_batch(list_of_inputs)`` validates the request,
@@ -16,7 +21,8 @@ values to the session's :class:`~repro.runtime.program.ExecutionBackend`
 bookkeeping) was all moved to compile time by
 :func:`~repro.runtime.program.lower`:
 
-* parameters are materialized once at session creation, not per request;
+* parameters are materialized once per compiled cell and shared
+  read-only by its sessions, not drawn per session or per request;
 * buffer liveness is a static slot plan computed once from
   :func:`repro.memory.pool.liveness_schedule`, so per-request pool
   accounting is slot-indexed integer ops against the session's pool -
@@ -57,7 +63,7 @@ from ..ir.graph import Graph
 from ..ir.symbolic import SYM, is_placeholder
 from ..memory.pool import PoolReport, SizeClassPool
 from .device import DeviceSpec, SD8GEN2
-from .executor import make_inputs
+from .executor import make_inputs, make_params
 from .faults import REFERENCE_BACKEND, FaultPlan
 from .program import ExecutionProgram, get_backend, lower
 
@@ -218,7 +224,11 @@ class Session:
         self._backend = get_backend(backend)
         self._cell = cell
         self._report = None
-        self._est_latency_ms: float | None = None
+        # Priced once per cell, at compile time: the cost model (1-2 ms)
+        # never runs on a request's response path.
+        self._est_latency_ms: float | None = \
+            cell.report.latency_ms if cell is not None else None
+        self._fused_steps: dict[str, int] = {}
         self.pool = SizeClassPool()
         # One pool per batch bucket: stacked batch-N passes account
         # against their bucket's pool (pre-warmed to the variant's slot
@@ -266,14 +276,13 @@ class Session:
 
     @property
     def _params(self) -> dict[str, np.ndarray]:
-        """Parameters (and interior constants), materialized once on the
-        first request - not per run, and not at compile time."""
+        """Parameters (and interior constants): the compiled cell's
+        shared read-only arrays, or - for a session built without a
+        cell - a private materialization on the first request."""
         if self._param_values is None:
-            self._param_values = {
-                name: value
-                for name, value in make_inputs(self.graph, seed=0).items()
-                if name not in self.graph.inputs
-            }
+            cell = self._cell
+            self._param_values = cell.params if cell is not None \
+                else make_params(self.graph)
         return self._param_values
 
     # -- costing -----------------------------------------------------------
@@ -798,12 +807,16 @@ class Session:
                 backend: str | None = None,
                 batched: bool = False) -> RunStats:
         est = self._est_latency_ms
-        if est is None:  # the cost report sums kernel costs; price once
+        if est is None:  # a session built without a cell prices once
             est = self._est_latency_ms = self.est_latency_ms
         stats = self.stats
         stats.requests += 1
         stats.total_wall_s += wall_s
         served_by = backend if backend is not None else self.backend
+        fused = self._fused_steps.get(served_by)
+        if fused is None:  # one registry lookup per (session, backend)
+            fused = self._fused_steps[served_by] = \
+                get_backend(served_by).fused_steps(self.program)
         run = RunStats(
             request=stats.requests,
             wall_s=wall_s,
@@ -811,7 +824,7 @@ class Session:
             pool=report,
             backend=served_by,
             batched=batched,
-            fused_steps=get_backend(served_by).fused_steps(self.program),
+            fused_steps=fused,
         )
         stats.runs.append(run)
         return run
@@ -825,11 +838,14 @@ def _compile_session(model: str | Graph, framework: str = "Ours",
                      **fw_kwargs) -> Session:
     """Compile a (model, framework, device) triple into a fresh Session.
 
-    Compilation is served by the bench harness's cell cache: repeated
-    calls for the same triple (or a benchmark that already costed it)
-    share one compile - and, through the program memoization, one
-    lowering.  Raises ``RuntimeError`` when the framework does not
-    support the model (capability or memory limits).
+    Compilation is served by the bench harness's content-addressed
+    cell cache: repeated calls for the same triple - a name, the same
+    graph, or a structurally identical rebuilt one - (or a benchmark
+    that already costed it) share one compile, one lowering with its
+    ``backend_cache``, one parameter materialization and one cost
+    report.  The Session is fresh: pools, stats, fault injector and
+    worker pool are never shared.  Raises ``RuntimeError`` when the
+    framework does not support the model (capability or memory limits).
 
     Internal workhorse behind :func:`repro.api.compile` and
     :func:`repro.api.serve`; the public :func:`compile_session` is a
@@ -878,11 +894,12 @@ def compile_session(model: str | Graph, framework: str = "Ours",
 def stable_model_key(model: str | Graph):
     """Content identity of a model argument for session caching.
 
-    Registry names key by value; graphs key by *content fingerprint*, so
-    a user rebuilding an identical graph object hits the same session
-    cache entry instead of recompiling (the cell cache underneath still
-    keys graphs by object identity - only the session registry is
-    normalized).
+    Registry names key by value; graphs key by *content fingerprint*
+    (memoized per graph generation), so a user rebuilding an identical
+    graph object hits the same cache entry instead of recompiling, while
+    a mutated graph misses.  The one key function of the compile path:
+    the bench harness's cell/core caches and :class:`SessionRegistry`
+    both use it.
     """
     if isinstance(model, Graph):
         return ("graph", model.fingerprint())

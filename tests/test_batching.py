@@ -17,6 +17,7 @@ from repro import FaultPlan, FaultRule
 from repro.api import (
     CompileOptions, InferenceRequest, ServeOptions, Service, compile_private,
 )
+from repro.bench.harness import clear_cell_cache
 from repro.ir import GraphBuilder
 from repro.memory.pool import SizeClassPool
 from repro.models import SMOKE_CONFIGS, build
@@ -39,6 +40,16 @@ def _assert_outputs_equal(got, want, context=""):
     assert set(got) == set(want), context
     for key in want:
         assert np.array_equal(got[key], want[key]), f"{context}: {key}"
+
+
+@pytest.fixture
+def private_program():
+    """Programs are shared by graph content, so a test asserting on (or
+    demoting) a program's ``backend_cache`` compiles against an empty
+    compile cache and leaves none of its state behind."""
+    clear_cell_cache()
+    yield
+    clear_cell_cache()
 
 
 def _mini_stackable():
@@ -104,6 +115,7 @@ class TestZooParity:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("private_program")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", STACKED_MODELS)
 class TestPaddedBuckets:
@@ -215,6 +227,7 @@ class TestNonStackableFallback:
         assert verdict.batch_extent == 1
         assert "x" in verdict.batched
 
+    @pytest.mark.usefixtures("private_program")
     def test_mark_unstackable_demotes_for_good(self):
         session = _compile_session(_mini_stackable(), "Ours")
         program = session.program
@@ -263,6 +276,7 @@ class TestStackedStats:
         session.run(session.make_inputs(seed=0))
         assert not session.stats.runs[-1].batched
 
+    @pytest.mark.usefixtures("private_program")
     def test_bucket_pool_is_prewarmed_and_steady(self):
         session = _compile_session(_mini_stackable(), "Ours")
         batch = [session.make_inputs(seed=s) for s in range(3)]

@@ -56,7 +56,8 @@ class TestTimings:
                            "--timings-out", str(path)]) == 0
         data = json.loads(path.read_text())
         assert data["suite"] == ["table1", "micro_rw"]
-        assert set(data["cell_cache"]) == {"hits", "misses"}
+        assert set(data["cell_cache"]) == {
+            "hits", "misses", "evictions", "graph_entries"}
         assert len(data["experiments"]) == 2
         for entry in data["experiments"]:
             assert entry["wall_s"] >= 0

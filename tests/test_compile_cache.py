@@ -1,0 +1,330 @@
+"""The compile path is content-addressed and bounded.
+
+Contract: the harness's cell/core caches key a graph by
+``Graph.fingerprint()`` - the same key ``SessionRegistry`` uses - so a
+structurally identical rebuilt graph reuses one compile, one lowered
+program (with its ``backend_cache``), one read-only parameter
+materialization and one cost report, while every session keeps private
+pools and stats.  Graph-keyed entries are an LRU over distinct
+fingerprints: evicted programs are really freed, and re-serving a known
+graph neither recompiles nor grows the process.
+"""
+
+import gc
+import logging
+import os
+import subprocess
+import sys
+import threading
+import weakref
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.api import CompileOptions, compile_private
+from repro.bench import harness
+from repro.bench.harness import cell_cache_stats, clear_cell_cache, run_cell
+from repro.ir import GraphBuilder
+from repro.ir.tensor import TensorSpec
+from repro.models import SMOKE_CONFIGS, build_smoke
+from repro.runtime import get_backend
+from repro.runtime.batching import rebatch
+from repro.runtime.session import (
+    _compile_session, circuit_breaker, stable_model_key,
+)
+
+BACKENDS = ("numpy", "codegen")
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+
+def _mini(width=16):
+    """A stackable chain; ``width`` makes structurally distinct graphs."""
+    b = GraphBuilder("mini-cache")
+    x = b.input("x", (1, 8, 16))
+    y = b.layernorm(x)
+    y = b.dense(y, width)
+    y = b.relu(y)
+    y = b.dense(y, 16)
+    b.output(b.add(y, x))
+    return b.finish()
+
+
+def _same(got, want):
+    assert set(got) == set(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.fixture(autouse=True)
+def empty_cache():
+    """Every test starts from - and leaves - an empty compile cache and
+    a closed circuit breaker (chaos runs fail codegen compiles here, and
+    the breaker's history is keyed by the fingerprints other files use)."""
+    clear_cell_cache()
+    circuit_breaker().reset()
+    yield
+    clear_cell_cache()
+    circuit_breaker().reset()
+
+
+class TestContentKey:
+    def test_identical_fresh_graphs_compile_once(self):
+        first = _compile_session(_mini(), "Ours")
+        before = cell_cache_stats()
+        second = _compile_session(_mini(), "Ours")
+        after = cell_cache_stats()
+        assert before["misses"] == 1
+        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["graph_entries"] == 1
+        # shared: everything that is a function of graph content
+        assert second.program is first.program
+        assert second.graph is first.graph
+        assert second.report is first.report
+        assert second._params is first._params
+        # private: everything that is per session
+        assert second is not first
+        assert second.pool is not first.pool
+        assert second.stats is not first.stats
+        inputs = first.make_inputs(seed=3)
+        _same(second.run(dict(inputs)), first.run(dict(inputs)))
+        assert first.stats.requests == second.stats.requests == 1
+        assert first.pool.allocations == second.pool.allocations > 0
+
+    def test_one_key_function_for_harness_and_registry(self):
+        graph = _mini()
+        key = stable_model_key(graph)
+        assert key == ("graph", graph.fingerprint())
+        assert key == stable_model_key(_mini())
+        run_cell(graph, "Ours")
+        assert [k[0] for k in harness._CELL_CACHE] == [key]
+        assert [k[0] for k in harness._CORE_CACHE] == [key]
+        assert not hasattr(harness, "model_cache_key")
+
+    def test_mutating_the_source_graph_misses(self):
+        graph = _mini()
+        first = run_cell(graph, "Ours")
+        assert run_cell(graph, "Ours") is first
+        graph.add_tensor(
+            TensorSpec("late", (1, 8, 16), graph.tensors["x"].dtype))
+        graph.add_node("unary", [graph.outputs[0]], ["late"],
+                       {"func": "relu"})
+        graph.mark_output("late")
+        before = cell_cache_stats()
+        second = run_cell(graph, "Ours")
+        after = cell_cache_stats()
+        assert second is not first
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"]
+        assert "late" in second.result.graph.outputs
+        assert "late" not in first.result.graph.outputs
+
+    def test_cost_model_runs_at_compile_not_in_a_request(self, monkeypatch):
+        session = _compile_session(_mini(), "Ours")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cost model ran on the request path")
+
+        monkeypatch.setattr(type(session._cell.result), "cost", refuse)
+        session.run(session.make_inputs(seed=0))
+        assert session.stats.runs[-1].est_latency_ms \
+            == session._cell.report.latency_ms
+
+    def test_fused_steps_resolved_once_per_backend(self, monkeypatch):
+        session = _compile_session(_mini(), "Ours", backend="codegen")
+        calls = []
+
+        def count(cls):
+            original = cls.fused_steps
+
+            def counting(self, program):
+                calls.append(self.name)
+                return original(self, program)
+
+            monkeypatch.setattr(cls, "fused_steps", counting)
+
+        # chaos runs degrade some requests to numpy: count both backends
+        count(type(get_backend("codegen")))
+        count(type(get_backend("numpy")))
+        for seed in range(4):
+            session.run(session.make_inputs(seed=seed))
+        served = {run.backend for run in session.stats.runs}
+        assert sorted(calls) == sorted(served)  # once each, not per request
+        for run in session.stats.runs:
+            assert run.fused_steps == (
+                session.program.fused_step_count
+                if run.backend == "codegen" else 0)
+
+
+class TestSharedParameters:
+    def test_writing_a_shared_parameter_raises(self):
+        session = _compile_session(_mini(), "Ours")
+        assert session._params
+        for value in session._params.values():
+            assert not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[...] = 0
+
+    def test_clearing_the_cache_drops_the_parameters(self):
+        first = _compile_session(_mini(), "Ours")
+        params = first._params
+        clear_cell_cache()
+        second = _compile_session(_mini(), "Ours")
+        assert second._params is not params
+        assert second.program is not first.program
+        for name, value in params.items():
+            assert value.tobytes() == second._params[name].tobytes()
+
+
+class TestBoundedLRU:
+    def test_evicted_program_is_freed(self, monkeypatch):
+        # A chaos degradation logs its exception, whose traceback frames
+        # reference the session; pytest's log capture would keep it alive.
+        monkeypatch.setattr(
+            logging.getLogger("repro.runtime.session"), "disabled", True)
+        capacity = harness.GRAPH_CACHE_CAPACITY
+        assert capacity >= 64
+        model = compile_private(_mini(8), CompileOptions(backend="codegen"))
+        session = model.session
+        session.run(session.make_inputs(seed=0))
+        session.run_batch([session.make_inputs(seed=s) for s in range(3)])
+        variant = rebatch(session.program, 4)
+        modules = [owner.backend_cache["codegen.module"]
+                   for owner in (session.program, variant)
+                   if "codegen.module" in owner.backend_cache]
+        # chaos runs may degrade a compile to numpy; clean runs may not
+        assert len(modules) == 2 or session.stats.fallbacks
+        refs = [weakref.ref(obj) for obj in (
+            session.program, session.graph, session._cell, variant,
+            *modules)]
+        del model, session, variant, modules
+        gc.collect()
+        assert all(ref() is not None for ref in refs)  # the cache owns them
+        for index in range(capacity + 6):
+            run_cell(_mini(17 + index), "Ours")
+            assert cell_cache_stats()["graph_entries"] <= capacity
+        stats = cell_cache_stats()
+        assert stats["graph_entries"] == capacity
+        assert stats["evictions"] == 7
+        assert len(harness._CELL_CACHE) == len(harness._CORE_CACHE) \
+            == capacity
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+    def test_hit_refreshes_recency(self, monkeypatch):
+        monkeypatch.setattr(harness, "GRAPH_CACHE_CAPACITY", 3)
+        kept = run_cell(_mini(8), "Ours")
+        run_cell(_mini(9), "Ours")
+        run_cell(_mini(10), "Ours")
+        assert run_cell(_mini(8), "Ours") is kept  # now most recent
+        run_cell(_mini(11), "Ours")  # evicts width 9, not width 8
+        before = cell_cache_stats()
+        assert run_cell(_mini(8), "Ours") is kept
+        run_cell(_mini(9), "Ours")
+        after = cell_cache_stats()
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"] + 1
+
+    def test_registry_names_are_never_evicted(self, monkeypatch):
+        monkeypatch.setattr(harness, "GRAPH_CACHE_CAPACITY", 2)
+        named = run_cell("ViT", "MNN")
+        for width in range(8, 14):
+            run_cell(_mini(width), "Ours")
+        assert cell_cache_stats()["graph_entries"] == 2
+        assert run_cell("ViT", "MNN") is named
+
+    def test_concurrent_compiles_keep_the_index_consistent(self, monkeypatch):
+        """More threads than cores, a short switch interval, a capacity
+        small enough that every thread evicts: no entry may be left
+        outside the LRU index (it would never be evicted)."""
+        monkeypatch.setattr(harness, "GRAPH_CACHE_CAPACITY", 4)
+        graphs = [_mini(8 + i) for i in range(12)]
+        errors = []
+
+        def worker(offset):
+            try:
+                for step in range(60):
+                    graph = graphs[(offset + step * 5) % len(graphs)]
+                    cell = run_cell(graph, "Ours")
+                    assert cell.params is cell.params
+                    assert cell.report is cell.report
+            except BaseException as err:  # noqa: BLE001 - reported below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        indexed = set(harness._GRAPH_LRU)
+        assert len(indexed) <= 4
+        for cache in (harness._CELL_CACHE, harness._CORE_CACHE):
+            assert {key[0][1] for key in cache} <= indexed
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
+def test_hit_outputs_equal_miss_outputs(name, backend):
+    options = CompileOptions(backend=backend)
+    miss = compile_private(build_smoke(name), options)
+    request = miss.make_request(seed=11)
+    want = {key: value.copy()
+            for key, value in miss.run(request).outputs.items()}
+    before = cell_cache_stats()
+    hit = compile_private(build_smoke(name), options)
+    after = cell_cache_stats()
+    assert after["misses"] == before["misses"]
+    assert after["hits"] == before["hits"] + 1
+    assert hit.program is miss.program
+    assert hit.session is not miss.session
+    _same(hit.run(request).outputs, want)
+    with repro.serve(build_smoke(name), backend=backend) as service:
+        _same(service.submit(request).result(30).outputs, want)
+    assert cell_cache_stats()["misses"] == before["misses"]
+
+
+def test_reserving_known_graphs_does_not_grow_the_process():
+    """300 cold starts over 3 models, in a fresh process so ``ru_maxrss``
+    (a high-water mark) reads this loop and nothing else.  The id-keyed
+    cache pinned every graph: about 90 MB over the same loop."""
+    script = """
+import resource
+import repro
+from repro.models import build_smoke
+
+MODELS = ("Pythia", "ViT", "Conformer")
+requests = {}
+
+def cycle(name):
+    graph = build_smoke(name)
+    with repro.serve(graph, backend="codegen") as service:
+        if name not in requests:
+            requests[name] = service.compiled.make_request(seed=0)
+        service.submit(requests[name]).result(30)
+
+def peak_kb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+for name in MODELS:
+    cycle(name)
+start = peak_kb()
+for index in range(300):
+    cycle(MODELS[index % 3])
+print((peak_kb() - start) / 1024.0)
+"""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    grown_mb = float(done.stdout.strip().splitlines()[-1])
+    assert grown_mb < 10.0, f"ru_maxrss grew {grown_mb:.1f} MB"
