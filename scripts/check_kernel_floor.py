@@ -7,7 +7,10 @@ Asserts, against a freshly generated ``BENCH_pipeline.json``:
   and on Conformer (through the full Ours pipeline);
 * ViT and Conformer steady-state codegen ``Session.run`` beat the
   committed PR-5 walls (1.175 ms / 1.047 ms) by >=1.15x;
-* the ``serve.roofline`` section covers every smoke model.
+* the ``serve.roofline`` section covers every smoke model;
+* on the Conformer smoke row, a ``conv`` step costs at most 5x a
+  ``gemm`` step (same run, same process - a ratio, not a wall): the
+  depthwise conv must not pay Python dispatch per group again.
 
 Usage: PYTHONPATH=src python scripts/check_kernel_floor.py [BENCH.json]
 """
@@ -23,6 +26,9 @@ from repro.runtime import compile_program, lower
 #: kernel-bound models - the pre-kernel-floor baseline this PR attacks.
 BASELINE_MS = {"ViT": 1.175, "Conformer": 1.047}
 MIN_SPEEDUP = 1.15
+#: conv us/step over gemm us/step on Conformer smoke: 9.5x with the
+#: per-group loop, ~3.6x with the single gather + batched matmul.
+MAX_CONV_OVER_GEMM = 5.0
 
 
 def main(path: str = "BENCH_pipeline.json") -> int:
@@ -51,6 +57,14 @@ def main(path: str = "BENCH_pipeline.json") -> int:
     missing = sorted(set(SMOKE_CONFIGS) - set(roofline))
     assert not missing, f"serve.roofline missing models: {missing}"
     print(f"roofline covers all {len(roofline)} smoke models")
+
+    families = roofline["Conformer"]["families"]
+    conv, gemm = (families[key]["us_per_step"] for key in ("conv", "gemm"))
+    print(f"Conformer: conv {conv:.1f} us/step vs gemm {gemm:.1f} us/step "
+          f"= {conv / gemm:.1f}x (gate {MAX_CONV_OVER_GEMM:.0f}x)")
+    assert conv <= MAX_CONV_OVER_GEMM * gemm, (
+        f"Conformer conv costs {conv / gemm:.1f}x a gemm step per call "
+        f"(> {MAX_CONV_OVER_GEMM:.0f}x): grouped conv is dispatch-bound")
     return 0
 
 

@@ -176,11 +176,12 @@ def main(argv: list[str]) -> int:
                         f"{entry['scratch_kb']:.0f}",
                         f"{entry['run_ms']:.3f}",
                         hot_name, f"{hot['time_ms']:.3f}",
-                        f"{hot['mb_moved']:.2f}", f"{hot['intensity']:.2f}"])
+                        f"{hot['mb_moved']:.2f}", f"{hot['intensity']:.2f}",
+                        f"{hot['us_per_step']:.1f}"])
                 print(format_table(
                     ["Model", "steps", "fused c/s", "scratch (KB)",
                      "run (ms)", "hot family", "hot (ms)", "hot (MB)",
-                     "intensity"],
+                     "intensity", "us/step"],
                     rows,
                     title="== Roofline (per-step measured walls vs static "
                           "traffic stamps; full detail in serve.roofline) =="))

@@ -190,9 +190,14 @@ def measure_roofline(models: tuple[str, ...] | None = None,
     tensor specs.  Together they say, per family, how much wall time
     rides on how many bytes moved at what arithmetic intensity - the
     nnfusion-Table-6-style evidence the next kernel PR is aimed with.
+    ``us_per_step`` sits beside ``intensity`` because a low intensity
+    alone reads "bandwidth-bound" even when the wall is Python dispatch:
+    a family whose steps cost tens of microseconds while moving a few KB
+    is call-bound, whatever its FLOP/byte.
     Fusion/scratch counters ride along so the report also shows what the
-    codegen backend collapses (``fused_steps``) and what the GEMM conv
-    borrows from the slot plan (``scratch_kb``).
+    codegen backend collapses (``fused_steps``) and what one thread
+    holds for the GEMM conv (``scratch_kb``: every padded buffer plus
+    the widest column matrix, which the shared arena serves).
     """
     perf = time.perf_counter
     if models is None:
@@ -227,12 +232,14 @@ def measure_roofline(models: tuple[str, ...] | None = None,
             if entry is None:
                 continue
             moved = entry["bytes_read"] + entry["bytes_written"]
+            wall = fam_time.get(key, 0.0)
             families[key] = {
                 "steps": entry["steps"],
-                "time_ms": round(fam_time.get(key, 0.0) * 1e3, 4),
+                "time_ms": round(wall * 1e3, 4),
                 "mb_moved": round(moved / 1e6, 3),
                 "mflops": round(entry["flops"] / 1e6, 3),
                 "intensity": entry["intensity"],
+                "us_per_step": round(wall * 1e6 / entry["steps"], 2),
             }
         plan = program.slot_plan
         per_model[name] = {

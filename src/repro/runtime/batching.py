@@ -64,7 +64,7 @@ of producing wrong stacked results.  The reason is recorded on the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..ir.symbolic import OPEN_STOP, SYM, SymViewChain
 from ..ir.view import ViewChain, ViewStep
@@ -275,9 +275,9 @@ def _build_variant(program: ExecutionProgram, factor: int,
             bytes_written=step.bytes_written * scale,
             flops=step.flops * scale,
             scratch_bytes=step.scratch_bytes * scale,
+            arena_bytes=step.arena_bytes * scale,
         ))
-    plan = replace(plan, scratch_sizes=tuple(
-        s.scratch_bytes for s in steps if s.scratch_bytes))
+    plan = plan.with_scratch(steps)
     if symbolic:
         input_signature = tuple(
             (name, (SYM,) + tuple(shape[1:]), dtype)
@@ -552,11 +552,12 @@ def _transform_step(step: Step, B: int, factor: int, batched,
         if rank < 2:
             raise NotStackable(f"{op}: activation has no batch axis")
         if op == "conv2d":
-            # The base kernel is bound to im2col scratch planned for the
-            # solo batch extent; the variant needs its own binding sized
-            # for the stacked leading axis.
+            # The base kernel is bound to a padded buffer planned for
+            # the solo batch extent; the variant needs its own binding
+            # sized for the stacked leading axis.
             kernel, _ = bind_conv2d(
-                (B * factor,) + arg_shape(0)[1:], arg_shape(1), attrs)
+                (B * factor,) + arg_shape(0)[1:], arg_shape(1), attrs,
+                step.node_id)
     elif op in ("reduce_mean", "reduce_sum", "reduce_max"):
         if 0 in _axes(attrs, rank, tuple(range(rank))):
             raise NotStackable(f"{op} reduces across the batch axis")

@@ -6,9 +6,11 @@ elimination, view absorption) can be verified numerically: the executor
 runs the original and optimized graphs on the same inputs and the test
 suite requires identical outputs.
 
-They are written for clarity and correctness, not speed; model-scale
-latency numbers come from the analytical cost model, never from timing
-these kernels.
+They are also the serving floor: the ``numpy`` backend and the codegen
+backend's non-fused steps dispatch straight to them, so they are what
+the ``kernel_open`` benchmark workload times and their numpy-call count
+per step is a measured cost.  The paper's model-scale latency rows still
+come from the analytical cost model, never from timing these kernels.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import threading
 from typing import Callable
 
 import numpy as np
+
+from ..api.errors import ExecutionError
 
 _KERNELS: dict[str, Callable] = {}
 
@@ -62,107 +66,137 @@ def _conv_geometry(x_shape, w_shape, attrs):
 
 
 class ConvScratch:
-    """Reusable im2col scratch for one lowered conv2d step.
+    """Statically planned im2col scratch for one lowered conv2d step.
 
-    Sized statically at lowering time from the step's input specs and
-    reused across every run of the program (the slot plan reports the
-    bytes as a reusable-scratch class).  Buffers are per-thread: lowered
-    programs are memoized per graph and shared across sessions, so a
-    process-wide buffer would be corrupted by concurrent workers.
-
-    The padded buffer is zero-filled once per thread; runs only rewrite
-    the interior, so the halo stays zero - the pad cost drops from a
-    full ``np.pad`` copy per call to an interior copy.
+    A conv uses two buffers with two owners.  The zero-halo ``padded``
+    input copy belongs to the step: its halo invariant holds per
+    geometry, so it is allocated (zero-filled) once per thread and runs
+    only rewrite the interior - the pad cost drops from a full
+    ``np.pad`` copy per call to an interior copy.  It is per-thread
+    because lowered programs are shared across sessions; a process-wide
+    buffer would be corrupted by concurrent workers.  The column buffer
+    belongs to nobody: every conv borrows it from the per-thread arena
+    (:func:`_arena_cols`), so ``cols_shape`` only records the demand the
+    slot plan takes the maximum of.
     """
 
-    __slots__ = ("pad_shape", "cols_shape", "_local")
+    __slots__ = ("pad_shape", "cols_shape", "node_id", "_local")
 
-    def __init__(self, pad_shape, cols_shape) -> None:
+    def __init__(self, pad_shape, cols_shape, node_id=None) -> None:
         self.pad_shape = pad_shape  # None when the conv is unpadded
         self.cols_shape = cols_shape
+        self.node_id = node_id
         self._local = threading.local()
 
     @classmethod
-    def plan(cls, x_shape, w_shape, attrs) -> "ConvScratch":
+    def plan(cls, x_shape, w_shape, attrs, node_id=None) -> "ConvScratch":
         (_, _, (ph, pw), _, (n, c, h, wd),
-         (_, cpg, kh, kw), (oh, ow)) = _conv_geometry(x_shape, w_shape, attrs)
+         (_, _, kh, kw), (oh, ow)) = _conv_geometry(x_shape, w_shape, attrs)
         pad_shape = (n, c, h + 2 * ph, wd + 2 * pw) if ph or pw else None
-        cols_shape = (n, cpg * kh * kw, oh * ow)
-        return cls(pad_shape, cols_shape)
+        return cls(pad_shape, (n, c * kh * kw, oh * ow), node_id)
 
-    def nbytes(self, itemsize: int) -> int:
-        """Static scratch footprint for the slot plan."""
-        total = math.prod(self.cols_shape) * itemsize
-        if self.pad_shape is not None:
-            total += math.prod(self.pad_shape) * itemsize
-        return total
+    def pad_bytes(self, itemsize: int) -> int:
+        """Bytes of the step-owned padded buffer (0 when unpadded)."""
+        return math.prod(self.pad_shape or (0,)) * itemsize
 
-    def buffers(self, dtype):
+    def cols_bytes(self, itemsize: int) -> int:
+        """Column bytes this step needs from the per-thread arena."""
+        return math.prod(self.cols_shape) * itemsize
+
+    def padded(self, dtype, n):
+        """This thread's zero-halo buffer, cut to the live extent ``n``."""
+        if self.pad_shape is None:
+            return None
+        if n > self.pad_shape[0]:
+            raise ExecutionError(
+                f"kernel conv2d ({self.node_id}) planned its padded "
+                f"scratch for a leading extent of {self.pad_shape[0]}, "
+                f"got {n}")
         state = self._local
-        cached = getattr(state, "buffers", None)
-        if cached is None or cached[0] != dtype:
-            padded = (np.zeros(self.pad_shape, dtype=dtype)
-                      if self.pad_shape is not None else None)
-            cols = np.empty(self.cols_shape, dtype=dtype)
-            cached = state.buffers = (dtype, padded, cols)
-        return cached[1], cached[2]
+        cached = getattr(state, "padded", None)
+        if cached is None or cached.dtype != dtype:
+            cached = state.padded = np.zeros(self.pad_shape, dtype=dtype)
+        # Symbolic bucket variants plan at the bucket's max extent;
+        # smaller runtime extents use the (contiguous) leading prefix.
+        return cached if n == self.pad_shape[0] else cached[:n]
+
+    def held_bytes(self) -> int:
+        """Bytes the calling thread holds for this step right now."""
+        cached = getattr(self._local, "padded", None)
+        return 0 if cached is None else cached.nbytes
 
 
-def _im2col(xg, cols6, kh, kw, sh, sw, dh, dw, oh, ow):
-    """Gather conv windows into the column buffer in one vectorized copy.
+_ARENA = threading.local()
+
+
+def _arena_cols(shape, dtype):
+    """A ``shape`` column buffer carved from this thread's im2col arena.
+
+    One grow-only byte buffer per thread serves every conv step of every
+    program: a thread runs one step at a time and the gather rewrites
+    every column before the GEMM reads any, so nothing survives a call.
+    It is sized from the live shape, lives as long as its thread, and
+    only ever grows - to the largest column matrix the thread has run.
+    """
+    need = math.prod(shape) * dtype.itemsize
+    buf = getattr(_ARENA, "buf", None)
+    if buf is None or buf.nbytes < need:
+        buf = _ARENA.buf = np.empty(need, dtype=np.uint8)
+    return np.ndarray(shape, dtype, buffer=buf)
+
+
+def arena_bytes() -> int:
+    """Size of the calling thread's im2col arena right now."""
+    buf = getattr(_ARENA, "buf", None)
+    return 0 if buf is None else buf.nbytes
+
+
+def _im2col(xp, cols6, sh, sw, dh, dw):
+    """Gather every conv window into the column buffer in one copy.
 
     The window gather is a pure striding trick: ``as_strided`` views the
-    (already padded) input as a 6-D ``(n, cpg, kh, kw, oh, ow)`` patch
+    (already padded) input as a 6-D ``(n, c, kh, kw, oh, ow)`` patch
     tensor without touching data, and a single ``copyto`` materializes it
-    into the preallocated column buffer - no per-(channel, tap) Python
-    loop, no intermediate reshape copies, no astype.
+    into the column buffer - all groups at once (a group is a run of
+    channels), no per-(channel, tap) Python loop, no intermediate
+    reshape copies, no astype.
     """
-    n, cpg = xg.shape[:2]
-    s0, s1, s2, s3 = xg.strides
+    s0, s1, s2, s3 = xp.strides
     patches = np.lib.stride_tricks.as_strided(
-        xg, (n, cpg, kh, kw, oh, ow),
-        (s0, s1, s2 * dh, s3 * dw, s2 * sh, s3 * sw))
+        xp, cols6.shape, (s0, s1, s2 * dh, s3 * dw, s2 * sh, s3 * sw))
     np.copyto(cols6, patches)
 
 
 def conv2d_gemm(inputs, attrs, scratch: ConvScratch | None = None):
-    """GEMM-shaped conv2d: strided-view im2col + one BLAS matmul per group.
+    """GEMM-shaped conv2d: one strided-view im2col + one batched matmul.
 
-    ``scratch`` is the step's preallocated :class:`ConvScratch` when the
-    kernel was bound by :func:`bind_conv2d` at lowering; unbound calls
-    (graph interpreter, direct kernel use) plan a throwaway one.
+    The matmul's batch axes are ``(n, groups)``, so numpy issues the
+    per-group BLAS GEMMs in C - a depthwise conv costs the same handful
+    of numpy calls as a dense one.  ``scratch`` is the step's planned
+    :class:`ConvScratch` when the kernel was bound by
+    :func:`bind_conv2d` at lowering; unbound calls (graph interpreter,
+    direct kernel use) plan a throwaway one.
     """
     x, w = inputs[0], inputs[1]
     bias = inputs[2] if len(inputs) > 2 else None
     (groups, (sh, sw), (ph, pw), (dh, dw),
-     (n, _, h, wd), (oc, cpg, kh, kw), (oh, ow)) = _conv_geometry(
+     (n, c, h, wd), (oc, cpg, kh, kw), (oh, ow)) = _conv_geometry(
         x.shape, w.shape, attrs)
     if scratch is None:
         scratch = ConvScratch.plan(x.shape, w.shape, attrs)
-    padded, cols = scratch.buffers(x.dtype)
-    if cols.shape[0] != n:
-        # Symbolic bucket variants bind scratch at the bucket's max
-        # extent; smaller runtime extents use the leading-axis prefix.
-        # A C-contiguous leading slice is itself contiguous, so the
-        # strided im2col gather and the per-group GEMM below see the
-        # exact buffers an extent-``n`` binding would have planned.
-        cols = cols[:n]
-        if padded is not None:
-            padded = padded[:n]
-    if padded is not None:
-        padded[:, :, ph:ph + h, pw:pw + wd] = x
-        xp = padded
-    else:
+    xp = scratch.padded(x.dtype, n)
+    if xp is None:
         xp = x
-    cols6 = cols.reshape(n, cpg, kh, kw, oh, ow)
+    else:
+        xp[:, :, ph:ph + h, pw:pw + wd] = x
+    cols = _arena_cols((n, c, kh, kw, oh, ow), x.dtype)
+    _im2col(xp, cols, sh, sw, dh, dw)
+    k = cpg * kh * kw
     ocpg = oc // groups
     out = np.empty((n, oc, oh, ow), dtype=x.dtype)
-    out3 = out.reshape(n, oc, oh * ow)
-    for g in range(groups):
-        _im2col(xp[:, g * cpg:(g + 1) * cpg], cols6,
-                kh, kw, sh, sw, dh, dw, oh, ow)
-        wg = w[g * ocpg:(g + 1) * ocpg].reshape(ocpg, cpg * kh * kw)
-        np.matmul(wg, cols, out=out3[:, g * ocpg:(g + 1) * ocpg])
+    np.matmul(w.reshape(groups, ocpg, k),
+              cols.reshape(n, groups, k, oh * ow),
+              out=out.reshape(n, groups, ocpg, oh * ow))
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out
@@ -227,23 +261,24 @@ def conv2d(inputs, attrs):
     return _CONV_IMPL(inputs, attrs)
 
 
-def bind_conv2d(x_shape, w_shape, attrs):
+def bind_conv2d(x_shape, w_shape, attrs, node_id=None):
     """Bind a conv2d step to a statically planned :class:`ConvScratch`.
 
     Returns ``(kernel, scratch)``; the kernel keeps honouring
     :func:`use_reference_conv` so flag flips reach already-lowered
     programs.  Called by ``lower()`` (and by ``rebatch`` with the scaled
-    batch shape) so every run reuses the step's im2col buffers instead
-    of reallocating them.
+    batch shape) so every run reuses the step's padded buffer instead of
+    reallocating it; ``node_id`` names the step in the scratch's errors.
     """
-    scratch = ConvScratch.plan(x_shape, w_shape, attrs)
+    scratch = ConvScratch.plan(x_shape, w_shape, attrs, node_id)
 
-    def bound(inputs, attrs, _scratch=scratch):
+    def bound(inputs, attrs):
         impl = _CONV_IMPL
         if impl is conv2d_gemm:
-            return conv2d_gemm(inputs, attrs, _scratch)
+            return conv2d_gemm(inputs, attrs, scratch)
         return impl(inputs, attrs)
 
+    bound.scratch = scratch
     return bound, scratch
 
 

@@ -126,8 +126,12 @@ class Step:
     flops: int = 0
     """Static floating-point work dispatched by this step."""
     scratch_bytes: int = 0
-    """Reusable scratch owned by this step's bound kernel (im2col
-    buffers), sized statically at lowering; 0 for scratchless steps."""
+    """Reusable scratch owned by this step's bound kernel (a conv's
+    zero-halo padded buffer), sized statically at lowering; 0 for
+    scratchless steps."""
+    arena_bytes: int = 0
+    """Column bytes this step borrows from the per-thread im2col arena
+    while it runs (every conv2d step; 0 otherwise)."""
 
 
 @dataclass(frozen=True)
@@ -156,9 +160,13 @@ class SlotPlan:
     later same-size tensor, so this can exceed the slot count)."""
     scratch_sizes: tuple[int, ...] = ()
     """Reusable-scratch classes (one per scratch-owning step, in step
-    order): bytes held across runs by bound kernels (im2col buffers).
-    Unlike slots these are never allocated or released per request -
-    they are part of the program's resident footprint."""
+    order): bytes held across runs by bound kernels (padded conv
+    inputs).  Unlike slots these are never allocated or released per
+    request - they are part of the program's resident footprint."""
+    arena_bytes: int = 0
+    """The program's demand on the per-thread im2col arena: its largest
+    conv column matrix.  The arena is shared by every conv step of every
+    program a thread runs, so steps contribute their max, not their sum."""
 
     @property
     def num_slots(self) -> int:
@@ -166,7 +174,17 @@ class SlotPlan:
 
     @property
     def scratch_bytes(self) -> int:
-        return sum(self.scratch_sizes)
+        """What one thread holds to run this program: every step-owned
+        buffer plus an arena big enough for the widest conv."""
+        return sum(self.scratch_sizes) + self.arena_bytes
+
+    def with_scratch(self, steps: "tuple[Step, ...]") -> "SlotPlan":
+        """This plan with the scratch accounting of ``steps``."""
+        return replace(
+            self,
+            scratch_sizes=tuple(
+                s.scratch_bytes for s in steps if s.scratch_bytes),
+            arena_bytes=max((s.arena_bytes for s in steps), default=0))
 
 
 def _compile_step(step: Step) -> Callable[[dict], None]:
@@ -565,15 +583,17 @@ def lower(graph: Graph) -> ExecutionProgram:
             out_shapes, out_itemsizes)
 
         run_kernel = get_kernel(node.op_type)
-        scratch_bytes = 0
+        scratch_bytes = arena_bytes = 0
         if node.op_type == "conv2d":
             # Bind the step to a statically planned im2col scratch: the
-            # padded-input and column buffers are owned by the program
-            # (reported as a reusable-scratch class on the slot plan)
-            # and reused across every run instead of reallocated.
+            # padded-input buffer is owned by the step (a
+            # reusable-scratch class on the slot plan) and reused across
+            # every run; the columns are the step's demand on the
+            # per-thread arena.
             run_kernel, scratch = bind_conv2d(
-                arg_shapes[0], arg_shapes[1], node.attrs)
-            scratch_bytes = scratch.nbytes(arg_itemsizes[0])
+                arg_shapes[0], arg_shapes[1], node.attrs, node.id)
+            scratch_bytes = scratch.pad_bytes(arg_itemsizes[0])
+            arena_bytes = scratch.cols_bytes(arg_itemsizes[0])
         elif node.op_type == "layout_convert":
             # Copy elision: when the converted value is a pool interior
             # dying at this very step, nothing else will ever read it -
@@ -603,12 +623,12 @@ def lower(graph: Graph) -> ExecutionProgram:
             bytes_written=writes,
             flops=flops,
             scratch_bytes=scratch_bytes,
+            arena_bytes=arena_bytes,
         )
 
     steps = tuple(make_step(i, node) for i, node in enumerate(order))
-    plan = replace(plan, scratch_sizes=tuple(
-        step.scratch_bytes for step in steps if step.scratch_bytes))
-    program = ExecutionProgram(graph, steps, plan, fused_chains=chains)
+    program = ExecutionProgram(graph, steps, plan.with_scratch(steps),
+                               fused_chains=chains)
     cache[_PROGRAM_CACHE_KEY] = program
     return program
 

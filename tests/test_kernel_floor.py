@@ -9,10 +9,13 @@ The parity contract is two-tiered, matching how the kernels compose:
   (BLAS and einsum accumulate float32 sums in different orders).
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
+
+from repro.api.errors import ExecutionError
 
 from repro.core import smartmem_optimize
 from repro.ir import GraphBuilder
@@ -23,8 +26,8 @@ from repro.runtime import (
 from repro.runtime.batching import analyze, rebatch
 from repro.runtime.faults import FaultPlan
 from repro.runtime.kernels import (
-    ConvScratch, bind_conv2d, conv2d_gemm, conv2d_reference, get_kernel,
-    layout_convert_elided, use_reference_conv,
+    ConvScratch, _arena_cols, arena_bytes, bind_conv2d, conv2d_gemm,
+    conv2d_reference, get_kernel, layout_convert_elided, use_reference_conv,
 )
 from repro.runtime.program import _CHAIN_ELEMENTWISE, _CHAIN_OPS
 from repro.runtime.session import _compile_session, circuit_breaker
@@ -46,16 +49,57 @@ CONV_CASES = [
     ((1, 3, 32, 32), (48, 3, 16, 16), {"stride": 16}),            # patchify
     ((2, 5, 7, 11), (10, 5, 2, 4), {"stride": (2, 1),
                                     "padding": (1, 2)}),          # asymmetric
+    ((1, 96, 16, 1), (96, 1, 31, 1), {"padding": (15, 0),
+                                      "groups": 96}),     # Conformer medium
+    ((1, 4, 8, 8), (8, 1, 3, 3), {"groups": 4,
+                                  "padding": 1}),         # channel multiplier
+    ((1, 6, 13, 13), (6, 3, 3, 3), {"groups": 2, "stride": 2,
+                                    "dilation": 2, "padding": 2}),
+    ((3, 6, 8, 8), (12, 3, 3, 3), {"groups": 2, "padding": 1}),
+    ((16, 8, 6, 6), (8, 1, 3, 3), {"groups": 8, "padding": 1}),
 ]
 
+#: the grouped half of the grid, re-run in half precision
+GROUPED_CASES = [case for case in CONV_CASES if case[2].get("groups", 1) > 1]
 
-def _conv_inputs(x_shape, w_shape, bias, seed=0):
+
+def _conv_inputs(x_shape, w_shape, bias, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
-    inputs = [rng.standard_normal(x_shape).astype(np.float32),
-              rng.standard_normal(w_shape).astype(np.float32)]
+    inputs = [rng.standard_normal(x_shape).astype(dtype),
+              rng.standard_normal(w_shape).astype(dtype)]
     if bias:
-        inputs.append(rng.standard_normal(w_shape[0]).astype(np.float32))
+        inputs.append(rng.standard_normal(w_shape[0]).astype(dtype))
     return inputs
+
+
+def _conv2d_group_loop(inputs, attrs):
+    """The per-group loop ``conv2d_gemm`` used to run: one window gather
+    and one GEMM per group, on the operand bytes the batched matmul sees.
+    Lives here as the byte-identity oracle for the single-gather path."""
+    x, w = inputs[0], inputs[1]
+    groups = int(attrs.get("groups", 1))
+    sh, sw = np.broadcast_to(attrs.get("stride", 1), 2)
+    ph, pw = np.broadcast_to(attrs.get("padding", 0), 2)
+    dh, dw = np.broadcast_to(attrs.get("dilation", 1), 2)
+    (n, _, h, wd), (oc, cpg, kh, kw) = x.shape, w.shape
+    oh = (h + 2 * ph - (dh * (kh - 1) + 1)) // sh + 1
+    ow = (wd + 2 * pw - (dw * (kw - 1) + 1)) // sw + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    s0, s1, s2, s3 = xp.strides
+    ocpg = oc // groups
+    cols = np.empty((n, cpg * kh * kw, oh * ow), dtype=x.dtype)
+    out = np.empty((n, oc, oh * ow), dtype=x.dtype)
+    for g in range(groups):
+        patches = np.lib.stride_tricks.as_strided(
+            xp[:, g * cpg:(g + 1) * cpg], (n, cpg, kh, kw, oh, ow),
+            (s0, s1, s2 * dh, s3 * dw, s2 * sh, s3 * sw))
+        np.copyto(cols.reshape(n, cpg, kh, kw, oh, ow), patches)
+        np.matmul(w[g * ocpg:(g + 1) * ocpg].reshape(ocpg, -1), cols,
+                  out=out[:, g * ocpg:(g + 1) * ocpg])
+    out = out.reshape(n, oc, oh, ow)
+    if len(inputs) > 2:
+        out += inputs[2].reshape(1, -1, 1, 1)
+    return out
 
 
 @pytest.mark.parametrize("x_shape,w_shape,attrs", CONV_CASES)
@@ -68,6 +112,14 @@ class TestConvGemm:
         ref = conv2d_reference(inputs, attrs)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.allclose(ref, got, rtol=1e-3, atol=1e-4)
+
+    def test_matches_per_group_loop_byte_for_byte(self, x_shape, w_shape,
+                                                  attrs, bias):
+        inputs = _conv_inputs(x_shape, w_shape, bias)
+        got = conv2d_gemm(inputs, attrs)
+        want = _conv2d_group_loop(inputs, attrs)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
     def test_bound_scratch_is_byte_identical_and_reusable(self, x_shape,
                                                           w_shape, attrs,
@@ -98,44 +150,138 @@ class TestConvGemm:
         assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("x_shape,w_shape,attrs", GROUPED_CASES)
+def test_float16_grouped_conv(x_shape, w_shape, attrs):
+    inputs = _conv_inputs(x_shape, w_shape, bias=True, dtype=np.float16)
+    got = conv2d_gemm(inputs, attrs)
+    assert got.dtype == np.float16
+    assert np.array_equal(got, _conv2d_group_loop(inputs, attrs))
+    ref = conv2d_reference([a.astype(np.float32) for a in inputs], attrs)
+    assert np.allclose(ref, got, rtol=2e-2, atol=2e-2)
+
+
+@pytest.mark.parametrize("groups", [1, 2, 96])
+def test_one_gather_and_one_matmul_whatever_the_groups(monkeypatch, groups):
+    # the structural perf guard: the numpy-call count of a conv does not
+    # scale with ``groups`` (the per-group Python loop was 4 calls each)
+    inputs = _conv_inputs((2, 96, 16, 1), (96, 96 // groups, 31, 1),
+                          bias=True)
+    attrs = {"padding": (15, 0), "groups": groups}
+    bound, _ = bind_conv2d(inputs[0].shape, inputs[1].shape, attrs)
+    bound(inputs, attrs)  # allocate this thread's buffers first
+    calls = {"matmul": 0, "copyto": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+    bound(inputs, attrs)
+    assert calls == {"matmul": 1, "copyto": 1}
+
+
+def _in_thread(fn, timeout=60):
+    """Run ``fn`` on a brand-new thread and return its result."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:  # re-raised on the caller's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive()
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
 class TestConvScratch:
     def test_plan_sizes_padded_and_cols(self):
         scratch = ConvScratch.plan((1, 3, 16, 16), (8, 3, 3, 3),
                                    {"padding": 1})
         assert scratch.pad_shape == (1, 3, 18, 18)
         assert scratch.cols_shape == (1, 27, 256)
-        assert scratch.nbytes(4) == 4 * (3 * 18 * 18 + 27 * 256)
+        assert scratch.pad_bytes(4) == 4 * 3 * 18 * 18
+        assert scratch.cols_bytes(4) == 4 * 27 * 256
         unpadded = ConvScratch.plan((1, 3, 16, 16), (8, 3, 3, 3), {})
         assert unpadded.pad_shape is None
-        assert unpadded.nbytes(4) == 4 * 27 * 14 * 14
+        assert unpadded.pad_bytes(4) == 0
+        assert unpadded.cols_bytes(4) == 4 * 27 * 14 * 14
+        # the columns hold every group's taps: one gather serves them all
+        grouped = ConvScratch.plan((2, 96, 16, 1), (96, 1, 31, 1),
+                                   {"padding": (15, 0), "groups": 96})
+        assert grouped.cols_shape == (2, 96 * 31, 16)
 
     def test_buffers_are_thread_local(self):
         scratch = ConvScratch.plan((1, 3, 8, 8), (4, 3, 3, 3),
                                    {"padding": 1})
-        mine = scratch.buffers(np.dtype(np.float32))
-        seen = {}
+        dtype = np.dtype(np.float32)
 
-        def worker():
-            seen["theirs"] = scratch.buffers(np.dtype(np.float32))
+        def buffers():
+            return (scratch.padded(dtype, 1),
+                    _arena_cols(scratch.cols_shape, dtype))
 
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-        assert seen["theirs"][1] is not mine[1]
-        # same thread reuses the same buffers
-        assert scratch.buffers(np.dtype(np.float32))[1] is mine[1]
+        mine = buffers()
+        theirs = _in_thread(buffers)
+        for ours, other in zip(mine, theirs):
+            assert not np.shares_memory(ours, other)
+        # the same thread gets (fresh views of) the same memory back
+        for ours, again in zip(mine, buffers()):
+            assert np.shares_memory(ours, again)
+
+    def test_arena_is_shared_across_steps_and_only_grows(self):
+        dtype = np.dtype(np.float32)
+
+        def grow():
+            assert arena_bytes() == 0
+            small = _arena_cols((1, 4, 9), dtype)
+            assert arena_bytes() == small.nbytes
+            big = _arena_cols((2, 27, 64), dtype)
+            assert arena_bytes() == big.nbytes
+            # a smaller (or other-dtype) request reuses the grown buffer
+            half = _arena_cols((1, 4, 9), np.dtype(np.float16))
+            assert np.shares_memory(half, big)
+            return arena_bytes() == big.nbytes
+
+        assert _in_thread(grow)
 
     def test_lowering_owns_the_scratch_sizes(self):
         graph = build("ResNet50", **SMOKE_CONFIGS["ResNet50"])
         program = lower(graph)
-        conv_bytes = tuple(step.scratch_bytes for step in program.steps
-                           if step.op_type == "conv2d")
-        assert conv_bytes and all(size > 0 for size in conv_bytes)
-        assert program.slot_plan.scratch_sizes == conv_bytes
-        assert program.slot_plan.scratch_bytes == sum(conv_bytes)
+        convs = [step for step in program.steps if step.op_type == "conv2d"]
+        assert convs and all(step.arena_bytes > 0 for step in convs)
+        for step in convs:
+            # padded convs own their halo buffer, unpadded ones nothing
+            assert (step.scratch_bytes > 0) \
+                == (step.kernel.scratch.pad_shape is not None)
+            assert step.kernel.scratch.node_id == step.node_id
+        padded = tuple(step.scratch_bytes for step in convs
+                       if step.scratch_bytes)
+        assert padded and len(padded) < len(convs)
+        plan = program.slot_plan
+        assert plan.scratch_sizes == padded
+        assert plan.arena_bytes == max(step.arena_bytes for step in convs)
+        assert plan.scratch_bytes == sum(padded) + plan.arena_bytes
         non_conv = [step for step in program.steps
                     if step.op_type != "conv2d"]
-        assert all(step.scratch_bytes == 0 for step in non_conv)
+        assert all(step.scratch_bytes == 0 and step.arena_bytes == 0
+                   for step in non_conv)
+
+    def test_extent_beyond_the_plan_names_the_step(self):
+        attrs = {"padding": 1}
+        bound, _ = bind_conv2d((2, 3, 8, 8), (4, 3, 3, 3), attrs, "conv_7")
+        inputs = _conv_inputs((4, 3, 8, 8), (4, 3, 3, 3), bias=False)
+        with pytest.raises(ExecutionError) as caught:
+            bound(inputs, attrs)
+        message = str(caught.value)
+        assert "conv_7" in message and "2" in message and "4" in message
+        # a smaller extent than planned is the symbolic-variant route
+        small = [inputs[0][:1], inputs[1]]
+        assert np.array_equal(bound(small, attrs),
+                              conv2d_gemm(small, attrs))
 
     def test_reference_flag_reroutes_the_registered_kernel(self):
         inputs = _conv_inputs((1, 3, 8, 8), (4, 3, 3, 3), bias=True)
@@ -152,6 +298,107 @@ class TestConvScratch:
             use_reference_conv(False)
         assert np.array_equal(kernel(inputs, attrs),
                               conv2d_gemm(inputs, attrs))
+
+
+class TestArenaSharing:
+    """Every conv of every program borrows one per-thread arena; what a
+    run returns must not depend on what else the thread (or another
+    thread) ran in between."""
+
+    GEOMETRIES = [
+        ((3, 6, 8, 8), (12, 3, 3, 3), {"groups": 2, "padding": 1}),
+        ((1, 96, 16, 1), (96, 1, 31, 1), {"padding": (15, 0),
+                                          "groups": 96}),
+    ]
+
+    def _bound_cases(self):
+        cases = []
+        for x_shape, w_shape, attrs in self.GEOMETRIES:
+            bound, _ = bind_conv2d(x_shape, w_shape, attrs)
+            runs = [_conv_inputs(x_shape, w_shape, bias=True, seed=seed)
+                    for seed in range(4)]
+            serial = [bound(inputs, attrs).copy() for inputs in runs]
+            cases.append((bound, attrs, runs, serial))
+        return cases
+
+    def test_one_thread_interleaving_two_geometries(self):
+        first, second = self._bound_cases()
+        for i in range(4):
+            for bound, attrs, runs, serial in (first, second, first):
+                assert np.array_equal(bound(runs[i], attrs), serial[i])
+
+    def test_two_threads_on_different_geometries(self):
+        cases = self._bound_cases()
+        stop = threading.Event()
+        rounds = 200
+
+        def hammer(bound, attrs, runs, serial):
+            for i in range(rounds):
+                if stop.is_set():
+                    return i
+                j = i % len(runs)
+                if not np.array_equal(bound(runs[j], attrs), serial[j]):
+                    stop.set()
+                    return -1
+            return rounds
+
+        done = {}
+        threads = [
+            threading.Thread(
+                target=lambda k=k, case=case: done.__setitem__(
+                    k, hammer(*case)))
+            for k, case in enumerate(cases * 2)]  # more workers than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert done == {k: rounds for k in range(len(threads))}
+
+
+def _stacked_inputs(graph, program):
+    """``make_inputs`` widened to a batch variant's input signature."""
+    inputs = {k: v for k, v in make_inputs(graph).items()
+              if k in program.graph.tensors}
+    for name, shape, _ in program.input_signature:
+        repeats = shape[0] // inputs[name].shape[0]
+        inputs[name] = np.concatenate([inputs[name]] * repeats)
+    return inputs
+
+
+class TestScratchAccountingIsReal:
+    """``slot_plan.scratch_bytes`` is a claim about memory; check it
+    against what a thread holds after running the program once."""
+
+    @pytest.mark.parametrize("name,config,factor", [
+        ("ResNet50", SMOKE_CONFIGS["ResNet50"], 1),
+        ("Conformer", dict(frames=64, mels=80, dim=96, depth=2, heads=4), 1),
+        ("Conformer", dict(frames=64, mels=80, dim=96, depth=2, heads=4), 4),
+    ])
+    def test_plan_equals_what_a_fresh_thread_holds(self, name, config,
+                                                   factor):
+        graph = build(name, **config)
+        program = lower(smartmem_optimize(graph).graph)
+        if factor > 1:
+            program = rebatch(program, factor)
+        inputs = _stacked_inputs(graph, program)
+
+        def run_and_measure():
+            assert arena_bytes() == 0
+            get_backend("numpy").run(program, inputs)
+            return arena_bytes() + sum(
+                step.kernel.scratch.held_bytes() for step in program.steps
+                if step.op_type == "conv2d")
+
+        plan = program.slot_plan
+        assert plan.arena_bytes > 0 and plan.scratch_sizes
+        assert _in_thread(run_and_measure) == plan.scratch_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +497,13 @@ class TestStackedParity:
             assert scaled.flops >= base.flops
             if base.op_type == "conv2d":
                 assert scaled.scratch_bytes == 4 * base.scratch_bytes
+                assert scaled.arena_bytes == 4 * base.arena_bytes > 0
+        assert variant.slot_plan.scratch_sizes == tuple(
+            4 * size for size in program.slot_plan.scratch_sizes)
+        assert variant.slot_plan.arena_bytes \
+            == 4 * program.slot_plan.arena_bytes
         assert variant.slot_plan.scratch_bytes \
-            == 4 * program.slot_plan.scratch_bytes
+            == 4 * program.slot_plan.scratch_bytes > 0
 
 
 class TestChaosDegradation:
@@ -328,6 +580,17 @@ class TestRooflineStamps:
                 == pytest.approx(entry["flops"] / moved, abs=1e-3)
         # the summary is exactly the aggregation of the step stamps
         assert roofline_summary(program.steps) == summary
+
+    def test_measured_report_puts_us_per_step_beside_intensity(self):
+        from repro.bench.serving import measure_roofline
+
+        entry = measure_roofline(("Conformer",), repeats=1)["models"][
+            "Conformer"]
+        assert {"conv", "gemm", "norm"} <= set(entry["families"])
+        for fam in entry["families"].values():
+            assert "intensity" in fam
+            assert fam["us_per_step"] == pytest.approx(
+                fam["time_ms"] * 1e3 / fam["steps"], abs=0.06)
 
 
 # ---------------------------------------------------------------------------
