@@ -41,10 +41,12 @@ except ValueError as err:
 
 # 4. repro.serve: a scheduler coalesces concurrent traffic into
 #    micro-batches.  Four client threads submit 32 requests; the worker
-#    drains them through one backend invocation per batch - a stacked
-#    batch-N kernel pass when the program is batch-stackable (Pythia
-#    is), the sequential run_many path otherwise.
-service = repro.serve(graph, max_batch_size=8, max_wait_ms=20.0)
+#    never waits for a batch to fill - each batch is whatever queued
+#    while the previous one ran - and drains them through one backend
+#    invocation per batch: a stacked batch-N kernel pass when the
+#    program is batch-stackable (Pythia is), the sequential run_many
+#    path otherwise.
+service = repro.serve(graph, max_batch_size=8)
 responses = []
 record = responses.append
 lock = threading.Lock()
@@ -97,8 +99,7 @@ expected = [vit.run(vit.make_request(seed=s)) for s in range(64)]
 
 with repro.serve(vit_graph,
                  repro.ServeOptions(backend="parallel", workers=4,
-                                    max_batch_size=32,
-                                    max_wait_ms=5.0)) as parallel:
+                                    max_batch_size=32)) as parallel:
 
     async def burst():
         calls = [parallel.submit_async(vit.make_request(seed=s))

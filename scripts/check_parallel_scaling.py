@@ -58,7 +58,7 @@ def check_crash_absorption() -> None:
     plan = FaultPlan(rules=(
         FaultRule(kind="worker_crash", probability=1.0, times=2),))
     service = serve(graph, ServeOptions(
-        backend="parallel", workers=2, max_batch_size=32, max_wait_ms=5.0,
+        backend="parallel", workers=2, max_batch_size=32,
         compile=CompileOptions(faults=plan)))
     try:
         futures = [service.submit(InferenceRequest(inputs=values))

@@ -158,12 +158,14 @@ class CompileOptions:
 class ServeOptions:
     """Scheduler configuration for :func:`repro.serve`.
 
-    The service coalesces up to ``max_batch_size`` compatible requests
-    arriving within ``max_wait_ms`` of each other into one backend
-    invocation; ``max_wait_ms=0`` still coalesces whatever is already
-    queued but never delays a lone request.  ``max_queue`` bounds the
-    request queue (``submit`` raises once it is full) so a slow consumer
-    exerts backpressure instead of growing memory without bound.
+    Batching is work-conserving: the worker blocks only while the queue
+    is empty, then runs up to ``max_batch_size`` of the compatible
+    requests queued at that moment as one backend invocation; a lone
+    request is never delayed.  ``max_queue`` bounds the request queue
+    (``submit`` raises once it is full) so a slow consumer exerts
+    backpressure instead of growing memory without bound.
+    ``max_wait_ms`` (the old idle hold) is **deprecated**: accepted and
+    range-checked, it delays nothing; non-zero warns once per process.
     ``compile`` nests the :class:`CompileOptions` the service's private
     session is compiled with (framework, device, execution backend);
     ``backend`` and ``workers`` are shorthands that override the nested
@@ -183,7 +185,7 @@ class ServeOptions:
     """
 
     max_batch_size: int = 8
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 0.0
     max_queue: int | None = None
     backend: str | None = None
     workers: int | None = None
@@ -200,6 +202,10 @@ class ServeOptions:
             raise InvalidOptions(
                 f"ServeOptions.max_wait_ms cannot be negative, "
                 f"got {self.max_wait_ms!r}")
+        if self.max_wait_ms:  # stacklevel 4: past the generated __init__
+            from ..runtime.session import _warn_deprecated
+            _warn_deprecated("ServeOptions.max_wait_ms", "the default: "
+                             "it no longer delays anything", stacklevel=4)
         if self.max_queue is not None and self.max_queue < 1:
             raise InvalidOptions(
                 f"ServeOptions.max_queue must be at least 1, "

@@ -4,9 +4,12 @@ A :class:`Service` owns a private session (its own pools and stats over
 a program and parameters shared by content) and a worker thread draining
 a thread-safe priority queue.  Concurrent ``submit()`` calls are admitted
 in the submitting thread (fail-fast, and off the worker's critical
-path), queued, and coalesced - up to ``max_batch_size`` batch-compatible
-requests arriving within ``max_wait_ms`` of each other - into **one**
-backend invocation on the lowered program path.  When the program is
+path), queued, and coalesced into **one** backend invocation on the
+lowered program path.  Batching is *work-conserving*: the worker blocks
+only while the queue is empty, then takes up to ``max_batch_size`` of
+the requests queued right then - the running batch is the coalescing
+window, and an idle worker never holds a request back (the old hold,
+``ServeOptions.max_wait_ms``, is deprecated).  When the program is
 batch-stackable (:func:`repro.runtime.batching.analyze`), that
 invocation is a single *stacked* kernel pass: request tensors
 concatenated along the batch axis, one kernel call per step for the
@@ -249,9 +252,11 @@ class Service:
     :class:`~repro.api.errors.AdmissionError` immediately), enqueues it
     (FIFO for default priority, heap for prioritized;
     :class:`~repro.api.errors.QueueFull` once ``max_queue`` is hit), and
-    returns an :class:`InferenceFuture`.  The worker coalesces up to
-    ``max_batch_size`` queued requests arriving within ``max_wait_ms``
-    into one ``backend.run_many`` invocation; expired deadlines resolve
+    returns an :class:`InferenceFuture`.  The worker sleeps only while
+    the queue is empty, then takes up to ``max_batch_size`` live queued
+    requests - what arrived while the previous batch ran, never held to
+    let a batch fill (``max_wait_ms`` is deprecated and ignored) - into
+    one ``backend.run_many`` invocation; expired deadlines resolve
     their futures with :class:`~repro.api.errors.DeadlineExceeded`, an
     executor failure is isolated per request (and retried under the
     options' :class:`~repro.api.RetryPolicy` when retryable).
@@ -274,7 +279,6 @@ class Service:
         self._pool = session.pool
         self._backend = session._backend
         self._max_batch = options.max_batch_size
-        self._wait_s = options.max_wait_ms / 1e3
         self._max_queue = options.max_queue
         self._retry = options.retry
         self._injector = options.faults.injector() \
@@ -373,7 +377,7 @@ class Service:
                 stacked_batches=self._stacked,
                 mean_batch_size=requests / batches if batches else 0.0,
                 largest_batch=self._largest_batch,
-                queue_depth=self._depth(),
+                queue_depth=self.queue_depth,
                 queue_depth_peak=self._queue_peak,
                 expired=self._expired,
                 failed=self._failed,
@@ -389,17 +393,13 @@ class Service:
                 closed=self._closed,
             )
 
-    def _depth(self) -> int:
-        return len(self._fifo) + len(self._heap)
-
     def _pop_next(self) -> _Pending:
         """Next entry by (priority desc, arrival): FIFO unless an
         explicitly prioritized entry outranks the FIFO head."""
-        if not self._heap:
-            return self._fifo.popleft()
-        if not self._fifo or self._heap[0] < self._fifo[0]:
-            return heapq.heappop(self._heap)
-        return self._fifo.popleft()
+        fifo, heap = self._fifo, self._heap
+        if heap and (not fifo or heap[0] < fifo[0]):
+            return heapq.heappop(heap)
+        return fifo.popleft()
 
     # -- submission --------------------------------------------------------
 
@@ -428,7 +428,7 @@ class Service:
                 raise ServiceClosed(
                     "service is closed", request_id=request.request_id,
                     model=self._session.model or self._session.graph.name)
-            depth = self._depth()
+            depth = self.queue_depth
             if self._max_queue is not None and depth >= self._max_queue:
                 raise QueueFull(
                     f"service queue is full ({self._max_queue} requests)",
@@ -539,34 +539,28 @@ class Service:
     # -- the scheduler -----------------------------------------------------
 
     def _next_batch(self) -> list[_Pending] | None:
-        """Block until work is available; coalesce a batch.
+        """Block while the queue is empty, then take what is queued.
 
-        The coalescing window opens when the first request is seen:
-        the worker waits up to ``max_wait_ms`` for the batch to fill,
-        leaving early when it does (or on shutdown, which drains
-        without delay).  On shutdown the worker exits only once the
-        queue *and* the pending retry backoffs are drained, so a
-        retried request submitted before ``close()`` still resolves.
+        Work-conserving: up to ``max_batch_size`` live entries queued
+        right now - whatever arrived while the previous batch ran; an
+        idle worker never waits for a batch to fill.  Entries cancelled
+        while queued are skipped, so they take no slot from a live
+        request.  On shutdown the worker exits only once the queue *and*
+        the pending retry backoffs are drained, so a retried request
+        submitted before ``close()`` still resolves.
         """
+        batch: list[_Pending] = []
         with self._lock:
-            while not self._fifo and not self._heap:
+            while True:
+                while len(batch) < self._max_batch and self.queue_depth:
+                    entry = self._pop_next()
+                    if not entry.future._resolved:
+                        batch.append(entry)
+                if batch:
+                    return batch
                 if self._closed and self._pending_retries == 0:
                     return None
                 self._work.wait()
-            if self._wait_s > 0.0 and not self._closed \
-                    and self._depth() < self._max_batch:
-                deadline = time.monotonic() + self._wait_s
-                while self._depth() < self._max_batch and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._work.wait(remaining)
-            if not self._heap:  # common case: one C-speed bulk slice
-                fifo = self._fifo
-                n = min(self._max_batch, len(fifo))
-                return [fifo.popleft() for _ in range(n)]
-            n = min(self._max_batch, self._depth())
-            return [self._pop_next() for _ in range(n)]
 
     def _drain_loop(self) -> None:
         batch: list[_Pending] | None = None
@@ -649,8 +643,8 @@ class Service:
 
     def _execute(self, batch: list[_Pending]) -> None:
         """Run one coalesced batch; isolate failures per request."""
-        # Entries whose future already resolved were cancelled while
-        # queued: drop them here, at dequeue time.
+        # Cancelled since `_next_batch` popped them (or before an
+        # isolation re-run): their future is resolved, drop them.
         batch = [entry for entry in batch if not entry.future._resolved]
         dequeued = time.monotonic()
         expired: list[_Pending] = []
@@ -789,7 +783,7 @@ def serve(model: str | Graph, options: ServeOptions | None = None,
     Arguments:
         model: a catalog name or a built :class:`~repro.ir.graph.Graph`.
         options: a :class:`ServeOptions` - scheduler knobs
-            (``max_batch_size``, ``max_wait_ms``, ``max_queue``), the
+            (``max_batch_size``, ``max_queue``), the
             reliability knobs (``retry``, ``faults``), plus a nested
             :class:`CompileOptions` (``options.compile``) picking
             framework/device/execution backend.

@@ -432,7 +432,7 @@ def measure_parallel(models: tuple[str, ...] = PARALLEL_MODELS,
         for count in workers:
             service = serve(graph, ServeOptions(
                 backend="parallel", workers=count,
-                max_batch_size=max_batch_size, max_wait_ms=5.0))
+                max_batch_size=max_batch_size))
             try:
                 walls = []
                 responses = None
@@ -455,7 +455,7 @@ def measure_parallel(models: tuple[str, ...] = PARALLEL_MODELS,
 
         service = serve(graph, ServeOptions(
             backend="parallel-codegen", workers=2,
-            max_batch_size=max_batch_size, max_wait_ms=5.0))
+            max_batch_size=max_batch_size))
         try:
             responses = [f.result()
                          for f in [service.submit(r) for r in burst]]
@@ -530,7 +530,7 @@ def measure_scheduler(models: tuple[str, ...] = SCHEDULER_MODELS,
             sequential_walls.append(perf() - start)
 
         service = serve(graph, ServeOptions(
-            max_batch_size=max_batch_size, max_wait_ms=5.0))
+            max_batch_size=max_batch_size))
         burst = [InferenceRequest(inputs=inputs) for _ in range(requests)]
         for future in [service.submit(r) for r in burst[:max_batch_size]]:
             future.result()  # warm the service's private pool

@@ -73,13 +73,13 @@ _DEPRECATION_WARNED: set[str] = set()
 """Shim names that already warned this process (each warns exactly once)."""
 
 
-def _warn_deprecated(name: str, instead: str) -> None:
+def _warn_deprecated(name: str, instead: str, stacklevel: int = 3) -> None:
     if name in _DEPRECATION_WARNED:
         return
     _DEPRECATION_WARNED.add(name)
     warnings.warn(
         f"{name} is deprecated; use {instead} (see the repro.api package)",
-        DeprecationWarning, stacklevel=3)
+        DeprecationWarning, stacklevel=stacklevel)
 
 
 @dataclass

@@ -2,9 +2,78 @@
 
 from __future__ import annotations
 
+import time
+from dataclasses import replace
+
 import pytest
 
+from repro.api import ServeOptions, Service
+from repro.api.compiled import compile_private
+from repro.api.options import merge_options
 from repro.ir import GraphBuilder
+from repro.runtime import FaultPlan, FaultRule
+
+
+class Scheduling:
+    """Deterministic scheduler set-ups.
+
+    Batching is work-conserving - the worker takes whatever is queued
+    the moment it is free - so a test that needs requests to *sit* in
+    the queue must park them explicitly; nothing may lean on timing.
+    """
+
+    BLOCKER = "blocker"
+
+    def __init__(self) -> None:
+        self._services: list[Service] = []
+
+    def parked(self, model, options: ServeOptions | None = None,
+               **overrides) -> Service:
+        """A service whose worker has not started: submitted requests
+        queue untouched until :meth:`release` (or the test drives
+        ``_next_batch`` / ``_execute`` by hand)."""
+        options = merge_options(ServeOptions, options, overrides)
+        service = Service(
+            compile_private(model, options.resolved_compile()), options,
+            _start=False)
+        self._services.append(service)
+        return service
+
+    def release(self, service: Service) -> None:
+        """Start a parked service's worker on its pre-loaded queue."""
+        service._worker = service._spawn_worker()
+
+    def blocked(self, model, options: ServeOptions | None = None,
+                hold_ms: float = 250.0, **overrides):
+        """A running service whose worker is busy for ``hold_ms`` inside
+        a latency-faulted ``"blocker"`` request; returns ``(service,
+        blocker_future)``.  Whatever the test submits before the
+        blocker resolves is, by construction, queued behind it."""
+        options = merge_options(ServeOptions, options, overrides)
+        plan = options.faults or FaultPlan()
+        rule = FaultRule(kind="latency", request_id=self.BLOCKER,
+                         latency_ms=hold_ms)
+        service = self.parked(model, replace(
+            options, faults=replace(plan, rules=plan.rules + (rule,))))
+        blocker = service.submit(
+            service.compiled.make_request(request_id=self.BLOCKER))
+        self.release(service)
+        give_up = time.monotonic() + 30.0
+        while service.queue_depth:  # until the worker has dequeued it
+            assert time.monotonic() < give_up, "worker never took the blocker"
+            time.sleep(0.0005)
+        return service, blocker
+
+    def close(self) -> None:
+        for service in self._services:
+            service.close()
+
+
+@pytest.fixture
+def scheduling():
+    setups = Scheduling()
+    yield setups
+    setups.close()
 
 
 @pytest.fixture

@@ -12,7 +12,9 @@ from repro.api import (
     CompileOptions, InferenceRequest, ServeOptions, Service, serve,
 )
 from repro.models import SMOKE_CONFIGS, build
-from repro.runtime import Engine, compile_session, execute, make_inputs
+from repro.runtime import (
+    Engine, FaultPlan, FaultRule, compile_session, execute, make_inputs,
+)
 from repro.runtime import session as session_module
 
 
@@ -142,7 +144,7 @@ class TestStrictAdmission:
             model.session.run_batch([])
 
     def test_submit_rejects_before_queueing(self):
-        service = serve(_smoke("ViT"), max_wait_ms=0.0)
+        service = serve(_smoke("ViT"))
         try:
             with pytest.raises(ValueError, match="unknown input tensor"):
                 service.submit({"bogus": np.zeros(3)})
@@ -153,7 +155,7 @@ class TestStrictAdmission:
 
 class TestServiceScheduler:
     def test_concurrent_submitters_get_their_own_outputs(self):
-        service = serve(_smoke("Pythia"), max_batch_size=4, max_wait_ms=10.0)
+        service = serve(_smoke("Pythia"), max_batch_size=4)
         graph = service.program.graph
         seeds = list(range(12))
         refs = {s: _reference(graph, _graph_inputs(graph, s)) for s in seeds}
@@ -186,32 +188,92 @@ class TestServiceScheduler:
                 assert np.array_equal(responses[s].outputs[key],
                                       refs[s][key]), (s, key)
 
-    def test_coalescing_respects_max_batch_size(self):
-        service = serve(_smoke("Pythia"), max_batch_size=4, max_wait_ms=200.0)
+    def test_coalescing_respects_max_batch_size(self, scheduling):
+        service = scheduling.parked(_smoke("Pythia"), max_batch_size=4)
         inputs = _graph_inputs(service.program.graph, 0)
         futures = [service.submit(inputs) for _ in range(10)]
+        scheduling.release(service)
         responses = [f.result(timeout=30) for f in futures]
         service.close()
         report = service.report()
-        assert all(1 <= r.batch_size <= 4 for r in responses)
-        assert report.largest_batch <= 4
+        # a pre-loaded queue of 10 drains as 4 + 4 + 2, nothing smaller
+        assert [r.batch_size for r in responses] == [4] * 8 + [2] * 2
+        assert report.largest_batch == 4
         assert report.requests == 10
-        assert report.batches >= 3  # 10 requests cannot fit 2 batches of 4
-        assert any(r.batch_size > 1 for r in responses), \
-            "burst submission must coalesce"
+        assert report.batches == 3
 
-    def test_zero_wait_serves_immediately(self):
-        service = serve(_smoke("Pythia"), max_batch_size=8, max_wait_ms=0.0)
-        start = time.perf_counter()
+    @pytest.mark.filterwarnings("ignore:ServeOptions.max_wait_ms")
+    @pytest.mark.parametrize("max_wait_ms", [0.0, 200.0])
+    def test_lone_request_is_never_held(self, max_wait_ms):
+        # Work-conserving: an idle worker takes a lone request at once,
+        # whatever the (deprecated) coalescing window says.
+        service = serve(_smoke("Pythia"), max_batch_size=8,
+                        max_wait_ms=max_wait_ms)
         response = service.infer(_graph_inputs(service.program.graph, 0),
                                  timeout=30)
-        wall = time.perf_counter() - start
         service.close()
         assert response.batch_size == 1
-        assert wall < 5  # no artificial coalescing delay
+        assert response.queued_ms < 50
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_backlog_behind_a_running_batch_is_the_next_batch(
+            self, scheduling, k):
+        service, blocker = scheduling.blocked(
+            _smoke("Pythia"), max_batch_size=4)
+        graph = service.program.graph
+        inputs = [_graph_inputs(graph, seed) for seed in range(k)]
+        futures = [service.submit(values) for values in inputs]
+        assert not blocker.done()  # all k queued while the blocker ran
+        responses = [f.result(timeout=30) for f in futures]
+        service.close()
+        first = min(k, 4)
+        assert [r.batch_size for r in responses] == \
+            [first] * first + [k - first] * (k - first)
+        assert all(r.stats.batched for r in responses[:first])
+        report = service.report()
+        assert report.batches == 1 + (2 if k > 4 else 1)  # blocker first
+        assert report.largest_batch == first
+        for values, response in zip(inputs, responses):
+            solo = _reference(graph, values)
+            for key in solo:
+                assert response.outputs[key].tobytes() == \
+                    solo[key].tobytes(), key
+
+    @pytest.mark.parametrize("priority", [0, 3])  # FIFO path, heap path
+    def test_cancelled_entries_do_not_take_batch_slots(
+            self, scheduling, priority):
+        plan = FaultPlan(rules=(FaultRule(kind="kernel", request_id="bad"),))
+        service = scheduling.parked(_smoke("Pythia"), max_batch_size=8,
+                                    faults=plan)
+        inputs = _graph_inputs(service.program.graph, 0)
+
+        def submit(**meta):
+            return service.submit(
+                InferenceRequest(inputs, priority=priority, **meta))
+
+        burst = [submit() for _ in range(16)]
+        for future in burst[1::2]:
+            assert future.cancel()
+        bad = submit(request_id="bad")
+        late = submit(deadline_ms=0.0)
+        time.sleep(0.005)
+        scheduling.release(service)
+        service.close()  # drains
+
+        # 8 live requests were queued ahead of a full batch's worth of
+        # slots: they run as ONE batch of 8, not two half-empty ones.
+        assert [f.result().batch_size for f in burst[0::2]] == [8] * 8
+        assert all(f.cancelled() for f in burst[1::2])
+        assert isinstance(bad.exception(), RuntimeError)
+        assert isinstance(late.exception(), TimeoutError)
+        report = service.report()
+        assert (report.requests, report.failed, report.expired,
+                report.cancelled) == (8, 1, 1, 8)
+        assert report.batches == 1
+        assert report.queue_depth == 0
 
     def test_close_drains_queue(self):
-        service = serve(_smoke("Pythia"), max_batch_size=4, max_wait_ms=50.0)
+        service = serve(_smoke("Pythia"), max_batch_size=4)
         inputs = _graph_inputs(service.program.graph, 0)
         futures = [service.submit(inputs) for _ in range(25)]
         service.close()
@@ -226,8 +288,7 @@ class TestServiceScheduler:
 
     def test_priority_orders_the_queue(self):
         model = repro.compile(_smoke("Pythia"))
-        service = Service(model, ServeOptions(max_batch_size=2,
-                                              max_wait_ms=0.0), _start=False)
+        service = Service(model, ServeOptions(max_batch_size=2), _start=False)
         inputs = _graph_inputs(service.program.graph, 0)
         service.submit(InferenceRequest(inputs, request_id="a"))
         service.submit(InferenceRequest(inputs, request_id="b"))
@@ -242,8 +303,7 @@ class TestServiceScheduler:
 
     def test_deadline_miss_fails_with_timeout(self):
         model = repro.compile(_smoke("Pythia"))
-        service = Service(model, ServeOptions(max_batch_size=2,
-                                              max_wait_ms=0.0), _start=False)
+        service = Service(model, ServeOptions(max_batch_size=2), _start=False)
         inputs = _graph_inputs(service.program.graph, 0)
         expired = service.submit(InferenceRequest(inputs, deadline_ms=0.0))
         alive = service.submit(InferenceRequest(inputs))
@@ -260,8 +320,7 @@ class TestServiceScheduler:
 
     def test_backend_failure_fails_the_batch(self):
         model = repro.compile(_smoke("Pythia"))
-        service = Service(model, ServeOptions(max_batch_size=4,
-                                              max_wait_ms=0.0), _start=False)
+        service = Service(model, ServeOptions(max_batch_size=4), _start=False)
         inputs = _graph_inputs(service.program.graph, 0)
 
         class FailingBackend:
@@ -279,8 +338,7 @@ class TestServiceScheduler:
 
     def test_queue_backpressure(self):
         model = repro.compile(_smoke("Pythia"))
-        service = Service(model, ServeOptions(max_batch_size=2,
-                                              max_wait_ms=0.0, max_queue=2),
+        service = Service(model, ServeOptions(max_batch_size=2, max_queue=2),
                           _start=False)
         inputs = _graph_inputs(service.program.graph, 0)
         service.submit(inputs)
@@ -292,7 +350,7 @@ class TestServiceScheduler:
 
     def test_future_result_timeout(self):
         model = repro.compile(_smoke("Pythia"))
-        service = Service(model, ServeOptions(max_wait_ms=0.0), _start=False)
+        service = Service(model, ServeOptions(), _start=False)
         future = service.submit(_graph_inputs(service.program.graph, 0))
         with pytest.raises(TimeoutError, match="pending"):
             future.result(timeout=0.01)
@@ -301,8 +359,7 @@ class TestServiceScheduler:
         service.close()
 
     def test_report_statistics(self):
-        with serve(_smoke("Pythia"), max_batch_size=8,
-                   max_wait_ms=20.0) as service:
+        with serve(_smoke("Pythia"), max_batch_size=8) as service:
             inputs = _graph_inputs(service.program.graph, 0)
             for future in [service.submit(inputs) for _ in range(16)]:
                 future.result(timeout=30)
@@ -316,11 +373,11 @@ class TestServiceScheduler:
         assert report.throughput_rps > 0
 
     def test_batch_key_is_the_programs(self):
-        with serve(_smoke("Pythia"), max_wait_ms=0.0) as service:
+        with serve(_smoke("Pythia")) as service:
             assert service.batch_key == service.program.batch_key
 
     def test_service_records_into_session_stats(self):
-        with serve(_smoke("Pythia"), max_wait_ms=0.0) as service:
+        with serve(_smoke("Pythia")) as service:
             inputs = _graph_inputs(service.program.graph, 0)
             service.infer(inputs, timeout=30)
             service.infer(inputs, timeout=30)
@@ -368,6 +425,22 @@ class TestDeprecationShims:
         assert len(relevant) == 1
         g = _smoke("ViT")
         assert engine.compile(g) is engine.compile(g)  # shim still works
+
+    def test_max_wait_ms_warns_exactly_once_when_set(self):
+        self._reset("ServeOptions.max_wait_ms")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ServeOptions()
+            ServeOptions(max_wait_ms=0.0)
+            assert not caught  # the default is silent
+            options = ServeOptions(max_wait_ms=2.0)
+            ServeOptions(max_wait_ms=5.0)
+        relevant = [w for w in caught
+                    if issubclass(w.category, DeprecationWarning)
+                    and "max_wait_ms" in str(w.message)]
+        assert len(relevant) == 1
+        assert relevant[0].filename == __file__  # blames the caller
+        assert options.max_wait_ms == 2.0  # still accepted and carried
 
     def test_engine_normalizes_graph_keys_by_fingerprint(self):
         engine = Engine()

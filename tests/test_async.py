@@ -25,8 +25,7 @@ NO_FAULTS = FaultPlan()
 @pytest.fixture()
 def pythia_service():
     service = serve(build_smoke("Pythia"), ServeOptions(
-        max_batch_size=8, max_wait_ms=5.0,
-        compile=CompileOptions(faults=NO_FAULTS)))
+        max_batch_size=8, compile=CompileOptions(faults=NO_FAULTS)))
     yield service
     service.close()
 
@@ -80,47 +79,42 @@ class TestSubmitAsync:
 
 
 class TestCancellation:
-    def slow_service(self):
-        # A wide batch window so submitted requests sit queued long
-        # enough to be withdrawn deterministically.
-        return serve(build_smoke("Pythia"), ServeOptions(
-            max_batch_size=64, max_wait_ms=500.0,
-            compile=CompileOptions(faults=NO_FAULTS)))
+    def busy_service(self, scheduling):
+        # The worker is parked inside a latency-faulted blocker request,
+        # so whatever is submitted next sits queued and can be withdrawn
+        # deterministically.
+        service, _ = scheduling.blocked(build_smoke("Pythia"), ServeOptions(
+            max_batch_size=64, compile=CompileOptions(faults=NO_FAULTS)))
+        return service
 
-    def test_sync_cancel_raises_request_cancelled(self):
+    def test_sync_cancel_raises_request_cancelled(self, scheduling):
         inputs, _ = make_burst(1)
-        service = self.slow_service()
-        try:
-            future = service.submit(InferenceRequest(inputs=inputs[0]))
-            assert future.cancel()
-            assert future.cancelled()
-            assert not future.cancel()  # second call: already resolved
-            with pytest.raises(RequestCancelled):
-                future.result(timeout=10)
-            assert service.report().cancelled == 1
-        finally:
-            service.close()
+        service = self.busy_service(scheduling)
+        future = service.submit(InferenceRequest(inputs=inputs[0]))
+        assert future.cancel()
+        assert future.cancelled()
+        assert not future.cancel()  # second call: already resolved
+        with pytest.raises(RequestCancelled):
+            future.result(timeout=10)
+        assert service.report().cancelled == 1
 
-    def test_cancelled_awaitable_withdraws_queued_request(self):
+    def test_cancelled_awaitable_withdraws_queued_request(self, scheduling):
         inputs, _ = make_burst(2)
-        service = self.slow_service()
-        try:
-            async def run():
-                keep = service.submit_async(
-                    InferenceRequest(inputs=inputs[0]))
-                drop = service.submit_async(
-                    InferenceRequest(inputs=inputs[1]))
-                drop.cancel()
-                response = await keep
-                with pytest.raises(asyncio.CancelledError):
-                    await drop
-                return response
+        service = self.busy_service(scheduling)
 
-            response = asyncio.run(run())
-            assert response.outputs
-            assert service.report().cancelled == 1
-        finally:
-            service.close()
+        async def run():
+            keep = service.submit_async(InferenceRequest(inputs=inputs[0]))
+            drop = service.submit_async(InferenceRequest(inputs=inputs[1]))
+            drop.cancel()
+            response = await keep
+            with pytest.raises(asyncio.CancelledError):
+                await drop
+            return response
+
+        response = asyncio.run(run())
+        assert response.outputs
+        assert response.batch_size == 1  # the withdrawn one never ran
+        assert service.report().cancelled == 1
 
     def test_cancel_after_resolution_is_a_noop(self, pythia_service):
         inputs, _ = make_burst(1)
@@ -132,19 +126,18 @@ class TestCancellation:
 
 
 class TestDeadlines:
-    def test_deadline_expiry_while_queued(self):
+    def test_deadline_expiry_while_queued(self, scheduling):
         inputs, _ = make_burst(1)
-        service = serve(build_smoke("Pythia"), ServeOptions(
-            max_batch_size=64, max_wait_ms=300.0,
-            compile=CompileOptions(faults=NO_FAULTS)))
-        try:
-            async def run():
-                call = service.submit_async(InferenceRequest(
-                    inputs=inputs[0], deadline_ms=1.0))
-                with pytest.raises(DeadlineExceeded):
-                    await call
+        service, _ = scheduling.blocked(
+            build_smoke("Pythia"), ServeOptions(
+                max_batch_size=64, compile=CompileOptions(faults=NO_FAULTS)),
+            hold_ms=50.0)
 
-            asyncio.run(run())
-            assert service.report().expired == 1
-        finally:
-            service.close()
+        async def run():
+            call = service.submit_async(InferenceRequest(
+                inputs=inputs[0], deadline_ms=1.0))
+            with pytest.raises(DeadlineExceeded):
+                await call
+
+        asyncio.run(run())
+        assert service.report().expired == 1

@@ -300,8 +300,7 @@ class TestStackedReliability:
         compiled = compile_private(_smoke("Pythia"), CompileOptions())
         reference = {}
         service = Service(
-            compiled, ServeOptions(max_batch_size=4, max_wait_ms=0.0,
-                                   faults=plan),
+            compiled, ServeOptions(max_batch_size=4, faults=plan),
             _start=False)
         futures = {}
         for rid in ("ok-1", "bad", "ok-2"):
@@ -320,17 +319,17 @@ class TestStackedReliability:
         assert report.failed == 1
         service.close()
 
-    def test_service_counts_stacked_batches(self):
-        with repro.serve(_smoke("Pythia"), max_batch_size=8,
-                         max_wait_ms=20.0) as service:
-            model = service.compiled
-            futures = [service.submit(model.make_request(seed=s))
-                       for s in range(16)]
-            responses = [f.result(timeout=60) for f in futures]
+    def test_service_counts_stacked_batches(self, scheduling):
+        service = scheduling.parked(_smoke("Pythia"), max_batch_size=8)
+        model = service.compiled
+        futures = [service.submit(model.make_request(seed=s))
+                   for s in range(16)]
+        scheduling.release(service)
+        responses = [f.result(timeout=60) for f in futures]
         report = service.report()
         assert report.requests == 16
-        assert report.stacked_batches >= 1
-        assert any(r.stats.batched for r in responses)
+        assert report.batches == report.stacked_batches == 2
+        assert all(r.stats.batched for r in responses)
 
     def test_stacked_batch_degrades_as_a_unit(self):
         plan = FaultPlan(rules=(FaultRule(kind="compile"),))

@@ -188,20 +188,20 @@ class TestCodegenPlumbing:
         for key in ref:
             assert np.array_equal(out[key], ref[key]), key
 
-    def test_serve_coalesces_on_codegen_backend(self, attention_graph):
+    def test_serve_coalesces_on_codegen_backend(self, attention_graph,
+                                                scheduling):
         import repro
 
-        options = repro.ServeOptions(
-            max_batch_size=8, max_wait_ms=20.0,
+        service = scheduling.parked(
+            attention_graph, max_batch_size=8,
             compile=CompileOptions(backend="codegen"))
-        with repro.serve(attention_graph, options) as service:
-            model = service.compiled
-            futures = [service.submit(model.make_request(seed=s))
-                       for s in range(16)]
-            responses = [f.result(timeout=60) for f in futures]
+        model = service.compiled
+        futures = [service.submit(model.make_request(seed=s))
+                   for s in range(16)]
+        scheduling.release(service)
+        responses = [f.result(timeout=60) for f in futures]
         assert service._backend is get_backend("codegen")
-        assert len(responses) == 16
-        assert any(r.batch_size > 1 for r in responses), "burst must coalesce"
+        assert [r.batch_size for r in responses] == [8] * 16
         baseline = repro.compile(attention_graph)  # numpy-backend reference
         ref = baseline.run(baseline.make_request(seed=2)).outputs
         for key in ref:

@@ -73,21 +73,19 @@ class TestOptionsValidation:
 
 
 class TestParallelParity:
-    def test_served_burst_is_byte_identical_and_stacked(self):
+    def test_served_burst_is_byte_identical_and_stacked(self, scheduling):
         graph = build_smoke("ViT")
         inputs, expected = reference_outputs(graph, 32)
-        service = serve(graph, ServeOptions(
+        service = scheduling.parked(graph, ServeOptions(
             backend="parallel", workers=2, max_batch_size=16,
-            max_wait_ms=5.0, compile=CompileOptions(faults=NO_FAULTS)))
-        try:
-            futures = [service.submit(InferenceRequest(inputs=values))
-                       for values in inputs]
-            responses = [f.result(timeout=120) for f in futures]
-            report = service.report()
-        finally:
-            service.close()
+            compile=CompileOptions(faults=NO_FAULTS)))
+        futures = [service.submit(InferenceRequest(inputs=values))
+                   for values in inputs]
+        scheduling.release(service)
+        responses = [f.result(timeout=120) for f in futures]
+        report = service.report()
         assert_byte_identical(responses, expected)
-        assert report.stacked_batches > 0
+        assert report.batches == report.stacked_batches == 2
         assert report.worker_restarts == 0
 
     def test_parallel_codegen_burst_is_byte_identical(self):
@@ -95,7 +93,7 @@ class TestParallelParity:
         inputs, expected = reference_outputs(graph, 16)
         service = serve(graph, ServeOptions(
             backend="parallel-codegen", workers=2, max_batch_size=16,
-            max_wait_ms=5.0, compile=CompileOptions(faults=NO_FAULTS)))
+            compile=CompileOptions(faults=NO_FAULTS)))
         try:
             futures = [service.submit(InferenceRequest(inputs=values))
                        for values in inputs]
@@ -142,7 +140,7 @@ class TestCrashSupervision:
     def burst(self, graph, inputs, plan, workers=2):
         service = serve(graph, ServeOptions(
             backend="parallel", workers=workers, max_batch_size=32,
-            max_wait_ms=5.0, compile=CompileOptions(faults=plan)))
+            compile=CompileOptions(faults=plan)))
         try:
             futures = [service.submit(InferenceRequest(inputs=values))
                        for values in inputs]

@@ -227,7 +227,7 @@ class TestIsolationAndRetry:
             FaultRule(kind="kernel", request_id="bad"),))
         service = Service(
             compile_private(_smoke(), CompileOptions()),
-            ServeOptions(max_batch_size=4, max_wait_ms=0.0, faults=plan),
+            ServeOptions(max_batch_size=4, faults=plan),
             _start=False)
         futures = {}
         for rid in ("ok-1", "bad", "ok-2"):
@@ -258,7 +258,7 @@ class TestIsolationAndRetry:
             retryable=True),))
         service = serve(
             _smoke(), ServeOptions(
-                max_batch_size=4, max_wait_ms=1.0, faults=plan,
+                max_batch_size=4, faults=plan,
                 retry=RetryPolicy(max_attempts=3, backoff_ms=0.2)))
         inputs = _graph_inputs(graph, seed=11)
         mate_inputs = _graph_inputs(graph, seed=12)
@@ -280,7 +280,7 @@ class TestIsolationAndRetry:
             kind="kernel", request_id="flaky", retryable=True),))
         service = Service(
             compile_private(_smoke(), CompileOptions()),
-            ServeOptions(max_batch_size=2, max_wait_ms=0.0, faults=plan,
+            ServeOptions(max_batch_size=2, faults=plan,
                          retry=RetryPolicy(max_attempts=5, backoff_ms=500.0)),
             _start=False)
         future = service.submit(InferenceRequest(
@@ -300,7 +300,7 @@ class TestIsolationAndRetry:
             kind="kernel", request_id="doomed", retryable=True),))
         service = serve(
             _smoke(), ServeOptions(
-                max_batch_size=2, max_wait_ms=0.0, faults=plan,
+                max_batch_size=2, faults=plan,
                 retry=RetryPolicy(max_attempts=2, backoff_ms=0.2)))
         future = service.submit(InferenceRequest(
             inputs=_graph_inputs(service.program.graph, 0),
@@ -324,8 +324,7 @@ class TestSupervision:
         plan = FaultPlan(rules=(
             FaultRule(kind="crash", request_id="boom"),))  # fires once
         service = serve(
-            _smoke(), ServeOptions(max_batch_size=4, max_wait_ms=5.0,
-                                   faults=plan))
+            _smoke(), ServeOptions(max_batch_size=4, faults=plan))
         futures = {}
         for rid in ("a", "boom", "b"):
             seed = len(futures)
@@ -354,8 +353,7 @@ class TestSupervision:
         plan = FaultPlan(rules=(
             FaultRule(kind="crash", request_id="poison", times=None),))
         service = serve(
-            _smoke(), ServeOptions(max_batch_size=2, max_wait_ms=0.0,
-                                   faults=plan))
+            _smoke(), ServeOptions(max_batch_size=2, faults=plan))
         poison = service.submit(InferenceRequest(
             inputs=_graph_inputs(graph, 0), request_id="poison"))
         with pytest.raises(ExecutionError, match="request 'poison' crashed "
@@ -379,7 +377,7 @@ class TestSupervision:
 
 class TestCloseAndPressure:
     def test_close_is_idempotent_and_submit_after_close_is_typed(self):
-        service = serve(_smoke(), max_wait_ms=0.0)
+        service = serve(_smoke())
         service.close()
         service.close()  # no-op, not an error
         assert service.closed
@@ -395,7 +393,7 @@ class TestCloseAndPressure:
         graph = _smoke()
         service = Service(
             compile_private(_smoke(), CompileOptions()),
-            ServeOptions(max_batch_size=8, max_wait_ms=0.0, max_queue=3),
+            ServeOptions(max_batch_size=8, max_queue=3),
             _start=False)
         admitted, rejected, errors = [], [], []
         barrier = threading.Barrier(8)
@@ -433,7 +431,7 @@ class TestCloseAndPressure:
         graph = _smoke()
         service = Service(
             compile_private(_smoke(), CompileOptions()),
-            ServeOptions(max_batch_size=8, max_wait_ms=0.0), _start=False)
+            ServeOptions(max_batch_size=8), _start=False)
         futures = {}
         lock = threading.Lock()
 
