@@ -177,11 +177,12 @@ def main(argv: list[str]) -> int:
                         f"{entry['run_ms']:.3f}",
                         hot_name, f"{hot['time_ms']:.3f}",
                         f"{hot['mb_moved']:.2f}", f"{hot['intensity']:.2f}",
-                        f"{hot['us_per_step']:.1f}"])
+                        f"{hot['us_per_step']:.1f}",
+                        f"{hot['gflops_per_s']:.1f}"])
                 print(format_table(
                     ["Model", "steps", "fused c/s", "scratch (KB)",
                      "run (ms)", "hot family", "hot (ms)", "hot (MB)",
-                     "intensity", "us/step"],
+                     "intensity", "us/step", "GFLOP/s"],
                     rows,
                     title="== Roofline (per-step measured walls vs static "
                           "traffic stamps; full detail in serve.roofline) =="))

@@ -193,7 +193,10 @@ def measure_roofline(models: tuple[str, ...] | None = None,
     ``us_per_step`` sits beside ``intensity`` because a low intensity
     alone reads "bandwidth-bound" even when the wall is Python dispatch:
     a family whose steps cost tens of microseconds while moving a few KB
-    is call-bound, whatever its FLOP/byte.
+    is call-bound, whatever its FLOP/byte.  ``gflops_per_s`` (static FLOPs
+    over that measured wall) is the other half of the check: a family
+    is BLAS-bound only if it runs near what a bare ``np.matmul`` reaches
+    at the same shapes on the same host.
     Fusion/scratch counters ride along so the report also shows what the
     codegen backend collapses (``fused_steps``) and what one thread
     holds for the GEMM conv (``scratch_kb``: every padded buffer plus
@@ -240,6 +243,8 @@ def measure_roofline(models: tuple[str, ...] | None = None,
                 "mflops": round(entry["flops"] / 1e6, 3),
                 "intensity": entry["intensity"],
                 "us_per_step": round(wall * 1e6 / entry["steps"], 2),
+                "gflops_per_s": round(entry["flops"] / wall / 1e9, 2)
+                if wall else 0.0,
             }
         plan = program.slot_plan
         per_model[name] = {

@@ -293,7 +293,8 @@ def _build_variant(program: ExecutionProgram, factor: int,
         program.graph, tuple(steps), plan,
         input_signature=input_signature, batch_factor=factor,
         fused_chains=program.fused_chains,
-        symbolic_extent=B * factor if symbolic else None)
+        symbolic_extent=B * factor if symbolic else None,
+        packs=program.packs)
     if symbolic:
         # A symbolic variant is never itself stacked or re-scaled:
         # requests route to it per bucket and run at their exact

@@ -20,7 +20,7 @@ import numpy as np
 from ..api.errors import ExecutionError
 from ..ir.dtype import DType
 from ..ir.graph import Graph, Node
-from .kernels import get_kernel
+from .kernels import get_kernel, pack
 
 
 def make_inputs(graph: Graph, seed: int = 0) -> dict[str, np.ndarray]:
@@ -55,13 +55,26 @@ def make_params(graph: Graph) -> dict[str, np.ndarray]:
     """The non-input half of ``make_inputs(graph, seed=0)`` - parameters
     and interior constants - as *read-only* arrays: they are shared by
     every request, and by every session of one compiled cell, so an
-    in-place kernel that ever aliased one must fail loudly."""
+    in-place kernel that ever aliased one must fail loudly.
+
+    Keyed the way the lowered program reads them: every ``dense`` weight
+    ``lower()`` bound to its GEMM layout appears under its packed name,
+    packed here once, and its ``(N, K)`` source is kept only when
+    something else still reads it (tied weights) - the pack replaces the
+    source, so the parameters cost the same bytes as before."""
+    from .program import lower
+
     params = {name: value
               for name, value in make_inputs(graph, seed=0).items()
               if name not in graph.inputs}
+    for packed, source, source_read in lower(graph).packs:
+        weight = params[source] if source_read else params.pop(source)
+        params[packed] = pack(weight)
     for value in params.values():
         value.setflags(write=False)
-    return params
+    # Re-built compact: the pops left holes, and every admission copies
+    # this dict - a holey one takes CPython's per-item slow path.
+    return dict(params)
 
 
 def run_node(graph: Graph, node: Node, values: dict[str, np.ndarray]) -> None:

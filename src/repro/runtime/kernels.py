@@ -292,13 +292,34 @@ def matmul(inputs, attrs):
     return np.matmul(a, b)
 
 
+def pack(weight):
+    """A ``dense`` weight in the layout its GEMM reads: ``(N, K)`` source
+    -> ``(K, N)`` C-contiguous operand.  The one definition of it: BLAS's
+    transposed-operand sgemm differs from the no-transpose one in the
+    last float bits (and is 2-4x slower at serving shapes), so every
+    ``dense`` computes on this operand - precomputed once per compiled
+    cell (:func:`~repro.runtime.executor.make_params`) or recomputed per
+    call (:func:`dense`, request overrides) - never on a transposed view.
+    """
+    return np.ascontiguousarray(weight.T)
+
+
+def dense_packed(inputs, attrs):
+    """``dense`` over an already-:func:`pack`\\ ed ``(K, N)`` weight - the
+    kernel ``lower()`` binds when the weight is a parameter."""
+    out = np.matmul(inputs[0], inputs[1])
+    if len(inputs) > 2:
+        bias = inputs[2]
+        if bias.dtype == out.dtype:
+            out += bias  # the GEMM result is fresh: no second (rows, N) array
+        else:
+            out = out + bias
+    return out
+
+
 @kernel("dense")
 def dense(inputs, attrs):
-    x, w = inputs[0], inputs[1]
-    out = x @ w.T
-    if len(inputs) > 2:
-        out = out + inputs[2]
-    return out
+    return dense_packed([inputs[0], pack(inputs[1]), *inputs[2:]], attrs)
 
 
 # ---------------------------------------------------------------------------

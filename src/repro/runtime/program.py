@@ -11,6 +11,10 @@ an :class:`ExecutionProgram`:
   with the kernel callable pre-bound via
   :func:`~repro.runtime.kernels.get_kernel`, input views pre-resolved to
   plain appliers, and output shapes pre-fetched from the tensor specs;
+  a ``dense`` over a parameter weight is bound to that weight *packed*
+  into the GEMM's ``(K, N)`` layout (:func:`~repro.runtime.kernels.pack`),
+  which the compiled cell's parameters materialise once - no layout
+  transformation is left on the request path;
 * a static :class:`SlotPlan` - register allocation of pool buffers over
   exact size classes, computed once from
   :func:`~repro.memory.pool.liveness_schedule` - so per-request pool
@@ -55,7 +59,9 @@ from ..ir.view import ViewChain
 from ..memory.pool import (
     MemoryPool, PoolEvent, PoolReport, liveness_schedule,
 )
-from .kernels import bind_conv2d, get_kernel, layout_convert_elided
+from .kernels import (
+    bind_conv2d, dense_packed, get_kernel, layout_convert_elided, pack,
+)
 from .traffic import roofline_summary, step_traffic
 
 _PROGRAM_CACHE_KEY = "execution_program"
@@ -102,6 +108,9 @@ class Step:
     op_type: str
     kernel: Callable
     arg_names: tuple[str, ...]
+    """Value names the kernel reads, in argument order: the node's input
+    tensors, except that a ``dense`` bound to its packed weight names
+    the pack (see :attr:`ExecutionProgram.packs`)."""
     appliers: tuple[tuple[int, Callable], ...]
     """(input position, compiled view applier) for non-identity views."""
     views: tuple[tuple[int, ViewChain], ...]
@@ -285,17 +294,26 @@ class ExecutionProgram:
                  "output_names", "input_signature", "batch_factor",
                  "timeline", "op_list", "backend_cache", "fused_chains",
                  "fused_interiors", "fused_step_count", "symbolic_extent",
-                 "__weakref__")
+                 "packs", "pack_of", "source_of", "__weakref__")
 
     def __init__(self, graph: Graph, steps: tuple[Step, ...],
                  slot_plan: SlotPlan,
                  input_signature: tuple | None = None,
                  batch_factor: int = 1,
                  fused_chains: tuple[tuple[int, ...], ...] = (),
-                 symbolic_extent: int | None = None) -> None:
+                 symbolic_extent: int | None = None,
+                 packs: tuple[tuple[str, str, bool], ...] = ()) -> None:
         self.graph = graph
         self.steps = steps
         self.slot_plan = slot_plan
+        # ``(packed name, source name, source_read)`` per distinct
+        # ``dense`` weight ``lower()`` bound to its GEMM layout: steps
+        # read the packed name, and the pack *replaces* the ``(N, K)``
+        # source in the cell's parameters unless something else still
+        # reads it.  Variants share the base program's packs.
+        self.packs = packs
+        self.pack_of = {source: packed for packed, source, _ in packs}
+        self.source_of = {packed: source for packed, source, _ in packs}
         # Elementwise chains (runs of step indices) the codegen backend
         # collapses into one register expression; interiors hold no slot
         # in either backend's plan.  Batch-N variants inherit the chains
@@ -359,6 +377,17 @@ class ExecutionProgram:
             found = self.backend_cache["roofline"] = \
                 roofline_summary(self.steps)
         return found
+
+    def bind_packs(self, values: dict) -> dict:
+        """Add every packed operand ``values`` lacks.  A dict merged over
+        the cell's parameters carries them all; one keyed by the graph's
+        own names (``executor.execute``, the verifier) gets each packed
+        per call, by the same :func:`~repro.runtime.kernels.pack` that
+        built the cell's - so the two cannot differ."""
+        for packed, source, _ in self.packs:
+            if packed not in values:
+                values[packed] = pack(values[source])
+        return values
 
     @property
     def batch_key(self):
@@ -557,6 +586,7 @@ def lower(graph: Graph) -> ExecutionProgram:
     tensors = graph.tensors
     materialized = schedule.materialized
     graph_inputs = set(graph.inputs)
+    packed: dict[str, str] = {}  # dense weight -> its packed value name
 
     def make_step(i: int, node) -> Step:
         # One view capture; the appliers are *derived* from it, so the
@@ -583,8 +613,20 @@ def lower(graph: Graph) -> ExecutionProgram:
             out_shapes, out_itemsizes)
 
         run_kernel = get_kernel(node.op_type)
+        arg_names = tuple(node.inputs)
         scratch_bytes = arena_bytes = 0
-        if node.op_type == "conv2d":
+        if node.op_type == "dense":
+            # The weight's layout is decided here, not per request: a
+            # parameter read as it is (no producer, not an input, no
+            # view) is bound to its (K, N) GEMM operand, materialised
+            # once per cell.  Anything else packs per call.
+            w = arg_names[1]
+            if (tensors[w].is_param and w not in graph_inputs
+                    and graph.producer(w) is None and 1 not in view_shapes):
+                run_kernel = dense_packed
+                name = packed.setdefault(w, f"{w}@kn")
+                arg_names = (arg_names[0], name) + arg_names[2:]
+        elif node.op_type == "conv2d":
             # Bind the step to a statically planned im2col scratch: the
             # padded-input buffer is owned by the step (a
             # reusable-scratch class on the slot plan) and reused across
@@ -609,7 +651,7 @@ def lower(graph: Graph) -> ExecutionProgram:
             node_id=node.id,
             op_type=node.op_type,
             kernel=run_kernel,
-            arg_names=tuple(node.inputs),
+            arg_names=arg_names,
             appliers=tuple(
                 (idx, _compile_view(view)) for idx, view in views),
             views=views,
@@ -627,8 +669,11 @@ def lower(graph: Graph) -> ExecutionProgram:
         )
 
     steps = tuple(make_step(i, node) for i, node in enumerate(order))
-    program = ExecutionProgram(graph, steps, plan.with_scratch(steps),
-                               fused_chains=chains)
+    still_read = set(graph.outputs).union(*(s.arg_names for s in steps))
+    program = ExecutionProgram(
+        graph, steps, plan.with_scratch(steps), fused_chains=chains,
+        packs=tuple((name, w, w in still_read)
+                    for w, name in packed.items()))
     cache[_PROGRAM_CACHE_KEY] = program
     return program
 
@@ -794,7 +839,7 @@ class NumPyBackend(ExecutionBackend):
 
     def run(self, program: ExecutionProgram,
             values: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return self._runners(program)[0](values)
+        return self._runners(program)[0](program.bind_packs(values))
 
     def run_serving(self, program: ExecutionProgram,
                     values: dict[str, np.ndarray],
@@ -807,6 +852,8 @@ class NumPyBackend(ExecutionBackend):
         # Dispatch state is hoisted out of the request loop once: batch
         # requests share one resolution of the program and pool.
         plain, accounted = self._runners(program)
+        for values in values_list:
+            program.bind_packs(values)
         plan = program.slot_plan
         slot_sizes = plan.slot_sizes
         timeline = program.timeline

@@ -65,6 +65,7 @@ from ..memory.pool import PoolReport, SizeClassPool
 from .device import DeviceSpec, SD8GEN2
 from .executor import make_inputs, make_params
 from .faults import REFERENCE_BACKEND, FaultPlan
+from .kernels import pack
 from .program import ExecutionProgram, get_backend, lower
 
 logger = logging.getLogger("repro.runtime.session")
@@ -404,10 +405,27 @@ class Session:
         tensors = self.graph.tensors
         sym = self.symbolic
         values = dict(self._params)
+        pack_of = self.program.pack_of
+        source_of = self.program.source_of
         extent = extent_name = None
         for name, value in inputs.items():
             spec = tensors.get(name)
             if spec is None:
+                source = source_of.get(name)
+                if source is None:
+                    continue
+                # Already in the packed layout (another session's
+                # admitted dict): adopted against the transposed spec.
+                spec = tensors[source]
+                expected = tuple(spec.shape)[::-1]
+                if tuple(value.shape) != expected \
+                        or value.dtype != spec.dtype.numpy_dtype:
+                    raise AdmissionError(
+                        f"packed weight {name!r}: got {value.dtype} "
+                        f"{tuple(value.shape)}, expected "
+                        f"{np.dtype(spec.dtype.numpy_dtype)} {expected}",
+                        model=self.model or self.graph.name)
+                values[name] = value
                 continue
             if not isinstance(value, np.ndarray):
                 value = np.asarray(value)
@@ -447,6 +465,11 @@ class Session:
                     f"{np.dtype(spec.dtype.numpy_dtype)}",
                     model=self.model or self.graph.name)
             values[name] = value
+            packed = pack_of.get(name)
+            if packed is not None:
+                # Overriding a packed weight: re-packed from the array
+                # as it is now, never cached (the caller may mutate it).
+                values[packed] = pack(value)
         missing = [name for name in self.graph.inputs if name not in values]
         if missing:
             raise AdmissionError(f"missing graph inputs: {missing}",

@@ -591,6 +591,11 @@ class TestRooflineStamps:
             assert "intensity" in fam
             assert fam["us_per_step"] == pytest.approx(
                 fam["time_ms"] * 1e3 / fam["steps"], abs=0.06)
+            # static FLOPs over the same measured wall: what a
+            # "BLAS-bound" reading is checked against
+            assert fam["gflops_per_s"] == pytest.approx(
+                fam["mflops"] / fam["time_ms"], rel=0.02, abs=0.02)
+        assert entry["families"]["gemm"]["gflops_per_s"] > 0
 
 
 # ---------------------------------------------------------------------------
