@@ -5,7 +5,7 @@ Run:  python examples/quickstart.py
 
 from repro import SD8GEN2, build_model, estimate_cost, optimize
 from repro.baselines import make_framework
-from repro.runtime import outputs_equal
+from repro.runtime import verify_equivalence
 
 # 1. Build a model graph (operator-faithful Swin-T).
 graph = build_model("Swin")
@@ -39,7 +39,7 @@ print(f"DNNFusion baseline: {dnnf_report.latency_ms:.1f} ms "
 #    downscaled Swin (full-size verification works too, just slower).
 small = build_model("Swin", image=56, dim=24, depths=(1, 1), heads=(2, 4))
 small_module = optimize(small)
-assert outputs_equal(small, small_module.graph)
+assert verify_equivalence(small, small_module.graph).passed
 print("\nNumerical check: optimized graph == original graph  [OK]")
 
 # 6. To actually *serve* the optimized model, use the typed front door:

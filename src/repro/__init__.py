@@ -48,7 +48,7 @@ from .runtime.cost_model import CostModelConfig, CostReport, estimate
 from .runtime.device import DEVICES, DIMENSITY700, DeviceSpec, SD835, SD8GEN2, V100
 from .runtime.faults import FaultPlan, FaultRule
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 
 def optimize(graph: Graph, stages: PipelineStages | None = None) -> OptimizeResult:

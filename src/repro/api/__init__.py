@@ -1,8 +1,6 @@
 """The canonical public surface: typed compile & serve front doors.
 
-Two entry points replace the historical trio of idioms
-(``optimize()``/``estimate_cost()``, ``compile_session()`` with raw
-ndarray dicts, positional ``Engine`` tuples):
+Two entry points:
 
 * :func:`repro.compile` - compile once, run many, synchronously::
 

@@ -19,13 +19,14 @@ report - see the "Caches" table in ``docs/architecture.md``.
 
 from __future__ import annotations
 
-import time
 from typing import Mapping
 
 import numpy as np
 
 from ..ir.graph import Graph
-from ..runtime.session import Session, SessionRegistry, _compile_session
+from ..runtime.session import (
+    Session, SessionRegistry, _admit, _compile_session,
+)
 from .errors import AdmissionError
 from .messages import InferenceRequest, InferenceResponse, as_request
 from .options import CompileOptions, merge_options
@@ -63,9 +64,6 @@ class CompiledModel:
 
     def __init__(self, session: Session) -> None:
         self._session = session
-        # Admission spec: symbolic sessions spell the leading dim SYM
-        # (rendered "?"); concrete sessions get exact graph shapes.
-        self._signature = session.serving_signature
 
     # -- introspection -----------------------------------------------------
 
@@ -112,65 +110,8 @@ class CompiledModel:
         bucket range ``1..max_extent`` (shared across the request's
         inputs); everything past the leading dim stays exact.
         """
-        inputs = request.inputs
-        rid = request.request_id
-        who = "request" if rid is None else f"request {rid!r}"
-        session = self._session
-        sym = session.symbolic
-
-        def reject(message: str) -> AdmissionError:
-            return AdmissionError(
-                message, request_id=rid,
-                model=session.model or session.graph.name)
-
-        signature = self._signature
-        if not inputs:
-            raise reject(
-                f"{who} has no input tensors; expected {sorted(signature)}")
-        values = dict(session._params)
-        extent = extent_name = None
-        for name, value in inputs.items():
-            spec = signature.get(name)
-            if spec is None:
-                raise reject(
-                    f"{who}: unknown input tensor {name!r}; this "
-                    f"model takes {sorted(signature)}")
-            shape, dtype = spec
-            if not isinstance(value, np.ndarray):
-                value = np.asarray(value)
-            if sym is not None and name in sym.inputs:
-                got = tuple(value.shape)
-                if len(got) != len(shape) or got[1:] != shape[1:]:
-                    raise reject(
-                        f"{who}: input {name!r}: got shape {got}, "
-                        f"expected {shape} (symbolic leading extent, "
-                        f"served bucket range 1..{sym.max_extent})")
-                if not 1 <= got[0] <= sym.max_extent:
-                    raise reject(
-                        f"{who}: input {name!r}: leading extent {got[0]} "
-                        f"is outside the served bucket range "
-                        f"1..{sym.max_extent}")
-                if extent is None:
-                    extent, extent_name = got[0], name
-                elif got[0] != extent:
-                    raise reject(
-                        f"{who}: input {name!r}: leading extent {got[0]} "
-                        f"disagrees with input {extent_name!r} (extent "
-                        f"{extent}); a request's inputs share one "
-                        f"symbolic extent")
-            elif value.shape != shape:
-                raise reject(
-                    f"{who}: input {name!r}: got shape "
-                    f"{tuple(value.shape)}, expected {shape}")
-            if value.dtype != dtype:
-                raise reject(
-                    f"{who}: input {name!r}: got dtype "
-                    f"{value.dtype}, expected {dtype}")
-            values[name] = value
-        if len(inputs) < len(signature):
-            missing = [n for n in signature if n not in inputs]
-            raise reject(f"{who}: missing input tensors {missing}")
-        return values
+        return _admit(self._session, request.inputs, True,
+                      request.request_id)
 
     # -- execution ---------------------------------------------------------
 
@@ -178,13 +119,7 @@ class CompiledModel:
             ) -> InferenceResponse:
         """Serve one request synchronously."""
         request = as_request(request)
-        session = self._session
-        start = time.perf_counter()
-        values = self.admit(request)
-        results, backend_name, _ = session.execute_values([values])
-        outputs, report, _ = results[0]
-        stats = session._record(
-            time.perf_counter() - start, report, backend_name)
+        (outputs, stats), = self._session._serve([request], self.admit)
         return InferenceResponse(
             request_id=request.request_id, outputs=outputs, stats=stats)
 
@@ -197,26 +132,12 @@ class CompiledModel:
         if not requests:
             raise AdmissionError(
                 "run_batch() needs at least one request; got an empty batch")
-        session = self._session
         requests = [as_request(r) for r in requests]
-        perf = time.perf_counter
-        admitted = []
-        for request in requests:
-            start = perf()
-            values = self.admit(request)
-            admitted.append((request, values, perf() - start))
-        results, backend_name, batched = session.execute_values(
-            [values for _, values, _ in admitted])
-        n = len(results)
-        responses = []
-        for (request, _, admit_s), (outputs, report, wall_s) in zip(
-                admitted, results):
-            responses.append(InferenceResponse(
-                request_id=request.request_id, outputs=outputs,
-                stats=session._record(admit_s + wall_s, report,
-                                      backend_name, batched=batched),
-                batch_size=n))
-        return responses
+        served = self._session._serve(requests, self.admit)
+        return [InferenceResponse(request_id=request.request_id,
+                                  outputs=outputs, stats=stats,
+                                  batch_size=len(served))
+                for request, (outputs, stats) in zip(requests, served)]
 
     def close(self) -> None:
         """Release process-external resources (the parallel backends'

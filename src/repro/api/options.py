@@ -1,19 +1,30 @@
 """Typed configuration for the service-layer front doors.
 
-The old surface spread configuration over positional tuples
-(``Engine.compile(model, framework, device, batch)``) and loose keyword
-arguments; the options dataclasses make every knob named, defaulted, and
-hashable (so they can participate in session-cache keys).
+The options dataclasses make every knob named, defaulted, and hashable
+(so they can participate in session-cache keys).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields
 
 from ..core.passes import PipelineStages
 from ..runtime.device import DeviceSpec, SD8GEN2
 from ..runtime.faults import FaultPlan
 from .errors import InvalidOptions
+
+_DEPRECATION_WARNED: set[str] = set()
+"""Deprecated names that already warned this process (each warns once)."""
+
+
+def _warn_deprecated(name: str, instead: str, stacklevel: int = 3) -> None:
+    if name in _DEPRECATION_WARNED:
+        return
+    _DEPRECATION_WARNED.add(name)
+    warnings.warn(
+        f"{name} is deprecated; use {instead} (see the repro.api package)",
+        DeprecationWarning, stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)
@@ -203,7 +214,6 @@ class ServeOptions:
                 f"ServeOptions.max_wait_ms cannot be negative, "
                 f"got {self.max_wait_ms!r}")
         if self.max_wait_ms:  # stacklevel 4: past the generated __init__
-            from ..runtime.session import _warn_deprecated
             _warn_deprecated("ServeOptions.max_wait_ms", "the default: "
                              "it no longer delays anything", stacklevel=4)
         if self.max_queue is not None and self.max_queue < 1:

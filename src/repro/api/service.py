@@ -315,7 +315,7 @@ class Service:
         # pool *now*, before the scheduler thread exists: forking from
         # an effectively single-threaded parent is the safe point, and
         # the pool's segment capacity must cover a full micro-batch.
-        if getattr(self._backend, "shards_requests", False):
+        if self._backend.shards_requests:
             session.parallel_capacity = max(session.parallel_capacity,
                                             self._max_batch)
             session.ensure_parallel_pool()
@@ -609,8 +609,8 @@ class Service:
         self._worker = replacement
 
     def _run_entries(self, entries: list[_Pending]):
-        """One backend invocation over ``entries``, with service-level
-        fault injection.
+        """One recorded backend invocation over ``entries``
+        (``[(outputs, RunStats)]``), with service-level fault injection.
 
         Injected kernel faults and crashes fire as pure functions of
         ``(request_id, attempt)`` (crashes consume a budget), so a fault
@@ -637,7 +637,7 @@ class Service:
                             else "injected allocation failure",
                             request_id=entry.request_id,
                             retryable=rule.retryable)
-        return self._session.execute_values(
+        return self._session._serve(
             [dict(entry.values) for entry in entries],
             backend=self._backend)
 
@@ -669,7 +669,7 @@ class Service:
         perf = time.perf_counter
         start = perf()
         try:
-            results, backend_name, batched = self._run_entries(live)
+            served = self._run_entries(live)
         except InjectedCrash:
             raise  # kills the worker; supervision absorbs it
         except Exception as err:  # noqa: BLE001 - executor failure
@@ -689,12 +689,10 @@ class Service:
         exec_s = perf() - start
 
         n = len(live)
-        record = self._session._record
         resolved = []
-        for entry, (outputs, report, wall_s) in zip(live, results):
+        for entry, (outputs, stats) in zip(live, served):
             resolved.append((entry.future, InferenceResponse(
-                request_id=entry.request_id, outputs=outputs,
-                stats=record(wall_s, report, backend_name, batched=batched),
+                request_id=entry.request_id, outputs=outputs, stats=stats,
                 batch_size=n,
                 queued_ms=(dequeued - entry.enqueued_s) * 1e3,
                 attempts=entry.attempt + 1)))
@@ -703,7 +701,7 @@ class Service:
                 _finish(future, response=response)
             self._requests += n
             self._batches += 1
-            if batched:
+            if served[0][1].batched:  # one invocation: same for every row
                 self._stacked += 1
             self._total_exec_s += exec_s
             if n > self._largest_batch:

@@ -6,14 +6,13 @@
     python -m repro.bench --all --timings
 
 ``--timings`` records the wall time and compile/cost-cache traffic of
-every experiment, per-pass compile time, and steady-state serving walls
-(``serve`` section: lowered program vs. the PR-2 interpreter loop per
-model, plus a per-model ``backends`` comparison - numpy vs. codegen
-``Session.run`` - the ``scheduler`` coalescing measurement, and the
+every experiment, per-pass compile time, and the ``serve`` section (the
 ``roofline`` report: per smoke model, measured wall time vs static
-bytes-moved / FLOPs / arithmetic intensity per kernel family), and
-writes the perf trajectory to ``BENCH_pipeline.json`` (override the
-path with ``--timings-out``).
+bytes-moved / FLOPs / arithmetic intensity per kernel family; and the
+``symbolic`` ratio: a request at a new in-bucket shape vs a cold
+concrete compile), and writes the trajectory to ``BENCH_pipeline.json``
+(override the path with ``--timings-out``).  Serving-performance claims
+come from ``benchmarks/perf``, not from this file.
 """
 
 from __future__ import annotations
@@ -113,9 +112,9 @@ def main(argv: list[str]) -> int:
         }
         serve = None
         if targets == list(EXPERIMENTS):
-            # Serving walls belong to the full-suite trajectory (the CI
-            # mode); profiling a single experiment skips the ~400 timed
-            # requests.  Imported lazily for the same reason.
+            # The serve section belongs to the full-suite trajectory
+            # (the CI mode); profiling a single experiment skips its
+            # 20-model walk.  Imported lazily for the same reason.
             from .serving import measure_serving
 
             serve = measure_serving()
@@ -144,71 +143,37 @@ def main(argv: list[str]) -> int:
                  for name, entry in pass_stats.items()],
                 title="== Optimization-pass timings =="))
         if serve is not None:
+            rows = []
+            for model, entry in serve["roofline"]["models"].items():
+                hot_name, hot = max(
+                    entry["families"].items(),
+                    key=lambda item: item[1]["time_ms"])
+                rows.append([
+                    model, str(entry["steps"]),
+                    f"{entry['fused_chains']}/{entry['fused_steps']}",
+                    f"{entry['scratch_kb']:.0f}",
+                    f"{entry['run_ms']:.3f}",
+                    hot_name, f"{hot['time_ms']:.3f}",
+                    f"{hot['mb_moved']:.2f}", f"{hot['intensity']:.2f}",
+                    f"{hot['us_per_step']:.1f}",
+                    f"{hot['gflops_per_s']:.1f}"])
             print(format_table(
-                ["Model", "steps", "interp (ms)", "program (ms)", "speedup"],
-                [[name, str(entry["steps"]),
-                  f"{entry['interpreter_run_ms']:.3f}",
-                  f"{entry['program_run_ms']:.3f}", f"{entry['speedup']:.2f}x"]
-                 for name, entry in serve["models"].items()],
-                title="== Steady-state serving (Session.run wall time) =="))
-            backends = serve.get("backends")
-            if backends:
-                names = backends["backends"]
-                print(format_table(
-                    ["Model"] + [f"{n} (ms)" for n in names]
-                    + [f"{n} speedup" for n in names[1:]],
-                    [[model]
-                     + [f"{entry[f'{n}_run_ms']:.3f}" for n in names]
-                     + [f"{entry[f'{n}_speedup']:.2f}x" for n in names[1:]]
-                     for model, entry in backends["models"].items()],
-                    title="== Execution backends (steady-state "
-                          "Session.run wall time) =="))
-            roofline = serve.get("roofline")
-            if roofline:
-                rows = []
-                for model, entry in roofline["models"].items():
-                    hot_name, hot = max(
-                        entry["families"].items(),
-                        key=lambda item: item[1]["time_ms"])
-                    rows.append([
-                        model, str(entry["steps"]),
-                        f"{entry['fused_chains']}/{entry['fused_steps']}",
-                        f"{entry['scratch_kb']:.0f}",
-                        f"{entry['run_ms']:.3f}",
-                        hot_name, f"{hot['time_ms']:.3f}",
-                        f"{hot['mb_moved']:.2f}", f"{hot['intensity']:.2f}",
-                        f"{hot['us_per_step']:.1f}",
-                        f"{hot['gflops_per_s']:.1f}"])
-                print(format_table(
-                    ["Model", "steps", "fused c/s", "scratch (KB)",
-                     "run (ms)", "hot family", "hot (ms)", "hot (MB)",
-                     "intensity", "us/step", "GFLOP/s"],
-                    rows,
-                    title="== Roofline (per-step measured walls vs static "
-                          "traffic stamps; full detail in serve.roofline) =="))
-            symbolic = serve.get("symbolic")
-            if symbolic:
-                print(format_table(
-                    ["Model", "new shape (ms)", "cold compile (ms)",
-                     "speedup", "buckets"],
-                    [[name, f"{entry['new_shape_request_ms']:.3f}",
-                      f"{entry['cold_compile_request_ms']:.3f}",
-                      f"{entry['speedup']:.1f}x",
-                      str(entry["buckets_compiled"])]
-                     for name, entry in symbolic["models"].items()],
-                    title="== Symbolic shapes (first request at a new "
-                          "in-bucket extent vs cold concrete compile) =="))
-            scheduler = serve.get("scheduler")
-            if scheduler:
-                print(format_table(
-                    ["Model", "sequential (req/s)", "scheduler (req/s)",
-                     "speedup", "mean batch"],
-                    [[name, f"{entry['sequential_rps']:.0f}",
-                      f"{entry['scheduler_rps']:.0f}",
-                      f"{entry['speedup']:.2f}x", f"{entry['mean_batch']:.1f}"]
-                     for name, entry in scheduler["models"].items()],
-                    title="== Micro-batching scheduler (coalesced "
-                          "throughput vs sequential Session.run) =="))
+                ["Model", "steps", "fused c/s", "scratch (KB)",
+                 "run (ms)", "hot family", "hot (ms)", "hot (MB)",
+                 "intensity", "us/step", "GFLOP/s"],
+                rows,
+                title="== Roofline (per-step measured walls vs static "
+                      "traffic stamps; full detail in serve.roofline) =="))
+            print(format_table(
+                ["Model", "new shape (ms)", "cold compile (ms)",
+                 "speedup", "buckets"],
+                [[name, f"{entry['new_shape_request_ms']:.3f}",
+                  f"{entry['cold_compile_request_ms']:.3f}",
+                  f"{entry['speedup']:.1f}x",
+                  str(entry["buckets_compiled"])]
+                 for name, entry in serve["symbolic"]["models"].items()],
+                title="== Symbolic shapes (first request at a new "
+                      "in-bucket extent vs cold concrete compile) =="))
         print(f"wrote perf trajectory to {timings_path}")
     return 0
 

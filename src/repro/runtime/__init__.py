@@ -11,7 +11,7 @@ from .cost_model import (
     CostModelConfig, CostReport, KernelCost, estimate, peak_activation_bytes,
 )
 from .device import DEVICES, DIMENSITY700, DeviceSpec, SD835, SD8GEN2, V100, scaled
-from .executor import execute, make_inputs, outputs_equal, run_node
+from .executor import execute, make_inputs, run_node
 from .faults import FaultInjector, FaultPlan, FaultRule, InjectedCrash
 from .kernels import get_kernel
 from .parallel_backend import (
@@ -23,13 +23,13 @@ from .program import (
 )
 from .shm import SegmentRing, ShardLayout, SharedSegment, active_segments
 from .session import (
-    CircuitBreaker, Engine, RunStats, Session, SessionRegistry, SessionStats,
-    circuit_breaker, compile_session, stable_model_key,
+    CircuitBreaker, RunStats, Session, SessionRegistry, SessionStats,
+    circuit_breaker, stable_model_key,
 )
 
 __all__ = [
     "Artifact", "CircuitBreaker", "CodegenBackend", "CompiledProgramModule",
-    "Engine", "ExecutionBackend", "ExecutionProgram", "FaultInjector",
+    "ExecutionBackend", "ExecutionProgram", "FaultInjector",
     "FaultPlan", "FaultRule", "GeneratedKernel", "InjectedCrash",
     "NumPyBackend", "ParallelBackend", "ParallelCodegenBackend", "RunStats",
     "SegmentRing", "Session",
@@ -37,13 +37,13 @@ __all__ = [
     "SlotPlan", "Step",
     "VerificationReport", "WorkerPool", "active_segments",
     "circuit_breaker", "parallel_supported", "stable_model_key",
-    "available_backends", "compile_program", "compile_session",
+    "available_backends", "compile_program",
     "emit_program_source", "generate_group",
     "generate_kernel", "get_backend", "lower", "plan_from_json",
     "plan_to_json", "program_source", "register_backend",
     "verify_equivalence",
     "CostModelConfig", "CostReport", "DEVICES", "DIMENSITY700", "DeviceSpec",
     "KernelCost", "SD835", "SD8GEN2", "V100", "estimate", "execute",
-    "get_kernel", "make_inputs", "outputs_equal", "peak_activation_bytes",
+    "get_kernel", "make_inputs", "peak_activation_bytes",
     "run_node", "scaled",
 ]

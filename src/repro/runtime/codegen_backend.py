@@ -604,11 +604,9 @@ class CodegenBackend(NumPyBackend):
     """
 
     name = "codegen"
-
-    def fused_steps(self, program: ExecutionProgram) -> int:
-        """The generated module executes each fused chain in one register
-        expression - every chain interior is a step it never dispatches."""
-        return program.fused_step_count
+    # The generated module executes each fused chain in one register
+    # expression - every chain interior is a step it never dispatches.
+    fuses = True
 
     def _compile_runners(self, program: ExecutionProgram):
         module = compile_program(program)

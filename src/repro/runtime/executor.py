@@ -3,14 +3,14 @@
 Purpose: *semantic verification* of optimizer rewrites.  Input views
 attached by layout transformation elimination are applied before each
 kernel runs; fusion groups are ignored (grouping does not change values).
-The test suite uses ``outputs_equal(original, optimized)`` on every model.
+The test suite runs :func:`~repro.runtime.verify.verify_equivalence` over
+``(original, optimized)`` on every model.
 
 Execution itself goes through the lowered-program path
 (:mod:`repro.runtime.program`): :func:`execute` lowers the graph once per
 generation and drives the reference NumPy backend - the same path the
 serving session and the verifier use.  :func:`run_node` remains as the
-single-node reference step (tests and the bench serving baseline use it
-to cross-check the lowering).
+single-node reference step (tests use it to cross-check the lowering).
 """
 
 from __future__ import annotations
@@ -109,27 +109,3 @@ def execute(graph: Graph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray
     from .program import get_backend, lower
 
     return get_backend("numpy").run(lower(graph), dict(inputs))
-
-
-def outputs_equal(
-    a: Graph,
-    b: Graph,
-    seed: int = 0,
-    rtol: float = 1e-4,
-    atol: float = 1e-5,
-) -> bool:
-    """True when both graphs produce numerically equal outputs.
-
-    Graph ``b`` may use different internal tensor names (rewrites rename
-    nothing in this codebase, but output order is what matters).  A thin
-    shim over :func:`~repro.runtime.verify.verify_equivalence`, so
-    tolerance and NaN semantics live in exactly one place - which means
-    NaNs at matching positions now count as *equal* (the verifier's
-    semantics: both graphs agreeing on NaN is agreement), where this
-    function previously treated any NaN as a mismatch.
-    """
-    from .verify import verify_equivalence
-
-    if list(a.outputs) != list(b.outputs):
-        return False
-    return verify_equivalence(a, b, seeds=(seed,), rtol=rtol, atol=atol).passed

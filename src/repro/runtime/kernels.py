@@ -16,7 +16,6 @@ come from the analytical cost model, never from timing these kernels.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from typing import Callable
 
@@ -167,6 +166,7 @@ def _im2col(xp, cols6, sh, sw, dh, dw):
     np.copyto(cols6, patches)
 
 
+@kernel("conv2d")
 def conv2d_gemm(inputs, attrs, scratch: ConvScratch | None = None):
     """GEMM-shaped conv2d: one strided-view im2col + one batched matmul.
 
@@ -205,9 +205,9 @@ def conv2d_gemm(inputs, attrs, scratch: ConvScratch | None = None):
 def conv2d_reference(inputs, attrs):
     """Pre-GEMM reference conv2d (per-tap Python im2col + einsum).
 
-    Kept behind ``REPRO_CONV_REFERENCE`` / :func:`use_reference_conv` as
-    the parity oracle for the GEMM path: the im2col columns it gathers
-    are byte-identical to :func:`_im2col`'s, while the contraction
+    Kept as the parity oracle for the GEMM path (nothing registers or
+    routes to it): the im2col columns it gathers are byte-identical to
+    :func:`_im2col`'s, while the contraction
     (einsum vs. BLAS matmul) agrees to float tolerance only - which is
     why zoo-wide byte-identity is asserted across backends/batching (all
     sharing one kernel), and GEMM-vs-reference is asserted via allclose.
@@ -246,37 +246,18 @@ def conv2d_reference(inputs, attrs):
     return out
 
 
-_CONV_IMPL = (conv2d_reference if os.environ.get("REPRO_CONV_REFERENCE")
-              else conv2d_gemm)
-
-
-def use_reference_conv(flag: bool) -> None:
-    """Route conv2d through the einsum reference (parity checks only)."""
-    global _CONV_IMPL
-    _CONV_IMPL = conv2d_reference if flag else conv2d_gemm
-
-
-@kernel("conv2d")
-def conv2d(inputs, attrs):
-    return _CONV_IMPL(inputs, attrs)
-
-
 def bind_conv2d(x_shape, w_shape, attrs, node_id=None):
     """Bind a conv2d step to a statically planned :class:`ConvScratch`.
 
-    Returns ``(kernel, scratch)``; the kernel keeps honouring
-    :func:`use_reference_conv` so flag flips reach already-lowered
-    programs.  Called by ``lower()`` (and by ``rebatch`` with the scaled
-    batch shape) so every run reuses the step's padded buffer instead of
-    reallocating it; ``node_id`` names the step in the scratch's errors.
+    Returns ``(kernel, scratch)``.  Called by ``lower()`` (and by
+    ``rebatch`` with the scaled batch shape) so every run reuses the
+    step's padded buffer instead of reallocating it; ``node_id`` names
+    the step in the scratch's errors.
     """
     scratch = ConvScratch.plan(x_shape, w_shape, attrs, node_id)
 
     def bound(inputs, attrs):
-        impl = _CONV_IMPL
-        if impl is conv2d_gemm:
-            return conv2d_gemm(inputs, attrs, scratch)
-        return impl(inputs, attrs)
+        return conv2d_gemm(inputs, attrs, scratch)
 
     bound.scratch = scratch
     return bound, scratch

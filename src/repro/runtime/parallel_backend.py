@@ -55,6 +55,7 @@ import numpy as np
 
 from ..api.errors import WorkerCrashed
 from ..memory.pool import PoolReport
+from .batching import analyze, symbolize
 from .program import ExecutionBackend, get_backend, register_backend
 from .shm import SegmentRing, ShardLayout
 
@@ -189,8 +190,6 @@ class WorkerPool:
 
     def __init__(self, session, inner: str = "numpy", workers: int = 1,
                  capacity: int = 16) -> None:
-        from .batching import analyze
-
         self.session = session
         self.inner_name = inner
         self.workers = max(1, int(workers))
@@ -249,12 +248,9 @@ class WorkerPool:
             # inherit each bucket's compiled variant (and codegen
             # runner) plus its warmed pool instead of rebuilding them
             # ``workers`` times on first off-base request.
-            from .batching import bucket
-
             reps: dict[int, int] = {}
             for extent in range(1, sym.max_extent + 1):
-                factor = bucket(max(1, -(-extent // sym.base_extent)))
-                reps[factor] = extent  # largest extent per bucket wins
+                reps[sym.factor(extent)] = extent  # largest per bucket wins
             for extent in sorted(reps.values()):
                 if extent == sym.base_extent:
                     continue
@@ -512,11 +508,8 @@ class WorkerPool:
         if extent is not None:
             # Off-base extents executed through the bucket's symbolic
             # variant in the worker: report that variant's plan.
-            from .batching import bucket, symbolize
-
-            sym = self.session.symbolic
-            factor = bucket(max(1, -(-extent // sym.base_extent)))
-            program = symbolize(self.session.program, factor)
+            program = symbolize(
+                program, self.session.symbolic.factor(extent))
         plan = program.slot_plan
         report = PoolReport(
             peak_bytes=plan.peak_bytes,
@@ -541,14 +534,14 @@ class WorkerPool:
 class ParallelBackend(ExecutionBackend):
     """Multi-process backend: shards invocations across a worker pool.
 
-    ``shards_requests`` marks it for
-    :meth:`~repro.runtime.session.Session.execute_values`, which routes
-    multi-request invocations through :meth:`try_sharded` instead of the
-    in-process stacked/sequential paths.  Everything else - ``run``,
-    ``run_serving``, ``run_many``, fusion attribution - delegates to the
-    *inner* backend, so a parallel session that cannot shard (platform
-    without ``fork``, per-request parameter overrides, pool startup
-    failure) behaves exactly like its inner backend in-process.
+    It declares ``shards_requests``, so
+    :meth:`~repro.runtime.session.Session.execute_values` offers it
+    whole invocations through :meth:`try_sharded` before the in-process
+    stacked/sequential paths.  Everything else - ``run``,
+    ``run_serving``, ``run_many`` - delegates to the declared ``inner``
+    backend, so a parallel session that cannot shard (platform without
+    ``fork``, per-request parameter overrides, pool startup failure)
+    behaves exactly like its inner backend in-process.
     """
 
     name = "parallel"
@@ -557,9 +550,6 @@ class ParallelBackend(ExecutionBackend):
 
     def _inner(self) -> ExecutionBackend:
         return get_backend(self.inner)
-
-    def fused_steps(self, program) -> int:
-        return self._inner().fused_steps(program)
 
     def run(self, program, values):
         return self._inner().run(program, values)
@@ -593,6 +583,7 @@ class ParallelCodegenBackend(ParallelBackend):
 
     name = "parallel-codegen"
     inner = "codegen"
+    fuses = True
 
 
 __all__ = [

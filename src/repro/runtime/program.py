@@ -691,13 +691,18 @@ class ExecutionBackend:
 
     name = "backend"
 
-    def fused_steps(self, program: ExecutionProgram) -> int:
-        """Steps this backend collapses into fused-chain expressions when
-        serving ``program``.  The reference backend (and any backend that
-        dispatches one kernel per step) reports 0; backends that execute
-        the program's fused chains as single expressions report
-        :attr:`ExecutionProgram.fused_step_count`."""
-        return 0
+    shards_requests = False
+    """True when :meth:`~repro.runtime.session.Session.execute_values`
+    should offer whole invocations to ``try_sharded(session,
+    values_list)`` (a worker pool) before running them in-process."""
+    inner: str | None = None
+    """Registry name of the in-process backend a sharding backend's
+    workers run, and that serves whatever its pool declines."""
+    fuses = False
+    """True when the backend executes the program's fused chains as
+    single expressions: its requests report
+    :attr:`ExecutionProgram.fused_step_count` in ``RunStats.fused_steps``,
+    a backend dispatching one kernel per step reports 0."""
 
     def run(self, program: ExecutionProgram,
             values: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -39,7 +39,7 @@ bookkeeping) was all moved to compile time by
   pool, outputs split per request.  Non-stackable programs fall back to
   the sequential per-request loop inside the single invocation.
 
-    >>> session = compile_session("Swin", "Ours")
+    >>> session = repro.compile("Swin").session
     >>> out = session.run(session.make_inputs(seed=0))
     >>> out = session.run(session.make_inputs(seed=0))
     >>> session.stats.runs[-1].pool.reuses   # second run reuses blocks
@@ -50,7 +50,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-import warnings
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
@@ -62,6 +61,7 @@ from ..api.errors import (
 from ..ir.graph import Graph
 from ..ir.symbolic import SYM, is_placeholder
 from ..memory.pool import PoolReport, SizeClassPool
+from .batching import analyze, bucket, mark_unstackable, rebatch, symbolize
 from .device import DeviceSpec, SD8GEN2
 from .executor import make_inputs, make_params
 from .faults import REFERENCE_BACKEND, FaultPlan
@@ -69,19 +69,6 @@ from .kernels import pack
 from .program import ExecutionProgram, get_backend, lower
 
 logger = logging.getLogger("repro.runtime.session")
-
-_DEPRECATION_WARNED: set[str] = set()
-"""Shim names that already warned this process (each warns exactly once)."""
-
-
-def _warn_deprecated(name: str, instead: str, stacklevel: int = 3) -> None:
-    if name in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(name)
-    warnings.warn(
-        f"{name} is deprecated; use {instead} (see the repro.api package)",
-        DeprecationWarning, stacklevel=stacklevel)
-
 
 @dataclass
 class RunStats:
@@ -196,10 +183,124 @@ class SymbolicServing:
     max_extent: int
     inputs: frozenset[str]
 
+    def factor(self, extent: int) -> int:
+        """The bucket serving a runtime extent: the power of two
+        covering ``ceil(extent / base_extent)``."""
+        return bucket(max(1, -(-extent // self.base_extent)))
+
 
 def circuit_breaker() -> CircuitBreaker:
     """The process-wide :class:`CircuitBreaker` (for inspection/reset)."""
     return _CIRCUIT
+
+
+def _refusal(door, body: str, sep: str = ": ") -> AdmissionError:
+    """The error one admission refusal raises: the strict door leads the
+    message with the request and attaches its id."""
+    session, strict, request_id = door
+    if strict:
+        who = "request" if request_id is None else f"request {request_id!r}"
+        body = f"{who}{sep}{body}"
+    return AdmissionError(body, request_id=request_id,
+                          model=session.model or session.graph.name)
+
+
+def _admit(session: "Session", inputs, strict: bool = False,
+           request_id=None) -> dict[str, np.ndarray]:
+    """Validate one request and merge it over the session parameters.
+
+    The one admission function behind both front doors.  Every adopted
+    tensor is checked against its spec, so a wrong-shape or wrong-dtype
+    request fails here with an :class:`~repro.api.errors.AdmissionError`
+    naming the tensor instead of deep inside a kernel; under a symbolic
+    compile the leading dim of the graph inputs admits any extent in
+    ``1..max_extent``, shared across the request's inputs.
+
+    ``strict`` (``CompiledModel.admit``): the request must name exactly
+    the graph's declared inputs - empty requests, unknown names and
+    missing inputs are rejected - and messages lead with the request,
+    which ``request_id`` also attaches to the error.  Lenient
+    (``Session._admit``): any tensor the compiled graph declares
+    overrides the session's materialization (an overridden packed
+    weight is re-packed from the array as it is now, never cached), an
+    already-packed ``<weight>@kn`` operand - another session's admitted
+    dict - is adopted against the transposed spec, and everything else
+    (e.g. the full value dict of the *source* graph) is ignored.
+    """
+    sym = session.symbolic
+    specs = session._input_specs
+    door = session, strict, request_id  # what decorates a refusal
+    if strict and not inputs:
+        raise _refusal(
+            door, f"has no input tensors; expected {sorted(specs)}", sep=" ")
+    values = dict(session._params)
+    extent = extent_name = None
+    for name, value in inputs.items():
+        spec = specs.get(name)
+        declared_input = spec is not None
+        if not declared_input:
+            if strict:
+                raise _refusal(
+                    door, f"unknown input tensor {name!r}; this model "
+                    f"takes {sorted(specs)}")
+            tensor = session.graph.tensors.get(name)
+            if tensor is None:
+                source = session.program.source_of.get(name)
+                if source is not None:
+                    tensor = session.graph.tensors[source]
+                    expected = tuple(tensor.shape)[::-1]
+                    if tuple(value.shape) != expected \
+                            or value.dtype != tensor.dtype.numpy_dtype:
+                        raise _refusal(
+                            door, f"packed weight {name!r}: got "
+                            f"{value.dtype} {tuple(value.shape)}, expected "
+                            f"{np.dtype(tensor.dtype.numpy_dtype)} "
+                            f"{expected}")
+                    values[name] = value
+                continue
+            spec = tensor.shape, np.dtype(tensor.dtype.numpy_dtype)
+        expected, dtype = spec
+        if not isinstance(value, np.ndarray):
+            value = np.asarray(value)
+        if sym is not None and declared_input:
+            shape = tuple(value.shape)
+            if len(shape) != len(expected) or shape[1:] != expected[1:]:
+                raise _refusal(
+                    door, f"input {name!r}: got shape {shape}, expected "
+                    f"{expected} (symbolic leading extent, served bucket "
+                    f"range 1..{sym.max_extent})")
+            if not 1 <= shape[0] <= sym.max_extent:
+                raise _refusal(
+                    door, f"input {name!r}: leading extent {shape[0]} is "
+                    f"outside the served bucket range 1..{sym.max_extent}")
+            if extent is None:
+                extent, extent_name = shape[0], name
+            elif shape[0] != extent:
+                raise _refusal(
+                    door, f"input {name!r}: leading extent {shape[0]} "
+                    f"disagrees with input {extent_name!r} (extent "
+                    f"{extent}); a request's inputs share one symbolic "
+                    f"extent")
+        elif value.shape != expected:
+            raise _refusal(
+                door, f"input {name!r}: got shape {tuple(value.shape)}, "
+                f"expected {expected}")
+        if value.dtype != dtype:
+            raise _refusal(
+                door, f"input {name!r}: got dtype {value.dtype}, expected "
+                f"{dtype}")
+        values[name] = value
+        if not declared_input:
+            packed = session.program.pack_of.get(name)
+            if packed is not None:
+                values[packed] = pack(value)
+    for name in specs:
+        if name not in values:
+            missing = [n for n in specs if n not in values]
+            raise _refusal(
+                door, f"missing input tensors {missing}" if strict
+                else f"missing graph inputs: {missing}")
+    return values
 
 
 class Session:
@@ -229,13 +330,13 @@ class Session:
         # never runs on a request's response path.
         self._est_latency_ms: float | None = \
             cell.report.latency_ms if cell is not None else None
-        self._fused_steps: dict[str, int] = {}
         self.pool = SizeClassPool()
-        # One pool per batch bucket: stacked batch-N passes account
-        # against their bucket's pool (pre-warmed to the variant's slot
-        # plan at first use), keeping the base pool's steady state - and
-        # the tests that assert it - untouched by batching.
-        self._bucket_pools: dict[int, SizeClassPool] = {}
+        # One pool per variant, keyed ``(kind, factor)`` with kind
+        # ``"stacked"`` or ``"symbolic"``: a variant's passes account
+        # against its own pool (pre-warmed to the variant's slot plan at
+        # first use), keeping the base pool's steady state - and the
+        # tests that assert it - untouched by batching.
+        self._pools: dict[tuple[str, int], SizeClassPool] = {}
         self._program = program
         self._param_values: dict[str, np.ndarray] | None = None
         self._input_cache: dict[int, dict[str, np.ndarray]] = {}
@@ -255,13 +356,12 @@ class Session:
         self.parallel_capacity = 16
         self._parallel_pool = None
         self._parallel_failed = False
-        # Symbolic serving: one pool per symbolic bucket (warmed to that
-        # bucket's slot plan on first use), mirroring _bucket_pools for
-        # the stacked path.  None for concrete sessions.
+        # Symbolic serving contract; None for concrete sessions.
         self.symbolic: SymbolicServing | None = None
-        self._symbolic_pools: dict[int, SizeClassPool] = {}
         if signature is not None:
             self._init_symbolic(signature, max_extent)
+        # What admission checks the declared inputs against.
+        self._input_specs = self.serving_signature
 
     @property
     def program(self) -> ExecutionProgram:
@@ -333,8 +433,6 @@ class Session:
         :class:`~repro.api.errors.InvalidOptions` - this is an options
         problem (the model/signature pair), not a per-request one.
         """
-        from .batching import analyze
-
         who = self.model or self.graph.name
         if not isinstance(max_extent, int) or max_extent < 1:
             raise InvalidOptions(
@@ -394,87 +492,8 @@ class Session:
         return out
 
     def _admit(self, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Validate one request and merge it over the session parameters.
-
-        Every tensor the compiled graph declares is adopted from
-        ``inputs`` (extra tensors - e.g. the full value dict of the
-        *source* graph - are ignored) and checked against its spec, so a
-        wrong-shape or wrong-dtype request fails here with an error
-        naming the tensor instead of deep inside a kernel.
-        """
-        tensors = self.graph.tensors
-        sym = self.symbolic
-        values = dict(self._params)
-        pack_of = self.program.pack_of
-        source_of = self.program.source_of
-        extent = extent_name = None
-        for name, value in inputs.items():
-            spec = tensors.get(name)
-            if spec is None:
-                source = source_of.get(name)
-                if source is None:
-                    continue
-                # Already in the packed layout (another session's
-                # admitted dict): adopted against the transposed spec.
-                spec = tensors[source]
-                expected = tuple(spec.shape)[::-1]
-                if tuple(value.shape) != expected \
-                        or value.dtype != spec.dtype.numpy_dtype:
-                    raise AdmissionError(
-                        f"packed weight {name!r}: got {value.dtype} "
-                        f"{tuple(value.shape)}, expected "
-                        f"{np.dtype(spec.dtype.numpy_dtype)} {expected}",
-                        model=self.model or self.graph.name)
-                values[name] = value
-                continue
-            if not isinstance(value, np.ndarray):
-                value = np.asarray(value)
-            if sym is not None and name in sym.inputs:
-                expected = (SYM,) + tuple(spec.shape)[1:]
-                shape = tuple(value.shape)
-                if len(shape) != len(expected) \
-                        or shape[1:] != expected[1:]:
-                    raise AdmissionError(
-                        f"input {name!r}: got shape {shape}, expected "
-                        f"{expected} (symbolic leading extent, served "
-                        f"bucket range 1..{sym.max_extent})",
-                        model=self.model or self.graph.name)
-                if not 1 <= shape[0] <= sym.max_extent:
-                    raise AdmissionError(
-                        f"input {name!r}: leading extent {shape[0]} is "
-                        f"outside the served bucket range "
-                        f"1..{sym.max_extent}",
-                        model=self.model or self.graph.name)
-                if extent is None:
-                    extent, extent_name = shape[0], name
-                elif shape[0] != extent:
-                    raise AdmissionError(
-                        f"input {name!r}: leading extent {shape[0]} "
-                        f"disagrees with input {extent_name!r} (extent "
-                        f"{extent}); a request's inputs share one "
-                        f"symbolic extent",
-                        model=self.model or self.graph.name)
-            elif value.shape != spec.shape:
-                raise AdmissionError(
-                    f"input {name!r}: got shape {tuple(value.shape)}, "
-                    f"expected {spec.shape}",
-                    model=self.model or self.graph.name)
-            if value.dtype != spec.dtype.numpy_dtype:
-                raise AdmissionError(
-                    f"input {name!r}: got dtype {value.dtype}, expected "
-                    f"{np.dtype(spec.dtype.numpy_dtype)}",
-                    model=self.model or self.graph.name)
-            values[name] = value
-            packed = pack_of.get(name)
-            if packed is not None:
-                # Overriding a packed weight: re-packed from the array
-                # as it is now, never cached (the caller may mutate it).
-                values[packed] = pack(value)
-        missing = [name for name in self.graph.inputs if name not in values]
-        if missing:
-            raise AdmissionError(f"missing graph inputs: {missing}",
-                                 model=self.model or self.graph.name)
-        return values
+        """Lenient admission of one raw input dict - see :func:`_admit`."""
+        return _admit(self, inputs)
 
     # -- serving -----------------------------------------------------------
 
@@ -525,7 +544,7 @@ class Session:
         backend-independent failures), injected compile faults degrade.
         """
         primary = backend if backend is not None else self._backend
-        name = getattr(primary, "name", self.backend)
+        name = primary.name
         context = {"model": self.model or self.graph.name}
         fallback = None
         if name != REFERENCE_BACKEND:
@@ -535,28 +554,6 @@ class Session:
                 name = REFERENCE_BACKEND
             else:
                 fallback = get_backend(REFERENCE_BACKEND)
-        # Sharding backends (the parallel family) route whole
-        # invocations across their worker pool; stacking then happens
-        # *inside* each worker's shard, so the in-process stacked
-        # context is only built when the pool declines the invocation.
-        sharding = getattr(primary, "shards_requests", False)
-        batched_flag = [False]
-        if sharding:
-            inner = get_backend(getattr(primary, "inner",
-                                        REFERENCE_BACKEND))
-
-            def invoke(bk, vlist):
-                if getattr(bk, "shards_requests", False):
-                    sharded = bk.try_sharded(self, vlist)
-                    if sharded is not None:
-                        rows, was_batched = sharded
-                        batched_flag[0] = was_batched
-                        return rows
-                    bk = inner  # pool unavailable: in-process inner path
-                return self._invoke_inprocess(bk, vlist, batched_flag)
-        else:
-            def invoke(bk, vlist):
-                return self._invoke_inprocess(bk, vlist, batched_flag)
         # The runners mutate the value dicts in place (drops, outputs),
         # so the fallback replays pristine shallow copies.  Only armed
         # off the reference path: the default backend pays nothing.
@@ -566,31 +563,44 @@ class Session:
         try:
             if injector is not None:
                 injector.on_invocation(len(values_list), name, context)
-            results = invoke(primary, values_list)
-        except BackendCompilationError as err:
-            if fallback is None:
+            rows, batched = self._route(primary, values_list)
+        except Exception as err:  # noqa: BLE001 - compile or runner failure
+            # Injected kernel/alloc faults (every other ReproError) are
+            # backend-independent and propagate.  A runner failure
+            # degrades like a compile failure: if it was input-caused
+            # the reference backend raises the same error (shape checks
+            # match text-for-text); if it was a backend bug, the request
+            # is rescued.
+            if fallback is None or (
+                    isinstance(err, ReproError)
+                    and not isinstance(err, BackendCompilationError)):
                 raise
             self._degrade(name, err)
-            results = invoke(fallback, snapshots)
-            return results, REFERENCE_BACKEND, batched_flag[0]
-        except ReproError:
-            raise  # injected kernel/alloc faults are backend-independent
-        except Exception as err:  # noqa: BLE001 - runner failure
-            if fallback is None:
-                raise
-            # A runner failure on the primary backend degrades too: if
-            # the failure was input-caused the reference backend raises
-            # the same error (shape checks match text-for-text); if it
-            # was a backend bug, the request is rescued.
-            self._degrade(name, err)
-            results = invoke(fallback, snapshots)
-            return results, REFERENCE_BACKEND, batched_flag[0]
+            rows, batched = self._route(fallback, snapshots)
+            return rows, REFERENCE_BACKEND, batched
         if fallback is not None:
             _CIRCUIT.record_success(name, self.fingerprint)
-        return results, name, batched_flag[0]
+        return rows, name, batched
 
-    def _invoke_inprocess(self, bk, vlist, batched_flag):
-        """Route one in-process invocation through ``bk``.
+    def _route(self, bk, vlist):
+        """``(rows, batched)`` for one invocation on ``bk``.
+
+        A backend declaring ``shards_requests`` (the parallel family) is
+        offered the whole invocation for its worker pool; stacking then
+        happens *inside* each worker's shard.  When the pool declines
+        (unavailable, per-request overrides, mixed extents), and for
+        every other backend, the invocation runs in-process - on the
+        sharding backend's declared ``inner`` in the first case.
+        """
+        if bk.shards_requests:
+            sharded = bk.try_sharded(self, vlist)
+            if sharded is not None:
+                return sharded
+            bk = get_backend(bk.inner)
+        return self._invoke_inprocess(bk, vlist)
+
+    def _invoke_inprocess(self, bk, vlist):
+        """``(rows, batched)`` for one in-process invocation on ``bk``.
 
         Concrete sessions keep the stacked-vs-sequential decision
         unchanged.  Symbolic sessions group requests by leading extent
@@ -599,67 +609,61 @@ class Session:
         variant against that bucket's warmed pool, each request at its
         *exact* extent - never padded, never stacked - which is what
         keeps outputs byte-identical to a fresh concrete compile at
-        that extent.  Results are scattered back in request order.
+        that extent.  Rows are scattered back in request order.
         """
         sym = self.symbolic
         if sym is None:
-            return self._invoke_concrete(bk, vlist, batched_flag)
+            return self._invoke_concrete(bk, vlist)
         name = self.program.input_names[0]
         groups: dict[int, list[int]] = {}
         for index, values in enumerate(vlist):
             groups.setdefault(values[name].shape[0], []).append(index)
         if len(groups) == 1 and sym.base_extent in groups:
-            return self._invoke_concrete(bk, vlist, batched_flag)
+            return self._invoke_concrete(bk, vlist)
         results = [None] * len(vlist)
-        batched_any = False
+        batched = False
         for extent, indices in groups.items():
             sub = [vlist[i] for i in indices]
             if extent == sym.base_extent:
-                flag = [False]
-                rows = self._invoke_concrete(bk, sub, flag)
-                batched_any = batched_any or flag[0]
+                rows, stacked = self._invoke_concrete(bk, sub)
+                batched = batched or stacked
             else:
                 variant, pool = self._symbolic_context(extent)
                 rows = bk.run_many(variant, sub, pool)
             for index, row in zip(indices, rows):
                 results[index] = row
-        batched_flag[0] = batched_any
-        return results
+        return results, batched
 
-    def _invoke_concrete(self, bk, vlist, batched_flag):
-        """The concrete serving path: one stacked pass when licensed,
-        the sequential loop otherwise."""
+    def _invoke_concrete(self, bk, vlist):
+        """The concrete serving path, as ``(rows, batched)``: one stacked
+        pass when licensed, the sequential loop otherwise."""
         ctx = self._stacked_context(vlist) if len(vlist) > 1 else None
         if ctx is not None:
-            batched_flag[0] = True
-            return bk.run_stacked(self.program, ctx[0], vlist, ctx[1])
-        batched_flag[0] = False
-        return bk.run_many(self.program, vlist, self.pool)
+            return bk.run_stacked(self.program, ctx[0], vlist, ctx[1]), True
+        return bk.run_many(self.program, vlist, self.pool), False
 
-    def _symbolic_context(self, extent: int):
-        """The ``(symbolic variant, warmed pool)`` serving one runtime
-        extent.
-
-        The bucket factor is the power of two covering
-        ``ceil(extent / base_extent)`` - one compiled variant (and one
-        pool, warmed to its max-bound slot plan on first use) per
-        bucket, however many distinct extents the bucket serves.
-        """
-        from .batching import bucket, symbolize
-
-        sym = self.symbolic
-        factor = bucket(max(1, -(-extent // sym.base_extent)))
-        variant = symbolize(self.program, factor)
-        pool = self._symbolic_pools.get(factor)
+    def _variant_pool(self, kind: str, factor: int, variant):
+        """The pool serving one ``(kind, factor)`` variant, created and
+        warmed to the variant's slot plan on first use - so even the
+        first pass of a bucket runs pool-steady."""
+        pool = self._pools.get((kind, factor))
         if pool is None:
-            pool = SizeClassPool()
+            pool = self._pools[kind, factor] = SizeClassPool()
             sizes = variant.slot_plan.slot_sizes
             for size in sizes:
                 pool.allocate(size)
             for size in sizes:
                 pool.release(size)
-            self._symbolic_pools[factor] = pool
-        return variant, pool
+        return pool
+
+    def _symbolic_context(self, extent: int):
+        """The ``(symbolic variant, warmed pool)`` serving one runtime
+        extent: one compiled variant and one pool per bucket
+        (:meth:`SymbolicServing.factor`), however many distinct extents
+        the bucket serves."""
+        factor = self.symbolic.factor(extent)
+        variant = symbolize(self.program, factor)
+        return variant, self._variant_pool("symbolic", factor, variant)
 
     def _stacked_context(self, values_list):
         """The ``(variant, bucket pool)`` serving one stacked pass, or
@@ -670,12 +674,8 @@ class Session:
         cannot be shared across a stacked pass), or when building the
         variant fails unexpectedly - in which case the program is
         demoted for good: a wrong stacked result is never acceptable, a
-        sequential one always is.  The bucket pool is created and warmed
-        to the variant's slot plan on first use, so even the first
-        stacked pass of a bucket runs pool-steady.
+        sequential one always is.
         """
-        from .batching import analyze, bucket, mark_unstackable, rebatch
-
         program = self.program
         if not analyze(program).stackable:
             return None
@@ -694,16 +694,7 @@ class Session:
                 "sequential path", factor, self.model or self.graph.name)
             mark_unstackable(program, f"rebatch({factor}) failed: {err}")
             return None
-        pool = self._bucket_pools.get(factor)
-        if pool is None:
-            pool = SizeClassPool()
-            sizes = variant.slot_plan.slot_sizes
-            for size in sizes:
-                pool.allocate(size)
-            for size in sizes:
-                pool.release(size)
-            self._bucket_pools[factor] = pool
-        return variant, pool
+        return variant, self._variant_pool("stacked", factor, variant)
 
     # -- parallel worker pool ----------------------------------------------
 
@@ -725,8 +716,7 @@ class Session:
             return None
         from .parallel_backend import WorkerPool, parallel_supported
 
-        backend = self._backend
-        inner = getattr(backend, "inner", REFERENCE_BACKEND)
+        inner = self._backend.inner
         if not parallel_supported():
             self._parallel_failed = True
             logger.warning(
@@ -783,16 +773,11 @@ class Session:
         case deterministic values for that seed are generated; passing
         both is rejected to avoid silently ignoring one.
         """
-        start = time.perf_counter()
         if inputs is None:
             inputs = self.make_inputs(seed)
         elif seed != 0:
             raise ValueError("pass either inputs or seed, not both")
-        values = self._admit(inputs)
-        results, backend_name, _ = self.execute_values([values])
-        outputs, report, _ = results[0]
-        self._record(time.perf_counter() - start, report, backend_name)
-        return outputs
+        return self._serve([inputs], self._admit)[0][0]
 
     def run_batch(self, batch: list[dict[str, np.ndarray]]
                   ) -> list[dict[str, np.ndarray]]:
@@ -802,55 +787,64 @@ class Session:
 
         Per-request ``RunStats.wall_s`` covers admission + execution,
         comparable to :meth:`run` (an even share of the stacked pass on
-        the batched path, flagged by ``RunStats.batched``).  The batch is
-        all-or-nothing for *statistics*: a request failing mid-batch
-        propagates before any of the batch is recorded (the pool itself
-        stays consistent either way).
+        the batched path, flagged by ``RunStats.batched``).
         """
         if not batch:
             raise ValueError(
                 "run_batch() needs at least one request; got an empty batch")
-        perf = time.perf_counter
-        values_list = []
-        admit_walls = []
-        admit = self._admit
-        for inputs in batch:
-            start = perf()
-            values_list.append(admit(inputs))
-            admit_walls.append(perf() - start)
-        results, backend_name, batched = self.execute_values(values_list)
-        outputs = []
-        for admit_s, (out, report, wall_s) in zip(admit_walls, results):
-            self._record(admit_s + wall_s, report, backend_name,
-                         batched=batched)
-            outputs.append(out)
-        return outputs
+        return [outputs for outputs, _ in self._serve(batch, self._admit)]
 
-    def _record(self, wall_s: float, report: PoolReport,
-                backend: str | None = None,
-                batched: bool = False) -> RunStats:
+    def _serve(self, requests, admit=None, backend=None):
+        """Recorded execution: admit, :meth:`execute_values`, then one
+        :class:`RunStats` per request; returns ``[(outputs, RunStats)]``
+        in request order.
+
+        The one admit-execute-record loop behind :meth:`run`,
+        :meth:`run_batch`, ``CompiledModel.run[_batch]`` and the
+        :class:`~repro.api.Service` scheduler.  With ``admit`` (a front
+        door's admission function) each request is admitted here and its
+        admission time counts into its recorded wall; without it
+        ``requests`` are already-admitted value dicts (the scheduler
+        admits in the submitting thread).  The batch is all-or-nothing
+        for *statistics*: a request failing admission or mid-batch
+        propagates before any of the batch is recorded (the pool itself
+        stays consistent either way).
+        """
+        admit_walls = None
+        if admit is not None:
+            perf = time.perf_counter
+            admit_walls = []
+            admitted = []
+            for request in requests:
+                start = perf()
+                admitted.append(admit(request))
+                admit_walls.append(perf() - start)
+            requests = admitted
+        results, served_by, batched = self.execute_values(requests, backend)
         est = self._est_latency_ms
         if est is None:  # a session built without a cell prices once
             est = self._est_latency_ms = self.est_latency_ms
+        fused = self.program.fused_step_count \
+            if get_backend(served_by).fuses else 0
         stats = self.stats
-        stats.requests += 1
-        stats.total_wall_s += wall_s
-        served_by = backend if backend is not None else self.backend
-        fused = self._fused_steps.get(served_by)
-        if fused is None:  # one registry lookup per (session, backend)
-            fused = self._fused_steps[served_by] = \
-                get_backend(served_by).fused_steps(self.program)
-        run = RunStats(
-            request=stats.requests,
-            wall_s=wall_s,
-            est_latency_ms=est,
-            pool=report,
-            backend=served_by,
-            batched=batched,
-            fused_steps=fused,
-        )
-        stats.runs.append(run)
-        return run
+        served = []
+        for index, (outputs, report, wall_s) in enumerate(results):
+            if admit_walls is not None:
+                wall_s += admit_walls[index]
+            stats.requests += 1
+            stats.total_wall_s += wall_s
+            run = RunStats(
+                request=stats.requests,
+                wall_s=wall_s,
+                est_latency_ms=est,
+                pool=report,
+                backend=served_by,
+                batched=batched,
+                fused_steps=fused,
+            )
+            stats.runs.append(run)
+            served.append((outputs, run))
+        return served
 
 
 def _compile_session(model: str | Graph, framework: str = "Ours",
@@ -871,8 +865,7 @@ def _compile_session(model: str | Graph, framework: str = "Ours",
     framework does not support the model (capability or memory limits).
 
     Internal workhorse behind :func:`repro.api.compile` and
-    :func:`repro.api.serve`; the public :func:`compile_session` is a
-    deprecation shim over it.
+    :func:`repro.api.serve`.
     """
     # Imported lazily: the harness sits above the runtime layer.
     from ..bench.harness import run_cell
@@ -896,22 +889,6 @@ def _compile_session(model: str | Graph, framework: str = "Ours",
         faults=faults, workers=workers,
         signature=signature, max_extent=max_extent,
     )
-
-
-def compile_session(model: str | Graph, framework: str = "Ours",
-                    device: DeviceSpec = SD8GEN2, batch: int = 1,
-                    check_memory: bool = False, backend: str = "numpy",
-                    **fw_kwargs) -> Session:
-    """Deprecated alias for the typed front door.
-
-    Prefer ``repro.compile(model, CompileOptions(...))`` - a
-    :class:`~repro.api.CompiledModel` wraps the same Session (exposed as
-    ``.session``) behind typed request/response objects.
-    """
-    _warn_deprecated("compile_session()", "repro.compile()")
-    return _compile_session(model, framework, device, batch,
-                            check_memory=check_memory, backend=backend,
-                            **fw_kwargs)
 
 
 def stable_model_key(model: str | Graph):
@@ -973,12 +950,7 @@ class SessionRegistry:
                 **fw_kwargs) -> Session:
         key = self._key(model, framework, device, batch, backend, fw_kwargs,
                         faults, workers, signature, max_extent)
-        if key is None:
-            return _compile_session(model, framework, device or self.device,
-                                    batch, backend=backend, faults=faults,
-                                    workers=workers, signature=signature,
-                                    max_extent=max_extent, **fw_kwargs)
-        found = self._sessions.get(key)
+        found = self._sessions.get(key) if key is not None else None
         if found is not None:
             self._sessions.move_to_end(key)  # LRU: refresh recency
             return found
@@ -986,10 +958,11 @@ class SessionRegistry:
                                    batch, backend=backend, faults=faults,
                                    workers=workers, signature=signature,
                                    max_extent=max_extent, **fw_kwargs)
-        self._sessions[key] = session
-        if self.max_sessions is not None \
-                and len(self._sessions) > self.max_sessions:
-            self._sessions.popitem(last=False)  # drop least recently used
+        if key is not None:  # an unhashable config compiles uncached
+            self._sessions[key] = session
+            if self.max_sessions is not None \
+                    and len(self._sessions) > self.max_sessions:
+                self._sessions.popitem(last=False)  # drop least recent
         return session
 
     def evict(self, model: str | Graph, framework: str = "Ours",
@@ -1009,17 +982,3 @@ class SessionRegistry:
     @property
     def num_sessions(self) -> int:
         return len(self._sessions)
-
-
-class Engine(SessionRegistry):
-    """Deprecated alias of :class:`SessionRegistry`.
-
-    Prefer ``repro.compile()`` (which fronts a process-wide registry) or
-    ``repro.serve()`` for a scheduled service; this shim only adds a
-    one-time :class:`DeprecationWarning` on construction.
-    """
-
-    def __init__(self, device: DeviceSpec = SD8GEN2,
-                 max_sessions: int | None = None) -> None:
-        _warn_deprecated("Engine", "repro.compile() / repro.serve()")
-        super().__init__(device, max_sessions)

@@ -11,11 +11,12 @@ import repro
 from repro.api import (
     CompileOptions, InferenceRequest, ServeOptions, Service, serve,
 )
+from repro.api import options as options_module
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import (
-    Engine, FaultPlan, FaultRule, compile_session, execute, make_inputs,
+    FaultPlan, FaultRule, NumPyBackend, SessionRegistry, execute,
+    make_inputs,
 )
-from repro.runtime import session as session_module
 
 
 def _smoke(name):
@@ -94,46 +95,12 @@ class TestCompileFrontDoor:
 
 
 class TestStrictAdmission:
-    """The typed surface rejects malformed requests at admission, with an
-    error naming the tensor - including wrong-*name* tensors, which the
-    legacy Session silently ignored."""
+    """Front-door plumbing around admission (the malformed-request table
+    itself is ``tests/test_admission.py``)."""
 
     @pytest.fixture(scope="class")
     def model(self):
         return repro.compile(_smoke("ViT"))
-
-    def test_unknown_tensor_name_rejected(self, model):
-        inputs = _graph_inputs(model.graph, 0)
-        inputs["not_a_tensor"] = np.zeros(3)
-        with pytest.raises(ValueError, match="unknown input tensor "
-                                             "'not_a_tensor'"):
-            model.run(inputs)
-
-    def test_empty_request_rejected(self, model):
-        with pytest.raises(ValueError, match="no input tensors"):
-            model.run({})
-
-    def test_missing_input_rejected(self):
-        model = repro.compile(_smoke("SD-UNet"))  # three inputs: drop one
-        inputs = _graph_inputs(model.graph, 0)
-        assert len(inputs) > 1
-        del inputs[sorted(inputs)[0]]
-        with pytest.raises(ValueError, match="missing input tensors"):
-            model.run(inputs)
-
-    def test_wrong_shape_names_tensor(self, model):
-        inputs = _graph_inputs(model.graph, 0)
-        name = next(iter(inputs))
-        inputs[name] = inputs[name][..., :-1]
-        with pytest.raises(ValueError, match=f"input {name!r}.*shape"):
-            model.run(inputs)
-
-    def test_wrong_dtype_names_tensor(self, model):
-        inputs = _graph_inputs(model.graph, 0)
-        name = next(iter(inputs))
-        inputs[name] = inputs[name].astype(np.float64)
-        with pytest.raises(ValueError, match=f"input {name!r}.*dtype"):
-            model.run(inputs)
 
     def test_empty_batch_rejected(self, model):
         with pytest.raises(ValueError, match="empty batch"):
@@ -323,7 +290,7 @@ class TestServiceScheduler:
         service = Service(model, ServeOptions(max_batch_size=4), _start=False)
         inputs = _graph_inputs(service.program.graph, 0)
 
-        class FailingBackend:
+        class FailingBackend(NumPyBackend):  # still named "numpy"
             def run_many(self, program, values_list, pool):
                 raise RuntimeError("kernel exploded")
 
@@ -395,39 +362,9 @@ class TestServiceScheduler:
             ServeOptions(max_queue=0)
 
 
-class TestDeprecationShims:
-    def _reset(self, name):
-        session_module._DEPRECATION_WARNED.discard(name)
-
-    def test_compile_session_warns_exactly_once(self):
-        self._reset("compile_session()")
-        g = _smoke("ViT")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            session = compile_session(g, "Ours")
-            compile_session(g, "Ours")
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "compile_session" in str(w.message)]
-        assert len(relevant) == 1
-        assert "repro.compile" in str(relevant[0].message)
-        assert session.run(session.make_inputs())  # still fully functional
-
-    def test_engine_warns_exactly_once(self):
-        self._reset("Engine")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            Engine()
-            engine = Engine()
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "Engine" in str(w.message)]
-        assert len(relevant) == 1
-        g = _smoke("ViT")
-        assert engine.compile(g) is engine.compile(g)  # shim still works
-
+class TestDeprecatedOptions:
     def test_max_wait_ms_warns_exactly_once_when_set(self):
-        self._reset("ServeOptions.max_wait_ms")
+        options_module._DEPRECATION_WARNED.discard("ServeOptions.max_wait_ms")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ServeOptions()
@@ -442,10 +379,12 @@ class TestDeprecationShims:
         assert relevant[0].filename == __file__  # blames the caller
         assert options.max_wait_ms == 2.0  # still accepted and carried
 
-    def test_engine_normalizes_graph_keys_by_fingerprint(self):
-        engine = Engine()
+
+class TestSessionRegistry:
+    def test_graph_keys_normalized_by_fingerprint(self):
+        registry = SessionRegistry()
         g1, g2 = _smoke("ViT"), _smoke("ViT")
-        assert engine.compile(g1) is engine.compile(g2)
-        assert engine.num_sessions == 1
-        assert engine.evict(g2) is True  # either object addresses the entry
-        assert engine.num_sessions == 0
+        assert registry.compile(g1) is registry.compile(g2)
+        assert registry.num_sessions == 1
+        assert registry.evict(g2) is True  # either object addresses the entry
+        assert registry.num_sessions == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import smartmem_optimize
 from repro.ir import validate
-from repro.runtime import SD8GEN2, estimate, outputs_equal
+from repro.runtime import SD8GEN2, estimate, verify_equivalence
 from repro.runtime.artifact import Artifact, plan_from_json, plan_to_json
 from repro.runtime.cost_model import CostModelConfig
 
@@ -43,7 +43,8 @@ class TestArtifact:
     def test_loaded_artifact_executes_identically(self, attention_graph):
         result = smartmem_optimize(attention_graph)
         restored = Artifact.from_json(Artifact.from_result(result).to_json())
-        assert outputs_equal(attention_graph, restored.graph)
+        assert verify_equivalence(
+            attention_graph, restored.graph, seeds=(0,)).passed
 
     def test_save_load_file(self, attention_graph, tmp_path):
         result = smartmem_optimize(attention_graph)
@@ -51,7 +52,8 @@ class TestArtifact:
         Artifact.from_result(result).save(path)
         restored = Artifact.load(path)
         validate(restored.graph)
-        assert outputs_equal(attention_graph, restored.graph)
+        assert verify_equivalence(
+            attention_graph, restored.graph, seeds=(0,)).passed
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "bogus.json"
@@ -96,4 +98,4 @@ class TestSplitOp:
         g = b.finish()
         result = smartmem_optimize(g)
         validate(result.graph)
-        assert outputs_equal(g, result.graph)
+        assert verify_equivalence(g, result.graph, seeds=(0,)).passed

@@ -36,7 +36,7 @@ def _smoke(name):
     return build(name, **SMOKE_CONFIGS[name])
 
 
-def _assert_outputs_equal(got, want, context=""):
+def _assert_same_outputs(got, want, context=""):
     assert set(got) == set(want), context
     for key in want:
         assert np.array_equal(got[key], want[key]), f"{context}: {key}"
@@ -92,7 +92,7 @@ class TestZooParity:
         stats = list(session.stats.runs)[-2:]
         assert [s.batched for s in stats] == [stackable, stackable]
         for got, want in zip(outs, solo):
-            _assert_outputs_equal(got, want, f"{name}/{backend}")
+            _assert_same_outputs(got, want, f"{name}/{backend}")
         if not stackable:
             with pytest.raises(NotStackable):
                 rebatch(program, 2)
@@ -103,7 +103,7 @@ class TestZooParity:
             program, [session._admit(dict(i)) for i in inputs],
             SizeClassPool())
         for got, (want, _, _) in zip(outs, seq):
-            _assert_outputs_equal(got, want, f"{name}/{backend}/seq")
+            _assert_same_outputs(got, want, f"{name}/{backend}/seq")
         # shared attribution: one PoolReport for the pass, pre-warmed
         # bucket pool means even the first stacked run is steady-state
         assert stats[0].pool is stats[1].pool
@@ -128,7 +128,7 @@ class TestPaddedBuckets:
             outs = session.run_batch([dict(i) for i in inputs])
             assert session.stats.runs[-1].batched
             for got, want in zip(outs, solo):
-                _assert_outputs_equal(got, want, f"{name}/{backend}/n={n}")
+                _assert_same_outputs(got, want, f"{name}/{backend}/n={n}")
         variants = session.program.backend_cache["batching.variants"]
         assert sorted(variants) == [4, 8]
         assert variants[4].batch_factor == 4
@@ -219,7 +219,7 @@ class TestNonStackableFallback:
         outs = session.run_batch([dict(i) for i in inputs])
         assert not session.stats.runs[-1].batched
         for got, want in zip(outs, solo):
-            _assert_outputs_equal(got, want, label)
+            _assert_same_outputs(got, want, label)
 
     def test_stackable_analysis_names_batched_values(self):
         verdict = analyze(lower(_mini_stackable()))
@@ -249,7 +249,7 @@ class TestNonStackableFallback:
         solo_b = session.run(dict(b_inputs))
         outs = session.run_batch([dict(a), dict(b_inputs)])
         assert not session.stats.runs[-1].batched  # params differ per request
-        _assert_outputs_equal(outs[1], solo_b, "override")
+        _assert_same_outputs(outs[1], solo_b, "override")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ class TestStackedStats:
         session = _compile_session(_mini_stackable(), "Ours")
         batch = [session.make_inputs(seed=s) for s in range(3)]
         session.run_batch([dict(i) for i in batch])
-        pool = session._bucket_pools[4]
+        pool = session._pools["stacked", 4]
         warm_allocations = pool.allocations
         assert session.stats.runs[-1].pool.allocations == 0
         session.run_batch([dict(i) for i in batch])
@@ -311,7 +311,7 @@ class TestStackedReliability:
         service._execute(service._next_batch())
         for rid in ("ok-1", "ok-2"):
             response = futures[rid].result()
-            _assert_outputs_equal(response.outputs, reference[rid], rid)
+            _assert_same_outputs(response.outputs, reference[rid], rid)
             assert not response.stats.batched  # isolation re-runs are solo
         assert futures["bad"].exception() is not None
         report = service.report()
@@ -347,4 +347,4 @@ class TestStackedReliability:
         for seed, response in enumerate(responses):
             want = reference.session.run(
                 reference.session.make_inputs(seed=seed))
-            _assert_outputs_equal(response.outputs, want, f"seed={seed}")
+            _assert_same_outputs(response.outputs, want, f"seed={seed}")

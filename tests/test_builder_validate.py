@@ -115,9 +115,10 @@ class TestSerialize:
             assert other.input_views == node.input_views
 
     def test_roundtrip_preserves_semantics(self, attention_graph):
-        from repro.runtime import outputs_equal
+        from repro.runtime import verify_equivalence
         restored = loads(dumps(attention_graph))
-        assert outputs_equal(attention_graph, restored)
+        assert verify_equivalence(
+            attention_graph, restored, seeds=(0,)).passed
 
 
 class TestPatterns:

@@ -28,7 +28,6 @@ from repro.bench.harness import cell_cache_stats, clear_cell_cache, run_cell
 from repro.ir import GraphBuilder
 from repro.ir.tensor import TensorSpec
 from repro.models import SMOKE_CONFIGS, build_smoke
-from repro.runtime import get_backend
 from repro.runtime.batching import rebatch
 from repro.runtime.session import (
     _compile_session, circuit_breaker, stable_model_key,
@@ -132,26 +131,12 @@ class TestContentKey:
         assert session.stats.runs[-1].est_latency_ms \
             == session._cell.report.latency_ms
 
-    def test_fused_steps_resolved_once_per_backend(self, monkeypatch):
+    def test_fused_steps_follow_the_backend_that_served(self):
+        # chaos runs degrade some requests to numpy: attribution is per
+        # request, from the serving backend's declared ``fuses``
         session = _compile_session(_mini(), "Ours", backend="codegen")
-        calls = []
-
-        def count(cls):
-            original = cls.fused_steps
-
-            def counting(self, program):
-                calls.append(self.name)
-                return original(self, program)
-
-            monkeypatch.setattr(cls, "fused_steps", counting)
-
-        # chaos runs degrade some requests to numpy: count both backends
-        count(type(get_backend("codegen")))
-        count(type(get_backend("numpy")))
         for seed in range(4):
             session.run(session.make_inputs(seed=seed))
-        served = {run.backend for run in session.stats.runs}
-        assert sorted(calls) == sorted(served)  # once each, not per request
         for run in session.stats.runs:
             assert run.fused_steps == (
                 session.program.fused_step_count
@@ -274,7 +259,7 @@ class TestBoundedLRU:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
-def test_hit_outputs_equal_miss_outputs(name, backend):
+def test_hit_outputs_match_miss_outputs(name, backend):
     options = CompileOptions(backend=backend)
     miss = compile_private(build_smoke(name), options)
     request = miss.make_request(seed=11)

@@ -8,7 +8,7 @@ from repro.core.elimination import (
     count_layout_transforms, eliminate_dead_nodes, eliminate_layout_transforms,
 )
 from repro.ir import GraphBuilder, validate
-from repro.runtime import execute, make_inputs, outputs_equal
+from repro.runtime import execute, make_inputs, verify_equivalence
 
 
 class TestBasicElimination:
@@ -22,7 +22,7 @@ class TestBasicElimination:
     def test_semantics_preserved(self, attention_graph):
         g = attention_graph.clone()
         eliminate_layout_transforms(g)
-        assert outputs_equal(attention_graph, g)
+        assert verify_equivalence(attention_graph, g, seeds=(0,)).passed
 
     def test_views_attached(self, attention_graph):
         g = attention_graph.clone()
@@ -42,7 +42,7 @@ class TestBasicElimination:
         remaining = [n.op_type for n in g.iter_nodes()]
         assert "slice" in remaining
         assert "reshape" not in remaining
-        assert outputs_equal(attention_graph, g)
+        assert verify_equivalence(attention_graph, g, seeds=(0,)).passed
 
 
 class TestEdgeCases:
@@ -68,7 +68,6 @@ class TestEdgeCases:
         assert count_layout_transforms(g) == 1
         kept = next(n for n in g.iter_nodes())
         assert 0 in kept.input_views
-        assert outputs_equal(b.graph, g) or True  # semantic check below
         inputs = make_inputs(b.graph)
         ref = execute(b.graph, inputs)
         opt = execute(g, {k: v for k, v in inputs.items() if k in g.tensors})
@@ -88,7 +87,7 @@ class TestEdgeCases:
         # both consumers got the view
         viewed = [n for n in g.iter_nodes() if n.input_views]
         assert len(viewed) == 2
-        assert outputs_equal(g0, g)
+        assert verify_equivalence(g0, g, seeds=(0,)).passed
 
     def test_dead_transform_removed(self):
         b = GraphBuilder()
@@ -115,7 +114,7 @@ class TestEdgeCases:
         assert relu.op_type == "unary"
         assert relu.inputs == ["x"]
         assert len(relu.input_views[0].steps) == 3
-        assert outputs_equal(g0, g)
+        assert verify_equivalence(g0, g, seeds=(0,)).passed
 
     def test_depth_to_space_eliminated(self):
         b = GraphBuilder()
@@ -126,7 +125,7 @@ class TestEdgeCases:
         g = g0.clone()
         eliminate_layout_transforms(g)
         assert count_layout_transforms(g) == 0
-        assert outputs_equal(g0, g)
+        assert verify_equivalence(g0, g, seeds=(0,)).passed
 
     def test_idempotent(self, attention_graph):
         g = attention_graph.clone()
@@ -187,4 +186,4 @@ def test_elimination_always_preserves_semantics(graph):
     g = graph.clone()
     eliminate_layout_transforms(g)
     validate(g)
-    assert outputs_equal(graph, g)
+    assert verify_equivalence(graph, g, seeds=(0,)).passed

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import PipelineStages, smartmem_optimize
 from repro.ir import GraphBuilder, validate
-from repro.runtime import execute, make_inputs, outputs_equal
+from repro.runtime import execute, make_inputs, verify_equivalence
 
 
 class TestExecutor:
@@ -36,12 +36,12 @@ class TestExecutor:
         for name, value in out.items():
             assert tuple(value.shape) == linear_graph.shape(name)
 
-    def test_outputs_equal_detects_difference(self, linear_graph):
+    def test_verification_detects_difference(self, linear_graph):
         g = linear_graph.clone()
         # perturb: swap relu for sigmoid
         node = next(n for n in g.iter_nodes() if n.op_type == "unary")
         node.attrs["func"] = "sigmoid"
-        assert not outputs_equal(linear_graph, g)
+        assert not verify_equivalence(linear_graph, g, seeds=(0,)).passed
 
     def test_interior_constant_materialized(self):
         """A const_value tensor that is neither a parameter nor a graph
@@ -92,7 +92,7 @@ class TestPipelineEndToEnd:
         graph = request.getfixturevalue(fixture)
         result = smartmem_optimize(graph)
         validate(result.graph)
-        assert outputs_equal(graph, result.graph)
+        assert verify_equivalence(graph, result.graph, seeds=(0,)).passed
 
     def test_operator_count_drops(self, attention_graph):
         result = smartmem_optimize(attention_graph)
@@ -111,8 +111,9 @@ class TestPipelineEndToEnd:
             attention_graph, PipelineStages(fusion=False))
         assert no_fuse.operator_count >= smartmem_optimize(
             attention_graph).operator_count
-        assert outputs_equal(attention_graph, no_lte.graph)
-        assert outputs_equal(attention_graph, no_fuse.graph)
+        for ablated in (no_lte, no_fuse):
+            assert verify_equivalence(
+                attention_graph, ablated.graph, seeds=(0,)).passed
 
     def test_stage_monotonicity(self, attention_graph):
         """Each stage never increases the operator count."""
@@ -132,7 +133,8 @@ class TestPipelineEndToEnd:
         from repro.ir import MemoryKind
         assert all(l.memory is MemoryKind.BUFFER_1D
                    for l in result.plan.layouts.values())
-        assert outputs_equal(attention_graph, result.graph)
+        assert verify_equivalence(
+            attention_graph, result.graph, seeds=(0,)).passed
 
     def test_source_graph_untouched(self, attention_graph):
         before_nodes = set(attention_graph.nodes)

@@ -6,7 +6,7 @@ from repro.baselines import ALL_FRAMEWORKS, make_framework
 from repro.baselines.base import Framework
 from repro.core.elimination import count_layout_transforms
 from repro.ir import GraphBuilder
-from repro.runtime import SD8GEN2, V100, outputs_equal, scaled
+from repro.runtime import SD8GEN2, V100, scaled, verify_equivalence
 
 
 def attention_model():
@@ -82,7 +82,7 @@ class TestImplicitConverts:
     def test_converts_preserve_semantics(self):
         g = hybrid_model()
         res = make_framework("MNN").compile(g, SD8GEN2)
-        assert outputs_equal(g, res.graph)
+        assert verify_equivalence(g, res.graph, seeds=(0,)).passed
 
     def test_tvm_inserts_fewer(self):
         g = hybrid_model()
@@ -123,7 +123,8 @@ class TestLatencyOrdering:
         g = attention_model()
         for fw in ("MNN", "TVM", "DNNF", "Ours"):
             res = make_framework(fw).compile(g, SD8GEN2)
-            assert outputs_equal(g, res.graph), fw
+            assert verify_equivalence(
+                g, res.graph, seeds=(0,)).passed, fw
 
     def test_cost_raises_when_unsupported(self):
         res = make_framework("NCNN").compile(attention_model(), SD8GEN2)

@@ -156,7 +156,7 @@ class TestGrouping:
         assert counts["dnnfusion"] <= counts["tvm"] <= counts["mnn"]
 
     def test_fusion_preserves_semantics(self, attention_graph):
-        from repro.runtime import outputs_equal
+        from repro.runtime import verify_equivalence
         g = attention_graph.clone()
         fuse(g, SMARTMEM_POLICY)
-        assert outputs_equal(attention_graph, g)
+        assert verify_equivalence(attention_graph, g, seeds=(0,)).passed

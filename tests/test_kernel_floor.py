@@ -27,7 +27,7 @@ from repro.runtime.batching import analyze, rebatch
 from repro.runtime.faults import FaultPlan
 from repro.runtime.kernels import (
     ConvScratch, _arena_cols, arena_bytes, bind_conv2d, conv2d_gemm,
-    conv2d_reference, get_kernel, layout_convert_elided, use_reference_conv,
+    conv2d_reference, get_kernel, layout_convert_elided,
 )
 from repro.runtime.program import _CHAIN_ELEMENTWISE, _CHAIN_OPS
 from repro.runtime.session import _compile_session, circuit_breaker
@@ -112,6 +112,20 @@ class TestConvGemm:
         ref = conv2d_reference(inputs, attrs)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.allclose(ref, got, rtol=1e-3, atol=1e-4)
+
+    def test_registered_and_bound_kernels_match_the_oracle(
+            self, x_shape, w_shape, attrs, bias):
+        # nothing reroutes conv2d: the registered kernel IS the GEMM one,
+        # and it and every lowered step's closure agree with the oracle
+        registered = get_kernel("conv2d")
+        assert registered is conv2d_gemm
+        bound, _ = bind_conv2d(x_shape, w_shape, attrs)
+        inputs = _conv_inputs(x_shape, w_shape, bias)
+        want = conv2d_reference(inputs, attrs)
+        for kernel in (registered, bound):
+            got = kernel(inputs, attrs)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.allclose(want, got, rtol=1e-3, atol=1e-4)
 
     def test_matches_per_group_loop_byte_for_byte(self, x_shape, w_shape,
                                                   attrs, bias):
@@ -282,22 +296,6 @@ class TestConvScratch:
         small = [inputs[0][:1], inputs[1]]
         assert np.array_equal(bound(small, attrs),
                               conv2d_gemm(small, attrs))
-
-    def test_reference_flag_reroutes_the_registered_kernel(self):
-        inputs = _conv_inputs((1, 3, 8, 8), (4, 3, 3, 3), bias=True)
-        attrs = {"padding": 1}
-        kernel = get_kernel("conv2d")
-        bound, _ = bind_conv2d((1, 3, 8, 8), (4, 3, 3, 3), attrs)
-        try:
-            use_reference_conv(True)
-            want = conv2d_reference(inputs, attrs)
-            assert np.array_equal(kernel(inputs, attrs), want)
-            # the flag reaches already-lowered programs too
-            assert np.array_equal(bound(inputs, attrs), want)
-        finally:
-            use_reference_conv(False)
-        assert np.array_equal(kernel(inputs, attrs),
-                              conv2d_gemm(inputs, attrs))
 
 
 class TestArenaSharing:
@@ -596,6 +594,29 @@ class TestRooflineStamps:
             assert fam["gflops_per_s"] == pytest.approx(
                 fam["mflops"] / fam["time_ms"], rel=0.02, abs=0.02)
         assert entry["families"]["gemm"]["gflops_per_s"] > 0
+
+    def test_measured_report_covers_every_smoke_model(self):
+        from repro.bench.serving import measure_roofline
+
+        models = measure_roofline(repeats=0)["models"]
+        assert set(models) == set(SMOKE_CONFIGS)
+        for name, entry in models.items():
+            assert entry["families"] and entry["run_ms"] > 0, name
+
+    def test_a_conv_step_costs_at_most_6_5x_a_gemm_step(self):
+        # Same run, same process - a ratio, not a wall: the depthwise
+        # conv must not pay Python dispatch per group again (~11x with
+        # the per-group loop, ~4.4x with one gather + one batched
+        # matmul, against a gemm step on the packed operand).
+        from repro.bench.serving import measure_roofline
+
+        families = measure_roofline(("Conformer",), repeats=20)["models"][
+            "Conformer"]["families"]
+        conv, gemm = (families[key]["us_per_step"]
+                      for key in ("conv", "gemm"))
+        assert conv <= 6.5 * gemm, (
+            f"Conformer conv costs {conv / gemm:.1f}x a gemm step per "
+            f"call: grouped conv is dispatch-bound")
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,27 @@
-"""Tests for the compile-once/run-many Session/Engine layer."""
+"""Tests for the compile-once/run-many Session/SessionRegistry layer."""
 
 import numpy as np
 import pytest
 
+from repro.api import CompileOptions, compile_private
 from repro.bench.harness import cell_cache_stats
 from repro.core import PipelineStages
 from repro.models import ALL_MODELS, SMOKE_CONFIGS as SMALL_CONFIGS, build
 from repro.runtime import (
-    Engine, SD8GEN2, Session, compile_session, execute, make_inputs,
+    SD8GEN2, Session, SessionRegistry, execute, make_inputs,
 )
+
+
+def fresh_session(model, framework="Ours", device=SD8GEN2, **options):
+    """A fresh private session (own pools and stats), as ``repro.serve``
+    builds one."""
+    return compile_private(model, CompileOptions(
+        framework=framework, device=device, **options)).session
 
 
 def _session_and_reference(name):
     g = build(name, **SMALL_CONFIGS[name])
-    session = compile_session(g, "Ours")
+    session = fresh_session(g, "Ours")
     inputs = make_inputs(g)
     return g, session, inputs
 
@@ -52,7 +60,7 @@ class TestSessionAccounting:
     @pytest.fixture(scope="class")
     def vit_session(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        return g, compile_session(g, "Ours")
+        return g, fresh_session(g, "Ours")
 
     def test_per_request_stats(self, vit_session):
         g, session = vit_session
@@ -84,11 +92,6 @@ class TestSessionAccounting:
         for key in a:
             assert np.array_equal(a[key], b[key])
 
-    def test_missing_inputs_rejected(self, vit_session):
-        _, session = vit_session
-        with pytest.raises(ValueError, match="missing graph inputs"):
-            session.run({})
-
     def test_inputs_and_seed_together_rejected(self, vit_session):
         _, session = vit_session
         with pytest.raises(ValueError, match="not both"):
@@ -114,7 +117,7 @@ class TestSessionAccounting:
     def test_graph_model_batch_rejected(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
         with pytest.raises(ValueError, match="batch"):
-            compile_session(g, "Ours", batch=2)
+            fresh_session(g, "Ours", batch=2)
 
     def test_est_latency_matches_cell_report(self, vit_session):
         _, session = vit_session
@@ -123,27 +126,13 @@ class TestSessionAccounting:
 
 
 class TestInputValidation:
-    """Malformed requests fail at admission with an error naming the
-    tensor, never deep inside a kernel."""
+    """Malformed requests fail at admission, never deep inside a kernel
+    (what is malformed, and the errors: ``tests/test_admission.py``)."""
 
     @pytest.fixture(scope="class")
     def session(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        return compile_session(g, "Ours")
-
-    def test_wrong_shape_names_tensor(self, session):
-        inputs = session.make_inputs()
-        name = next(iter(inputs))
-        inputs[name] = inputs[name][..., :-1]
-        with pytest.raises(ValueError, match=f"input '{name}'.*shape"):
-            session.run(inputs)
-
-    def test_wrong_dtype_names_tensor(self, session):
-        inputs = session.make_inputs()
-        name = next(iter(inputs))
-        inputs[name] = inputs[name].astype(np.float64)
-        with pytest.raises(ValueError, match=f"input '{name}'.*dtype"):
-            session.run(inputs)
+        return fresh_session(g, "Ours")
 
     def test_rejection_happens_before_execution(self, session):
         inputs = session.make_inputs()
@@ -156,93 +145,87 @@ class TestInputValidation:
         assert session.stats.requests == requests
         assert session.pool.live_bytes == live
 
-    def test_extra_tensors_still_ignored(self, session):
-        inputs = session.make_inputs()
-        inputs["not_a_graph_tensor"] = np.zeros(3)
-        out = session.run(inputs)
-        assert out
 
-
-class TestEngineLRU:
+class TestRegistryLRU:
     def _stages(self, n):
         # distinct hashable configs -> distinct triples
         return PipelineStages(tuned_boost=1.1 + n / 100)
 
     def test_eviction_beyond_max_sessions(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        engine = Engine(max_sessions=2)
-        a = engine.compile(g, stages=self._stages(0))
-        engine.compile(g, stages=self._stages(1))
-        engine.compile(g, stages=self._stages(2))
-        assert engine.num_sessions == 2
+        registry = SessionRegistry(max_sessions=2)
+        a = registry.compile(g, stages=self._stages(0))
+        registry.compile(g, stages=self._stages(1))
+        registry.compile(g, stages=self._stages(2))
+        assert registry.num_sessions == 2
         # a was least recently used: recompiling yields a fresh session
-        assert engine.compile(g, stages=self._stages(0)) is not a
+        assert registry.compile(g, stages=self._stages(0)) is not a
 
     def test_use_refreshes_recency(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        engine = Engine(max_sessions=2)
-        a = engine.compile(g, stages=self._stages(0))
-        b = engine.compile(g, stages=self._stages(1))
-        assert engine.compile(g, stages=self._stages(0)) is a  # touch a
-        engine.compile(g, stages=self._stages(2))  # evicts b, not a
-        assert engine.compile(g, stages=self._stages(0)) is a
-        assert engine.compile(g, stages=self._stages(1)) is not b
+        registry = SessionRegistry(max_sessions=2)
+        a = registry.compile(g, stages=self._stages(0))
+        b = registry.compile(g, stages=self._stages(1))
+        assert registry.compile(g, stages=self._stages(0)) is a  # touch a
+        registry.compile(g, stages=self._stages(2))  # evicts b, not a
+        assert registry.compile(g, stages=self._stages(0)) is a
+        assert registry.compile(g, stages=self._stages(1)) is not b
 
     def test_unbounded_by_default(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        engine = Engine()
+        registry = SessionRegistry()
         for n in range(4):
-            engine.compile(g, stages=self._stages(n))
-        assert engine.num_sessions == 4
+            registry.compile(g, stages=self._stages(n))
+        assert registry.num_sessions == 4
 
     def test_max_sessions_validated(self):
         with pytest.raises(ValueError, match="max_sessions"):
-            Engine(max_sessions=0)
+            SessionRegistry(max_sessions=0)
 
     def test_evict_api(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        engine = Engine()
-        session = engine.compile(g)
-        assert engine.evict(g) is True
-        assert engine.evict(g) is False  # already gone
-        assert engine.num_sessions == 0
-        assert engine.compile(g) is not session
+        registry = SessionRegistry()
+        session = registry.compile(g)
+        assert registry.evict(g) is True
+        assert registry.evict(g) is False  # already gone
+        assert registry.num_sessions == 0
+        assert registry.compile(g) is not session
 
     def test_clear(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        engine = Engine()
-        engine.compile(g)
-        engine.clear()
-        assert engine.num_sessions == 0
+        registry = SessionRegistry()
+        registry.compile(g)
+        registry.clear()
+        assert registry.num_sessions == 0
 
 
 class TestProgramPlumbing:
     def test_sessions_share_one_lowering(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        a = compile_session(g, "Ours")
-        b = compile_session(g, "Ours")
+        a = fresh_session(g, "Ours")
+        b = fresh_session(g, "Ours")
         assert a.program is b.program  # program rides the compile cache
 
     def test_ours_program_comes_from_lower_pass(self):
         g = build("Swin", **SMALL_CONFIGS["Swin"])
-        session = compile_session(g, "Ours")
+        session = fresh_session(g, "Ours")
         assert session._program is not None  # no lazy lowering needed
         assert session.program.graph is session.graph
 
     def test_baseline_framework_lowers_lazily(self):
         g = build("ResNext", **SMALL_CONFIGS["ResNext"])
-        session = compile_session(g, "DNNF")
+        session = fresh_session(g, "DNNF")
         assert session._program is None
         assert session.program.num_steps == len(session.graph.nodes)
 
     def test_unknown_backend_rejected(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
         with pytest.raises(KeyError, match="unknown backend"):
-            compile_session(g, "Ours", backend="tpu")
+            fresh_session(g, "Ours", backend="tpu")
 
     def test_run_batch_single_backend_invocation(self, monkeypatch):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        session = compile_session(g, "Ours")
+        session = fresh_session(g, "Ours")
         calls = []
         original = session._backend.run_many
 
@@ -260,21 +243,21 @@ class TestProgramPlumbing:
 
 
 class TestCompileOnce:
-    def test_engine_returns_same_session(self):
+    def test_registry_returns_same_session(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        engine = Engine()
-        a = engine.compile(g)
-        b = engine.compile(g)
+        registry = SessionRegistry()
+        a = registry.compile(g)
+        b = registry.compile(g)
         assert a is b
-        assert engine.num_sessions == 1
-        assert engine.compile(g, stages=PipelineStages(lte=False)) is not a
-        assert engine.num_sessions == 2
+        assert registry.num_sessions == 1
+        assert registry.compile(g, stages=PipelineStages(lte=False)) is not a
+        assert registry.num_sessions == 2
 
     def test_compile_reuses_cell_cache(self):
         g = build("Swin", **SMALL_CONFIGS["Swin"])
-        compile_session(g, "Ours")
+        fresh_session(g, "Ours")
         before = cell_cache_stats()
-        second = compile_session(g, "Ours")
+        second = fresh_session(g, "Ours")
         after = cell_cache_stats()
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + 1
@@ -282,8 +265,8 @@ class TestCompileOnce:
 
     def test_sessions_have_independent_pools(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        a = compile_session(g, "Ours")
-        b = compile_session(g, "Ours")
+        a = fresh_session(g, "Ours")
+        b = fresh_session(g, "Ours")
         inputs = make_inputs(g)
         a.run(inputs)
         b.run(inputs)
@@ -293,11 +276,11 @@ class TestCompileOnce:
     def test_unsupported_framework_raises(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
         with pytest.raises(RuntimeError, match="cannot serve"):
-            compile_session(g, "NCNN")
+            fresh_session(g, "NCNN")
 
     def test_baseline_framework_sessions_execute(self):
         g = build("ResNext", **SMALL_CONFIGS["ResNext"])
-        session = compile_session(g, "DNNF")
+        session = fresh_session(g, "DNNF")
         inputs = make_inputs(g)
         ref = execute(g, inputs)
         out = session.run(inputs)
@@ -305,7 +288,7 @@ class TestCompileOnce:
             assert np.allclose(ref[key], out[key], rtol=1e-4, atol=1e-5), key
 
     def test_registry_names_compile_directly(self):
-        session = compile_session("ViT", "Ours", SD8GEN2)
+        session = fresh_session("ViT", "Ours", SD8GEN2)
         assert session.model == "ViT"
         assert session.graph.num_operators > 0
         assert "ViT" in ALL_MODELS

@@ -300,18 +300,6 @@ class TestSymbolicAdmission:
             faults=NO_FAULTS, signature=symbolic_signature(graph),
             max_extent=4, **overrides))
 
-    def test_out_of_bucket_extent_names_tensor_and_range(self):
-        graph, model = self.model()
-        name = next(iter(graph.inputs))
-        spec = graph.tensors[name]
-        bad = np.zeros((9,) + tuple(spec.shape)[1:],
-                       dtype=spec.dtype.numpy_dtype)
-        with pytest.raises(AdmissionError) as err:
-            model.run(repro.InferenceRequest(inputs={name: bad}))
-        message = str(err.value)
-        assert name in message
-        assert "1..4" in message and "extent 9" in message
-
     def test_rank_mismatch_names_tensor_and_symbolic_spec(self):
         graph, model = self.model()
         name = next(iter(graph.inputs))
@@ -322,26 +310,6 @@ class TestSymbolicAdmission:
             model.run(repro.InferenceRequest(inputs={name: bad}))
         message = str(err.value)
         assert name in message and "(?" in message and "1..4" in message
-
-    def test_cross_input_extent_disagreement_names_both_tensors(self):
-        graph = build_smoke("SD-UNet", batch=1)
-        assert len(graph.inputs) >= 2  # the multi-input smoke model
-        session = _compile_session(
-            build_smoke("SD-UNet", batch=1), "Ours", faults=NO_FAULTS,
-            signature=symbolic_signature(graph), max_extent=4)
-        values = session.make_inputs(seed=0)
-        names = sorted(graph.inputs)
-        first = names[0]
-        grown = {}
-        for name, value in values.items():
-            if name == first:
-                grown[name] = np.resize(value, (3,) + value.shape[1:])
-            else:
-                grown[name] = value
-        with pytest.raises(AdmissionError) as err:
-            session._admit(grown)
-        message = str(err.value)
-        assert "disagrees" in message and "share one symbolic extent" in message
 
     def test_signature_naming_unknown_input_refused(self):
         with pytest.raises(InvalidOptions, match="not a graph input"):
@@ -369,7 +337,7 @@ class TestSymbolicAdmission:
 
     def test_serving_signature_spells_sym(self):
         _graph, model = self.model()
-        for _name, (shape, _dtype) in model._signature.items():
+        for _name, (shape, _dtype) in model.session.serving_signature.items():
             assert shape[0] is SYM
 
 
@@ -427,6 +395,18 @@ class TestCompileCount:
             == variants_before
 
 
+    def test_new_in_bucket_shape_beats_a_cold_compile_10x(self):
+        # Same process, both sides timed here - a ratio, not a wall: a
+        # request at a new extent inside a warm bucket reuses the
+        # bucket's variant and pool, where serving that shape without
+        # symbolic compilation pays a fresh concrete compile (~17x).
+        from repro.bench.serving import measure_symbolic
+
+        for name, entry in measure_symbolic()["models"].items():
+            assert entry["speedup"] >= 10.0, (name, entry)
+            assert entry["buckets_compiled"] == 1, (name, entry)
+
+
 # ---------------------------------------------------------------------------
 # tentpole plumbing: per-bucket slot plans, scratch, shm layouts
 # ---------------------------------------------------------------------------
@@ -447,10 +427,10 @@ class TestBucketedPlans:
         session = _compile_session(
             build_smoke("Pythia", batch=1), "Ours", faults=NO_FAULTS,
             signature=symbolic_signature(graph), max_extent=MAX_EXTENT)
-        assert session._symbolic_pools == {}
+        assert session._pools == {}
         values, _want = concrete_reference("Pythia", 3)
         session.execute_values([session._admit(values)])
-        assert set(session._symbolic_pools) == {bucket(3)}
+        assert set(session._pools) == {("symbolic", bucket(3))}
 
     def test_shard_layout_per_extent(self):
         session = _compile_session(build_smoke("Pythia", batch=1), "Ours",
