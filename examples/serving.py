@@ -30,7 +30,7 @@ request = model.make_request(seed=0)
 response = model.run(request)
 print(f"\nrun: outputs={sorted(response.outputs)}  "
       f"wall={response.stats.wall_s * 1e3:.3f} ms  "
-      f"pool allocations={response.stats.pool.allocations}")
+      f"planned peak={response.stats.pool.peak_bytes} B")
 
 # 3. Malformed requests fail at admission with an error naming the
 #    tensor - including wrong-*name* tensors, never deep inside a kernel.

@@ -23,8 +23,8 @@ _EPILOG = """\
 other entry points:
   python -m repro.bench all              regenerate the paper tables/figures
   python -m repro.bench --all --timings  + perf trajectory (BENCH_pipeline.json:
-                                         pass timings, serving walls, backend
-                                         comparison, scheduler throughput)
+                                         pass timings, serve.roofline,
+                                         serve.symbolic)
   repro.compile / repro.serve            typed serving API (compile once, run
                                          many; micro-batching scheduler) - see
                                          the README quickstart

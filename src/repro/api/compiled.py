@@ -10,7 +10,7 @@ wrong-*name* tensor fails as loudly as a wrong-shape one.
 
 ``compile()`` fronts a process-wide :class:`SessionRegistry` keyed on
 graph content fingerprints: recompiling a structurally identical user
-graph returns the same live session (and its warmed pool).  Underneath,
+graph returns the same live session (and its statistics).  Underneath,
 the compile caches use the same content key, so even a *private* session
 (:func:`compile_private`, :func:`repro.serve`) of a known graph reuses
 its lowered program, ``backend_cache``, read-only parameters and cost
@@ -34,7 +34,7 @@ from .options import CompileOptions, merge_options
 _REGISTRY = SessionRegistry(max_sessions=64)
 """Process-wide session cache behind :func:`compile`, LRU-bounded so a
 long-lived server compiling many distinct triples cannot grow sessions
-(graphs, materialized parameters, pools) without bound."""
+(graphs, materialized parameters) without bound."""
 
 
 def session_cache() -> SessionRegistry:
@@ -49,7 +49,8 @@ class CompiledModel:
     :meth:`run` serves one :class:`~repro.api.InferenceRequest` and
     returns an :class:`~repro.api.InferenceResponse` carrying the named
     outputs plus per-request :class:`~repro.runtime.session.RunStats`
-    (wall time, estimated on-device latency, pool delta);
+    (wall time, estimated on-device latency, the plan's static pool
+    report);
     :meth:`run_batch` serves a list through **one** backend invocation.
     Admission is strict - see :meth:`admit`.  Introspection:
     :attr:`input_signature` (the admission spec), :attr:`program` (the
@@ -58,8 +59,8 @@ class CompiledModel:
 
     Not thread-safe: concurrent callers should go through
     :func:`repro.serve`, whose scheduler owns a private session
-    (private pools and stats; the program and parameters are shared,
-    read-only, with every session compiled from the same content).
+    (private stats; the program and parameters are shared, read-only,
+    with every session compiled from the same content).
     """
 
     def __init__(self, session: Session) -> None:
@@ -69,7 +70,7 @@ class CompiledModel:
 
     @property
     def session(self) -> Session:
-        """The underlying execution session (pool, stats, program)."""
+        """The underlying execution session (stats, program)."""
         return self._session
 
     @property
@@ -161,7 +162,7 @@ def compile(model: str | Graph, options: CompileOptions | None = None,
     compile-once/run-many contract holds at process scope: sessions are
     cached on the model's content fingerprint plus the options, so
     repeated compiles - including of a *rebuilt but identical* graph -
-    return the same live session and its warmed pool.
+    return the same live session and its statistics.
 
     Arguments:
         model: a catalog name (``"Pythia"``, see
@@ -209,15 +210,15 @@ def compile_private(model: str | Graph,
     """A CompiledModel over a *private* session (no registry).
 
     Used by :func:`repro.serve`: a service's worker thread must own its
-    pool exclusively, so it never shares a session with direct callers.
-    "Private" means what is per session - pools, bucket/symbolic pools,
-    stats, fault injector, worker pool.  What is a function of graph
-    content - the lowered program and its ``backend_cache`` (runners,
-    batch variants, codegen module), the parameters (read-only arrays)
-    and the cost report - comes from the content-addressed compile
-    cache and is shared with every other session of the same model, so
-    re-serving a known graph (by name or as a structurally identical
-    rebuilt :class:`~repro.ir.graph.Graph`) does not recompile.
+    session exclusively, so it never shares one with direct callers.
+    "Private" means what is per session - stats, fault injector, worker
+    pool.  What is a function of graph content - the lowered program and
+    its ``backend_cache`` (runners, batch variants, codegen module), the
+    parameters (read-only arrays) and the cost report - comes from the
+    content-addressed compile cache and is shared with every other
+    session of the same model, so re-serving a known graph (by name or
+    as a structurally identical rebuilt :class:`~repro.ir.graph.Graph`)
+    does not recompile.
     """
     session = _compile_session(
         model, options.framework, options.device, options.batch,

@@ -3,8 +3,8 @@
 Requests carry *named input tensors* plus scheduling metadata (id,
 priority, deadline); responses carry the named outputs plus the
 per-request :class:`~repro.runtime.session.RunStats` the session
-recorded, so callers observe wall time and pool behaviour per request
-without reaching into the session.
+recorded, so callers observe wall time and the serving plan's pool
+report per request without reaching into the session.
 """
 
 from __future__ import annotations
@@ -48,15 +48,15 @@ class InferenceResponse:
 
     ``outputs`` maps graph-output names to arrays (:meth:`output` picks
     one, or the sole output when unnamed).  ``stats`` is the session's
-    per-request accounting (``wall_s``, ``est_latency_ms``, and the
-    ``pool`` delta - a steady-state session reports zero new
-    allocations).  ``batch_size`` reports how many requests shared the
-    backend invocation that produced this response.  When that
-    invocation was a *stacked* batch-N kernel pass, ``stats.batched`` is
-    True and the attribution is shared: ``stats.pool`` is the one
-    PoolReport of the pass (identical object across the batchmates, not
-    a per-request delta) and ``stats.wall_s`` carries this request's
-    even share of the stacked execution time.  ``queued_ms`` is the time
+    per-request accounting (``wall_s``, ``est_latency_ms``, and ``pool``
+    - the static slot-plan report of the program or variant that served
+    the request, in bytes of the graph's dtypes, not what the allocator
+    did).  ``batch_size`` reports how many requests shared the backend
+    invocation that produced this response.  When that invocation was a
+    *stacked* batch-N kernel pass, ``stats.batched`` is True and the
+    attribution is shared: ``stats.pool`` is the batch variant's report
+    (identical object across the batchmates) and ``stats.wall_s``
+    carries this request's even share of the stacked execution time.  ``queued_ms`` is the time
     the request spent waiting to be coalesced (always ``0.0`` on the
     synchronous path); ``attempts`` counts executions of the request
     (``> 1`` only when the scheduler's :class:`~repro.api.RetryPolicy`

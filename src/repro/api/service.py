@@ -1,8 +1,8 @@
 """``repro.serve``: a compiled model behind a micro-batching scheduler.
 
-A :class:`Service` owns a private session (its own pools and stats over
-a program and parameters shared by content) and a worker thread draining
-a thread-safe priority queue.  Concurrent ``submit()`` calls are admitted
+A :class:`Service` owns a private session (its own stats over a program
+and parameters shared by content) and a worker thread draining a
+thread-safe priority queue.  Concurrent ``submit()`` calls are admitted
 in the submitting thread (fail-fast, and off the worker's critical
 path), queued, and coalesced into **one** backend invocation on the
 lowered program path.  Batching is *work-conserving*: the worker blocks
@@ -242,10 +242,9 @@ class Service:
     """A compiled model served by a dynamic micro-batching scheduler.
 
     Thread-safe: any number of threads may ``submit()`` concurrently.
-    The service owns its session (and pool) exclusively - all execution
-    happens on the single worker thread, so the compile-once/run-many
-    pool discipline holds under concurrent traffic without locking the
-    hot loop.
+    The service owns its session exclusively - all execution happens on
+    the single worker thread, so the session's statistics stay
+    consistent under concurrent traffic without locking the hot loop.
 
     Request lifecycle: :meth:`submit` admits the request in the calling
     thread (malformed requests raise
@@ -276,7 +275,6 @@ class Service:
         self._session = session
         self._program = session.program
         self._batch_key = self._program.batch_key
-        self._pool = session.pool
         self._backend = session._backend
         self._max_batch = options.max_batch_size
         self._max_queue = options.max_queue
@@ -801,10 +799,9 @@ def serve(model: str | Graph, options: ServeOptions | None = None,
     caches - serving a model (or a structurally identical rebuilt graph)
     a second time reuses the lowered program, its compiled runners and
     batch variants, the read-only parameters and the cost report - but
-    owns its *session* (pools, stats, fault injector, worker pool)
-    privately: its worker thread is the only executor on those pools,
-    so the compile-once/run-many pool discipline holds under concurrent
-    traffic without locking the hot loop.
+    owns its *session* (stats, fault injector, worker pool) privately:
+    its worker thread is the only executor on it, so the session's
+    statistics need no lock on the hot loop.
 
     Example::
 

@@ -3,12 +3,12 @@
 from .address import TensorStorage, traversal
 from .cache import CacheStats, SetAssociativeCache
 from .pool import (
-    LivenessSchedule, MemoryPool, PoolEvent, PoolReport, SizeClassPool,
-    is_materialized, liveness_schedule, simulate_pool,
+    LivenessSchedule, MemoryPool, PoolEvent, PoolReport, is_materialized,
+    liveness_schedule, simulate_pool,
 )
 
 __all__ = [
     "CacheStats", "LivenessSchedule", "MemoryPool", "PoolEvent", "PoolReport",
-    "SetAssociativeCache", "SizeClassPool", "TensorStorage", "is_materialized",
+    "SetAssociativeCache", "TensorStorage", "is_materialized",
     "liveness_schedule", "simulate_pool", "traversal",
 ]

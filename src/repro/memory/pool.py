@@ -7,12 +7,12 @@ consumers."  The pool tracks per-step usage, peak footprint, and - for
 the redundant-copy analysis - the maximum concurrently-live redundant
 copy bytes (the 3.0 MB / 2.3 MB numbers the paper reports for Swin/ViT).
 
-The liveness walk is shared with the execution-session layer
-(:mod:`repro.runtime.session`): :func:`liveness_schedule` precomputes,
-per execution step, which tensors are materialized (group-boundary
-values) and which die, so a long-lived pool can be replayed across many
-``run()`` calls - the second run of a session satisfies its requests
-from blocks the first run released.
+The liveness walk is shared with the lowering
+(:func:`repro.runtime.program.lower`): :func:`liveness_schedule`
+precomputes, per execution step, which tensors are materialized
+(group-boundary values) and which die, and the lowering's static slot
+plan is one replay of it - a fact of the program, identical for every
+request, never re-walked at run time.
 """
 
 from __future__ import annotations
@@ -73,89 +73,6 @@ class MemoryPool:
     def release(self, size: int) -> None:
         self.live_bytes -= size
         self._free.append(size)
-
-    # -- introspection (the session layer reports per-run deltas) ----------
-
-    @property
-    def free_block_count(self) -> int:
-        return len(self._free)
-
-    @property
-    def free_bytes(self) -> int:
-        return sum(self._free)
-
-    def stats(self) -> dict[str, int]:
-        """Snapshot of the pool counters; diff two snapshots to observe
-        what one run of a session allocated vs. reused."""
-        return {
-            "allocations": self.allocations,
-            "reuses": self.reuses,
-            "live_bytes": self.live_bytes,
-            "peak_bytes": self.peak_bytes,
-            "free_blocks": self.free_block_count,
-            "free_bytes": self.free_bytes,
-        }
-
-
-class SizeClassPool(MemoryPool):
-    """Exact-size-class block reuse (caching-allocator style).
-
-    A freed block only serves requests of its exact size.  Best-fit
-    splitting (the base pool) minimizes peak footprint for a *single*
-    walk, but fragments blocks, so a repeated identical workload keeps
-    allocating; exact size classes make run-many workloads reach steady
-    state - after the first request of a session, every later identical
-    request is served entirely from freed blocks.  Free blocks are kept
-    as a size -> count map, so allocate/release are O(1) on the
-    per-request serving path.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._free_by_size: dict[int, int] = {}
-        self._free_block_count = 0
-        self._free_byte_count = 0
-
-    def allocate(self, size: int) -> None:
-        count = self._free_by_size.get(size, 0)
-        if count:
-            if count == 1:
-                del self._free_by_size[size]
-            else:
-                self._free_by_size[size] = count - 1
-            self._free_block_count -= 1
-            self._free_byte_count -= size
-            self.reuses += 1
-        else:
-            self.allocations += 1
-        self.live_bytes += size
-        self.peak_bytes = max(self.peak_bytes, self.live_bytes)
-
-    def release(self, size: int) -> None:
-        self.live_bytes -= size
-        self._free_by_size[size] = self._free_by_size.get(size, 0) + 1
-        self._free_block_count += 1
-        self._free_byte_count += size
-
-    @property
-    def free_block_count(self) -> int:
-        return self._free_block_count
-
-    @property
-    def free_bytes(self) -> int:
-        return self._free_byte_count
-
-    def matches_free_state(self, free_by_size: dict[int, int]) -> bool:
-        """True when the pool's free blocks are exactly ``free_by_size``
-        (size -> count).
-
-        The lowered-program backend uses this as the steady-state
-        signature: when a session pool's free blocks equal its program's
-        slot plan, every allocation of the next run is a reuse by
-        construction, so the whole walk's pool accounting collapses to
-        one static counter update (see :mod:`repro.runtime.program`).
-        """
-        return self._free_by_size == free_by_size
 
 
 def is_materialized(graph: Graph, tensor: str) -> bool:

@@ -11,13 +11,13 @@ same steps with shapes, view chains, reshape/slice attrs, and the
 axis - so N stacked requests run through *one* kernel invocation per
 step.  Because a variant is itself an ordinary ``ExecutionProgram``,
 both execution backends serve it through their existing
-``_compile_runners`` hook: the NumPy backend compiles step closures over
+``_compile_runner`` hook: the NumPy backend compiles step closures over
 the scaled shapes, the codegen backend emits batch-N Python source.
 
 Batch-size bucketing: arbitrary micro-batch sizes are rounded up to the
 next power of two by :func:`bucket` and padded by replicating the last
-request, so a serving session compiles (and pools for) a small set of
-variants instead of one per observed batch size.  Variants are cached on
+request, so a serving session compiles a small set of variants instead
+of one per observed batch size.  Variants are cached on
 ``program.backend_cache`` keyed by the bucket - equivalently, by
 ``(batch_key, N)``, since the program *is* the batch key's referent.
 
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from ..ir.symbolic import OPEN_STOP, SYM, SymViewChain
 from ..ir.view import ViewChain, ViewStep
 from .kernels import bind_conv2d
-from .program import ExecutionProgram, SlotPlan, Step, _compile_view
+from .program import ExecutionProgram, Step, _assign_slots, _compile_view
 
 _ANALYSIS_KEY = "batching.analysis"
 _VARIANTS_KEY = "batching.variants"
@@ -84,9 +84,9 @@ class NotStackable(Exception):
 def bucket(n: int) -> int:
     """The power-of-two bucket serving a micro-batch of ``n`` requests.
 
-    Bucketing keeps the set of compiled batch variants (and their warm
-    bucket pools) logarithmic in the observed batch sizes; the stacked
-    pass pads ``bucket(n) - n`` slots by replicating the last request.
+    Bucketing keeps the set of compiled batch variants logarithmic in
+    the observed batch sizes; the stacked pass pads ``bucket(n) - n``
+    slots by replicating the last request.
     """
     if n < 1:
         raise ValueError("batch size must be at least 1")
@@ -179,9 +179,9 @@ def rebatch(program: ExecutionProgram, factor: int) -> ExecutionProgram:
     The variant shares the base program's graph, kernels, step order,
     and value names; only batch-dependent state is rebuilt - output
     shapes, view chains, reshape/slice attrs, the input signature, and
-    a freshly replayed :class:`SlotPlan` whose size classes scale the
-    batched tensors by ``factor``.  Raises :class:`NotStackable` when
-    :func:`analyze` refuted stacking.
+    a freshly replayed :class:`~repro.runtime.program.SlotPlan` whose
+    size classes scale the batched tensors by ``factor``.  Raises
+    :class:`NotStackable` when :func:`analyze` refuted stacking.
     """
     if factor < 1:
         raise ValueError("batch factor must be at least 1")
@@ -239,10 +239,21 @@ def _build_variant(program: ExecutionProgram, factor: int,
             f"{analysis.reason}")
     B = analysis.batch_extent
     batched = analysis.batched
-    plan, alloc_at, release_at = _variant_plan(program, factor, batched)
+    # The base plan's slotted tensors, re-planned with the batched ones
+    # scaled: a fresh replay rather than scaling slot sizes in place,
+    # because base slots are *shared* across tensors of one size class
+    # - and a batched and a non-batched tensor of equal base size land
+    # in different classes once scaled.
+    slotted = program.slot_plan.tensor_slot
+    tensors = program.graph.tensors
+    plan = _assign_slots(
+        program.input_names,
+        (([t for t in step.out_names if t in slotted], step.drops)
+         for step in program.steps),
+        lambda t: tensors[t].size_bytes * (factor if t in batched else 1))
     shapes, shape_of = _shape_resolver(program)
     steps = []
-    for index, step in enumerate(program.steps):
+    for step in program.steps:
         out_batched, attrs, views, kernel = _transform_step(
             step, B, factor, batched, shape_of, symbolic)
         for out, out_shape in zip(step.out_names, step.out_shapes):
@@ -268,8 +279,6 @@ def _build_variant(program: ExecutionProgram, factor: int,
             attrs=attrs,
             out_names=step.out_names,
             out_shapes=out_shapes,
-            alloc_slots=tuple(alloc_at[index]),
-            release_slots=tuple(release_at[index]),
             drops=step.drops,
             bytes_read=step.bytes_read * scale,
             bytes_written=step.bytes_written * scale,
@@ -309,7 +318,7 @@ def _build_variant(program: ExecutionProgram, factor: int,
 
 
 # ---------------------------------------------------------------------------
-# internals: shape resolution, view-chain scaling, per-op rules, slot replay
+# internals: shape resolution, view-chain scaling, per-op rules
 # ---------------------------------------------------------------------------
 
 
@@ -608,88 +617,6 @@ def _transform_step(step: Step, B: int, factor: int, batched,
                 f"{op}: output shape {tuple(shape)} does not lead with "
                 f"the batch axis")
     return True, attrs, views, kernel
-
-
-def _variant_plan(program: ExecutionProgram, factor: int, batched,
-                  ) -> tuple[SlotPlan, list[list[int]], list[list[int]]]:
-    """Replay slot assignment with batched tensors scaled by ``factor``.
-
-    A fresh replay (rather than scaling slot sizes in place) is
-    required because base slots are *shared* across tensors of one size
-    class - and a batched and a non-batched tensor of equal base size
-    land in different classes once scaled.
-    """
-    base = program.slot_plan
-    tensor_slot_base = base.tensor_slot
-    base_sizes = base.slot_sizes
-
-    def size_of(t: str) -> int:
-        size = base_sizes[tensor_slot_base[t]]
-        return size * factor if t in batched else size
-
-    slot_sizes: list[int] = []
-    free: dict[int, list[int]] = {}
-    tensor_slot: dict[str, int] = {}
-
-    def take(size: int) -> int:
-        stack = free.get(size)
-        if stack:
-            return stack.pop()
-        slot_sizes.append(size)
-        return len(slot_sizes) - 1
-
-    live = 0
-    total = 0
-    input_slots: list[int] = []
-    for t in program.input_names:
-        size = size_of(t)
-        slot = take(size)
-        tensor_slot[t] = slot
-        input_slots.append(slot)
-        live += size
-        total += size
-
-    steps = program.steps
-    alloc_at: list[list[int]] = [[] for _ in steps]
-    release_at: list[list[int]] = [[] for _ in steps]
-    timeline_live: list[int] = []
-    for index, step in enumerate(steps):
-        for t in step.out_names:
-            if t in tensor_slot_base:
-                size = size_of(t)
-                slot = take(size)
-                tensor_slot[t] = slot
-                alloc_at[index].append(slot)
-                live += size
-                total += size
-        timeline_live.append(live)
-        dying = [t for t in step.drops if t in tensor_slot_base]
-        if len(dying) != len(step.release_slots):
-            raise NotStackable(
-                f"step {step.node_id!r}: pool releases do not line up "
-                f"with value drops")
-        for t in dying:
-            slot = tensor_slot[t]
-            size = slot_sizes[slot]
-            free.setdefault(size, []).append(slot)
-            release_at[index].append(slot)
-            live -= size
-
-    counts: dict[int, int] = {}
-    for size in slot_sizes:
-        counts[size] = counts.get(size, 0) + 1
-    plan = SlotPlan(
-        slot_sizes=tuple(slot_sizes),
-        tensor_slot=tensor_slot,
-        input_slots=tuple(input_slots),
-        timeline_live=tuple(timeline_live),
-        peak_bytes=max(timeline_live, default=0),
-        total_allocated_bytes=total,
-        size_class_counts=counts,
-        allocs_per_run=len(input_slots) + sum(
-            len(slots) for slots in alloc_at),
-    )
-    return plan, alloc_at, release_at
 
 
 __all__ = [

@@ -20,9 +20,7 @@ Python source* once per program:
   (``.reshape(...)``, ``.transpose(...)``, constant slice subscripts)
   instead of applier-closure calls;
 * kernels and per-step attrs are bound as module globals of the
-  generated module; slot indices and byte sizes appear as integer
-  literals, so the pool-accounted variant interleaves ``allocate(4096)``
-  /-``release`` calls with the fused body;
+  generated module;
 * shape checks and error messages match the reference backend
   statement-for-statement, so a misbehaving kernel fails identically on
   both backends.
@@ -35,15 +33,13 @@ program itself is memoized per graph generation by
 exactly the lowering's lifetime and invalidation, mirroring the
 ``lower()`` memoization discipline.
 
-Everything *around* the fused body - steady-state pool collapse, warm-up
-slot accounting, failure cleanup, micro-batch coalescing, stacked
+Everything *around* the fused body - micro-batch coalescing, stacked
 batch-N execution - is inherited from :class:`NumPyBackend` through the
-:meth:`_compile_runners` hook, so there is still exactly one
-pool/batching discipline in the codebase.  That includes dynamic
-batching for free: a batch-N variant built by
-:func:`repro.runtime.batching.rebatch` is an ordinary
-``ExecutionProgram``, so ``run_stacked`` transparently compiles (and
-caches) batch-N *source* for it through the same hook.
+:meth:`_compile_runner` hook, so there is still exactly one batching
+discipline in the codebase.  That includes dynamic batching for free: a
+batch-N variant built by :func:`repro.runtime.batching.rebatch` is an
+ordinary ``ExecutionProgram``, so ``run_stacked`` transparently compiles
+(and caches) batch-N *source* for it through the same hook.
 
 Select it anywhere a backend name is accepted::
 
@@ -51,7 +47,7 @@ Select it anywhere a backend name is accepted::
     verify_equivalence(graph, optimized, backend="codegen")
 
 This is the template for future backends (multi-process, true OpenCL):
-subclass, override :meth:`_compile_runners`, ``@register_backend``.
+subclass, override :meth:`_compile_runner`, ``@register_backend``.
 """
 
 from __future__ import annotations
@@ -103,15 +99,14 @@ class CompiledProgramModule:
     """One program compiled to a Python module.
 
     ``source`` is the generated text (inspectable, like the pseudo-OpenCL
-    kernels of :mod:`repro.runtime.codegen`); ``run_plain`` and
-    ``run_accounted`` are the compiled runner pair the backend executes;
+    kernels of :mod:`repro.runtime.codegen`); ``run_plain`` is the
+    compiled runner - the module's one function - the backend executes;
     ``namespace`` is the module globals the source was executed in
     (kernels and attrs bound by name).
     """
 
     source: str
     run_plain: Callable
-    run_accounted: Callable
     namespace: dict
     fused_chains: int = 0
     """Elementwise chains collapsed into single-register expressions."""
@@ -144,7 +139,7 @@ class _SourceEmitter:
             for j in chain:
                 self._chain_of[j] = ci
         self._chain_interiors = program.fused_interiors
-        # Per-body chain state (reset by _emit_body): the register local,
+        # Chain state while the body is emitted: the register local,
         # whether the chain owns the register's buffer (fresh compute vs.
         # a view of an external - only owned buffers may be written in
         # place), and the register's current static shape.
@@ -155,8 +150,8 @@ class _SourceEmitter:
     # -- bindings ----------------------------------------------------------
 
     def _attrs(self, attrs: dict) -> str:
-        """One module global per distinct attrs dict (shared between the
-        plain and accounted variants, like kernels)."""
+        """One module global per distinct attrs dict (shared by every
+        step carrying it, like kernels)."""
         key = id(attrs)
         name = self._attrs_names.get(key)
         if name is None:
@@ -271,16 +266,8 @@ class _SourceEmitter:
             args.append(expr)
         return args, views
 
-    def _emit_epilogue(self, lines: list[str], step,
-                       accounted: bool, slot_sizes) -> None:
-        """Pool accounting + value drops after a step's statement(s)."""
-        if accounted:
-            for slot in step.alloc_slots:
-                lines.append(f"    allocate({slot_sizes[slot]}); "
-                             f"active[{slot}] = 1")
-            for slot in step.release_slots:
-                lines.append(f"    release({slot_sizes[slot]}); "
-                             f"active[{slot}] = 0")
+    def _emit_epilogue(self, lines: list[str], step) -> None:
+        """Value drops after a step's statement(s)."""
         for dead in step.drops:
             if dead in self._chain_interiors:
                 # A fused interior's "local" is the chain's live register
@@ -298,10 +285,9 @@ class _SourceEmitter:
                 # the request dict; interior values are locals only.
                 lines.append(f"    values.pop({dead!r}, None)")
 
-    def _emit_step(self, lines: list[str], index: int, step,
-                   accounted: bool, slot_sizes) -> None:
+    def _emit_step(self, lines: list[str], index: int, step) -> None:
         if index in self._chain_of:
-            self._emit_chain_step(lines, index, step, accounted, slot_sizes)
+            self._emit_chain_step(lines, index, step)
             return
         args, _ = self._args(step)
         call = (f"{self._kernel(step)}([{', '.join(args)}], "
@@ -322,7 +308,7 @@ class _SourceEmitter:
                 lines.append(f"    {out} = _r[{pos}]")
                 self._emit_check(lines, out, step, shape)
             lines.append("    _r = None")
-        self._emit_epilogue(lines, step, accounted, slot_sizes)
+        self._emit_epilogue(lines, step)
 
     # -- fused elementwise chains ------------------------------------------
 
@@ -341,8 +327,8 @@ class _SourceEmitter:
             return len(step.arg_names) > 1
         return True
 
-    def _emit_chain_step(self, lines: list[str], index: int, step,
-                         accounted: bool, slot_sizes) -> None:
+    def _emit_chain_step(self, lines: list[str], index: int,
+                         step) -> None:
         """Emit one member of a fused elementwise chain.
 
         The whole chain lives in ONE register local: the head computes
@@ -465,18 +451,11 @@ class _SourceEmitter:
         self._chain_reg[chain_id] = reg
         self._chain_owned[chain_id] = owned
         self._chain_shape[chain_id] = out_shape
-        self._emit_epilogue(lines, step, accounted, slot_sizes)
+        self._emit_epilogue(lines, step)
 
-    def _emit_body(self, accounted: bool) -> list[str]:
-        """The fused step loop, shared by both runner variants."""
-        self._locals = {}
-        self._externals = set()
-        self._external_loads = []
-        self._chain_reg = {}
-        self._chain_owned = {}
-        self._chain_shape = {}
+    def _emit_body(self) -> list[str]:
+        """The fused step loop: the body of ``run_plain``."""
         program = self.program
-        slot_sizes = program.slot_plan.slot_sizes
         lines: list[str] = []
         if program.symbolic_extent is not None:
             # The symbolic extent is a *runtime local*, read off the
@@ -486,12 +465,8 @@ class _SourceEmitter:
                          f"{program.symbolic_extent}), decided per request")
             lines.append(
                 f"    _n = values[{program.input_names[0]!r}].shape[0]")
-        if accounted:
-            for slot in program.slot_plan.input_slots:
-                lines.append(f"    allocate({slot_sizes[slot]}); "
-                             f"active[{slot}] = 1")
         for index, step in enumerate(program.steps):
-            self._emit_step(lines, index, step, accounted, slot_sizes)
+            self._emit_step(lines, index, step)
         returns = ", ".join(
             f"{name!r}: {self._locals[name]}"
             if name in self._locals else f"{name!r}: values[{name!r}]"
@@ -501,17 +476,15 @@ class _SourceEmitter:
 
     def emit(self) -> str:
         program = self.program
-        plain = ["def run_plain(values):"] + self._emit_body(False)
-        accounted = ["def run_accounted(values, allocate, release, "
-                     "active):"] + self._emit_body(True)
+        plain = ["def run_plain(values):"] + self._emit_body()
         # Comments, not a module docstring: free-form graph names could
         # otherwise terminate the string literal.
         header = [
             "# Generated by repro.runtime.codegen_backend for "
             + _comment_text(repr(self.graph.name)) + ".",
-            f"# {program.num_steps} steps fused into one function per "
-            f"variant; {len(self._kernel_names)} distinct kernels "
-            "bound as module globals.",
+            f"# {program.num_steps} steps fused into one function; "
+            f"{len(self._kernel_names)} distinct kernels bound as module "
+            "globals.",
         ]
         if program.fused_chains:
             header.append(
@@ -530,7 +503,7 @@ class _SourceEmitter:
                 f"# Batch-{program.batch_factor} stacked variant: one "
                 "kernel call per step serves the whole micro-batch.")
         header.append("")
-        return "\n".join(header + plain + ["", ""] + accounted) + "\n"
+        return "\n".join(header + plain) + "\n"
 
 
 def emit_program_source(program: ExecutionProgram) -> tuple[str, dict]:
@@ -579,7 +552,6 @@ def compile_program(program: ExecutionProgram) -> CompiledProgramModule:
             CompiledProgramModule(
                 source=source,
                 run_plain=namespace["run_plain"],
-                run_accounted=namespace["run_accounted"],
                 namespace=namespace,
                 fused_chains=len(program.fused_chains),
                 fused_steps=program.fused_step_count,
@@ -597,10 +569,10 @@ def program_source(program: ExecutionProgram) -> str:
 class CodegenBackend(NumPyBackend):
     """Execution backend that runs the generated fused module.
 
-    Inherits the entire pool/steady-state/micro-batching discipline from
-    :class:`NumPyBackend`; only the per-program executors differ - they
-    are the compiled ``run_plain`` / ``run_accounted`` functions of the
-    generated module instead of closures over the step list.
+    Inherits the micro-batching discipline from :class:`NumPyBackend`;
+    only the per-program executor differs - it is the compiled
+    ``run_plain`` function of the generated module instead of a closure
+    over the step list.
     """
 
     name = "codegen"
@@ -608,6 +580,5 @@ class CodegenBackend(NumPyBackend):
     # expression - every chain interior is a step it never dispatches.
     fuses = True
 
-    def _compile_runners(self, program: ExecutionProgram):
-        module = compile_program(program)
-        return module.run_plain, module.run_accounted
+    def _compile_runner(self, program: ExecutionProgram):
+        return compile_program(program).run_plain

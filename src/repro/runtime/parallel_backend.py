@@ -4,9 +4,9 @@ The in-process backends (``numpy``, ``codegen``) execute a whole
 invocation under one GIL, so aggregate throughput on kernel-bound models
 is capped no matter how fast each kernel gets.  :class:`ParallelBackend`
 escapes the cap by owning a supervised pool of **worker processes**,
-each holding its own copy of the compiled program, materialized
-parameters, and warmed :class:`~repro.memory.pool.SizeClassPool` - all
-inherited for free over ``fork``, never pickled.
+each holding its own copy of the compiled program, its runners and
+variants, and the materialized parameters - all inherited for free over
+``fork``, never pickled.
 
 Dispatch composes with the existing layers instead of bypassing them:
 
@@ -54,7 +54,6 @@ from multiprocessing import connection
 import numpy as np
 
 from ..api.errors import WorkerCrashed
-from ..memory.pool import PoolReport
 from .batching import analyze, symbolize
 from .program import ExecutionBackend, get_backend, register_backend
 from .shm import SegmentRing, ShardLayout
@@ -99,11 +98,11 @@ def _portable(err: BaseException) -> BaseException:
 def _worker_main(conn_, session, inner_name: str, ring: SegmentRing) -> None:
     """Worker-process entry point (child side of a ``fork``).
 
-    The child inherits the session (program, params, warmed pools) and
-    the segment ring by reference; it owns nothing - it never creates,
-    unlinks, or recycles segments.  It exits via ``os._exit`` so the
-    parent's inherited atexit hooks (segment unlink, bench writers)
-    never run twice.
+    The child inherits the session (program, runners, variants, params)
+    and the segment ring by reference; it owns nothing - it never
+    creates, unlinks, or recycles segments.  It exits via ``os._exit``
+    so the parent's inherited atexit hooks (segment unlink, bench
+    writers) never run twice.
     """
     exit_code = 0
     try:
@@ -230,8 +229,8 @@ class WorkerPool:
     def _warm_parent(self) -> None:
         """Build every per-program artifact the workers will need
         *before* forking, so each child inherits compiled runners,
-        batch-N variants, warmed bucket pools, and materialized
-        parameters instead of rebuilding them ``workers`` times."""
+        batch-N variants, and materialized parameters instead of
+        rebuilding them ``workers`` times."""
         session = self.session
         inner = get_backend(self.inner_name)
         values = session._admit(session.make_inputs(seed=0))
@@ -246,8 +245,8 @@ class WorkerPool:
         if sym is not None:
             # One representative run per symbolic bucket: the children
             # inherit each bucket's compiled variant (and codegen
-            # runner) plus its warmed pool instead of rebuilding them
-            # ``workers`` times on first off-base request.
+            # runner) instead of rebuilding them ``workers`` times on
+            # first off-base request.
             reps: dict[int, int] = {}
             for extent in range(1, sym.max_extent + 1):
                 reps[sym.factor(extent)] = extent  # largest per bucket wins
@@ -392,6 +391,12 @@ class WorkerPool:
         active: dict[int, int] = {}
         deadline = time.monotonic() + _DISPATCH_TIMEOUT_S
         layout = self._layout_for(extent)
+        # Worker-served rows report the plan the parent dispatched the
+        # shard against: the base program, or the extent's bucket
+        # variant.
+        report = self.session.program.report if extent is None else \
+            symbolize(self.session.program,
+                      self.session.symbolic.factor(extent)).report
         while pending or active:
             while pending and idle:
                 shard = shards[pending[0]]
@@ -427,15 +432,14 @@ class WorkerPool:
                     continue
                 handled.add(worker_index)
                 self._settle(worker_index, shards, values_list, rows,
-                             active, idle, pending, layout)
+                             active, idle, pending, layout, report)
         for shard in shards:
             if shard.error is not None:
                 raise shard.error
-        self._fill_reports(rows, extent)
         return rows, any(shard.batched for shard in shards)
 
     def _settle(self, worker_index: int, shards, values_list, rows,
-                active, idle, pending, layout) -> None:
+                active, idle, pending, layout, report) -> None:
         """Consume one worker's completion - a reply or a death."""
         worker = self._workers[worker_index]
         shard_index = active[worker_index]
@@ -479,7 +483,7 @@ class WorkerPool:
             buf = self.ring.buf(seg_index)
             for i in range(shard.count):
                 rows[shard.start + i] = (
-                    layout.read_outputs(buf, i), None, walls[i])
+                    layout.read_outputs(buf, i), report, walls[i])
         else:
             shard.error = message[2]
         self.ring.release(shard.seg)
@@ -499,31 +503,6 @@ class WorkerPool:
         for i, row in enumerate(results):
             rows[shard.start + i] = row
 
-    def _fill_reports(self, rows, extent=None) -> None:
-        """Stamp the shared steady-state PoolReport on worker-served
-        rows (the worker's pool did the real accounting in its own
-        process; the parent-side report mirrors the steady-state shape
-        ``run_many`` fabricates once a pool is warm)."""
-        program = self.session.program
-        if extent is not None:
-            # Off-base extents executed through the bucket's symbolic
-            # variant in the worker: report that variant's plan.
-            program = symbolize(
-                program, self.session.symbolic.factor(extent))
-        plan = program.slot_plan
-        report = PoolReport(
-            peak_bytes=plan.peak_bytes,
-            peak_copy_bytes=0,
-            final_bytes=self.session.pool.live_bytes,
-            timeline=program.timeline,
-            allocations=0,
-            reuses=plan.allocs_per_run,
-            total_allocated_bytes=plan.total_allocated_bytes,
-        )
-        for i, row in enumerate(rows):
-            if row is not None and row[1] is None:
-                rows[i] = (row[0], report, row[2])
-
 
 # ---------------------------------------------------------------------------
 # the backends
@@ -537,11 +516,11 @@ class ParallelBackend(ExecutionBackend):
     It declares ``shards_requests``, so
     :meth:`~repro.runtime.session.Session.execute_values` offers it
     whole invocations through :meth:`try_sharded` before the in-process
-    stacked/sequential paths.  Everything else - ``run``,
-    ``run_serving``, ``run_many`` - delegates to the declared ``inner``
-    backend, so a parallel session that cannot shard (platform without
-    ``fork``, per-request parameter overrides, pool startup failure)
-    behaves exactly like its inner backend in-process.
+    stacked/sequential paths.  Everything else - ``run``, ``run_many``,
+    ``run_stacked`` - delegates to the declared ``inner`` backend, so a
+    parallel session that cannot shard (platform without ``fork``,
+    per-request parameter overrides, pool startup failure) behaves
+    exactly like its inner backend in-process.
     """
 
     name = "parallel"
@@ -554,14 +533,11 @@ class ParallelBackend(ExecutionBackend):
     def run(self, program, values):
         return self._inner().run(program, values)
 
-    def run_serving(self, program, values, pool):
-        return self._inner().run_serving(program, values, pool)
+    def run_many(self, program, values_list):
+        return self._inner().run_many(program, values_list)
 
-    def run_many(self, program, values_list, pool):
-        return self._inner().run_many(program, values_list, pool)
-
-    def run_stacked(self, program, variant, values_list, pool):
-        return self._inner().run_stacked(program, variant, values_list, pool)
+    def run_stacked(self, program, variant, values_list):
+        return self._inner().run_stacked(program, variant, values_list)
 
     def try_sharded(self, session, values_list):
         """Serve the invocation across the session's worker pool.

@@ -17,11 +17,11 @@ an :class:`ExecutionProgram`:
   transformation is left on the request path;
 * a static :class:`SlotPlan` - register allocation of pool buffers over
   exact size classes, computed once from
-  :func:`~repro.memory.pool.liveness_schedule` - so per-request pool
-  accounting becomes slot-indexed integer ops instead of per-run dict
-  bookkeeping.  The slot plan also fixes the per-step live-byte timeline,
-  the peak footprint, and the total allocation traffic statically: they
-  are identical for every request by construction.
+  :func:`~repro.memory.pool.liveness_schedule`.  The slot plan fixes the
+  per-step live-byte timeline, the peak footprint, and the total
+  allocation traffic statically: they are identical for every request
+  by construction, so the program states them once, as
+  :attr:`ExecutionProgram.report`, and no request replays them.
 
 Programs are memoized on the graph's analysis cache (keyed by graph
 generation), so the executor, the verifier, and every
@@ -37,7 +37,6 @@ with a registry mirroring ``@register_pass``::
         name = "my-backend"
 
         def run(self, program, values): ...
-        def run_serving(self, program, values, pool): ...
 
 :class:`NumPyBackend` is the reference implementation; ``Session``,
 ``executor.execute`` and ``verify_equivalence`` all drive it through the
@@ -56,9 +55,7 @@ from ..api.errors import ExecutionError
 from ..ir.graph import Graph
 from ..ir.symbolic import SymDim
 from ..ir.view import ViewChain
-from ..memory.pool import (
-    MemoryPool, PoolEvent, PoolReport, liveness_schedule,
-)
+from ..memory.pool import PoolEvent, PoolReport, liveness_schedule
 from .kernels import (
     bind_conv2d, dense_packed, get_kernel, layout_convert_elided, pack,
 )
@@ -121,10 +118,6 @@ class Step:
     """The node's attrs dict, shared by reference (treat as read-only)."""
     out_names: tuple[str, ...]
     out_shapes: tuple[tuple[int, ...], ...]
-    alloc_slots: tuple[int, ...]
-    """Buffer slots acquired after this step runs (materialized outputs)."""
-    release_slots: tuple[int, ...]
-    """Buffer slots returned after this step runs (dying tensors)."""
     drops: tuple[str, ...]
     """Value names whose backing ndarrays die at this step (fusion-group
     internals included), bounding process memory by the live set."""
@@ -146,24 +139,19 @@ class Step:
 @dataclass(frozen=True)
 class SlotPlan:
     """Static buffer-slot assignment: register allocation over exact size
-    classes, mirroring :class:`~repro.memory.pool.SizeClassPool`'s reuse
-    discipline so slot-driven pool traffic matches the dynamic walk
-    count-for-count."""
+    classes - a dying tensor's slot serves the next same-size request.
+    Built once per program by :func:`_assign_slots`; no request replays
+    it."""
 
     slot_sizes: tuple[int, ...]
     """Byte size of each slot; index is the slot id."""
     tensor_slot: dict[str, int]
     """Pool-visible tensor -> its slot (read-only by convention)."""
-    input_slots: tuple[int, ...]
-    """Slots acquired at request admission, one per graph input."""
     timeline_live: tuple[int, ...]
     """Live pool bytes after each step's allocations - static, identical
     for every request."""
     peak_bytes: int
     total_allocated_bytes: int
-    size_class_counts: dict[int, int]
-    """Slot count per size class - the pool's exact free-block state
-    between steady-state runs (read-only by convention)."""
     allocs_per_run: int
     """Pool allocation events per run (a slot freed mid-run can serve a
     later same-size tensor, so this can exceed the slot count)."""
@@ -292,7 +280,7 @@ class ExecutionProgram:
 
     __slots__ = ("graph", "steps", "slot_plan", "input_names",
                  "output_names", "input_signature", "batch_factor",
-                 "timeline", "op_list", "backend_cache", "fused_chains",
+                 "report", "op_list", "backend_cache", "fused_chains",
                  "fused_interiors", "fused_step_count", "symbolic_extent",
                  "packs", "pack_of", "source_of", "__weakref__")
 
@@ -349,12 +337,23 @@ class ExecutionProgram:
         # whose leading extent is <= the bound at that exact extent (no
         # padding); None for concrete programs.
         self.symbolic_extent = symbolic_extent
-        # One PoolEvent tuple per program, shared across every run's
-        # PoolReport: the live-byte walk is static, and a tuple keeps a
-        # consumer of one run's report from mutating every other's.
-        self.timeline = tuple(
-            PoolEvent(i, live, 0)
-            for i, live in enumerate(slot_plan.timeline_live))
+        # The slot plan's accounting, stated once: every request this
+        # program serves reports this object as its ``RunStats.pool``.
+        # The values are facts of the plan (bytes in the graph's
+        # dtypes), not allocator counters: every slot is a reuse of the
+        # plan and nothing stays live between requests.  The timeline is
+        # a tuple so no consumer can mutate the shared report.
+        self.report = PoolReport(
+            peak_bytes=slot_plan.peak_bytes,
+            peak_copy_bytes=0,
+            final_bytes=0,
+            timeline=tuple(
+                PoolEvent(i, live, 0)
+                for i, live in enumerate(slot_plan.timeline_live)),
+            allocations=0,
+            reuses=slot_plan.allocs_per_run,
+            total_allocated_bytes=slot_plan.total_allocated_bytes,
+        )
         # The hot-loop form: one compiled closure + the dying value names
         # per step.
         self.op_list = tuple(
@@ -448,7 +447,7 @@ def find_fused_chains(graph: Graph, order, schedule) -> tuple[tuple[int, ...], .
     At least one member must be genuinely elementwise - a pure
     reshape/transpose run is already zero-copy and gains nothing.
 
-    Interiors are dropped from the slot plan by :func:`_assign_slots`:
+    Interiors are left out of the slot plan by :func:`lower`:
     with the codegen backend they are never materialized, and the
     sequential reference backend still executes step-by-step against the
     same plan (its interiors are transient Python locals, not pool
@@ -492,77 +491,56 @@ def find_fused_chains(graph: Graph, order, schedule) -> tuple[tuple[int, ...], .
     return tuple(chains)
 
 
-def _assign_slots(graph: Graph, order, schedule,
-                  fused_interiors: frozenset[str] = frozenset()) -> tuple[
-        SlotPlan, list[list[int]], list[list[int]]]:
+def _assign_slots(input_names, steps, size_of) -> SlotPlan:
     """Register-allocate pool buffers over exact size classes.
 
-    Replays the liveness schedule once: a dying tensor's slot returns to
-    its size class's free stack and serves the next same-size request.
-    The resulting slot count per class equals the peak number of
-    concurrently live pool tensors of that class.
+    ``steps`` yields ``(slotted out-names, drops)`` per step in execution
+    order; ``size_of(tensor)`` is a slotted tensor's byte size.  The
+    liveness walk is replayed once: the inputs and each step's slotted
+    outputs take a slot, and a dropped tensor that holds one returns it
+    to its size class's free stack, where it serves the next same-size
+    request.  The slot count per class equals the peak number of
+    concurrently live slotted tensors of that class.  :func:`lower`
+    sizes from the tensor specs, a batch variant scales its batched
+    tensors - one allocator, so the two plans cannot disagree on when a
+    slot is released.
     """
-    tensors = graph.tensors
-    materialized = schedule.materialized
     slot_sizes: list[int] = []
     free: dict[int, list[int]] = {}
     tensor_slot: dict[str, int] = {}
 
-    def take(size: int) -> int:
+    def take(t: str) -> int:
+        size = size_of(t)
         stack = free.get(size)
         if stack:
-            return stack.pop()
-        slot_sizes.append(size)
-        return len(slot_sizes) - 1
+            tensor_slot[t] = stack.pop()
+        else:
+            tensor_slot[t] = len(slot_sizes)
+            slot_sizes.append(size)
+        return size
 
-    live = 0
-    total = 0
-    input_slots: list[int] = []
-    for t in graph.inputs:
-        size = tensors[t].size_bytes
-        slot = take(size)
-        tensor_slot[t] = slot
-        input_slots.append(slot)
-        live += size
-        total += size
-
-    alloc_slots_at: list[list[int]] = [[] for _ in order]
-    release_slots_at: list[list[int]] = [[] for _ in order]
+    live = total = sum(take(t) for t in input_names)
     timeline_live: list[int] = []
-    for step, node in enumerate(order):
-        for t in node.outputs:
-            if t in materialized and t not in fused_interiors:
-                size = tensors[t].size_bytes
-                slot = take(size)
-                tensor_slot[t] = slot
-                alloc_slots_at[step].append(slot)
-                live += size
-                total += size
+    for out_names, drops in steps:
+        for t in out_names:
+            size = take(t)
+            live += size
+            total += size
         timeline_live.append(live)
-        for t in schedule.releases_at[step]:
+        for t in drops:
             slot = tensor_slot.get(t)
-            if slot is None:  # interior constants never touch the pool
-                continue
-            size = slot_sizes[slot]
-            free.setdefault(size, []).append(slot)
-            release_slots_at[step].append(slot)
-            live -= size
-
-    counts: dict[int, int] = {}
-    for size in slot_sizes:
-        counts[size] = counts.get(size, 0) + 1
-    plan = SlotPlan(
+            if slot is not None:  # fused interiors, constants: no slot
+                size = slot_sizes[slot]
+                free.setdefault(size, []).append(slot)
+                live -= size
+    return SlotPlan(
         slot_sizes=tuple(slot_sizes),
         tensor_slot=tensor_slot,
-        input_slots=tuple(input_slots),
         timeline_live=tuple(timeline_live),
         peak_bytes=max(timeline_live, default=0),
         total_allocated_bytes=total,
-        size_class_counts=counts,
-        allocs_per_run=len(input_slots) + sum(
-            len(slots) for slots in alloc_slots_at),
+        allocs_per_run=len(tensor_slot),
     )
-    return plan, alloc_slots_at, release_slots_at
 
 
 def lower(graph: Graph) -> ExecutionProgram:
@@ -581,10 +559,14 @@ def lower(graph: Graph) -> ExecutionProgram:
     chains = find_fused_chains(graph, order, schedule)
     fused_interiors = frozenset(
         order[j].outputs[0] for chain in chains for j in chain[:-1])
-    plan, alloc_slots_at, release_slots_at = _assign_slots(
-        graph, order, schedule, fused_interiors)
     tensors = graph.tensors
     materialized = schedule.materialized
+    plan = _assign_slots(
+        graph.inputs,
+        (([t for t in node.outputs
+           if t in materialized and t not in fused_interiors], drops)
+         for node, drops in zip(order, schedule.value_drops_at)),
+        lambda t: tensors[t].size_bytes)
     graph_inputs = set(graph.inputs)
     packed: dict[str, str] = {}  # dense weight -> its packed value name
 
@@ -658,8 +640,6 @@ def lower(graph: Graph) -> ExecutionProgram:
             attrs=node.attrs,
             out_names=tuple(node.outputs),
             out_shapes=out_shapes,
-            alloc_slots=tuple(alloc_slots_at[i]),
-            release_slots=tuple(release_slots_at[i]),
             drops=tuple(schedule.value_drops_at[i]),
             bytes_read=reads,
             bytes_written=writes,
@@ -685,9 +665,9 @@ def lower(graph: Graph) -> ExecutionProgram:
 
 class ExecutionBackend:
     """Executes lowered programs.  Subclass, set :attr:`name`, decorate
-    with :func:`register_backend`, and implement :meth:`run` (plain
-    verification execution) and :meth:`run_serving` (pool-accounted
-    serving execution)."""
+    with :func:`register_backend`, and implement :meth:`run` - the one
+    way the backend executes a program, for verification and serving
+    alike."""
 
     name = "backend"
 
@@ -710,24 +690,18 @@ class ExecutionBackend:
         private dict) and return the graph outputs."""
         raise NotImplementedError
 
-    def run_serving(self, program: ExecutionProgram,
-                    values: dict[str, np.ndarray],
-                    pool: MemoryPool) -> tuple[dict[str, np.ndarray], PoolReport]:
-        """Execute one request against a long-lived pool; returns
-        ``(outputs, per-request PoolReport)``."""
-        raise NotImplementedError
-
     def run_many(self, program: ExecutionProgram,
                  values_list: list[dict[str, np.ndarray]],
-                 pool: MemoryPool,
                  ) -> list[tuple[dict[str, np.ndarray], PoolReport, float]]:
         """Serve a batch of requests in one backend invocation; returns
-        ``(outputs, report, wall_seconds)`` per request."""
+        ``(outputs, report, wall_seconds)`` per request, where ``report``
+        is the program's static :attr:`~ExecutionProgram.report`."""
         perf = time.perf_counter
+        report = program.report
         results = []
         for values in values_list:
             start = perf()
-            outputs, report = self.run_serving(program, values, pool)
+            outputs = self.run(program, values)
             results.append((outputs, report, perf() - start))
         return results
 
@@ -772,49 +746,36 @@ class NumPyBackend(ExecutionBackend):
     """Reference backend: runs the pre-compiled step closures in order.
 
     The hot loop touches only program-local state: prebound kernels,
-    precompiled view appliers, prefetched shapes, and slot-indexed pool
-    ops - no graph, tensor-spec, or kernel-registry traffic per request.
-    Once a session pool reaches steady state (its free blocks are exactly
-    the program's slot plan), the pool interplay of a run is static by
-    construction and collapses to one counter update.
+    precompiled view appliers and prefetched shapes - no graph,
+    tensor-spec, or kernel-registry traffic per request, and no pool
+    bookkeeping: the slot plan's accounting is a static fact of the
+    program (:attr:`ExecutionProgram.report`).
 
-    Execution strategy is a per-program *runner pair* built once by
-    :meth:`_compile_runners` and cached on
-    :attr:`ExecutionProgram.backend_cache`:
-
-    * ``plain(values) -> outputs`` - the steady-state / verification
-      executor (no pool traffic);
-    * ``accounted(values, allocate, release, active) -> outputs`` - the
-      warm-up executor, interleaving slot-indexed pool ops with the
-      steps and marking acquired slots in ``active`` so the caller can
-      release whatever is live even when a kernel raises.
-
-    Subclasses that execute differently (e.g. the codegen backend, which
-    compiles the whole step loop to Python source) only override
-    :meth:`_compile_runners`; the pool/steady-state/batching discipline
-    in :meth:`run_many` is shared.
+    Execution strategy is one per-program *runner*, ``runner(values) ->
+    outputs``, built once by :meth:`_compile_runner` and cached on
+    :attr:`ExecutionProgram.backend_cache`; every request on every route
+    runs it.  Subclasses that execute differently (e.g. the codegen
+    backend, which compiles the whole step loop to Python source) only
+    override :meth:`_compile_runner`; micro-batching and stacked
+    execution are shared.
     """
 
     name = "numpy"
 
-    def _runners(self, program: ExecutionProgram):
-        """The program's ``(plain, accounted)`` executors, built once per
-        (program, backend) and cached on the program."""
+    def _runner(self, program: ExecutionProgram):
+        """The program's executor, built once per (program, backend) and
+        cached on the program."""
         found = program.backend_cache.get(self.name)
         if found is None:
             found = program.backend_cache[self.name] = \
-                self._compile_runners(program)
+                self._compile_runner(program)
         return found
 
-    def _compile_runners(self, program: ExecutionProgram):
-        """Build the ``(plain, accounted)`` executor pair - the only
-        method an execution-strategy subclass needs to override."""
+    def _compile_runner(self, program: ExecutionProgram):
+        """Build the program's executor - the only method an
+        execution-strategy subclass needs to override."""
         op_list = program.op_list
         output_names = program.output_names
-        steps = program.steps
-        plan = program.slot_plan
-        slot_sizes = plan.slot_sizes
-        input_slots = plan.input_slots
 
         def plain(values: dict) -> dict:
             for execute, drops in op_list:
@@ -823,133 +784,14 @@ class NumPyBackend(ExecutionBackend):
                     values.pop(t, None)
             return {name: values[name] for name in output_names}
 
-        def accounted(values: dict, allocate, release, active) -> dict:
-            for slot in input_slots:
-                allocate(slot_sizes[slot])
-                active[slot] = 1
-            for index, (execute, drops) in enumerate(op_list):
-                execute(values)
-                step = steps[index]
-                for slot in step.alloc_slots:
-                    allocate(slot_sizes[slot])
-                    active[slot] = 1
-                for slot in step.release_slots:
-                    release(slot_sizes[slot])
-                    active[slot] = 0
-                for t in drops:
-                    values.pop(t, None)
-            return {name: values[name] for name in output_names}
-
-        return plain, accounted
+        return plain
 
     def run(self, program: ExecutionProgram,
             values: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return self._runners(program)[0](program.bind_packs(values))
-
-    def run_serving(self, program: ExecutionProgram,
-                    values: dict[str, np.ndarray],
-                    pool: MemoryPool) -> tuple[dict[str, np.ndarray], PoolReport]:
-        return self.run_many(program, (values,), pool)[0][:2]
-
-    def run_many(self, program: ExecutionProgram,
-                 values_list, pool: MemoryPool,
-                 ) -> list[tuple[dict[str, np.ndarray], PoolReport, float]]:
-        # Dispatch state is hoisted out of the request loop once: batch
-        # requests share one resolution of the program and pool.
-        plain, accounted = self._runners(program)
-        for values in values_list:
-            program.bind_packs(values)
-        plan = program.slot_plan
-        slot_sizes = plan.slot_sizes
-        timeline = program.timeline
-        peak_bytes = plan.peak_bytes
-        total_allocated = plan.total_allocated_bytes
-        steady_state = plan.size_class_counts
-        allocs_per_run = plan.allocs_per_run
-        matches_free_state = getattr(pool, "matches_free_state", None)
-        allocate = pool.allocate
-        release = pool.release
-        perf = time.perf_counter
-        results = []
-        if values_list and matches_free_state is not None \
-                and matches_free_state(steady_state):
-            # Batched steady state: every run of the batch leaves the free
-            # state invariant (each allocation is a reuse and every block
-            # returns), so the per-request steady check, pool counter
-            # updates, and PoolReport construction are hoisted out of the
-            # request loop - one report, shared by every result of the
-            # batch (read-only by convention, like the timeline tuple:
-            # its fields are identical for every steady-state run by
-            # construction), and the counters are applied per batch.  This
-            # is the path the service scheduler's coalesced micro-batches
-            # hit.  A raising kernel propagates with the pool untouched -
-            # the ``finally`` still credits the runs that completed.
-            report = PoolReport(
-                peak_bytes=peak_bytes,
-                peak_copy_bytes=0,
-                final_bytes=pool.live_bytes,
-                timeline=timeline,
-                allocations=0,
-                reuses=allocs_per_run,
-                total_allocated_bytes=total_allocated,
-            )
-            completed = 0
-            try:
-                for values in values_list:
-                    start = perf()
-                    outputs = plain(values)
-                    results.append((outputs, report, perf() - start))
-                    completed += 1
-            finally:
-                if completed:
-                    pool.reuses += allocs_per_run * completed
-                    if pool.live_bytes + peak_bytes > pool.peak_bytes:
-                        pool.peak_bytes = pool.live_bytes + peak_bytes
-            return results
-        for values in values_list:
-            start = perf()
-            if matches_free_state is not None \
-                    and matches_free_state(steady_state):
-                # Steady state mid-batch (the batch's first requests just
-                # warmed the pool): apply the static deltas once.
-                outputs = plain(values)
-                pool.reuses += allocs_per_run
-                if pool.live_bytes + peak_bytes > pool.peak_bytes:
-                    pool.peak_bytes = pool.live_bytes + peak_bytes
-                allocations = 0
-                reuses = allocs_per_run
-            else:
-                allocations_before = pool.allocations
-                reuses_before = pool.reuses
-                # Slot-indexed liveness: every acquired slot is returned
-                # even when a kernel raises, so a failed request cannot
-                # corrupt the long-lived pool of a serving session.
-                active = bytearray(len(slot_sizes))
-                try:
-                    outputs = accounted(values, allocate, release, active)
-                finally:
-                    # Graph outputs, never-consumed inputs, and - on
-                    # failure - whatever was live at the raising step.
-                    for slot, is_live in enumerate(active):
-                        if is_live:
-                            release(slot_sizes[slot])
-                allocations = pool.allocations - allocations_before
-                reuses = pool.reuses - reuses_before
-            report = PoolReport(
-                peak_bytes=peak_bytes,
-                peak_copy_bytes=0,
-                final_bytes=pool.live_bytes,
-                timeline=timeline,
-                allocations=allocations,
-                reuses=reuses,
-                total_allocated_bytes=total_allocated,
-            )
-            results.append((outputs, report, perf() - start))
-        return results
+        return self._runner(program)(program.bind_packs(values))
 
     def run_stacked(self, program: ExecutionProgram,
                     variant: ExecutionProgram, values_list,
-                    pool: MemoryPool,
                     ) -> list[tuple[dict[str, np.ndarray], PoolReport, float]]:
         """Serve a stackable micro-batch as ONE pass of ``variant``.
 
@@ -962,13 +804,14 @@ class NumPyBackend(ExecutionBackend):
         set (graph outputs that are pure parameter expressions) are
         shared unsliced.  Subclasses inherit this unchanged: the variant
         is an ordinary program, so the codegen backend transparently
-        emits batch-N source for it via ``_compile_runners``.
+        emits batch-N source for it via ``_compile_runner``.
 
         Result rows mirror :meth:`run_many`: ``(outputs, report, wall)``
-        per request, with the PoolReport *shared* (the pass is one pool
-        interaction) and the stacked wall time divided evenly - callers
-        flag the attribution via ``RunStats.batched``.
+        per request, with the variant's report *shared* (the pass is one
+        execution of one plan) and the stacked wall time divided evenly
+        - callers flag the attribution via ``RunStats.batched``.
         """
+
         from .batching import analyze  # deferred: batching imports us
 
         analysis = analyze(program)
@@ -982,7 +825,7 @@ class NumPyBackend(ExecutionBackend):
             if pad:
                 arrays.extend([arrays[-1]] * pad)
             stacked[name] = np.concatenate(arrays, axis=0)
-        (outputs, report, wall), = self.run_many(variant, (stacked,), pool)
+        (outputs, report, wall), = self.run_many(variant, (stacked,))
         share = wall / n
         results = []
         for i in range(n):

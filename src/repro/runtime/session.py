@@ -2,8 +2,8 @@
 
 A :class:`Session` holds one compiled (model, framework, device) triple:
 the optimized graph, its lowered
-:class:`~repro.runtime.program.ExecutionProgram`, its cost-model config,
-and a long-lived :class:`~repro.memory.pool.SizeClassPool`.  Compilation
+:class:`~repro.runtime.program.ExecutionProgram` and its cost-model
+config.  Compilation
 goes through the bench harness's process-wide compile/cost cell cache
 (PR 1), which is content-addressed: compiling the same triple twice -
 by name or as a structurally identical rebuilt graph - or costing it in
@@ -11,7 +11,7 @@ a benchmark and then serving it reuses one compile *and* one lowering.
 Everything that is a function of graph content (the program and its
 ``backend_cache``, the materialized parameters, the cost report) lives
 on that shared cell, read-only; a session owns only what is per-session
-(pools, statistics, fault injector, worker pool).
+(statistics, fault injector, worker pool).
 
 The session itself is now only request admission + statistics: every
 ``run(inputs)`` / ``run_batch(list_of_inputs)`` validates the request,
@@ -24,25 +24,24 @@ bookkeeping) was all moved to compile time by
 * parameters are materialized once per compiled cell and shared
   read-only by its sessions, not drawn per session or per request;
 * buffer liveness is a static slot plan computed once from
-  :func:`repro.memory.pool.liveness_schedule`, so per-request pool
-  accounting is slot-indexed integer ops against the session's pool -
-  the *second* run of a session satisfies every request from blocks the
-  first run returned (observable as ``RunStats.pool.allocations``
-  dropping to zero while ``reuses`` climbs);
+  :func:`repro.memory.pool.liveness_schedule`; its accounting is a fact
+  of the program (:attr:`~repro.runtime.program.ExecutionProgram.report`),
+  reported as ``RunStats.pool`` by every request - the first included -
+  and never replayed at run time;
 * dead intermediate ndarrays are dropped mid-run, bounding true process
   memory by the live set rather than the whole graph;
 * ``run_batch`` executes through one backend invocation - and, when the
   program is batch-stackable
   (:func:`repro.runtime.batching.analyze`), through ONE kernel pass for
   the whole micro-batch: inputs stacked along the batch axis, a cached
-  batch-N program variant run once against a pre-warmed per-bucket
-  pool, outputs split per request.  Non-stackable programs fall back to
-  the sequential per-request loop inside the single invocation.
+  batch-N program variant run once, outputs split per request.
+  Non-stackable programs fall back to the sequential per-request loop
+  inside the single invocation.
 
     >>> session = repro.compile("Swin").session
     >>> out = session.run(session.make_inputs(seed=0))
-    >>> out = session.run(session.make_inputs(seed=0))
-    >>> session.stats.runs[-1].pool.reuses   # second run reuses blocks
+    >>> session.stats.runs[-1].pool is session.program.report
+    True
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from ..api.errors import (
 )
 from ..ir.graph import Graph
 from ..ir.symbolic import SYM, is_placeholder
-from ..memory.pool import PoolReport, SizeClassPool
+from ..memory.pool import PoolReport
 from .batching import analyze, bucket, mark_unstackable, rebatch, symbolize
 from .device import DeviceSpec, SD8GEN2
 from .executor import make_inputs, make_params
@@ -78,17 +77,20 @@ class RunStats:
     wall_s: float
     est_latency_ms: float
     pool: PoolReport
-    """Per-request pool delta: ``allocations`` counts *new* blocks this
-    run created; ``reuses`` counts requests served from freed blocks."""
+    """The static slot-plan report of the program or variant that served
+    the request (:attr:`~repro.runtime.program.ExecutionProgram.report`,
+    one shared object per program): a fact of the plan, in bytes of the
+    graph's dtypes - not what the allocator did.  ``allocations`` is 0
+    and ``reuses`` the plan's ``allocs_per_run`` on every request."""
     backend: str = ""
     """Backend that actually served the request - the session's
     configured backend unless graceful degradation substituted the
     reference backend (:attr:`SessionStats.fallbacks`)."""
     batched: bool = False
     """True when the request was served by a stacked batch-N pass.  The
-    pass is one pool interaction and one wall-clock interval for the
-    whole micro-batch, so :attr:`pool` is *shared* with the batchmates
-    (identical PoolReport object) and :attr:`wall_s` carries this
+    pass is one execution of the variant and one wall-clock interval for
+    the whole micro-batch, so :attr:`pool` is the variant's report,
+    *shared* with the batchmates, and :attr:`wall_s` carries this
     request's even share of the stacked execution time plus its own
     admission time."""
     fused_steps: int = 0
@@ -330,13 +332,6 @@ class Session:
         # never runs on a request's response path.
         self._est_latency_ms: float | None = \
             cell.report.latency_ms if cell is not None else None
-        self.pool = SizeClassPool()
-        # One pool per variant, keyed ``(kind, factor)`` with kind
-        # ``"stacked"`` or ``"symbolic"``: a variant's passes account
-        # against its own pool (pre-warmed to the variant's slot plan at
-        # first use), keeping the base pool's steady state - and the
-        # tests that assert it - untouched by batching.
-        self._pools: dict[tuple[str, int], SizeClassPool] = {}
         self._program = program
         self._param_values: dict[str, np.ndarray] | None = None
         self._input_cache: dict[int, dict[str, np.ndarray]] = {}
@@ -523,8 +518,8 @@ class Session:
         Batching: a multi-request invocation of a batch-stackable
         program (:func:`repro.runtime.batching.analyze`) routes through
         ``run_stacked`` - inputs concatenated along the batch axis, one
-        pass of the cached power-of-two batch variant against that
-        bucket's pre-warmed pool, outputs split per request.
+        pass of the cached power-of-two batch variant, outputs split per
+        request.
         Non-stackable programs, solo requests, and batches with
         per-request parameter overrides take the sequential ``run_many``
         path; both paths are byte-identical per request.
@@ -532,9 +527,9 @@ class Session:
         Degradation: when the configured backend is not the reference
         one, a :class:`~repro.api.errors.BackendCompilationError` (or any
         runner failure) is retried on the reference ``numpy`` backend
-        against pristine copies of the inputs - identical outputs, same
-        pool discipline (the retry keeps the stacked/sequential routing
-        of the failed attempt), logged and counted in
+        against pristine copies of the inputs - identical outputs (the
+        retry keeps the stacked/sequential routing of the failed
+        attempt), logged and counted in
         :attr:`SessionStats.fallbacks` - and the failure feeds the
         process-wide :class:`CircuitBreaker`; once a program's circuit
         opens, it routes straight to the reference backend (a later
@@ -606,7 +601,7 @@ class Session:
         unchanged.  Symbolic sessions group requests by leading extent
         first: base-extent requests take the concrete path (including
         stacking); any other extent runs through its bucket's symbolic
-        variant against that bucket's warmed pool, each request at its
+        variant (:meth:`SymbolicServing.factor`), each request at its
         *exact* extent - never padded, never stacked - which is what
         keeps outputs byte-identical to a fresh concrete compile at
         that extent.  Rows are scattered back in request order.
@@ -628,8 +623,8 @@ class Session:
                 rows, stacked = self._invoke_concrete(bk, sub)
                 batched = batched or stacked
             else:
-                variant, pool = self._symbolic_context(extent)
-                rows = bk.run_many(variant, sub, pool)
+                rows = bk.run_many(
+                    symbolize(self.program, sym.factor(extent)), sub)
             for index, row in zip(indices, rows):
                 results[index] = row
         return results, batched
@@ -637,37 +632,14 @@ class Session:
     def _invoke_concrete(self, bk, vlist):
         """The concrete serving path, as ``(rows, batched)``: one stacked
         pass when licensed, the sequential loop otherwise."""
-        ctx = self._stacked_context(vlist) if len(vlist) > 1 else None
-        if ctx is not None:
-            return bk.run_stacked(self.program, ctx[0], vlist, ctx[1]), True
-        return bk.run_many(self.program, vlist, self.pool), False
-
-    def _variant_pool(self, kind: str, factor: int, variant):
-        """The pool serving one ``(kind, factor)`` variant, created and
-        warmed to the variant's slot plan on first use - so even the
-        first pass of a bucket runs pool-steady."""
-        pool = self._pools.get((kind, factor))
-        if pool is None:
-            pool = self._pools[kind, factor] = SizeClassPool()
-            sizes = variant.slot_plan.slot_sizes
-            for size in sizes:
-                pool.allocate(size)
-            for size in sizes:
-                pool.release(size)
-        return pool
-
-    def _symbolic_context(self, extent: int):
-        """The ``(symbolic variant, warmed pool)`` serving one runtime
-        extent: one compiled variant and one pool per bucket
-        (:meth:`SymbolicServing.factor`), however many distinct extents
-        the bucket serves."""
-        factor = self.symbolic.factor(extent)
-        variant = symbolize(self.program, factor)
-        return variant, self._variant_pool("symbolic", factor, variant)
+        variant = self._stacked_context(vlist) if len(vlist) > 1 else None
+        if variant is not None:
+            return bk.run_stacked(self.program, variant, vlist), True
+        return bk.run_many(self.program, vlist), False
 
     def _stacked_context(self, values_list):
-        """The ``(variant, bucket pool)`` serving one stacked pass, or
-        None when the micro-batch must run sequentially.
+        """The batch variant serving one stacked pass, or None when the
+        micro-batch must run sequentially.
 
         Sequential is chosen when analysis refuted stacking, when a
         request overrides a non-input tensor (per-request parameters
@@ -694,7 +666,7 @@ class Session:
                 "sequential path", factor, self.model or self.graph.name)
             mark_unstackable(program, f"rebatch({factor}) failed: {err}")
             return None
-        return variant, self._variant_pool("stacked", factor, variant)
+        return variant
 
     # -- parallel worker pool ----------------------------------------------
 
@@ -781,9 +753,9 @@ class Session:
 
     def run_batch(self, batch: list[dict[str, np.ndarray]]
                   ) -> list[dict[str, np.ndarray]]:
-        """Serve a list of requests through *one* backend invocation on
-        the shared pool - a single stacked kernel pass when the program
-        is batch-stackable, a sequential loop otherwise.
+        """Serve a list of requests through *one* backend invocation - a
+        single stacked kernel pass when the program is batch-stackable, a
+        sequential loop otherwise.
 
         Per-request ``RunStats.wall_s`` covers admission + execution,
         comparable to :meth:`run` (an even share of the stacked pass on
@@ -807,8 +779,7 @@ class Session:
         ``requests`` are already-admitted value dicts (the scheduler
         admits in the submitting thread).  The batch is all-or-nothing
         for *statistics*: a request failing admission or mid-batch
-        propagates before any of the batch is recorded (the pool itself
-        stays consistent either way).
+        propagates before any of the batch is recorded.
         """
         admit_walls = None
         if admit is not None:
@@ -860,8 +831,8 @@ def _compile_session(model: str | Graph, framework: str = "Ours",
     graph, or a structurally identical rebuilt one - (or a benchmark
     that already costed it) share one compile, one lowering with its
     ``backend_cache``, one parameter materialization and one cost
-    report.  The Session is fresh: pools, stats, fault injector and
-    worker pool are never shared.  Raises ``RuntimeError`` when the
+    report.  The Session is fresh: stats, fault injector and worker
+    pool are never shared.  Raises ``RuntimeError`` when the
     framework does not support the model (capability or memory limits).
 
     Internal workhorse behind :func:`repro.api.compile` and
@@ -910,8 +881,8 @@ class SessionRegistry:
     """Session cache: one live Session per compiled triple.
 
     ``compile()`` returns the *same* Session for the same triple, so its
-    pool (and its warmed free blocks) carry across callers - the
-    compile-once/run-many contract at process scope.  Graph-object
+    statistics carry across callers - the compile-once/run-many contract
+    at process scope.  Graph-object
     models are keyed by :meth:`~repro.ir.graph.Graph.fingerprint`, so
     recompiling a structurally identical user graph hits the cache.
     With ``max_sessions`` set, the registry is bounded: compiling a new

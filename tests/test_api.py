@@ -291,7 +291,7 @@ class TestServiceScheduler:
         inputs = _graph_inputs(service.program.graph, 0)
 
         class FailingBackend(NumPyBackend):  # still named "numpy"
-            def run_many(self, program, values_list, pool):
+            def run_many(self, program, values_list):
                 raise RuntimeError("kernel exploded")
 
         service._backend = FailingBackend()
@@ -350,8 +350,8 @@ class TestServiceScheduler:
             service.infer(inputs, timeout=30)
             session = service.compiled.session
             assert session.stats.requests == 2
-            # steady state: the second request reuses every pool block
-            assert session.stats.runs[-1].pool.allocations == 0
+            # every request reports the program's static slot-plan report
+            assert session.stats.runs[-1].pool is session.program.report
 
     def test_serve_options_validated(self):
         with pytest.raises(ValueError, match="max_batch_size"):

@@ -19,7 +19,6 @@ from repro.api import (
 )
 from repro.bench.harness import clear_cell_cache
 from repro.ir import GraphBuilder
-from repro.memory.pool import SizeClassPool
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import get_backend, lower
 from repro.runtime.batching import (
@@ -98,16 +97,13 @@ class TestZooParity:
                 rebatch(program, 2)
             return
         # the stacked pass must also match the sequential run_many path
-    # on a private pool (the explicit fallback both paths share)
+        # (the explicit fallback both paths share)
         seq = get_backend(backend).run_many(
-            program, [session._admit(dict(i)) for i in inputs],
-            SizeClassPool())
+            program, [session._admit(dict(i)) for i in inputs])
         for got, (want, _, _) in zip(outs, seq):
             _assert_same_outputs(got, want, f"{name}/{backend}/seq")
-        # shared attribution: one PoolReport for the pass, pre-warmed
-        # bucket pool means even the first stacked run is steady-state
-        assert stats[0].pool is stats[1].pool
-        assert stats[0].pool.allocations == 0
+        # shared attribution: the pass reports its variant's static plan
+        assert stats[0].pool is stats[1].pool is rebatch(program, 2).report
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +137,9 @@ class TestOneKernelPass:
         calls = []
         original = session._backend.run_many
 
-        def counting_run_many(program, values_list, pool):
+        def counting_run_many(program, values_list):
             calls.append((program.batch_factor, len(values_list)))
-            return original(program, values_list, pool)
+            return original(program, values_list)
 
         monkeypatch.setattr(session._backend, "run_many", counting_run_many)
         session.run_batch([session.make_inputs(seed=s) for s in range(3)])
@@ -253,7 +249,7 @@ class TestNonStackableFallback:
 
 
 # ---------------------------------------------------------------------------
-# Stats attribution (satellite: batched=True, shared PoolReport)
+# Stats attribution (batched=True, the variant's shared PoolReport)
 # ---------------------------------------------------------------------------
 
 
@@ -275,18 +271,6 @@ class TestStackedStats:
         session = _compile_session(_mini_stackable(), "Ours")
         session.run(session.make_inputs(seed=0))
         assert not session.stats.runs[-1].batched
-
-    @pytest.mark.usefixtures("private_program")
-    def test_bucket_pool_is_prewarmed_and_steady(self):
-        session = _compile_session(_mini_stackable(), "Ours")
-        batch = [session.make_inputs(seed=s) for s in range(3)]
-        session.run_batch([dict(i) for i in batch])
-        pool = session._pools["stacked", 4]
-        warm_allocations = pool.allocations
-        assert session.stats.runs[-1].pool.allocations == 0
-        session.run_batch([dict(i) for i in batch])
-        assert pool.allocations == warm_allocations  # steady: reuse only
-        assert pool.live_bytes == 0
 
 
 # ---------------------------------------------------------------------------

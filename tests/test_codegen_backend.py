@@ -1,17 +1,17 @@
 """Tests for the fused codegen execution backend.
 
 The contract: the ``codegen`` backend is a drop-in for ``numpy`` -
-identical outputs, identical pool accounting, identical failure
-semantics - with the whole step loop compiled to Python source once per
-program and cached on it.
+identical outputs, identical failure semantics - with the whole step
+loop compiled to Python source once per program and cached on it.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.api import CompileOptions
 from repro.core import smartmem_optimize
-from repro.memory.pool import SizeClassPool
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import (
     CodegenBackend, available_backends, compile_program, execute,
@@ -38,15 +38,15 @@ class TestGeneratedModule:
         optimized = smartmem_optimize(attention_graph).graph
         program = lower(optimized)
         source = program_source(program)
+        # one runner, and no pool traffic in it: the slot plan is a
+        # static fact of the program, never replayed per request
+        assert re.findall(r"^def \w+", source, re.M) == ["def run_plain"]
         assert "def run_plain(values):" in source
-        assert "def run_accounted(values, allocate, release, active):" in source
+        assert "allocate(" not in source
         # per-step closure dispatch is gone: kernels are called directly
         assert "_k_matmul(" in source
         # pre-resolved views are inlined as direct ndarray method calls
         assert ".reshape(" in source or ".transpose(" in source
-        # the accounted variant carries slot sizes as integer literals
-        for size in program.slot_plan.slot_sizes:
-            assert f"allocate({size})" in source
 
     def test_emit_is_pure_and_compile_is_cached(self, attention_graph):
         program = lower(attention_graph)
@@ -98,36 +98,6 @@ class TestGeneratedModule:
 
 
 class TestCodegenServing:
-    def test_pool_accounting_matches_numpy(self, attention_graph):
-        program = lower(attention_graph)
-        values = make_inputs(attention_graph)
-        backend = get_backend("codegen")
-        pool = SizeClassPool()
-        _, first = backend.run_serving(program, dict(values), pool)
-        assert first.allocations == program.slot_plan.num_slots
-        assert pool.matches_free_state(program.slot_plan.size_class_counts)
-        _, second = backend.run_serving(program, dict(values), pool)
-        assert second.allocations == 0
-        assert second.reuses == program.slot_plan.allocs_per_run
-        assert second.final_bytes == 0
-
-    def test_failed_run_leaves_pool_consistent(self, attention_graph):
-        program = lower(attention_graph)
-        backend = get_backend("codegen")
-        pool = SizeClassPool()
-        values = make_inputs(attention_graph)
-        bad = dict(values)
-        bad["x"] = bad["x"][:, :-1]  # wrong shape -> step raises mid-run
-        with pytest.raises(Exception):
-            backend.run_serving(program, dict(bad), pool)
-        assert pool.live_bytes == 0
-        backend.run_serving(program, dict(values), pool)
-        with pytest.raises(Exception):
-            backend.run_serving(program, dict(bad), pool)
-        assert pool.live_bytes == 0
-        _, report = backend.run_serving(program, dict(values), pool)
-        assert report.allocations == 0
-
     def test_shape_error_matches_reference_backend(self, attention_graph):
         program = lower(attention_graph)
         values = make_inputs(attention_graph)
@@ -143,12 +113,12 @@ class TestCodegenServing:
     def test_run_many_matches_single_runs(self, attention_graph):
         program = lower(attention_graph)
         backend = get_backend("codegen")
-        pool = SizeClassPool()
         batch = [make_inputs(attention_graph, seed=s) for s in range(3)]
-        results = backend.run_many(program, [dict(b) for b in batch], pool)
+        results = backend.run_many(program, [dict(b) for b in batch])
         for inputs, (out, report, wall_s) in zip(batch, results):
             ref = execute(attention_graph, inputs)
             assert wall_s > 0
+            assert report is program.report
             for key in ref:
                 assert np.array_equal(out[key], ref[key])
 
@@ -170,9 +140,8 @@ class TestCodegenPlumbing:
         ref = reference.run(dict(inputs))
         for key in ref:
             assert np.array_equal(out[key], ref[key]), key
-        # second request is served entirely from the warmed pool
-        session.run(dict(inputs))
-        assert session.stats.runs[-1].pool.allocations == 0
+        # every request reports the program's static slot-plan report
+        assert session.stats.runs[-1].pool is session.program.report
 
     def test_compile_options_front_door(self, attention_graph):
         import repro

@@ -1,5 +1,6 @@
 """Tests for the lowered ExecutionProgram + pluggable backend layer."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 
 from repro.core import smartmem_optimize
 from repro.ir.tensor import TensorSpec
-from repro.memory.pool import SizeClassPool, liveness_schedule
+from repro.memory.pool import liveness_schedule
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import (
     ExecutionBackend, ExecutionProgram, NumPyBackend, available_backends,
     execute, get_backend, lower, make_inputs, register_backend, run_node,
 )
+from repro.runtime.batching import analyze, rebatch, symbolize
 
 
 def _interpret(graph, inputs):
@@ -102,6 +104,92 @@ class TestSlotPlan:
             size * count for size, count in peak_by_class.items())
 
 
+# Per SMOKE_CONFIGS model under ``Ours``, for the base program and - where
+# stackable - ``rebatch(., 4)`` and ``symbolize(., 2)``:
+# (peak_bytes, total_allocated_bytes, allocs_per_run, scratch_bytes,
+#  num_slots, sha256 of (sorted slot_sizes, timeline_live) [:16]).
+# Pinned from the commit that replayed the plan against a run-time pool,
+# before the base and variant allocators were merged into one; slot ids
+# may permute (the digest sorts the sizes), nothing else may move.
+PLAN_FACTS = {
+    ('AutoFormer', 'base'): (75264, 117672, 14, 150528, 9, 'a8f90b35782ba5fe'),
+    ('AutoFormer', 'rebatch4'): (301056, 470688, 14, 602112, 9, '35513cc0d0c1e667'),
+    ('AutoFormer', 'symbolize2'): (150528, 235344, 14, 301056, 9, '70d83427812ffc4e'),
+    ('BiFormer', 'base'): (31360, 158048, 33, 204512, 20, '52ecb3b8893092a7'),
+    ('CSwin', 'base'): (39200, 222368, 33, 174832, 16, '31119c9a7fb87436'),
+    ('Conformer', 'base'): (16256, 24064, 22, 21392, 8, '022b9e86d7e994f8'),
+    ('Conformer', 'rebatch4'): (65024, 96256, 22, 85568, 8, '9a5ff05a6f49a172'),
+    ('Conformer', 'symbolize2'): (32512, 48128, 22, 42784, 8, '4e72afd56d8c3878'),
+    ('ConvNext', 'base'): (10240, 37904, 16, 226048, 11, 'abb8ea129eae13b3'),
+    ('ConvNext', 'rebatch4'): (40960, 151616, 16, 904192, 11, '7b32fbfa673d5152'),
+    ('ConvNext', 'symbolize2'): (20480, 75808, 16, 452096, 11, 'dcfbfee5e9a4d431'),
+    ('CrossFormer', 'base'): (101920, 286656, 30, 700800, 16, '74916aefa21d19cb'),
+    ('EfficientVit', 'base'): (10240, 60752, 36, 241200, 19, '196002d21ec80e9f'),
+    ('EfficientVit', 'rebatch4'): (40960, 243008, 36, 964800, 19, '516bedd6d5135b3f'),
+    ('EfficientVit', 'symbolize2'): (20480, 121504, 36, 482400, 19, 'be64303f41010097'),
+    ('FST', 'base'): (196608, 913408, 32, 12045568, 7, 'b8ff5fd2d7dcd8b1'),
+    ('FST', 'rebatch4'): (786432, 3653632, 32, 48182272, 7, '92840985692f8420'),
+    ('FST', 'symbolize2'): (393216, 1826816, 32, 24091136, 7, 'a147f22823b52db7'),
+    ('FlattenFormer', 'base'): (31616, 184816, 35, 139648, 18, 'bba78c25cc7e0666'),
+    ('FlattenFormer', 'rebatch4'): (126464, 739264, 35, 558592, 18, 'b2c4cc28898f4a3c'),
+    ('FlattenFormer', 'symbolize2'): (63232, 369632, 35, 279296, 18, '2c17152de830025f'),
+    ('Pythia', 'base'): (3072, 9248, 14, 0, 9, '7a58676999f50d50'),
+    ('Pythia', 'rebatch4'): (12288, 36992, 14, 0, 9, 'b912a6f7de7b219c'),
+    ('Pythia', 'symbolize2'): (6144, 18496, 14, 0, 9, '6f22e67c8ea27bf2'),
+    ('RegNet', 'base'): (49152, 450192, 79, 1162992, 14, 'f29c29c22ddd4841'),
+    ('RegNet', 'rebatch4'): (196608, 1800768, 79, 4651968, 14, '9aedc8a472aee8b1'),
+    ('RegNet', 'symbolize2'): (98304, 900384, 79, 2325984, 14, 'baf2a6bb3ba6b8a4'),
+    ('ResNet50', 'base'): (40960, 412624, 53, 539568, 9, '1295bc9eba6d033a'),
+    ('ResNet50', 'rebatch4'): (163840, 1650496, 53, 2158272, 9, '33a8d6a7847001ed'),
+    ('ResNet50', 'symbolize2'): (81920, 825248, 53, 1079136, 9, '814548628d94e0f0'),
+    ('ResNext', 'base'): (49152, 546768, 53, 1055664, 8, '199e93bae5142d95'),
+    ('ResNext', 'rebatch4'): (196608, 2187072, 53, 4222656, 8, '58698668ba714baa'),
+    ('ResNext', 'symbolize2'): (98304, 1093536, 53, 2111328, 8, '43352fc7d6114c24'),
+    ('SD-TextEncoder', 'base'): (2816, 7712, 12, 0, 7, 'b8405ed5bf2a7026'),
+    ('SD-TextEncoder', 'rebatch4'): (11264, 30848, 12, 0, 7, '7c144bb5a483eceb'),
+    ('SD-TextEncoder', 'symbolize2'): (5632, 15424, 12, 0, 7, '95260c41bb355f45'),
+    ('SD-UNet', 'base'): (62720, 1313384, 460, 793664, 51, 'fe1bd0057fa6257a'),
+    ('SD-UNet', 'rebatch4'): (250880, 5253536, 460, 3174656, 51, 'e95da89550b45c4f'),
+    ('SD-UNet', 'symbolize2'): (125440, 2626768, 460, 1587328, 51, '227737f5ad5794ae'),
+    ('SD-VAEDecoder', 'base'): (163840, 1068288, 72, 2564672, 19, 'e8ba0e46e7bbe5e1'),
+    ('SD-VAEDecoder', 'rebatch4'): (655360, 4273152, 72, 10258688, 19, 'd17b5f3317125dea'),
+    ('SD-VAEDecoder', 'symbolize2'): (327680, 2136576, 72, 5129344, 19, 'eb09ab1c2cefeaf3'),
+    ('SMTFormer', 'base'): (31360, 124368, 25, 359024, 19, 'a5fd08ab68a2d81a'),
+    ('SMTFormer', 'rebatch4'): (125440, 497472, 25, 1436096, 19, 'cfc96d62c6273c3a'),
+    ('SMTFormer', 'symbolize2'): (62720, 248736, 25, 718048, 19, '2cad19bf1df974b1'),
+    ('Swin', 'base'): (114464, 352544, 27, 37632, 14, 'daa7dadf7bc45318'),
+    ('ViT', 'base'): (6144, 11008, 14, 12288, 9, '1e97b9471a301018'),
+    ('ViT', 'rebatch4'): (24576, 44032, 14, 49152, 9, '15f3c78ebf793b9d'),
+    ('ViT', 'symbolize2'): (12288, 22016, 14, 24576, 9, '28874391690fabbe'),
+    ('Yolo-V8', 'base'): (40960, 432000, 67, 748848, 29, '13e9522098ce014a'),
+    ('Yolo-V8', 'rebatch4'): (163840, 1728000, 67, 2995392, 29, 'eba7fd75561f5a44'),
+    ('Yolo-V8', 'symbolize2'): (81920, 864000, 67, 1497696, 29, '34f518f5c754c41d'),
+}
+
+
+def _plan_facts(program):
+    plan = program.slot_plan
+    digest = hashlib.sha256(repr(
+        (sorted(plan.slot_sizes), plan.timeline_live)).encode()).hexdigest()
+    return (plan.peak_bytes, plan.total_allocated_bytes, plan.allocs_per_run,
+            plan.scratch_bytes, plan.num_slots, digest[:16])
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
+def test_one_allocator_reproduces_the_pinned_plans(name):
+    """The merged slot allocator builds the base plan from spec sizes and
+    every variant plan from scaled sizes, releasing ``step.drops`` that
+    hold a slot in both: the plans match the pinned ones exactly, so a
+    base and a variant cannot disagree on when a slot is released."""
+    program = smartmem_optimize(build(name, **SMOKE_CONFIGS[name])).program
+    got = {(name, "base"): _plan_facts(program)}
+    if analyze(program).stackable:
+        got[name, "rebatch4"] = _plan_facts(rebatch(program, 4))
+        got[name, "symbolize2"] = _plan_facts(symbolize(program, 2))
+    assert got == {key: value for key, value in PLAN_FACTS.items()
+                   if key[0] == name}
+
+
 class TestLowering:
     def test_program_memoized_per_generation(self, attention_graph):
         a = lower(attention_graph)
@@ -125,7 +213,6 @@ class TestLowering:
         assert len(plan.timeline_live) == len(attention_graph.topo_order())
         assert plan.peak_bytes == max(plan.timeline_live)
         assert plan.allocs_per_run >= plan.num_slots
-        assert plan.size_class_counts == Counter(plan.slot_sizes)
 
     def test_views_preresolved(self, attention_graph):
         optimized = smartmem_optimize(attention_graph).graph
@@ -138,54 +225,16 @@ class TestLowering:
 
 
 class TestServingExecution:
-    def test_steady_state_skips_pool_traffic(self, attention_graph):
-        program = lower(attention_graph)
-        pool = SizeClassPool()
-        backend = get_backend("numpy")
-        values = make_inputs(attention_graph)
-        _, first = backend.run_serving(program, dict(values), pool)
-        assert first.allocations == program.slot_plan.num_slots
-        # steady state: the free blocks are exactly the slot plan
-        assert pool.matches_free_state(program.slot_plan.size_class_counts)
-        out, second = backend.run_serving(program, dict(values), pool)
-        assert second.allocations == 0
-        assert second.reuses == program.slot_plan.allocs_per_run
-        assert second.final_bytes == 0
-        assert second.peak_bytes == first.peak_bytes
-        ref = execute(attention_graph, dict(values))
-        for key in ref:
-            assert np.array_equal(out[key], ref[key])
-
-    def test_failed_run_leaves_pool_consistent(self, attention_graph):
-        program = lower(attention_graph)
-        pool = SizeClassPool()
-        backend = get_backend("numpy")
-        values = make_inputs(attention_graph)
-        bad = dict(values)
-        bad["x"] = bad["x"][:, :-1]  # wrong shape -> step raises mid-run
-        # failure on a cold pool: the slow path's cleanup returns blocks
-        with pytest.raises(Exception):
-            backend.run_serving(program, dict(bad), pool)
-        assert pool.live_bytes == 0
-        backend.run_serving(program, dict(values), pool)
-        # failure at steady state: the fast path never touches the pool
-        with pytest.raises(Exception):
-            backend.run_serving(program, dict(bad), pool)
-        assert pool.live_bytes == 0
-        # still serves correctly afterwards, still all-reuse
-        _, report = backend.run_serving(program, dict(values), pool)
-        assert report.allocations == 0
-
     def test_run_many_matches_single_runs(self, attention_graph):
         program = lower(attention_graph)
         backend = get_backend("numpy")
-        pool = SizeClassPool()
         batch = [make_inputs(attention_graph, seed=s) for s in range(3)]
-        results = backend.run_many(program, [dict(b) for b in batch], pool)
+        results = backend.run_many(program, [dict(b) for b in batch])
         assert len(results) == 3
         for inputs, (out, report, wall_s) in zip(batch, results):
             ref = execute(attention_graph, inputs)
             assert wall_s > 0
+            assert report is program.report
             for key in ref:
                 assert np.array_equal(out[key], ref[key])
 

@@ -25,14 +25,14 @@ class Spy(ExecutionBackend):
     def __init__(self):
         self.calls = []
 
-    def run_many(self, program, values_list, pool):
+    def run_many(self, program, values_list):
         self.calls.append(("run_many", len(values_list)))
-        return get_backend("numpy").run_many(program, values_list, pool)
+        return get_backend("numpy").run_many(program, values_list)
 
-    def run_stacked(self, program, variant, values_list, pool):
+    def run_stacked(self, program, variant, values_list):
         self.calls.append(("run_stacked", len(values_list)))
         return get_backend("numpy").run_stacked(
-            program, variant, values_list, pool)
+            program, variant, values_list)
 
     def try_sharded(self, session, values_list):
         raise AssertionError("a non-sharding backend was asked to shard")
@@ -53,7 +53,7 @@ class Sharder(ExecutionBackend):
         self.offers.append(len(values_list))
         return self.reply
 
-    def run_many(self, program, values_list, pool):
+    def run_many(self, program, values_list):
         raise AssertionError("the sharding backend ran in-process itself")
 
     run_stacked = run_many

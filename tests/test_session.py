@@ -13,8 +13,8 @@ from repro.runtime import (
 
 
 def fresh_session(model, framework="Ours", device=SD8GEN2, **options):
-    """A fresh private session (own pools and stats), as ``repro.serve``
-    builds one."""
+    """A fresh private session (own stats), as ``repro.serve`` builds
+    one."""
     return compile_private(model, CompileOptions(
         framework=framework, device=device, **options)).session
 
@@ -44,16 +44,6 @@ class TestEveryRegistryModel:
             assert np.array_equal(out1[key], compiled_ref[key]), key
             assert np.array_equal(out1[key], out2[key]), key
             assert np.allclose(ref[key], out1[key], rtol=1e-4, atol=1e-5), key
-
-    def test_second_run_reuses_pool_blocks(self, name):
-        _, session, inputs = _session_and_reference(name)
-        session.run(inputs)
-        session.run(inputs)
-        first, second = session.stats.runs
-        assert second.pool.allocations < first.pool.allocations
-        assert second.pool.reuses > 0
-        # steady state: everything returned to the pool between requests
-        assert second.pool.final_bytes == 0
 
 
 class TestSessionAccounting:
@@ -97,19 +87,17 @@ class TestSessionAccounting:
         with pytest.raises(ValueError, match="not both"):
             session.run(session.make_inputs(), seed=3)
 
-    def test_failed_run_does_not_corrupt_pool(self, vit_session):
-        """A request that dies mid-graph must return its blocks: the pool
-        is long-lived and shared by every later request."""
+    def test_failed_run_records_nothing(self, vit_session):
+        """A refused request records nothing, and the session keeps
+        serving."""
         _, session = vit_session
         inputs = session.make_inputs()
         bad = dict(inputs)
         name = next(iter(bad))
         bad[name] = bad[name][..., :-1]  # wrong shape
         requests_before = session.stats.requests
-        live_before = session.pool.live_bytes
         with pytest.raises(Exception):
             session.run(bad)
-        assert session.pool.live_bytes == live_before
         assert session.stats.requests == requests_before
         out = session.run(inputs)  # session still serves correctly
         assert out
@@ -139,11 +127,9 @@ class TestInputValidation:
         name = next(iter(inputs))
         inputs[name] = inputs[name][..., :-1]
         requests = session.stats.requests
-        live = session.pool.live_bytes
         with pytest.raises(ValueError):
             session.run(inputs)
         assert session.stats.requests == requests
-        assert session.pool.live_bytes == live
 
 
 class TestRegistryLRU:
@@ -229,9 +215,9 @@ class TestProgramPlumbing:
         calls = []
         original = session._backend.run_many
 
-        def counting_run_many(program, values_list, pool):
+        def counting_run_many(program, values_list):
             calls.append(len(values_list))
-            return original(program, values_list, pool)
+            return original(program, values_list)
 
         monkeypatch.setattr(session._backend, "run_many", counting_run_many)
         session.run_batch([session.make_inputs(seed=s) for s in range(3)])
@@ -262,16 +248,6 @@ class TestCompileOnce:
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + 1
         assert isinstance(second, Session)
-
-    def test_sessions_have_independent_pools(self):
-        g = build("ViT", **SMALL_CONFIGS["ViT"])
-        a = fresh_session(g, "Ours")
-        b = fresh_session(g, "Ours")
-        inputs = make_inputs(g)
-        a.run(inputs)
-        b.run(inputs)
-        # b's first run is cold even though a warmed its own pool
-        assert b.stats.runs[0].pool.allocations > 0
 
     def test_unsupported_framework_raises(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])

@@ -422,16 +422,6 @@ class TestBucketedPlans:
         assert large.symbolic_extent == 8
         assert large.slot_plan.peak_bytes > small.slot_plan.peak_bytes
 
-    def test_per_bucket_pools_warm_lazily(self):
-        graph = build_smoke("Pythia", batch=1)
-        session = _compile_session(
-            build_smoke("Pythia", batch=1), "Ours", faults=NO_FAULTS,
-            signature=symbolic_signature(graph), max_extent=MAX_EXTENT)
-        assert session._pools == {}
-        values, _want = concrete_reference("Pythia", 3)
-        session.execute_values([session._admit(values)])
-        assert set(session._pools) == {("symbolic", bucket(3))}
-
     def test_shard_layout_per_extent(self):
         session = _compile_session(build_smoke("Pythia", batch=1), "Ours",
                                    faults=NO_FAULTS)
