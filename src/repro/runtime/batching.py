@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 from ..ir.symbolic import OPEN_STOP, SYM, SymViewChain
 from ..ir.view import ViewChain, ViewStep
-from .kernels import bind_conv2d
+from .kernels import bind_conv2d, get_kernel
 from .program import ExecutionProgram, Step, _assign_slots, _compile_view
 
 _ANALYSIS_KEY = "batching.analysis"
@@ -162,7 +162,7 @@ def _analyze(program: ExecutionProgram) -> BatchAnalysis:
             # factor=2 is a throwaway probe: the transform both checks
             # the stacking rules and exercises the view/attr scaling the
             # real rebatch will perform.
-            out_batched, _, _, _ = _transform_step(
+            out_batched, _, _, _, _ = _transform_step(
                 step, batch_extent, 2, batched, shape_of)
             for out, out_shape in zip(step.out_names, step.out_shapes):
                 shapes[out] = tuple(out_shape)
@@ -254,7 +254,7 @@ def _build_variant(program: ExecutionProgram, factor: int,
     shapes, shape_of = _shape_resolver(program)
     steps = []
     for step in program.steps:
-        out_batched, attrs, views, kernel = _transform_step(
+        out_batched, attrs, views, kernel, owned = _transform_step(
             step, B, factor, batched, shape_of, symbolic)
         for out, out_shape in zip(step.out_names, step.out_shapes):
             shapes[out] = tuple(out_shape)
@@ -285,6 +285,7 @@ def _build_variant(program: ExecutionProgram, factor: int,
             flops=step.flops * scale,
             scratch_bytes=step.scratch_bytes * scale,
             arena_bytes=step.arena_bytes * scale,
+            owned=owned,
         ))
     plan = plan.with_scratch(steps)
     if symbolic:
@@ -296,8 +297,7 @@ def _build_variant(program: ExecutionProgram, factor: int,
             (name, (shape[0] * factor,) + tuple(shape[1:]), dtype)
             for name, shape, dtype in program.input_signature)
     # Chains are runs of step indices, stable across rebatching: the
-    # variant inherits them verbatim and the codegen backend re-derives
-    # its in-place decisions from the variant's scaled shapes.
+    # variant inherits them verbatim.
     variant = ExecutionProgram(
         program.graph, tuple(steps), plan,
         input_signature=input_signature, batch_factor=factor,
@@ -449,14 +449,16 @@ def _per_request_rows(kernel, B: int):
 
 def _transform_step(step: Step, B: int, factor: int, batched,
                     shape_of, symbolic: bool = False,
-                    ) -> tuple[bool, dict, tuple, object]:
+                    ) -> tuple[bool, dict, tuple, object, int | None]:
     """Check one step's stacking rule and scale its batch-dependent
     capture.
 
-    Returns ``(out_batched, attrs, views, kernel)``: whether the step's
-    outputs carry the batch axis, the (possibly re-built) attrs dict,
-    the (possibly re-scaled) ``(position, ViewChain)`` capture, and the
-    kernel (wrapped by :func:`_per_request_rows` for rank-2 GEMMs).
+    Returns ``(out_batched, attrs, views, kernel, owned)``: whether the
+    step's outputs carry the batch axis, the (possibly re-built) attrs
+    dict, the (possibly re-scaled) ``(position, ViewChain)`` capture,
+    the kernel (wrapped by :func:`_per_request_rows` for rank-2 GEMMs,
+    the reference one where the variant cannot keep the step's
+    ownership), and the variant step's :attr:`~Step.owned`.
     Raises :class:`NotStackable` when stacking would change results.
 
     ``symbolic`` keeps every rule check on the concrete base shapes but
@@ -480,7 +482,7 @@ def _transform_step(step: Step, B: int, factor: int, batched,
         # A pure parameter/constant subexpression: identical for every
         # request, so the variant runs it once, unscaled, and the output
         # is shared across the split.
-        return False, step.attrs, views, step.kernel
+        return False, step.attrs, views, step.kernel, step.owned
 
     by_view = dict(views)
 
@@ -616,7 +618,13 @@ def _transform_step(step: Step, B: int, factor: int, batched,
             raise NotStackable(
                 f"{op}: output shape {tuple(shape)} does not lead with "
                 f"the batch axis")
-    return True, attrs, views, kernel
+    owned = step.owned
+    if owned is not None and not arg_batched[owned]:
+        # The owned operand broadcasts over the batched output (a
+        # parameter subexpression added to an activation): an in-place
+        # write would have to grow it, so the variant allocates.
+        owned, kernel = None, get_kernel(op)
+    return True, attrs, views, kernel, owned
 
 
 __all__ = [

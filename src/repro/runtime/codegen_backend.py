@@ -56,11 +56,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..api.errors import BackendCompilationError, ExecutionError
 from ..ir.symbolic import OPEN_STOP, SymDim, SymViewChain
-from .kernels import _BINARY_IMPL, layout_convert_elided
 from .program import ExecutionProgram, NumPyBackend, register_backend
 
 _MODULE_CACHE_KEY = "codegen.module"
@@ -75,13 +72,6 @@ def emission_count() -> int:
     (cache hits excluded)."""
     return _EMISSIONS
 
-#: Unary funcs with a bitwise-identical in-place recipe (plain ufuncs, or
-#: ufunc compositions whose reference impl is the same op sequence).
-#: gelu/silu/sigmoid and friends are *not* here: their impls build fresh
-#: intermediates, so the chain falls back to the reference kernel call
-#: (still fused into the register, just not written in place).
-_INPLACE_UNARY = frozenset(
-    {"relu", "relu6", "tanh", "exp", "neg", "abs", "sqrt"})
 
 _UNPRINTABLE = re.compile(r"[^ -~]")
 
@@ -139,13 +129,8 @@ class _SourceEmitter:
             for j in chain:
                 self._chain_of[j] = ci
         self._chain_interiors = program.fused_interiors
-        # Chain state while the body is emitted: the register local,
-        # whether the chain owns the register's buffer (fresh compute vs.
-        # a view of an external - only owned buffers may be written in
-        # place), and the register's current static shape.
+        # Each chain's register local while the body is emitted.
         self._chain_reg: dict[int, str] = {}
-        self._chain_owned: dict[int, bool] = {}
-        self._chain_shape: dict[int, tuple] = {}
 
     # -- bindings ----------------------------------------------------------
 
@@ -244,12 +229,6 @@ class _SourceEmitter:
         lines.append(f"        raise ExecutionError({message!r}"
                      f" % ({out}.shape,))")
 
-    def _ufunc(self, name: str, fn) -> str:
-        """One module global per numpy callable used by chain emission."""
-        gname = f"_np_{name}"
-        self.namespace[gname] = fn
-        return gname
-
     def _args(self, step) -> tuple[list[str], dict]:
         """Argument expressions (views rendered inline) + the view map."""
         # Views come from the Step's lowering-time capture, never the
@@ -285,23 +264,28 @@ class _SourceEmitter:
                 # the request dict; interior values are locals only.
                 lines.append(f"    values.pop({dead!r}, None)")
 
+    def _emit_call(self, lines: list[str], out: str, step, args) -> None:
+        """``out = kernel(args, attrs)`` for a single-output step, with
+        the reference backend's tuple unwrap and shape check."""
+        lines.append(f"    {out} = {self._kernel(step)}([{', '.join(args)}], "
+                     f"{self._attrs(step.attrs)})")
+        lines.append(f"    if type({out}) in (tuple, list):")
+        lines.append(f"        {out} = {out}[0]")
+        self._emit_check(lines, out, step, step.out_shapes[0])
+
     def _emit_step(self, lines: list[str], index: int, step) -> None:
         if index in self._chain_of:
             self._emit_chain_step(lines, index, step)
             return
         args, _ = self._args(step)
-        call = (f"{self._kernel(step)}([{', '.join(args)}], "
-                f"{self._attrs(step.attrs)})")
         lines.append("    # " + _comment_text(
             f"{step.node_id}: {step.op_type}({', '.join(step.arg_names)})"))
         if len(step.out_names) == 1:
-            out = self._define(step.out_names[0])
-            lines.append(f"    {out} = {call}")
-            lines.append(f"    if type({out}) in (tuple, list):")
-            lines.append(f"        {out} = {out}[0]")
-            self._emit_check(lines, out, step, step.out_shapes[0])
+            self._emit_call(lines, self._define(step.out_names[0]), step,
+                            args)
         else:
-            lines.append(f"    _r = {call}")
+            lines.append(f"    _r = {self._kernel(step)}([{', '.join(args)}]"
+                         f", {self._attrs(step.attrs)})")
             for pos, (out_name, shape) in enumerate(
                     zip(step.out_names, step.out_shapes)):
                 out = self._define(out_name)
@@ -312,145 +296,35 @@ class _SourceEmitter:
 
     # -- fused elementwise chains ------------------------------------------
 
-    @staticmethod
-    def _fresh_owned(step) -> bool:
-        """Does a fresh kernel call for ``step`` yield a buffer the chain
-        may write in place?  View kernels return aliases; the elided
-        layout_convert may pass its input through; a scale/shift-less
-        batchnorm returns its input."""
-        op = step.op_type
-        if op in ("reshape", "transpose"):
-            return False
-        if op == "layout_convert":
-            return step.kernel is not layout_convert_elided
-        if op == "batchnorm":
-            return len(step.arg_names) > 1
-        return True
-
     def _emit_chain_step(self, lines: list[str], index: int,
                          step) -> None:
         """Emit one member of a fused elementwise chain.
 
         The whole chain lives in ONE register local: the head computes
-        into it, every later member transforms it - with an in-place
-        ufunc (``out=register``) when the buffer is chain-owned, the
-        shape is preserved, and the func has a bitwise-identical in-place
-        recipe; with a re-view for reshape/transpose members; and with
-        the ordinary reference-kernel call otherwise (still fused - the
-        interior is never written to the values dict, never slotted,
-        never dict-dropped).  Ownership tracking keeps in-place writes
-        off buffers that alias graph inputs or parameters.
+        into it and every later member replaces it - a reshape/transpose
+        by re-viewing it, anything else by calling its kernel, which
+        ``lower()`` bound to write in place wherever the step owns its
+        operand (:attr:`~repro.runtime.program.Step.owned`), so both
+        backends run the same in-place decisions.  Interiors are never
+        written to the values dict, never slotted, never dict-dropped.
         """
         chain_id = self._chain_of[index]
         is_head = index in self._chain_heads
         op = step.op_type
         out_name = step.out_names[0]
-        out_shape = tuple(step.out_shapes[0])
         args, views = self._args(step)
         lines.append("    # " + _comment_text(
             f"{step.node_id}: {step.op_type}({', '.join(step.arg_names)})"
             + (" [chain head]" if is_head else " [fused]")))
-
-        def fresh_call(reg: str) -> bool:
-            call = (f"{self._kernel(step)}([{', '.join(args)}], "
-                    f"{self._attrs(step.attrs)})")
-            lines.append(f"    {reg} = {call}")
-            lines.append(f"    if type({reg}) in (tuple, list):")
-            lines.append(f"        {reg} = {reg}[0]")
-            return self._fresh_owned(step)
-
-        if is_head:
-            reg = self._define(out_name)
-            if op == "reshape" and 0 not in views:
-                lines.append(f"    {reg} = {args[0]}.reshape("
-                             f"{tuple(step.attrs['shape'])!r})")
-                owned = False
-            elif op == "transpose" and 0 not in views:
-                lines.append(f"    {reg} = {args[0]}.transpose("
-                             f"{tuple(step.attrs['perm'])!r})")
-                owned = False
-            else:
-                owned = fresh_call(reg)
-            self._emit_check(lines, reg, step, out_shape)
+        reg = self._define(out_name) if is_head else self._chain_reg[chain_id]
+        if op in ("reshape", "transpose") and 0 not in views:
+            arg = step.attrs["shape" if op == "reshape" else "perm"]
+            lines.append(f"    {reg} = {args[0]}.{op}({tuple(arg)!r})")
+            self._emit_check(lines, reg, step, step.out_shapes[0])
         else:
-            reg = self._chain_reg[chain_id]
-            owned = self._chain_owned[chain_id]
-            cur_shape = self._chain_shape[chain_id]
-            prev_out = self.program.steps[index - 1].out_names[0]
-            reg_pos = step.arg_names.index(prev_out)
-            reg_viewed = reg_pos in views
-            inplace_ok = owned and not reg_viewed and out_shape == cur_shape
-            func = step.attrs.get("func")
-            emitted = True
-            if op == "reshape" and not reg_viewed:
-                lines.append(f"    {reg} = {reg}.reshape("
-                             f"{tuple(step.attrs['shape'])!r})")
-                # The register may now be a strided view (reshape of a
-                # transposed buffer is sometimes view-compatible).  An
-                # in-place write through it would leave the chain output
-                # with different strides than the numpy path's fresh
-                # contiguous kernel output, and downstream reductions /
-                # BLAS are only bitwise-stable on identical layouts - so
-                # later members must fall back to a fresh kernel call.
-                owned = False
-            elif op == "transpose" and not reg_viewed:
-                lines.append(f"    {reg} = {reg}.transpose("
-                             f"{tuple(step.attrs['perm'])!r})")
-                owned = False  # register is a view now - see above
-            elif op == "layout_convert" and not reg_viewed:
-                # Pass through when already contiguous, compact copy
-                # otherwise - exactly the elided kernel.  Ownership is
-                # unchanged: a pass-through keeps whatever alias the
-                # register held.
-                ac = self._ufunc("ascontiguousarray", np.ascontiguousarray)
-                lines.append(f"    {reg} = {ac}({reg})")
-            elif op == "unary" and inplace_ok and func in _INPLACE_UNARY:
-                if func == "relu":
-                    g = self._ufunc("maximum", np.maximum)
-                    lines.append(f"    {g}({reg}, 0, out={reg})")
-                elif func == "relu6":
-                    g = self._ufunc("clip", np.clip)
-                    lines.append(f"    {g}({reg}, 0, 6, out={reg})")
-                elif func == "sqrt":
-                    ga = self._ufunc("abs", np.abs)
-                    gs = self._ufunc("sqrt", np.sqrt)
-                    lines.append(f"    {ga}({reg}, out={reg})")
-                    lines.append(f"    {gs}({reg}, out={reg})")
-                else:  # tanh / exp / neg / abs: one ufunc, one pass
-                    fn = {"tanh": np.tanh, "exp": np.exp,
-                          "neg": np.negative, "abs": np.abs}[func]
-                    g = self._ufunc(func, fn)
-                    lines.append(f"    {g}({reg}, out={reg})")
-            elif op == "binary" and inplace_ok and func in _BINARY_IMPL:
-                g = self._ufunc(func, _BINARY_IMPL[func])
-                other = args[1 - reg_pos]
-                if reg_pos == 0:
-                    lines.append(f"    {g}({reg}, {other}, out={reg})")
-                else:
-                    lines.append(f"    {g}({other}, {reg}, out={reg})")
-            elif op == "batchnorm" and inplace_ok:
-                bshape = [1] * len(cur_shape)
-                bshape[1 if len(cur_shape) >= 2 else 0] = -1
-                bshape = tuple(bshape)
-                mul = self._ufunc("multiply", np.multiply)
-                add = self._ufunc("add", np.add)
-                if len(args) > 1:
-                    lines.append(f"    {mul}({reg}, {args[1]}.reshape("
-                                 f"{bshape!r}), out={reg})")
-                if len(args) > 2:
-                    lines.append(f"    {add}({reg}, {args[2]}.reshape("
-                                 f"{bshape!r}), out={reg})")
-                # len(args) == 1 is the identity batchnorm: no statement
-            else:
-                emitted = False
-            if not emitted:
-                owned = fresh_call(reg)
-            self._emit_check(lines, reg, step, out_shape)
-
+            self._emit_call(lines, reg, step, args)
         self._locals[out_name] = reg
         self._chain_reg[chain_id] = reg
-        self._chain_owned[chain_id] = owned
-        self._chain_shape[chain_id] = out_shape
         self._emit_epilogue(lines, step)
 
     def _emit_body(self) -> list[str]:

@@ -26,11 +26,24 @@ from ..api.errors import ExecutionError
 _KERNELS: dict[str, Callable] = {}
 
 
-def kernel(op_type: str):
+def kernel(op_type: str, fresh: bool = False):
+    """Register ``fn`` as ``op_type``'s reference kernel.  ``fresh``
+    declares that every call returns a new array that aliases no input
+    and that nothing else references - the fact that lets ``lower()``
+    hand the result to its one consumer to overwrite (see
+    :func:`bind_in_place`)."""
     def decorate(fn):
         _KERNELS[op_type] = fn
+        fn.fresh = fresh
         return fn
     return decorate
+
+
+def returns_fresh(fn: Callable | None) -> bool:
+    """Does ``fn`` (a registered or lowering-bound kernel) return fresh
+    arrays?  Undeclared callables - views, the elided layout_convert,
+    wrappers - do not."""
+    return getattr(fn, "fresh", False)
 
 
 def get_kernel(op_type: str) -> Callable:
@@ -166,7 +179,7 @@ def _im2col(xp, cols6, sh, sw, dh, dw):
     np.copyto(cols6, patches)
 
 
-@kernel("conv2d")
+@kernel("conv2d", fresh=True)
 def conv2d_gemm(inputs, attrs, scratch: ConvScratch | None = None):
     """GEMM-shaped conv2d: one strided-view im2col + one batched matmul.
 
@@ -260,10 +273,11 @@ def bind_conv2d(x_shape, w_shape, attrs, node_id=None):
         return conv2d_gemm(inputs, attrs, scratch)
 
     bound.scratch = scratch
+    bound.fresh = True
     return bound, scratch
 
 
-@kernel("matmul")
+@kernel("matmul", fresh=True)
 def matmul(inputs, attrs):
     a, b = inputs
     if attrs.get("transpose_a"):
@@ -298,7 +312,10 @@ def dense_packed(inputs, attrs):
     return out
 
 
-@kernel("dense")
+dense_packed.fresh = True
+
+
+@kernel("dense", fresh=True)
 def dense(inputs, attrs):
     return dense_packed([inputs[0], pack(inputs[1]), *inputs[2:]], attrs)
 
@@ -331,7 +348,7 @@ _UNARY_IMPL = {
 }
 
 
-@kernel("unary")
+@kernel("unary", fresh=True)
 def unary(inputs, attrs):
     # copy=False: skip the redundant copy when the compute dtype already
     # matches (every impl returns a fresh array, so nothing aliases the
@@ -347,10 +364,104 @@ _BINARY_IMPL = {
 }
 
 
-@kernel("binary")
+@kernel("binary", fresh=True)
 def binary(inputs, attrs):
     return _BINARY_IMPL[attrs["func"]](inputs[0], inputs[1]).astype(
         inputs[0].dtype, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# in-place recipes
+# ---------------------------------------------------------------------------
+
+
+def _silu_into(x):
+    t = np.negative(x)
+    np.exp(t, out=t)
+    np.add(1, t, out=t)
+    return np.divide(x, t, out=x)
+
+
+def _sigmoid_into(x):
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    np.add(1, x, out=x)
+    return np.divide(1, x, out=x)
+
+
+def _gelu_into(x):
+    t = np.multiply(x, x)
+    np.multiply(t, x, out=t)
+    np.multiply(0.044715, t, out=t)
+    np.add(x, t, out=t)
+    np.multiply(_GELU_C, t, out=t)
+    np.tanh(t, out=t)
+    np.add(1, t, out=t)
+    np.multiply(0.5, x, out=x)
+    return np.multiply(x, t, out=x)
+
+
+#: The one table of in-place recipes: each writes into the operand it is
+#: given and returns it, issuing the same ufuncs in the same order, with
+#: the same operand order, as its ``_UNARY_IMPL`` reference - so the
+#: bytes are identical by construction, inf/NaN/-0.0 included.
+_UNARY_INTO = {
+    "relu": lambda x: np.maximum(x, 0, out=x),
+    "relu6": lambda x: np.clip(x, 0, 6, out=x),
+    "tanh": lambda x: np.tanh(x, out=x),
+    "exp": lambda x: np.exp(x, out=x),
+    "neg": lambda x: np.negative(x, out=x),
+    "abs": lambda x: np.abs(x, out=x),
+    "sqrt": lambda x: np.sqrt(np.abs(x, out=x), out=x),
+    "silu": _silu_into,
+    "sigmoid": _sigmoid_into,
+    "gelu": _gelu_into,
+}
+#: ``_BINARY_IMPL`` funcs written into either operand (``pow`` is not).
+_BINARY_INTO = frozenset({"add", "sub", "mul", "div", "maximum", "minimum"})
+
+
+def bind_in_place(op_type: str, attrs: dict, owned: int, rank: int):
+    """The kernel computing a ``unary`` / ``binary`` / ``batchnorm`` step
+    into its input ``owned`` - an array the caller guarantees is fresh,
+    dead after this step and of the output's shape and float dtype - or
+    None when no recipe does.  ``rank`` is the output's static rank;
+    everything shape-like is decided here, none of it per call.
+    """
+    if op_type == "unary" and owned == 0:
+        recipe = _UNARY_INTO.get(attrs["func"])
+        if recipe is None:
+            return None
+
+        def run(inputs, attrs):
+            return recipe(inputs[0])
+    elif op_type == "binary" and attrs["func"] in _BINARY_INTO:
+        fn = _BINARY_IMPL[attrs["func"]]
+
+        def run(inputs, attrs):
+            into = inputs[owned]
+            # The reference allocates its output C-ordered whenever one
+            # full-shape operand is (numpy's "C-order wins"), so only a
+            # C-ordered operand keeps the reference's layout - and with
+            # it what a layout-sensitive consumer (BLAS, a reduction)
+            # reads.  A fresh array in another order was computed from a
+            # transposed view; it gets the reference's fresh output.
+            return fn(inputs[0], inputs[1],
+                      out=into if into.flags.c_contiguous else None)
+    elif op_type == "batchnorm" and owned == 0:
+        shape = (1, -1) + (1,) * (rank - 2) if rank >= 2 else (-1,)
+
+        def run(inputs, attrs):
+            x = inputs[0]
+            if len(inputs) > 1:
+                np.multiply(x, inputs[1].reshape(shape), out=x)
+            if len(inputs) > 2:
+                np.add(x, inputs[2].reshape(shape), out=x)
+            return x
+    else:
+        return None
+    run.fresh = True  # its result is the owned operand: fresh, unread
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +469,7 @@ def binary(inputs, attrs):
 # ---------------------------------------------------------------------------
 
 
-@kernel("softmax")
+@kernel("softmax", fresh=True)
 def softmax(inputs, attrs):
     x = inputs[0]
     axis = int(attrs.get("axis", -1))
@@ -383,7 +494,7 @@ def _axes_tuple(attrs, rank):
     return tuple(sorted(a % rank for a in axes))
 
 
-@kernel("layernorm")
+@kernel("layernorm", fresh=True)
 def layernorm(inputs, attrs):
     x = inputs[0]
     axes = _axes_tuple(attrs, x.ndim)
@@ -396,7 +507,7 @@ def layernorm(inputs, attrs):
     return out.astype(x.dtype, copy=False)
 
 
-@kernel("rmsnorm")
+@kernel("rmsnorm", fresh=True)
 def rmsnorm(inputs, attrs):
     x = inputs[0]
     axes = _axes_tuple(attrs, x.ndim)
@@ -408,7 +519,7 @@ def rmsnorm(inputs, attrs):
     return out.astype(x.dtype, copy=False)
 
 
-@kernel("instancenorm")
+@kernel("instancenorm", fresh=True)
 def instancenorm(inputs, attrs):
     x = inputs[0]
     out = _norm(x, (2, 3), attrs.get("eps", 1e-5))
@@ -419,7 +530,7 @@ def instancenorm(inputs, attrs):
     return out.astype(x.dtype, copy=False)
 
 
-@kernel("groupnorm")
+@kernel("groupnorm", fresh=True)
 def groupnorm(inputs, attrs):
     x = inputs[0]
     n, c, h, w = x.shape
@@ -433,7 +544,7 @@ def groupnorm(inputs, attrs):
     return out.astype(x.dtype, copy=False)
 
 
-@kernel("batchnorm")
+@kernel("batchnorm", fresh=True)
 def batchnorm(inputs, attrs):
     x = inputs[0]
     shape = [1] * x.ndim
@@ -441,9 +552,10 @@ def batchnorm(inputs, attrs):
         shape[1] = -1
     else:
         shape[0] = -1
-    out = x
-    if len(inputs) > 1:
-        out = out * inputs[1].reshape(shape)
+    if len(inputs) == 1:
+        # copies: a kernel output must never alias the caller's input
+        return x.copy()
+    out = x * inputs[1].reshape(shape)
     if len(inputs) > 2:
         out = out + inputs[2].reshape(shape)
     return out

@@ -14,7 +14,10 @@ an :class:`ExecutionProgram`:
   a ``dense`` over a parameter weight is bound to that weight *packed*
   into the GEMM's ``(K, N)`` layout (:func:`~repro.runtime.kernels.pack`),
   which the compiled cell's parameters materialise once - no layout
-  transformation is left on the request path;
+  transformation is left on the request path; and a ``unary`` /
+  ``binary`` / ``batchnorm`` step that owns an input array
+  (:func:`_owned_operand`) is bound to the kernel writing into it, so
+  neither backend allocates that step's output;
 * a static :class:`SlotPlan` - register allocation of pool buffers over
   exact size classes, computed once from
   :func:`~repro.memory.pool.liveness_schedule`.  The slot plan fixes the
@@ -57,7 +60,8 @@ from ..ir.symbolic import SymDim
 from ..ir.view import ViewChain
 from ..memory.pool import PoolEvent, PoolReport, liveness_schedule
 from .kernels import (
-    bind_conv2d, dense_packed, get_kernel, layout_convert_elided, pack,
+    bind_conv2d, bind_in_place, dense_packed, get_kernel,
+    layout_convert_elided, pack, returns_fresh,
 )
 from .traffic import roofline_summary, step_traffic
 
@@ -134,6 +138,11 @@ class Step:
     arena_bytes: int = 0
     """Column bytes this step borrows from the per-thread im2col arena
     while it runs (every conv2d step; 0 otherwise)."""
+    owned: int | None = None
+    """The argument position whose array this step owns - ``kernel``
+    writes its result into it and returns it (see
+    :func:`_owned_operand`; a ``binary`` allocates instead when that
+    array is not C-ordered) - or None: the kernel allocates."""
 
 
 @dataclass(frozen=True)
@@ -425,7 +434,7 @@ class ExecutionProgram:
 # ---------------------------------------------------------------------------
 
 #: Ops whose chained execution the codegen backend collapses into one
-#: expression over a single register (in-place ufuncs where bitwise-safe).
+#: register local (written in place where a step owns it).
 _CHAIN_ELEMENTWISE = frozenset(
     {"unary", "binary", "layout_convert", "batchnorm"})
 #: Zero-copy layout ops that ride along inside a chain (the register is
@@ -543,6 +552,47 @@ def _assign_slots(input_names, steps, size_of) -> SlotPlan:
     )
 
 
+def _owned_operand(graph: Graph, node, viewed, kernel_of, consumers,
+                   outputs) -> tuple[int | None, Callable | None]:
+    """Decide which input array ``node``'s step may overwrite.
+
+    Position ``p`` is owned only if its value
+    - came fresh from its producer's kernel
+      (:func:`~repro.runtime.kernels.returns_fresh`) - so it is no graph
+      input, parameter or interior constant, which have no producer,
+      and no view of another value;
+    - has exactly one consumer edge, this one.  Dying here is not
+      enough: a reshape/transpose view taken earlier may still be live
+      and alias the array;
+    - is read without a view, is no graph output, and has the output's
+      static shape;
+    - shares one floating dtype with every operand and the output;
+    - and the kernels have an in-place recipe for the step
+      (:func:`~repro.runtime.kernels.bind_in_place`).
+
+    Returns ``(p, in-place kernel)`` or ``(None, None)``.
+    """
+    if len(node.outputs) != 1:
+        return None, None
+    out = node.outputs[0]
+    shape = tuple(graph.shape(out))
+    dtypes = None
+    for p, t in enumerate(node.inputs):
+        if (p in viewed or not returns_fresh(kernel_of.get(t))
+                or len(consumers.get(t, ())) != 1 or t in outputs
+                or tuple(graph.shape(t)) != shape):
+            continue
+        if dtypes is None:
+            dtypes = {np.dtype(graph.tensors[name].dtype.numpy_dtype)
+                      for name in (*node.inputs, out)}
+            if len(dtypes) != 1 or next(iter(dtypes)).kind != "f":
+                return None, None
+        kernel = bind_in_place(node.op_type, node.attrs, p, len(shape))
+        if kernel is not None:
+            return p, kernel
+    return None, None
+
+
 def lower(graph: Graph) -> ExecutionProgram:
     """Lower ``graph`` to an :class:`ExecutionProgram`.
 
@@ -568,6 +618,9 @@ def lower(graph: Graph) -> ExecutionProgram:
          for node, drops in zip(order, schedule.value_drops_at)),
         lambda t: tensors[t].size_bytes)
     graph_inputs = set(graph.inputs)
+    graph_outputs = set(graph.outputs)
+    consumers = graph.consumer_map()
+    kernel_of: dict[str, Callable] = {}  # step output -> its kernel
     packed: dict[str, str] = {}  # dense weight -> its packed value name
 
     def make_step(i: int, node) -> Step:
@@ -628,6 +681,12 @@ def lower(graph: Graph) -> ExecutionProgram:
             if (src in materialized and src not in graph_inputs
                     and src in schedule.value_drops_at[i]):
                 run_kernel = layout_convert_elided
+        owned, in_place = _owned_operand(graph, node, view_shapes,
+                                         kernel_of, consumers, graph_outputs)
+        if in_place is not None:
+            run_kernel = in_place
+        for t in node.outputs:
+            kernel_of[t] = run_kernel
 
         return Step(
             node_id=node.id,
@@ -646,6 +705,7 @@ def lower(graph: Graph) -> ExecutionProgram:
             flops=flops,
             scratch_bytes=scratch_bytes,
             arena_bytes=arena_bytes,
+            owned=owned,
         )
 
     steps = tuple(make_step(i, node) for i, node in enumerate(order))

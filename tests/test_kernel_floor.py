@@ -653,6 +653,17 @@ class TestLayoutConvertElision:
         for key in ref:
             assert np.array_equal(ref[key], got[key])
 
+    @pytest.mark.parametrize("op, attrs", [
+        ("batchnorm", {}), ("unary", {"func": "identity"}),
+        ("layout_convert", {})])
+    def test_reference_identities_copy(self, op, attrs):
+        # a registered kernel never returns (a view of) the caller's
+        # array - only the lowering-bound elided kernel passes through
+        x = np.arange(12, dtype=np.float32).reshape(3, 4)
+        out = get_kernel(op)([x], attrs)
+        assert np.array_equal(out, x)
+        assert not np.shares_memory(out, x)
+
     def test_elided_kernel_passes_contiguous_through(self):
         x = np.arange(12, dtype=np.float32).reshape(3, 4)
         assert layout_convert_elided([x], {}) is x
