@@ -158,7 +158,7 @@ def main(argv: list[str]) -> int:
                     f"{hot['us_per_step']:.1f}",
                     f"{hot['gflops_per_s']:.1f}"])
             print(format_table(
-                ["Model", "steps", "fused c/s", "scratch (KB)",
+                ["Model", "steps", "groups/interiors", "scratch (KB)",
                  "run (ms)", "hot family", "hot (ms)", "hot (MB)",
                  "intensity", "us/step", "GFLOP/s"],
                 rows,

@@ -49,8 +49,9 @@ def measure_roofline(models: tuple[str, ...] | None = None,
     over that measured wall) is the other half of the check: a family
     is BLAS-bound only if it runs near what a bare ``np.matmul`` reaches
     at the same shapes on the same host.
-    Fusion/scratch counters ride along so the report also shows what the
-    codegen backend collapses (``fused_steps``) and what one thread
+    Fusion/scratch counters ride along so the report also shows the
+    compiler's fusion groups (``fused_chains``: groups of two or more
+    steps; ``fused_steps``: their interiors) and what one thread
     holds for the GEMM conv (``scratch_kb``: every padded buffer plus
     the widest column matrix, which the shared arena serves).
     """

@@ -10,9 +10,10 @@ copy bytes (the 3.0 MB / 2.3 MB numbers the paper reports for Swin/ViT).
 The liveness walk is shared with the lowering
 (:func:`repro.runtime.program.lower`): :func:`liveness_schedule`
 precomputes, per execution step, which tensors are materialized
-(group-boundary values) and which die, and the lowering's static slot
-plan is one replay of it - a fact of the program, identical for every
-request, never re-walked at run time.
+(the boundaries of the compiler's fusion groups) and which die, and the
+lowering's static slot plan is one replay of it - a fact of the
+program, identical for every request and every process, never
+re-walked at run time.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def is_materialized(graph: Graph, tensor: str) -> bool:
 
     Only group-boundary tensors are materialized: values internal to a
     fused kernel live in registers/local memory and never touch the pool.
+    This is the one fusion decision: the cost model, :func:`simulate_pool`
+    and the runtime's slot plan (which slots exactly the graph inputs and
+    these values) all read it.
     """
     producer = graph.producer(tensor)
     if producer is None or producer.group is None:
@@ -122,7 +126,9 @@ def liveness_schedule(graph: Graph) -> LivenessSchedule:
     releases_at: list[list[str]] = [[] for _ in order]
     value_drops_at: list[list[str]] = [[] for _ in order]
     for step, node in enumerate(order):
-        for t in set(node.inputs) | set(node.outputs):
+        # First-seen order, not a set: executors drop (and the slot plan
+        # frees) in this order, so it must not depend on string hashing.
+        for t in dict.fromkeys((*node.inputs, *node.outputs)):
             spec = graph.tensors.get(t)
             if spec is None or spec.is_param or t in graph.outputs:
                 continue

@@ -296,7 +296,7 @@ def _build_variant(program: ExecutionProgram, factor: int,
         input_signature = tuple(
             (name, (shape[0] * factor,) + tuple(shape[1:]), dtype)
             for name, shape, dtype in program.input_signature)
-    # Chains are runs of step indices, stable across rebatching: the
+    # Fusion groups are step indices, stable across rebatching: the
     # variant inherits them verbatim.
     variant = ExecutionProgram(
         program.graph, tuple(steps), plan,

@@ -11,14 +11,18 @@ request wall time.
 Python source* once per program:
 
 * every step of the program becomes inline statements in a single
-  generated function, so chains of elementwise/view steps are fused into
-  one compiled unit with no per-step closure dispatch;
+  generated function, emitted one way for every step, with no per-step
+  closure dispatch; each step calls the kernel ``lower()`` bound to it
+  (in place where the step owns an operand), so both backends run the
+  same kernels and the compiler's fusion groups are the only fusion
+  decision either one has;
 * interior values live in function locals (``LOAD_FAST``) instead of the
   values dict; inputs and parameters are read from the request dict
   exactly once;
-* pre-resolved view chains are inlined as direct ndarray method calls
-  (``.reshape(...)``, ``.transpose(...)``, constant slice subscripts)
-  instead of applier-closure calls;
+* pre-resolved view chains, and every ``reshape`` / ``transpose`` step,
+  are inlined as direct ndarray method calls (``.reshape(...)``,
+  ``.transpose(...)``, constant slice subscripts) instead of
+  applier-closure or kernel calls;
 * kernels and per-step attrs are bound as module globals of the
   generated module;
 * shape checks and error messages match the reference backend
@@ -98,10 +102,6 @@ class CompiledProgramModule:
     source: str
     run_plain: Callable
     namespace: dict
-    fused_chains: int = 0
-    """Elementwise chains collapsed into single-register expressions."""
-    fused_steps: int = 0
-    """Interior steps subsumed by those chains (never materialized)."""
 
 
 class _SourceEmitter:
@@ -118,19 +118,6 @@ class _SourceEmitter:
         self._locals: dict[str, str] = {}
         self._externals: set[str] = set()
         self._external_loads: list[str] = []
-        # Fused elementwise chains from the lowering analysis: step index
-        # -> chain id, plus the head step of each chain.  Interiors are
-        # never bound to the values dict and never nulled at drops (their
-        # "local" IS the chain's live register).
-        self._chain_of: dict[int, int] = {}
-        self._chain_heads: set[int] = set()
-        for ci, chain in enumerate(program.fused_chains):
-            self._chain_heads.add(chain[0])
-            for j in chain:
-                self._chain_of[j] = ci
-        self._chain_interiors = program.fused_interiors
-        # Each chain's register local while the body is emitted.
-        self._chain_reg: dict[int, str] = {}
 
     # -- bindings ----------------------------------------------------------
 
@@ -229,8 +216,8 @@ class _SourceEmitter:
         lines.append(f"        raise ExecutionError({message!r}"
                      f" % ({out}.shape,))")
 
-    def _args(self, step) -> tuple[list[str], dict]:
-        """Argument expressions (views rendered inline) + the view map."""
+    def _args(self, step) -> list[str]:
+        """Argument expressions, views rendered inline."""
         # Views come from the Step's lowering-time capture, never the
         # live graph: the program must stay faithful to the state it was
         # lowered from even if the graph mutates afterwards (the numpy
@@ -243,16 +230,11 @@ class _SourceEmitter:
             if view is not None:
                 expr = self._render_view(expr, view)
             args.append(expr)
-        return args, views
+        return args
 
     def _emit_epilogue(self, lines: list[str], step) -> None:
         """Value drops after a step's statement(s)."""
         for dead in step.drops:
-            if dead in self._chain_interiors:
-                # A fused interior's "local" is the chain's live register
-                # (and it was never written to the values dict): nulling
-                # it here would kill the value the next statement reads.
-                continue
             local = self._locals.get(dead)
             if local is not None:
                 # Free the backing ndarray as soon as the value dies,
@@ -264,25 +246,29 @@ class _SourceEmitter:
                 # the request dict; interior values are locals only.
                 lines.append(f"    values.pop({dead!r}, None)")
 
-    def _emit_call(self, lines: list[str], out: str, step, args) -> None:
-        """``out = kernel(args, attrs)`` for a single-output step, with
-        the reference backend's tuple unwrap and shape check."""
-        lines.append(f"    {out} = {self._kernel(step)}([{', '.join(args)}], "
-                     f"{self._attrs(step.attrs)})")
-        lines.append(f"    if type({out}) in (tuple, list):")
-        lines.append(f"        {out} = {out}[0]")
-        self._emit_check(lines, out, step, step.out_shapes[0])
-
-    def _emit_step(self, lines: list[str], index: int, step) -> None:
-        if index in self._chain_of:
-            self._emit_chain_step(lines, index, step)
-            return
-        args, _ = self._args(step)
+    def _emit_step(self, lines: list[str], step) -> None:
+        """One step's statements: the bound kernel's call (or the
+        ndarray method a relayout kernel makes), the reference backend's
+        tuple unwrap and shape check, then the drops."""
+        args = self._args(step)
+        op = step.op_type
         lines.append("    # " + _comment_text(
-            f"{step.node_id}: {step.op_type}({', '.join(step.arg_names)})"))
-        if len(step.out_names) == 1:
-            self._emit_call(lines, self._define(step.out_names[0]), step,
-                            args)
+            f"{step.node_id}: {op}({', '.join(step.arg_names)})"))
+        if op in ("reshape", "transpose"):
+            # Exactly what the ``reshape``/``transpose`` kernels do, minus
+            # the kernel call.
+            out = self._define(step.out_names[0])
+            arg = tuple(map(int, step.attrs[
+                "shape" if op == "reshape" else "perm"]))
+            lines.append(f"    {out} = {args[0]}.{op}({arg!r})")
+            self._emit_check(lines, out, step, step.out_shapes[0])
+        elif len(step.out_names) == 1:
+            out = self._define(step.out_names[0])
+            lines.append(f"    {out} = {self._kernel(step)}("
+                         f"[{', '.join(args)}], {self._attrs(step.attrs)})")
+            lines.append(f"    if type({out}) in (tuple, list):")
+            lines.append(f"        {out} = {out}[0]")
+            self._emit_check(lines, out, step, step.out_shapes[0])
         else:
             lines.append(f"    _r = {self._kernel(step)}([{', '.join(args)}]"
                          f", {self._attrs(step.attrs)})")
@@ -292,39 +278,6 @@ class _SourceEmitter:
                 lines.append(f"    {out} = _r[{pos}]")
                 self._emit_check(lines, out, step, shape)
             lines.append("    _r = None")
-        self._emit_epilogue(lines, step)
-
-    # -- fused elementwise chains ------------------------------------------
-
-    def _emit_chain_step(self, lines: list[str], index: int,
-                         step) -> None:
-        """Emit one member of a fused elementwise chain.
-
-        The whole chain lives in ONE register local: the head computes
-        into it and every later member replaces it - a reshape/transpose
-        by re-viewing it, anything else by calling its kernel, which
-        ``lower()`` bound to write in place wherever the step owns its
-        operand (:attr:`~repro.runtime.program.Step.owned`), so both
-        backends run the same in-place decisions.  Interiors are never
-        written to the values dict, never slotted, never dict-dropped.
-        """
-        chain_id = self._chain_of[index]
-        is_head = index in self._chain_heads
-        op = step.op_type
-        out_name = step.out_names[0]
-        args, views = self._args(step)
-        lines.append("    # " + _comment_text(
-            f"{step.node_id}: {step.op_type}({', '.join(step.arg_names)})"
-            + (" [chain head]" if is_head else " [fused]")))
-        reg = self._define(out_name) if is_head else self._chain_reg[chain_id]
-        if op in ("reshape", "transpose") and 0 not in views:
-            arg = step.attrs["shape" if op == "reshape" else "perm"]
-            lines.append(f"    {reg} = {args[0]}.{op}({tuple(arg)!r})")
-            self._emit_check(lines, reg, step, step.out_shapes[0])
-        else:
-            self._emit_call(lines, reg, step, args)
-        self._locals[out_name] = reg
-        self._chain_reg[chain_id] = reg
         self._emit_epilogue(lines, step)
 
     def _emit_body(self) -> list[str]:
@@ -339,8 +292,8 @@ class _SourceEmitter:
                          f"{program.symbolic_extent}), decided per request")
             lines.append(
                 f"    _n = values[{program.input_names[0]!r}].shape[0]")
-        for index, step in enumerate(program.steps):
-            self._emit_step(lines, index, step)
+        for step in program.steps:
+            self._emit_step(lines, step)
         returns = ", ".join(
             f"{name!r}: {self._locals[name]}"
             if name in self._locals else f"{name!r}: values[{name!r}]"
@@ -360,12 +313,6 @@ class _SourceEmitter:
             f"{len(self._kernel_names)} distinct kernels bound as module "
             "globals.",
         ]
-        if program.fused_chains:
-            header.append(
-                f"# {len(program.fused_chains)} elementwise chains "
-                f"collapsed into register expressions "
-                f"({program.fused_step_count} interior steps never "
-                "materialized).")
         if program.symbolic_extent is not None:
             header.append(
                 f"# Symbolic bucket variant (extent bound "
@@ -427,8 +374,6 @@ def compile_program(program: ExecutionProgram) -> CompiledProgramModule:
                 source=source,
                 run_plain=namespace["run_plain"],
                 namespace=namespace,
-                fused_chains=len(program.fused_chains),
-                fused_steps=program.fused_step_count,
             )
     return found
 
@@ -450,9 +395,6 @@ class CodegenBackend(NumPyBackend):
     """
 
     name = "codegen"
-    # The generated module executes each fused chain in one register
-    # expression - every chain interior is a step it never dispatches.
-    fuses = True
 
     def _compile_runner(self, program: ExecutionProgram):
         return compile_program(program).run_plain

@@ -559,7 +559,6 @@ class ParallelCodegenBackend(ParallelBackend):
 
     name = "parallel-codegen"
     inner = "codegen"
-    fuses = True
 
 
 __all__ = [

@@ -20,7 +20,11 @@ an :class:`ExecutionProgram`:
   neither backend allocates that step's output;
 * a static :class:`SlotPlan` - register allocation of pool buffers over
   exact size classes, computed once from
-  :func:`~repro.memory.pool.liveness_schedule`.  The slot plan fixes the
+  :func:`~repro.memory.pool.liveness_schedule`.  It slots exactly the
+  graph inputs and the values the compiler's fusion groups materialize
+  (:func:`~repro.memory.pool.is_materialized`) - the same decision the
+  cost model and ``simulate_pool`` read, which the program reports back
+  as :attr:`ExecutionProgram.fused_chains`.  The slot plan fixes the
   per-step live-byte timeline, the peak footprint, and the total
   allocation traffic statically: they are identical for every request
   by construction, so the program states them once, as
@@ -290,7 +294,7 @@ class ExecutionProgram:
     __slots__ = ("graph", "steps", "slot_plan", "input_names",
                  "output_names", "input_signature", "batch_factor",
                  "report", "op_list", "backend_cache", "fused_chains",
-                 "fused_interiors", "fused_step_count", "symbolic_extent",
+                 "fused_step_count", "symbolic_extent",
                  "packs", "pack_of", "source_of", "__weakref__")
 
     def __init__(self, graph: Graph, steps: tuple[Step, ...],
@@ -311,14 +315,11 @@ class ExecutionProgram:
         self.packs = packs
         self.pack_of = {source: packed for packed, source, _ in packs}
         self.source_of = {packed: source for packed, source, _ in packs}
-        # Elementwise chains (runs of step indices) the codegen backend
-        # collapses into one register expression; interiors hold no slot
-        # in either backend's plan.  Batch-N variants inherit the chains
-        # verbatim - step indices are stable across rebatching.
+        # The compiler's fusion groups of two or more members, as tuples
+        # of step indices: what the slot plan's unslotted interiors come
+        # from.  Batch-N variants inherit them verbatim - step indices
+        # are stable across rebatching.
         self.fused_chains = fused_chains
-        self.fused_interiors = frozenset(
-            steps[j].out_names[0] for chain in fused_chains
-            for j in chain[:-1])
         self.fused_step_count = sum(
             len(chain) - 1 for chain in fused_chains)
         self.input_names = tuple(graph.inputs)
@@ -429,77 +430,6 @@ class ExecutionProgram:
                 f"slots={self.slot_plan.num_slots})")
 
 
-# ---------------------------------------------------------------------------
-# elementwise-chain fusion analysis
-# ---------------------------------------------------------------------------
-
-#: Ops whose chained execution the codegen backend collapses into one
-#: register local (written in place where a step owns it).
-_CHAIN_ELEMENTWISE = frozenset(
-    {"unary", "binary", "layout_convert", "batchnorm"})
-#: Zero-copy layout ops that ride along inside a chain (the register is
-#: re-viewed, never copied, except reshape-of-transpose compaction -
-#: exactly what the unfused kernels do).
-_CHAIN_VIEWS = frozenset({"reshape", "transpose"})
-_CHAIN_OPS = _CHAIN_ELEMENTWISE | _CHAIN_VIEWS
-
-
-def find_fused_chains(graph: Graph, order, schedule) -> tuple[tuple[int, ...], ...]:
-    """Maximal fusible chains as runs of consecutive step indices.
-
-    A chain is a run of *adjacent* steps in execution order where every
-    member is a single-output chain op, every interior output feeds ONLY
-    the immediately following step (so it dies there and its buffer
-    never outlives the chain), no interior is a graph output, and every
-    value touched by the chain shares one dtype (so the emitted in-place
-    ufuncs are bitwise-identical to the reference kernels' astype path).
-    At least one member must be genuinely elementwise - a pure
-    reshape/transpose run is already zero-copy and gains nothing.
-
-    Interiors are left out of the slot plan by :func:`lower`:
-    with the codegen backend they are never materialized, and the
-    sequential reference backend still executes step-by-step against the
-    same plan (its interiors are transient Python locals, not pool
-    buffers - the accounting stays additive across backends).
-    """
-    consumers: dict[str, int] = {}
-    for node in order:
-        for t in node.inputs:
-            consumers[t] = consumers.get(t, 0) + 1
-    outputs = set(graph.outputs)
-    tensors = graph.tensors
-
-    def dtype_of(name):
-        return np.dtype(tensors[name].dtype.numpy_dtype)
-
-    def chainable(node) -> bool:
-        if node.op_type not in _CHAIN_OPS or len(node.outputs) != 1:
-            return False
-        dtype = dtype_of(node.outputs[0])
-        return all(dtype_of(t) == dtype for t in node.inputs)
-
-    chains: list[tuple[int, ...]] = []
-    i, n = 0, len(order)
-    while i < n:
-        if not chainable(order[i]):
-            i += 1
-            continue
-        run = [i]
-        while run[-1] + 1 < n:
-            cur, nxt = order[run[-1]], order[run[-1] + 1]
-            out = cur.outputs[0]
-            if (out in outputs or consumers.get(out, 0) != 1
-                    or not chainable(nxt) or out not in nxt.inputs
-                    or dtype_of(out) != dtype_of(nxt.outputs[0])):
-                break
-            run.append(run[-1] + 1)
-        if len(run) >= 2 and any(
-                order[j].op_type in _CHAIN_ELEMENTWISE for j in run):
-            chains.append(tuple(run))
-        i = run[-1] + 1
-    return tuple(chains)
-
-
 def _assign_slots(input_names, steps, size_of) -> SlotPlan:
     """Register-allocate pool buffers over exact size classes.
 
@@ -538,7 +468,7 @@ def _assign_slots(input_names, steps, size_of) -> SlotPlan:
         timeline_live.append(live)
         for t in drops:
             slot = tensor_slot.get(t)
-            if slot is not None:  # fused interiors, constants: no slot
+            if slot is not None:  # group interiors, constants: no slot
                 size = slot_sizes[slot]
                 free.setdefault(size, []).append(slot)
                 live -= size
@@ -606,15 +536,15 @@ def lower(graph: Graph) -> ExecutionProgram:
         return found
     order = graph.topo_order()
     schedule = liveness_schedule(graph)
-    chains = find_fused_chains(graph, order, schedule)
-    fused_interiors = frozenset(
-        order[j].outputs[0] for chain in chains for j in chain[:-1])
+    groups: dict[int, list[int]] = {}
+    for i, node in enumerate(order):
+        if node.group is not None:
+            groups.setdefault(node.group, []).append(i)
     tensors = graph.tensors
     materialized = schedule.materialized
     plan = _assign_slots(
         graph.inputs,
-        (([t for t in node.outputs
-           if t in materialized and t not in fused_interiors], drops)
+        (([t for t in node.outputs if t in materialized], drops)
          for node, drops in zip(order, schedule.value_drops_at)),
         lambda t: tensors[t].size_bytes)
     graph_inputs = set(graph.inputs)
@@ -711,7 +641,10 @@ def lower(graph: Graph) -> ExecutionProgram:
     steps = tuple(make_step(i, node) for i, node in enumerate(order))
     still_read = set(graph.outputs).union(*(s.arg_names for s in steps))
     program = ExecutionProgram(
-        graph, steps, plan.with_scratch(steps), fused_chains=chains,
+        graph, steps, plan.with_scratch(steps),
+        fused_chains=tuple(
+            tuple(members) for members in groups.values()
+            if len(members) >= 2),
         packs=tuple((name, w, w in still_read)
                     for w, name in packed.items()))
     cache[_PROGRAM_CACHE_KEY] = program
@@ -738,11 +671,6 @@ class ExecutionBackend:
     inner: str | None = None
     """Registry name of the in-process backend a sharding backend's
     workers run, and that serves whatever its pool declines."""
-    fuses = False
-    """True when the backend executes the program's fused chains as
-    single expressions: its requests report
-    :attr:`ExecutionProgram.fused_step_count` in ``RunStats.fused_steps``,
-    a backend dispatching one kernel per step reports 0."""
 
     def run(self, program: ExecutionProgram,
             values: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

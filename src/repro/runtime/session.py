@@ -93,12 +93,6 @@ class RunStats:
     *shared* with the batchmates, and :attr:`wall_s` carries this
     request's even share of the stacked execution time plus its own
     admission time."""
-    fused_steps: int = 0
-    """Program steps the serving backend collapsed into fused-chain
-    expressions for this request: ``program.fused_step_count`` when the
-    codegen backend served it, 0 on the reference backend (including
-    degraded requests).  Per-request attribution stays additive - each
-    request reports the fusion of the pass that served *it*."""
 
 
 @dataclass
@@ -795,8 +789,6 @@ class Session:
         est = self._est_latency_ms
         if est is None:  # a session built without a cell prices once
             est = self._est_latency_ms = self.est_latency_ms
-        fused = self.program.fused_step_count \
-            if get_backend(served_by).fuses else 0
         stats = self.stats
         served = []
         for index, (outputs, report, wall_s) in enumerate(results):
@@ -811,7 +803,6 @@ class Session:
                 pool=report,
                 backend=served_by,
                 batched=batched,
-                fused_steps=fused,
             )
             stats.runs.append(run)
             served.append((outputs, run))

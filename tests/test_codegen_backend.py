@@ -5,11 +5,17 @@ identical outputs, identical failure semantics - with the whole step
 loop compiled to Python source once per program and cached on it.
 """
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import CompileOptions
 from repro.core import smartmem_optimize
 from repro.models import SMOKE_CONFIGS, build
@@ -18,7 +24,10 @@ from repro.runtime import (
     emit_program_source, get_backend, lower, make_inputs, program_source,
     verify_equivalence,
 )
+from repro.runtime.kernels import get_kernel
 from repro.runtime.session import _compile_session
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
@@ -95,6 +104,40 @@ class TestGeneratedModule:
         ref = execute(attention_graph, values)
         for key in ref:
             assert np.array_equal(out[key], ref[key]), key
+
+    def test_relayout_steps_bind_no_kernel(self):
+        # every reshape/transpose step is the ndarray method call its
+        # kernel makes, emitted inline: no module global binds either
+        relayouts = {get_kernel("reshape"), get_kernel("transpose")}
+        emitted = 0
+        for name in sorted(SMOKE_CONFIGS):
+            program = lower(build(name, **SMOKE_CONFIGS[name]))
+            _, namespace = emit_program_source(program)
+            assert not relayouts & {
+                value for value in namespace.values() if callable(value)}
+            emitted += sum(step.op_type in ("reshape", "transpose")
+                           for step in program.steps)
+        assert emitted > 0
+
+
+def test_emitted_source_and_slots_do_not_depend_on_the_hash_seed():
+    """Drops follow first-seen order, not set order: two processes with
+    different ``PYTHONHASHSEED`` emit the same module and slot map."""
+    script = (
+        "import json, repro\n"
+        "from repro.models import build_smoke\n"
+        "from repro.runtime import program_source\n"
+        "program = repro.optimize(build_smoke('Conformer')).program\n"
+        "print(json.dumps([program_source(program),\n"
+        "                  sorted(program.slot_plan.tensor_slot.items())]))\n")
+    results = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        results.append(json.loads(done.stdout))
+    assert results[0] == results[1]
 
 
 class TestCodegenServing:

@@ -129,17 +129,6 @@ class TestContentKey:
         assert session.stats.runs[-1].est_latency_ms \
             == session._cell.report.latency_ms
 
-    def test_fused_steps_follow_the_backend_that_served(self):
-        # chaos runs degrade some requests to numpy: attribution is per
-        # request, from the serving backend's declared ``fuses``
-        session = _compile_session(_mini(), "Ours", backend="codegen")
-        for seed in range(4):
-            session.run(session.make_inputs(seed=seed))
-        for run in session.stats.runs:
-            assert run.fused_steps == (
-                session.program.fused_step_count
-                if run.backend == "codegen" else 0)
-
 
 class TestSharedParameters:
     def test_writing_a_shared_parameter_raises(self):

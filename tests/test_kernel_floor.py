@@ -1,4 +1,4 @@
-"""Tests for the kernel-floor work: fused elementwise chains, the
+"""Tests for the kernel-floor work: numpy/codegen backend parity, the
 GEMM-shaped conv2d with slot-plan scratch, and the roofline stamps.
 
 The parity contract is two-tiered, matching how the kernels compose:
@@ -21,7 +21,7 @@ from repro.core import smartmem_optimize
 from repro.ir import GraphBuilder
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import (
-    compile_program, get_backend, lower, make_inputs,
+    get_backend, lower, make_inputs,
 )
 from repro.runtime.batching import analyze, rebatch
 from repro.runtime.faults import FaultPlan
@@ -29,7 +29,6 @@ from repro.runtime.kernels import (
     ConvScratch, _arena_cols, arena_bytes, bind_conv2d, conv2d_gemm,
     conv2d_reference, get_kernel, layout_convert_elided,
 )
-from repro.runtime.program import _CHAIN_ELEMENTWISE, _CHAIN_OPS
 from repro.runtime.session import _compile_session, circuit_breaker
 from repro.runtime.traffic import FAMILIES, family, roofline_summary
 
@@ -400,14 +399,15 @@ class TestScratchAccountingIsReal:
 
 
 # ---------------------------------------------------------------------------
-# fused elementwise chains
+# backend parity
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
 class TestChainParity:
     """numpy and codegen backends agree byte-for-byte on the whole zoo -
-    fused chains, GEMM conv, and elided layout_converts included."""
+    in-place epilogues, inlined relayouts, GEMM conv, and elided
+    layout_converts included."""
 
     def test_backends_byte_identical_raw_and_optimized(self, name):
         graph = build(name, **SMOKE_CONFIGS[name])
@@ -422,56 +422,12 @@ class TestChainParity:
             for key in ref:
                 assert np.array_equal(ref[key], got[key]), key
 
-    def test_chain_invariants(self, name):
-        graph = build(name, **SMOKE_CONFIGS[name])
-        for candidate in (graph, smartmem_optimize(graph).graph):
-            program = lower(candidate)
-            steps = program.steps
-            for chain in program.fused_chains:
-                assert list(chain) == list(range(chain[0], chain[-1] + 1))
-                assert len(chain) >= 2
-                ops = [steps[i].op_type for i in chain]
-                assert set(ops) <= _CHAIN_OPS
-                assert set(ops) & _CHAIN_ELEMENTWISE
-                # every interior feeds exactly the next member
-                for i in chain[:-1]:
-                    assert steps[i].out_names[0] in steps[i + 1].arg_names
-            interiors = program.fused_interiors
-            assert len(interiors) == program.fused_step_count
-            # interiors are never materialized: no slot, not an output
-            for tensor in interiors:
-                assert tensor not in program.slot_plan.tensor_slot
-                assert tensor not in candidate.outputs
-
-
-class TestChainCounts:
-    def test_codegen_reports_fused_chains_on_vit_and_conformer(self):
-        # the CI gate: the kernel-bound models actually get fused.  ViT's
-        # chain lives in the framework-lowered (raw) program - the Ours
-        # pipeline absorbs its views into input_views; Conformer keeps
-        # chains through the full pipeline.
-        vit = compile_program(lower(build("ViT", **SMOKE_CONFIGS["ViT"])))
-        assert vit.fused_chains > 0 and vit.fused_steps > 0
-        conformer_graph = smartmem_optimize(
-            build("Conformer", **SMOKE_CONFIGS["Conformer"])).graph
-        conformer = compile_program(lower(conformer_graph))
-        assert conformer.fused_chains > 0
-
-    def test_fusion_shrinks_the_slot_plan(self):
-        # ResNet50's batchnorm->relu chains: every fused interior is one
-        # slot acquisition the plan no longer makes
-        graph = build("ResNet50", **SMOKE_CONFIGS["ResNet50"])
-        program = lower(graph)
-        assert program.fused_step_count > 10
-        slotted = set(program.slot_plan.tensor_slot)
-        assert not slotted & program.fused_interiors
-
 
 class TestStackedParity:
     @pytest.mark.parametrize("name", ["Pythia", "AutoFormer"])
     def test_codegen_run_batch_matches_solo_numpy(self, name):
         # AutoFormer covers conv-scratch rebinding in batch variants;
-        # Pythia covers chains under stacking
+        # Pythia covers in-place epilogues under stacking
         graph = build(name, **SMOKE_CONFIGS[name])
         session = _compile_session(graph, "Ours", backend="codegen")
         reference = _compile_session(graph, "Ours", backend="numpy")
@@ -510,8 +466,7 @@ class TestChaosDegradation:
                                               chaos_seed):
         # under ambient chaos (REPRO_FAULT_SEED) a codegen session may
         # degrade to numpy; either way outputs stay byte-identical to
-        # the clean reference and fused_steps attribution follows the
-        # backend that actually served each request
+        # the clean reference
         monkeypatch.setenv("REPRO_FAULT_SEED", chaos_seed)
         for name in ("Conformer", "AutoFormer"):
             graph = build(name, **SMOKE_CONFIGS[name])
@@ -526,25 +481,8 @@ class TestChaosDegradation:
                     ref = clean.run(dict(inputs))
                     for key in ref:
                         assert np.array_equal(out[key], ref[key]), key
-                for run in chaotic.stats.runs:
-                    expected = (chaotic.program.fused_step_count
-                                if run.backend == "codegen" else 0)
-                    assert run.fused_steps == expected
             finally:
                 circuit_breaker().reset()
-
-
-class TestRunStatsFusedSteps:
-    def test_attribution_follows_the_serving_backend(self):
-        graph = build("Conformer", **SMOKE_CONFIGS["Conformer"])
-        codegen = _compile_session(graph, "Ours", backend="codegen")
-        numpy_session = _compile_session(graph, "Ours", backend="numpy")
-        assert codegen.program.fused_step_count > 0
-        codegen.run(codegen.make_inputs(seed=1))
-        numpy_session.run(numpy_session.make_inputs(seed=1))
-        assert codegen.stats.runs[-1].fused_steps \
-            == codegen.program.fused_step_count
-        assert numpy_session.stats.runs[-1].fused_steps == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.baselines import make_framework
 from repro.core import smartmem_optimize
 from repro.ir.tensor import TensorSpec
 from repro.memory.pool import liveness_schedule
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import (
-    ExecutionBackend, ExecutionProgram, NumPyBackend, available_backends,
-    execute, get_backend, lower, make_inputs, register_backend, run_node,
+    SD8GEN2, ExecutionBackend, ExecutionProgram, NumPyBackend,
+    available_backends, execute, get_backend, lower, make_inputs,
+    register_backend, run_node,
 )
 from repro.runtime.batching import analyze, rebatch, symbolize
 
@@ -78,10 +80,7 @@ class TestSlotPlan:
         order = graph.topo_order()
         for step, node in enumerate(order):
             for t in node.outputs:
-                # fused-chain interiors are never materialized: they hold
-                # no slot by construction
-                if t in schedule.materialized \
-                        and t not in program.fused_interiors:
+                if t in schedule.materialized:
                     acquire(t)
             for t in schedule.releases_at[step]:
                 slot = plan.tensor_slot.get(t)
@@ -109,8 +108,12 @@ class TestSlotPlan:
 # (peak_bytes, total_allocated_bytes, allocs_per_run, scratch_bytes,
 #  num_slots, sha256 of (sorted slot_sizes, timeline_live) [:16]).
 # Pinned from the commit that replayed the plan against a run-time pool,
-# before the base and variant allocators were merged into one; slot ids
-# may permute (the digest sorts the sizes), nothing else may move.
+# before the base and variant allocators were merged into one; the rows
+# of EfficientVit, FlattenFormer, Pythia, RegNet, ResNet50 and ResNext
+# were re-pinned when the plan began slotting exactly the compiler's
+# materialized values (a runtime-chain interior that is a fusion-group
+# boundary now holds a slot).  Slot ids are deterministic, but the digest
+# sorts the sizes anyway; nothing else may move.
 PLAN_FACTS = {
     ('AutoFormer', 'base'): (75264, 117672, 14, 150528, 9, 'a8f90b35782ba5fe'),
     ('AutoFormer', 'rebatch4'): (301056, 470688, 14, 602112, 9, '35513cc0d0c1e667'),
@@ -124,27 +127,27 @@ PLAN_FACTS = {
     ('ConvNext', 'rebatch4'): (40960, 151616, 16, 904192, 11, '7b32fbfa673d5152'),
     ('ConvNext', 'symbolize2'): (20480, 75808, 16, 452096, 11, 'dcfbfee5e9a4d431'),
     ('CrossFormer', 'base'): (101920, 286656, 30, 700800, 16, '74916aefa21d19cb'),
-    ('EfficientVit', 'base'): (10240, 60752, 36, 241200, 19, '196002d21ec80e9f'),
-    ('EfficientVit', 'rebatch4'): (40960, 243008, 36, 964800, 19, '516bedd6d5135b3f'),
-    ('EfficientVit', 'symbolize2'): (20480, 121504, 36, 482400, 19, 'be64303f41010097'),
+    ('EfficientVit', 'base'): (10240, 60848, 38, 241200, 21, 'c95beb3fd35a3c32'),
+    ('EfficientVit', 'rebatch4'): (40960, 243392, 38, 964800, 21, 'cf629042e3d4fab8'),
+    ('EfficientVit', 'symbolize2'): (20480, 121696, 38, 482400, 21, 'b44ec48e95877cc7'),
     ('FST', 'base'): (196608, 913408, 32, 12045568, 7, 'b8ff5fd2d7dcd8b1'),
     ('FST', 'rebatch4'): (786432, 3653632, 32, 48182272, 7, '92840985692f8420'),
     ('FST', 'symbolize2'): (393216, 1826816, 32, 24091136, 7, 'a147f22823b52db7'),
-    ('FlattenFormer', 'base'): (31616, 184816, 35, 139648, 18, 'bba78c25cc7e0666'),
-    ('FlattenFormer', 'rebatch4'): (126464, 739264, 35, 558592, 18, 'b2c4cc28898f4a3c'),
-    ('FlattenFormer', 'symbolize2'): (63232, 369632, 35, 279296, 18, '2c17152de830025f'),
-    ('Pythia', 'base'): (3072, 9248, 14, 0, 9, '7a58676999f50d50'),
-    ('Pythia', 'rebatch4'): (12288, 36992, 14, 0, 9, 'b912a6f7de7b219c'),
-    ('Pythia', 'symbolize2'): (6144, 18496, 14, 0, 9, '6f22e67c8ea27bf2'),
-    ('RegNet', 'base'): (49152, 450192, 79, 1162992, 14, 'f29c29c22ddd4841'),
-    ('RegNet', 'rebatch4'): (196608, 1800768, 79, 4651968, 14, '9aedc8a472aee8b1'),
-    ('RegNet', 'symbolize2'): (98304, 900384, 79, 2325984, 14, 'baf2a6bb3ba6b8a4'),
-    ('ResNet50', 'base'): (40960, 412624, 53, 539568, 9, '1295bc9eba6d033a'),
-    ('ResNet50', 'rebatch4'): (163840, 1650496, 53, 2158272, 9, '33a8d6a7847001ed'),
-    ('ResNet50', 'symbolize2'): (81920, 825248, 53, 1079136, 9, '814548628d94e0f0'),
-    ('ResNext', 'base'): (49152, 546768, 53, 1055664, 8, '199e93bae5142d95'),
-    ('ResNext', 'rebatch4'): (196608, 2187072, 53, 4222656, 8, '58698668ba714baa'),
-    ('ResNext', 'symbolize2'): (98304, 1093536, 53, 2111328, 8, '43352fc7d6114c24'),
+    ('FlattenFormer', 'base'): (31616, 185992, 37, 139648, 20, '15c221be5c568409'),
+    ('FlattenFormer', 'rebatch4'): (126464, 743968, 37, 558592, 20, 'c49dc4d72dc1d18e'),
+    ('FlattenFormer', 'symbolize2'): (63232, 371984, 37, 279296, 20, '78125567fa3bdd63'),
+    ('Pythia', 'base'): (3072, 9760, 15, 0, 9, 'aadcac2224162649'),
+    ('Pythia', 'rebatch4'): (12288, 39040, 15, 0, 9, '104dc936d7ac8ac2'),
+    ('Pythia', 'symbolize2'): (6144, 19520, 15, 0, 9, 'ef2680280926ade5'),
+    ('RegNet', 'base'): (49152, 474096, 83, 1162992, 14, '75c9d8f0b15ad0a7'),
+    ('RegNet', 'rebatch4'): (196608, 1896384, 83, 4651968, 14, 'e4dd83329886a408'),
+    ('RegNet', 'symbolize2'): (98304, 948192, 83, 2325984, 14, '848791bfddb0dd04'),
+    ('ResNet50', 'base'): (40960, 474064, 57, 539568, 9, 'd826843bceebaee0'),
+    ('ResNet50', 'rebatch4'): (163840, 1896256, 57, 2158272, 9, '2d5a63280a551a3d'),
+    ('ResNet50', 'symbolize2'): (81920, 948128, 57, 1079136, 9, 'b30cd668a4ac80a9'),
+    ('ResNext', 'base'): (49152, 608208, 57, 1055664, 8, '41767318f7dce9b4'),
+    ('ResNext', 'rebatch4'): (196608, 2432832, 57, 4222656, 8, '206429895af9fe89'),
+    ('ResNext', 'symbolize2'): (98304, 1216416, 57, 2111328, 8, 'b44d70e7b3d9a007'),
     ('SD-TextEncoder', 'base'): (2816, 7712, 12, 0, 7, 'b8405ed5bf2a7026'),
     ('SD-TextEncoder', 'rebatch4'): (11264, 30848, 12, 0, 7, '7c144bb5a483eceb'),
     ('SD-TextEncoder', 'symbolize2'): (5632, 15424, 12, 0, 7, '95260c41bb355f45'),
@@ -188,6 +191,30 @@ def test_one_allocator_reproduces_the_pinned_plans(name):
         got[name, "symbolize2"] = _plan_facts(symbolize(program, 2))
     assert got == {key: value for key, value in PLAN_FACTS.items()
                    if key[0] == name}
+
+
+@pytest.mark.parametrize("framework", ["raw", "TVM", "DNNF", "Ours"])
+@pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
+def test_program_plans_and_reports_the_compiler_groups(name, framework):
+    """One fusion decision: the program's ``fused_chains`` are the
+    compiler's ``node.group`` partition (groups of two or more steps),
+    and the slot plan slots exactly the graph inputs and the values those
+    groups materialize."""
+    graph = build(name, **SMOKE_CONFIGS[name])
+    if framework != "raw":
+        graph = make_framework(framework).compile(
+            graph, SD8GEN2, check_memory=False).graph
+    program = lower(graph)
+    groups: dict = {}
+    for index, node in enumerate(graph.topo_order()):
+        if node.group is not None:
+            groups.setdefault(node.group, set()).add(index)
+    assert sorted(map(sorted, program.fused_chains)) == sorted(
+        sorted(members) for members in groups.values() if len(members) > 1)
+    assert program.fused_step_count == sum(
+        len(members) - 1 for members in program.fused_chains)
+    assert set(program.slot_plan.tensor_slot) \
+        == set(graph.inputs) | liveness_schedule(graph).materialized
 
 
 class TestLowering:
