@@ -181,8 +181,10 @@ def measure_symbolic(models: tuple[str, ...] = SYMBOLIC_MODELS,
             "new_shape_request_ms": round(symbolic_ms, 4),
             "cold_compile_request_ms": round(cold_ms, 4),
             "speedup": round(speedup, 2),
-            "buckets_compiled": len(
-                session.program.backend_cache.get("batching.symbolic", {})),
+            # exact-extent bucket variants only: (factor, per-request rows)
+            "buckets_compiled": sum(
+                not per_request_rows for _, per_request_rows in
+                session.program.backend_cache.get("batching.variants", {})),
         }
     return {
         "models": per_model,

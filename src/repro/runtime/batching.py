@@ -1,25 +1,37 @@
-"""Tensor-level dynamic batching: batch-N variants of lowered programs.
+"""Tensor-level dynamic batching: extent-polymorphic program variants.
 
 The PR-4 scheduler coalesces batch-compatible requests, but each request
 of a coalesced micro-batch still executes as its own pass over the
 program - coalescing amortizes *dispatch*, not kernel work.  This module
-makes the kernel work itself batched: given an
+makes the kernel work itself batched.  Given an
 :class:`~repro.runtime.program.ExecutionProgram` whose ops are
-batch-stackable, :func:`rebatch` derives a **batch-N variant** - the
-same steps with shapes, view chains, reshape/slice attrs, and the
-:class:`~repro.runtime.program.SlotPlan` scaled along the leading batch
-axis - so N stacked requests run through *one* kernel invocation per
-step.  Because a variant is itself an ordinary ``ExecutionProgram``,
-both execution backends serve it through their existing
-``_compile_runner`` hook: the NumPy backend compiles step closures over
-the scaled shapes, the codegen backend emits batch-N Python source.
+batch-stackable, one builder derives a **bucket variant**: the same
+steps with the leading extent of every batched value spelled
+symbolically - output shapes lead with
+:data:`~repro.ir.symbolic.SYM`, reshape targets with ``-1``, batch-axis
+slices stop at :data:`~repro.ir.symbolic.OPEN_STOP`, view chains become
+:class:`~repro.ir.symbolic.SymViewChain` - and the
+:class:`~repro.runtime.program.SlotPlan`, conv scratch and traffic
+counters sized at the bucket's bound.  A variant runs at whatever
+leading extent its inputs carry, up to the bound.  Because it is an
+ordinary ``ExecutionProgram``, both execution backends serve it through
+their ``_compile_runner`` hook.
 
-Batch-size bucketing: arbitrary micro-batch sizes are rounded up to the
-next power of two by :func:`bucket` and padded by replicating the last
-request, so a serving session compiles a small set of variants instead
-of one per observed batch size.  Variants are cached on
-``program.backend_cache`` keyed by the bucket - equivalently, by
-``(batch_key, N)``, since the program *is* the batch key's referent.
+It comes in two flavours, which differ only in whether rank-2
+``dense``/``matmul`` kernels are wrapped by :func:`_per_request_rows`:
+
+* :func:`rebatch` - the *stacked* flavour: ``n`` requests of extent
+  ``B`` concatenated along the leading axis run as one pass at extent
+  ``n*B``, one kernel invocation per step, outputs byte-identical to
+  solo runs;
+* :func:`symbolize` - the *exact* flavour: one request at any extent
+  runs the kernel calls a fresh concrete compile at that extent would.
+
+Batch-size bucketing: a micro-batch of ``n`` requests is served by the
+variant of the power-of-two bucket :func:`bucket` covering it, at its
+exact size - nothing is padded - so a serving session compiles a small
+set of variants instead of one per observed batch size.  Variants are
+cached on ``program.backend_cache`` keyed by ``(bucket, flavour)``.
 
 Which ops are batch-stackable
 -----------------------------
@@ -73,7 +85,6 @@ from .program import ExecutionProgram, Step, _assign_slots, _compile_view
 
 _ANALYSIS_KEY = "batching.analysis"
 _VARIANTS_KEY = "batching.variants"
-_SYMBOLIC_KEY = "batching.symbolic"
 
 
 class NotStackable(Exception):
@@ -84,9 +95,10 @@ class NotStackable(Exception):
 def bucket(n: int) -> int:
     """The power-of-two bucket serving a micro-batch of ``n`` requests.
 
-    Bucketing keeps the set of compiled batch variants logarithmic in
-    the observed batch sizes; the stacked pass pads ``bucket(n) - n``
-    slots by replicating the last request.
+    Bucketing keeps the set of compiled variants logarithmic in the
+    observed batch sizes.  The bucket sizes the variant's memory; the
+    pass itself runs at the live extent, so ``n`` stacked requests
+    execute exactly ``n`` requests' rows.
     """
     if n < 1:
         raise ValueError("batch size must be at least 1")
@@ -161,9 +173,9 @@ def _analyze(program: ExecutionProgram) -> BatchAnalysis:
         for step in program.steps:
             # factor=2 is a throwaway probe: the transform both checks
             # the stacking rules and exercises the view/attr scaling the
-            # real rebatch will perform.
+            # real variant build will perform.
             out_batched, _, _, _, _ = _transform_step(
-                step, batch_extent, 2, batched, shape_of)
+                step, batch_extent, 2, batched, shape_of, False)
             for out, out_shape in zip(step.out_names, step.out_shapes):
                 shapes[out] = tuple(out_shape)
                 if out_batched:
@@ -174,64 +186,54 @@ def _analyze(program: ExecutionProgram) -> BatchAnalysis:
 
 
 def rebatch(program: ExecutionProgram, factor: int) -> ExecutionProgram:
-    """The batch-``factor`` variant of ``program`` (cached per factor).
+    """The stacked variant of bucket ``factor`` (cached).
 
-    The variant shares the base program's graph, kernels, step order,
-    and value names; only batch-dependent state is rebuilt - output
-    shapes, view chains, reshape/slice attrs, the input signature, and
-    a freshly replayed :class:`~repro.runtime.program.SlotPlan` whose
-    size classes scale the batched tensors by ``factor``.  Raises
+    It serves one stacked pass of up to ``factor`` requests at their
+    exact total extent, with rank-2 GEMMs split per request so every
+    request's rows are byte-identical to its solo run.  ``factor == 1``
+    is the program itself: a single request is never stacked.  Raises
     :class:`NotStackable` when :func:`analyze` refuted stacking.
     """
-    if factor < 1:
-        raise ValueError("batch factor must be at least 1")
     if factor == 1:
         return program
-    variants = program.backend_cache.get(_VARIANTS_KEY)
-    if variants is None:
-        variants = program.backend_cache[_VARIANTS_KEY] = {}
-    found = variants.get(factor)
-    if found is None:
-        found = variants[factor] = _build_variant(program, factor,
-                                                  symbolic=False)
-    return found
+    return _variant(program, factor, per_request_rows=True)
 
 
 def symbolize(program: ExecutionProgram, factor: int) -> ExecutionProgram:
-    """The extent-polymorphic bucket-``factor`` variant (cached).
+    """The exact-extent variant of bucket ``factor`` (cached).
 
-    Where :func:`rebatch` pins the variant to one stacked extent,
-    ``symbolize`` builds a variant that executes *any* leading extent
-    up to the bound ``B * factor`` at that exact extent: output shapes
-    carry the :data:`~repro.ir.symbolic.SYM` placeholder, reshape
-    targets and batch-axis slices use the runtime-clamped spellings
-    (``-1`` / :data:`~repro.ir.symbolic.OPEN_STOP`), and only the slot
-    plan, conv scratch, and traffic accounting are sized at the bound.
-    Unlike a stacked pass, no per-request GEMM splitting is applied -
-    an exact-extent run issues the identical kernel calls a fresh
-    concrete compile at that extent would, so outputs are
-    byte-identical to it.  One variant per power-of-two bucket serves
-    the whole shape family; ``factor == 1`` still builds a real variant
-    (it serves extents below the base batch).  Raises
-    :class:`NotStackable` when :func:`analyze` refuted scaling.
+    It serves one request at any leading extent up to the bound
+    ``B * factor``, issuing the kernel calls a fresh concrete compile at
+    that extent would - so outputs are byte-identical to it.
+    ``factor == 1`` builds a real variant: it serves extents below the
+    base batch.  Raises :class:`NotStackable` when :func:`analyze`
+    refuted scaling.
     """
+    return _variant(program, factor, per_request_rows=False)
+
+
+def _variant(program: ExecutionProgram, factor: int,
+             per_request_rows: bool) -> ExecutionProgram:
+    """The one variant cache: ``backend_cache["batching.variants"]``,
+    keyed by ``(factor, per_request_rows)``."""
     if factor < 1:
         raise ValueError("batch factor must be at least 1")
-    variants = program.backend_cache.get(_SYMBOLIC_KEY)
-    if variants is None:
-        variants = program.backend_cache[_SYMBOLIC_KEY] = {}
-    found = variants.get(factor)
+    variants = program.backend_cache.setdefault(_VARIANTS_KEY, {})
+    key = factor, per_request_rows
+    found = variants.get(key)
     if found is None:
-        found = variants[factor] = _build_variant(program, factor,
-                                                  symbolic=True)
+        found = variants[key] = _build_variant(program, factor,
+                                               per_request_rows)
     return found
 
 
 def _build_variant(program: ExecutionProgram, factor: int,
-                   symbolic: bool) -> ExecutionProgram:
-    """Shared variant builder behind :func:`rebatch` and
-    :func:`symbolize` - one machinery, two output spellings (concrete
-    scaled shapes vs extent-polymorphic placeholders)."""
+                   per_request_rows: bool) -> ExecutionProgram:
+    """The one variant builder: every batched value's leading extent
+    becomes symbolic, and memory, scratch and traffic are sized at the
+    bound ``B * factor``.  ``per_request_rows`` wraps rank-2 GEMMs by
+    :func:`_per_request_rows`; it is the only difference between the
+    stacked and the exact flavour."""
     analysis = analyze(program)
     if not analysis.stackable:
         raise NotStackable(
@@ -255,18 +257,13 @@ def _build_variant(program: ExecutionProgram, factor: int,
     steps = []
     for step in program.steps:
         out_batched, attrs, views, kernel, owned = _transform_step(
-            step, B, factor, batched, shape_of, symbolic)
+            step, B, factor, batched, shape_of, per_request_rows)
         for out, out_shape in zip(step.out_names, step.out_shapes):
             shapes[out] = tuple(out_shape)
-        if out_batched and symbolic:
+        out_shapes = step.out_shapes
+        if out_batched:
             out_shapes = tuple(
-                (SYM,) + tuple(shape[1:]) for shape in step.out_shapes)
-        elif out_batched:
-            out_shapes = tuple(
-                (shape[0] * factor,) + tuple(shape[1:])
-                for shape in step.out_shapes)
-        else:
-            out_shapes = tuple(tuple(shape) for shape in step.out_shapes)
+                (SYM,) + tuple(shape[1:]) for shape in out_shapes)
         scale = factor if out_batched else 1
         steps.append(Step(
             node_id=step.node_id,
@@ -287,33 +284,22 @@ def _build_variant(program: ExecutionProgram, factor: int,
             arena_bytes=step.arena_bytes * scale,
             owned=owned,
         ))
-    plan = plan.with_scratch(steps)
-    if symbolic:
-        input_signature = tuple(
-            (name, (SYM,) + tuple(shape[1:]), dtype)
-            for name, shape, dtype in program.input_signature)
-    else:
-        input_signature = tuple(
-            (name, (shape[0] * factor,) + tuple(shape[1:]), dtype)
-            for name, shape, dtype in program.input_signature)
-    # Fusion groups are step indices, stable across rebatching: the
+    # Fusion groups are step indices, stable across variants: the
     # variant inherits them verbatim.
     variant = ExecutionProgram(
-        program.graph, tuple(steps), plan,
-        input_signature=input_signature, batch_factor=factor,
+        program.graph, tuple(steps), plan.with_scratch(steps),
+        input_signature=tuple(
+            (name, (SYM,) + tuple(shape[1:]), dtype)
+            for name, shape, dtype in program.input_signature),
         fused_chains=program.fused_chains,
-        symbolic_extent=B * factor if symbolic else None,
+        symbolic_extent=B * factor,
         packs=program.packs)
-    if symbolic:
-        # A symbolic variant is never itself stacked or re-scaled:
-        # requests route to it per bucket and run at their exact
-        # extent.  Pre-seeding the analysis keeps anything that probes
-        # the variant (which carries SYM shapes analyze cannot read)
-        # on the sequential path.
-        variant.backend_cache[_ANALYSIS_KEY] = BatchAnalysis(
-            False, "symbolic bucket variant: requests execute at their "
-            "exact runtime extent; bucketing replaces stacking",
-            frozenset(), B * factor)
+    # A variant is never itself stacked or re-scaled.  Pre-seeding the
+    # analysis keeps anything that probes the variant (which carries
+    # SYM shapes analyze cannot read) on the sequential path.
+    variant.backend_cache[_ANALYSIS_KEY] = BatchAnalysis(
+        False, "bucket variant: it already runs at its inputs' leading "
+        "extent", frozenset(), B * factor)
     return variant
 
 
@@ -341,9 +327,8 @@ def _shape_resolver(program: ExecutionProgram):
     return shapes, shape_of
 
 
-def _scale_chain(chain: ViewChain, B: int, factor: int,
-                 symbolic: bool = False):
-    """Scale one view chain's batch axis from ``B`` to ``B * factor``.
+def _scale_chain(chain: ViewChain, B: int, factor: int) -> SymViewChain:
+    """One view chain with its batch axis made extent-polymorphic.
 
     Tracks the batch axis *position* through the chain - transposes move
     it freely, reshapes must keep it the outermost non-trivial axis on
@@ -351,13 +336,12 @@ def _scale_chain(chain: ViewChain, B: int, factor: int,
     to end with the batch back on axis 0 (the kernel-argument
     invariant).  Raises :class:`NotStackable` otherwise.
 
-    ``symbolic`` additionally emits the extent-polymorphic twin: the
-    batch position of a reshape target becomes ``-1`` and the batch-axis
-    slice triple becomes ``(0, OPEN_STOP, 1)`` (both clamp to the actual
-    runtime extent), packaged as a
-    :class:`~repro.ir.symbolic.SymViewChain`.  The concrete scaled chain
-    is still built and validated first, so the symbolic twin inherits
-    every rule check.
+    The batch position of a reshape target becomes ``-1`` and the
+    batch-axis slice triple becomes ``(0, OPEN_STOP, 1)`` (both clamp to
+    the actual runtime extent), packaged as a
+    :class:`~repro.ir.symbolic.SymViewChain`.  The chain scaled
+    concretely to ``B * factor`` is built and validated first, so the
+    symbolic one inherits every rule check.
     """
     shape = chain.in_shape
     if not shape or shape[0] != B:
@@ -413,10 +397,8 @@ def _scale_chain(chain: ViewChain, B: int, factor: int,
         raise NotStackable(
             f"scaled view chain produces {scaled.out_shape}, "
             f"expected {expected}")
-    if symbolic:
-        return SymViewChain((SYM,) + chain.in_shape[1:], sym_steps,
-                            (SYM,) + chain.out_shape[1:])
-    return scaled
+    return SymViewChain((SYM,) + chain.in_shape[1:], sym_steps,
+                        (SYM,) + chain.out_shape[1:])
 
 
 def _axes(attrs: dict, rank: int, default) -> tuple[int, ...]:
@@ -448,34 +430,34 @@ def _per_request_rows(kernel, B: int):
 
 
 def _transform_step(step: Step, B: int, factor: int, batched,
-                    shape_of, symbolic: bool = False,
+                    shape_of, per_request_rows: bool,
                     ) -> tuple[bool, dict, tuple, object, int | None]:
-    """Check one step's stacking rule and scale its batch-dependent
-    capture.
+    """Check one step's stacking rule and make its batch-dependent
+    capture extent-polymorphic.
 
     Returns ``(out_batched, attrs, views, kernel, owned)``: whether the
     step's outputs carry the batch axis, the (possibly re-built) attrs
-    dict, the (possibly re-scaled) ``(position, ViewChain)`` capture,
-    the kernel (wrapped by :func:`_per_request_rows` for rank-2 GEMMs,
-    the reference one where the variant cannot keep the step's
-    ownership), and the variant step's :attr:`~Step.owned`.
-    Raises :class:`NotStackable` when stacking would change results.
+    dict - reshape targets lead with ``-1``, slice stops with
+    :data:`~repro.ir.symbolic.OPEN_STOP` (the ``slice`` kernel clamps) -
+    the ``(position, chain)`` capture with batched chains made
+    :class:`~repro.ir.symbolic.SymViewChain`, the kernel (a conv rebound
+    at the bound ``B * factor``, the reference one where the variant
+    cannot keep the step's ownership), and the variant step's
+    :attr:`~Step.owned`.  Every rule is checked on the concrete base
+    shapes.  Raises :class:`NotStackable` when stacking would change
+    results.
 
-    ``symbolic`` keeps every rule check on the concrete base shapes but
-    emits extent-polymorphic artifacts instead of scaled ones: reshape
-    targets lead with ``-1``, slice stops with
-    :data:`~repro.ir.symbolic.OPEN_STOP` (the ``slice`` kernel clamps),
-    view chains become :class:`~repro.ir.symbolic.SymViewChain`, and
-    rank-2 GEMMs are *not* wrapped by :func:`_per_request_rows` - an
-    exact-extent pass must issue the same single GEMM call a concrete
-    compile at that extent issues, which is what makes symbolic outputs
-    byte-identical to fresh concrete compiles.
+    ``per_request_rows`` wraps rank-2 GEMMs by :func:`_per_request_rows`
+    (the stacked flavour).  Without it an exact-extent pass issues the
+    same single GEMM call a concrete compile at that extent issues,
+    which is what makes its outputs byte-identical to fresh concrete
+    compiles.
     """
     op = step.op_type
     arg_batched = tuple(name in batched for name in step.arg_names)
     views = []
     for idx, chain in step.views:
-        views.append((idx, _scale_chain(chain, B, factor, symbolic)
+        views.append((idx, _scale_chain(chain, B, factor)
                       if arg_batched[idx] else chain))
     views = tuple(views)
     if not any(arg_batched):
@@ -533,7 +515,7 @@ def _transform_step(step: Step, B: int, factor: int, batched,
                 if attrs.get("transpose_a"):
                     raise NotStackable(
                         "matmul: transpose_a folds the batch axis")
-                if not symbolic:
+                if per_request_rows:
                     kernel = _per_request_rows(kernel, B)
         else:
             if rb < 3 or ra > 2:
@@ -545,7 +527,7 @@ def _transform_step(step: Step, B: int, factor: int, batched,
         if rank < 2:
             raise NotStackable("dense: rank-1 activation contracts the "
                                "batch axis")
-        if rank == 2 and not symbolic:
+        if rank == 2 and per_request_rows:
             kernel = _per_request_rows(kernel, B)
     elif op == "softmax":
         if int(attrs.get("axis", -1)) % rank == 0:
@@ -565,8 +547,8 @@ def _transform_step(step: Step, B: int, factor: int, batched,
             raise NotStackable(f"{op}: activation has no batch axis")
         if op == "conv2d":
             # The base kernel is bound to a padded buffer planned for
-            # the solo batch extent; the variant needs its own binding
-            # sized for the stacked leading axis.
+            # the solo batch extent; the variant needs its own binding,
+            # sized at the bound and sliced to the live extent per run.
             kernel, _ = bind_conv2d(
                 (B * factor,) + arg_shape(0)[1:], arg_shape(1), attrs,
                 step.node_id)
@@ -578,8 +560,7 @@ def _transform_step(step: Step, B: int, factor: int, batched,
         if not target or target[0] != B:
             raise NotStackable(
                 f"reshape to {target} merges the batch axis")
-        attrs = {**attrs, "shape": ((-1,) if symbolic else (B * factor,))
-                 + target[1:]}
+        attrs = {**attrs, "shape": (-1,) + target[1:]}
     elif op == "transpose":
         if tuple(attrs["perm"])[0] != 0:
             raise NotStackable("transpose moves the batch axis")
@@ -590,8 +571,7 @@ def _transform_step(step: Step, B: int, factor: int, batched,
         if starts[0] != 0 or stops[0] < B \
                 or (steps_ is not None and int(steps_[0]) != 1):
             raise NotStackable("slice cuts the batch axis")
-        attrs = {**attrs, "stops":
-                 ((OPEN_STOP,) if symbolic else (B * factor,)) + stops[1:]}
+        attrs = {**attrs, "stops": (OPEN_STOP,) + stops[1:]}
     elif op == "gather":
         if int(attrs.get("axis", 0)) % rank == 0:
             raise NotStackable("gather indexes the batch axis")

@@ -38,12 +38,14 @@ exactly the lowering's lifetime and invalidation, mirroring the
 ``lower()`` memoization discipline.
 
 Everything *around* the fused body - micro-batch coalescing, stacked
-batch-N execution - is inherited from :class:`NumPyBackend` through the
+execution - is inherited from :class:`NumPyBackend` through the
 :meth:`_compile_runner` hook, so there is still exactly one batching
 discipline in the codebase.  That includes dynamic batching for free: a
-batch-N variant built by :func:`repro.runtime.batching.rebatch` is an
-ordinary ``ExecutionProgram``, so ``run_stacked`` transparently compiles
-(and caches) batch-N *source* for it through the same hook.
+bucket variant built by :mod:`repro.runtime.batching` is an ordinary
+``ExecutionProgram``, so ``run_stacked`` and the symbolic route
+transparently compile (and cache) *source* for it through the same
+hook - one module per (bucket, flavour), serving every leading extent
+up to the bucket's bound through the ``_n`` runtime local.
 
 Select it anywhere a backend name is accepted::
 
@@ -86,6 +88,15 @@ def _comment_text(text: str) -> str:
     the module) becomes ``?``.  Only cosmetic text goes through here -
     names that matter semantically are embedded via ``repr``."""
     return _UNPRINTABLE.sub("?", text)
+
+
+def _dims_source(dims) -> str:
+    """A shape tuple as source text.  The symbolic leading extent - SYM
+    in an output spec, ``-1`` in a symbolic reshape target - reads the
+    runtime local ``_n``."""
+    items = ["_n" if isinstance(d, SymDim) or d == -1 else repr(d)
+             for d in dims]
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
 
 @dataclass(frozen=True)
@@ -180,14 +191,9 @@ class _SourceEmitter:
         symbolic = isinstance(chain, SymViewChain)
         for step in chain.steps:
             if step.kind == "reshape":
-                if symbolic and -1 in step.arg:
-                    dims = ", ".join(
-                        "_n" if d == -1 else str(d) for d in step.arg)
-                    if len(step.arg) == 1:
-                        dims += ","
-                    expr = f"{expr}.reshape(({dims}))"
-                else:
-                    expr = f"{expr}.reshape({step.arg!r})"
+                expr = f"{expr}.reshape(" + (
+                    _dims_source(step.arg) if symbolic
+                    else repr(step.arg)) + ")"
             elif step.kind == "transpose":
                 expr = f"{expr}.transpose({step.arg!r})"
             else:  # slice: constant subscript, no per-run slice building
@@ -198,23 +204,15 @@ class _SourceEmitter:
         return expr
 
     def _emit_check(self, lines, out: str, step, shape) -> None:
-        """The reference backend's shape check, verbatim semantics.
-
-        Symbolic output specs pin rank and trailing extents only (the
-        leading extent is per-request); the condition and the error text
-        match the reference backend's symbolic branch exactly -
-        ``repr(SYM)`` is ``"?"``, so both spell the spec ``(?, ...)``.
-        """
+        """The reference backend's shape check, verbatim semantics: the
+        full shape, with a symbolic spec's leading extent read from
+        ``_n``, and the same error text."""
         message = (f"kernel {step.op_type} ({step.node_id}) produced "
-                   f"shape %r, spec says {shape!r}")
-        if shape and isinstance(shape[0], SymDim):
-            tail = tuple(shape[1:])
-            lines.append(f"    if len({out}.shape) != {len(shape)} or "
-                         f"{out}.shape[1:] != {tail!r}:")
-        else:
-            lines.append(f"    if {out}.shape != {shape!r}:")
+                   "shape ").replace("%", "%%") + "%r, spec says %r"
+        want = _dims_source(shape)
+        lines.append(f"    if {out}.shape != {want}:")
         lines.append(f"        raise ExecutionError({message!r}"
-                     f" % ({out}.shape,))")
+                     f" % ({out}.shape, {want}))")
 
     def _args(self, step) -> list[str]:
         """Argument expressions, views rendered inline."""
@@ -319,10 +317,6 @@ class _SourceEmitter:
                 f"{program.symbolic_extent}): one compiled module serves "
                 "every leading extent up to the bound, at that exact "
                 "extent.")
-        elif program.batch_factor > 1:
-            header.append(
-                f"# Batch-{program.batch_factor} stacked variant: one "
-                "kernel call per step serves the whole micro-batch.")
         header.append("")
         return "\n".join(header + plain) + "\n"
 

@@ -262,10 +262,13 @@ def conv2d_reference(inputs, attrs):
 def bind_conv2d(x_shape, w_shape, attrs, node_id=None):
     """Bind a conv2d step to a statically planned :class:`ConvScratch`.
 
-    Returns ``(kernel, scratch)``.  Called by ``lower()`` (and by
-    ``rebatch`` with the scaled batch shape) so every run reuses the
-    step's padded buffer instead of reallocating it; ``node_id`` names
-    the step in the scratch's errors.
+    Returns ``(kernel, scratch)``.  Called by ``lower()``, and by every
+    bucket variant of :mod:`repro.runtime.batching` with the batch shape
+    at the bucket's bound, so every run reuses the step's padded buffer
+    instead of reallocating it.  A variant pass at a smaller live extent
+    - a stacked batch of ``n`` requests, or one request at an exact
+    extent - uses the buffer's first rows.  ``node_id`` names the step in
+    the scratch's errors.
     """
     scratch = ConvScratch.plan(x_shape, w_shape, attrs, node_id)
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from ..api.errors import ExecutionError
 from ..ir.graph import Graph
-from ..ir.symbolic import SymDim
+from ..ir.symbolic import is_symbolic_shape
 from ..ir.view import ViewChain
 from ..memory.pool import PoolEvent, PoolReport, liveness_schedule
 from .kernels import (
@@ -197,92 +197,58 @@ class SlotPlan:
             arena_bytes=max((s.arena_bytes for s in steps), default=0))
 
 
-def _compile_step(step: Step) -> Callable[[dict], None]:
+def _compile_step(step: Step) -> Callable[..., None]:
     """Fold one step into a single closure over pre-resolved state.
 
     The closure reads its inputs from / writes its outputs to a values
     dict; kernel, argument names, view appliers, attrs, and the expected
     output shapes are captured once here instead of being re-resolved per
-    request.
+    request.  It checks every output's full shape.  An output whose spec
+    leads with :data:`~repro.ir.symbolic.SYM` (a batched value of a
+    bucket variant) is checked with the pass's live leading extent
+    ``n``, which the runner passes in; concrete specs ignore ``n``.  The
+    error text matches the codegen backend's character for character.
     """
     kernel = step.kernel
     names = step.arg_names
     attrs = step.attrs
     appliers = step.appliers
     out_names = step.out_names
-    shapes = step.out_shapes
+    specs = tuple((is_symbolic_shape(shape), tuple(shape[1:]), shape)
+                  for shape in step.out_shapes)
     op_type = step.op_type
     node_id = step.node_id
 
-    symbolic = any(s and isinstance(s[0], SymDim) for s in shapes)
-
     if len(out_names) > 1:
-        if symbolic:
-            # Symbolic specs pin rank and trailing extents; the leading
-            # extent is the runtime extent, free by construction.  The
-            # error text matches the concrete branch (and the codegen
-            # backend) character-for-character - repr(SYM) is "?".
-            tails = tuple((len(s), tuple(s[1:])) for s in shapes)
-
-            def execute(values: dict) -> None:
-                args = [values[n] for n in names]
-                for idx, apply in appliers:
-                    args[idx] = apply(args[idx])
-                for name, shape, (rank, tail), value in zip(
-                        out_names, shapes, tails, kernel(args, attrs)):
-                    if len(value.shape) != rank or value.shape[1:] != tail:
-                        raise ExecutionError(
-                            f"kernel {op_type} ({node_id}) produced shape "
-                            f"{value.shape}, spec says {shape}")
-                    values[name] = value
-            return execute
-
-        def execute(values: dict) -> None:
-            args = [values[n] for n in names]
+        def execute(values: dict, n: int | None = None) -> None:
+            args = [values[name] for name in names]
             for idx, apply in appliers:
                 args[idx] = apply(args[idx])
-            for name, shape, value in zip(out_names, shapes,
-                                          kernel(args, attrs)):
-                if value.shape != shape:
+            for name, (symbolic, tail, shape), value in zip(
+                    out_names, specs, kernel(args, attrs)):
+                want = (n, *tail) if symbolic else shape
+                if value.shape != want:
                     raise ExecutionError(
                         f"kernel {op_type} ({node_id}) produced shape "
-                        f"{value.shape}, spec says {shape}")
+                        f"{value.shape}, spec says {want}")
                 values[name] = value
         return execute
 
     out = out_names[0]
-    shape = shapes[0]
+    (symbolic, tail, shape), = specs
 
-    if symbolic:
-        rank = len(shape)
-        tail = tuple(shape[1:])
-
-        def execute(values: dict) -> None:
-            args = [values[n] for n in names]
-            for idx, apply in appliers:
-                args[idx] = apply(args[idx])
-            result = kernel(args, attrs)
-            if type(result) in (tuple, list):
-                result = result[0]
-            if len(result.shape) != rank or result.shape[1:] != tail:
-                raise ExecutionError(
-                    f"kernel {op_type} ({node_id}) produced shape "
-                    f"{result.shape}, spec says {shape}")
-            values[out] = result
-
-        return execute
-
-    def execute(values: dict) -> None:
-        args = [values[n] for n in names]
+    def execute(values: dict, n: int | None = None) -> None:
+        args = [values[name] for name in names]
         for idx, apply in appliers:
             args[idx] = apply(args[idx])
         result = kernel(args, attrs)
         if type(result) in (tuple, list):
             result = result[0]
-        if result.shape != shape:
+        want = (n, *tail) if symbolic else shape
+        if result.shape != want:
             raise ExecutionError(
                 f"kernel {op_type} ({node_id}) produced shape "
-                f"{result.shape}, spec says {shape}")
+                f"{result.shape}, spec says {want}")
         values[out] = result
 
     return execute
@@ -292,7 +258,7 @@ class ExecutionProgram:
     """A graph lowered for repeated execution on a pluggable backend."""
 
     __slots__ = ("graph", "steps", "slot_plan", "input_names",
-                 "output_names", "input_signature", "batch_factor",
+                 "output_names", "input_signature",
                  "report", "op_list", "backend_cache", "fused_chains",
                  "fused_step_count", "symbolic_extent",
                  "packs", "pack_of", "source_of", "__weakref__")
@@ -300,7 +266,6 @@ class ExecutionProgram:
     def __init__(self, graph: Graph, steps: tuple[Step, ...],
                  slot_plan: SlotPlan,
                  input_signature: tuple | None = None,
-                 batch_factor: int = 1,
                  fused_chains: tuple[tuple[int, ...], ...] = (),
                  symbolic_extent: int | None = None,
                  packs: tuple[tuple[str, str, bool], ...] = ()) -> None:
@@ -317,8 +282,8 @@ class ExecutionProgram:
         self.source_of = {packed: source for packed, source, _ in packs}
         # The compiler's fusion groups of two or more members, as tuples
         # of step indices: what the slot plan's unslotted interiors come
-        # from.  Batch-N variants inherit them verbatim - step indices
-        # are stable across rebatching.
+        # from.  Bucket variants inherit them verbatim - step indices
+        # are stable across variants.
         self.fused_chains = fused_chains
         self.fused_step_count = sum(
             len(chain) - 1 for chain in fused_chains)
@@ -328,9 +293,9 @@ class ExecutionProgram:
         # program admits - (name, shape, dtype) per graph input.  The
         # service scheduler validates every request against it and only
         # coalesces requests admitted under an equal :attr:`batch_key`
-        # into one backend invocation.  Batch-N variants built by
-        # :func:`repro.runtime.batching.rebatch` pass their scaled
-        # signature explicitly; base lowerings derive it from the graph.
+        # into one backend invocation.  Bucket variants built by
+        # :mod:`repro.runtime.batching` pass their symbolic signature
+        # explicitly; base lowerings derive it from the graph.
         if input_signature is not None:
             self.input_signature = input_signature
         else:
@@ -338,14 +303,11 @@ class ExecutionProgram:
                 (name, tuple(graph.shape(name)),
                  str(np.dtype(graph.tensors[name].dtype.numpy_dtype)))
                 for name in graph.inputs)
-        # How many stacked requests one pass of this program serves: 1
-        # for base lowerings, the bucket size for rebatched variants.
-        self.batch_factor = batch_factor
-        # Symbolic (extent-polymorphic) variants: the *bound* - the
+        # Bucket (extent-polymorphic) variants: the *bound* - the
         # largest leading extent this variant's slot plan, scratch, and
-        # shm layouts are sized for.  The variant executes any request
+        # shm layouts are sized for.  The variant executes any pass
         # whose leading extent is <= the bound at that exact extent (no
-        # padding); None for concrete programs.
+        # padding); None for base lowerings.
         self.symbolic_extent = symbolic_extent
         # The slot plan's accounting, stated once: every request this
         # program serves reports this object as its ``RunStats.pool``.
@@ -418,10 +380,9 @@ class ExecutionProgram:
         transpose, concat, or gather across the batch axis do not.
         Non-stackable programs still coalesce - they just execute the
         batch sequentially inside the single invocation, never a wrong
-        stacked result.  Batch-N variants built from this program are
-        cached on :attr:`backend_cache` keyed by the bucket size -
-        equivalently ``(batch_key, N)``, since the variant cache lives
-        on the key's referent.
+        stacked result.  Bucket variants built from this program are
+        cached on :attr:`backend_cache` keyed by ``(bucket, flavour)`` -
+        the variant cache lives on the key's referent.
         """
         return (self.graph.name, self.input_signature)
 
@@ -764,10 +725,15 @@ class NumPyBackend(ExecutionBackend):
         execution-strategy subclass needs to override."""
         op_list = program.op_list
         output_names = program.output_names
+        # A bucket variant's steps check their outputs against the live
+        # leading extent, read off the first input once per pass.
+        lead = None if program.symbolic_extent is None \
+            else program.input_names[0]
 
         def plain(values: dict) -> dict:
+            n = None if lead is None else values[lead].shape[0]
             for execute, drops in op_list:
-                execute(values)
+                execute(values, n)
                 for t in drops:
                     values.pop(t, None)
             return {name: values[name] for name in output_names}
@@ -783,16 +749,16 @@ class NumPyBackend(ExecutionBackend):
                     ) -> list[tuple[dict[str, np.ndarray], PoolReport, float]]:
         """Serve a stackable micro-batch as ONE pass of ``variant``.
 
-        Per-request input tensors are concatenated along the leading
-        batch axis (padded up to ``variant.batch_factor`` by replicating
-        the last request, so every bucket sees well-formed data), the
-        batch-N variant runs once through :meth:`run_many` - one kernel
-        invocation per step for the whole micro-batch - and the batched
-        outputs are split back per request.  Values outside the batched
-        set (graph outputs that are pure parameter expressions) are
-        shared unsliced.  Subclasses inherit this unchanged: the variant
-        is an ordinary program, so the codegen backend transparently
-        emits batch-N source for it via ``_compile_runner``.
+        The ``n`` requests' input tensors are concatenated along the
+        leading batch axis - nothing is padded - the bucket's stacked
+        variant (:func:`~repro.runtime.batching.rebatch`) runs once at
+        extent ``n*B`` through :meth:`run_many` - one kernel invocation
+        per step for the whole micro-batch - and the batched outputs are
+        split back per request.  Values outside the batched set (graph
+        outputs that are pure parameter expressions) are shared
+        unsliced.  Subclasses inherit this unchanged: the variant is an
+        ordinary program, so the codegen backend transparently emits
+        source for it via ``_compile_runner``.
 
         Result rows mirror :meth:`run_many`: ``(outputs, report, wall)``
         per request, with the variant's report *shared* (the pass is one
@@ -806,13 +772,10 @@ class NumPyBackend(ExecutionBackend):
         extent = analysis.batch_extent
         batched = analysis.batched
         n = len(values_list)
-        pad = variant.batch_factor - n
         stacked = dict(values_list[0])
         for name in program.input_names:
-            arrays = [values[name] for values in values_list]
-            if pad:
-                arrays.extend([arrays[-1]] * pad)
-            stacked[name] = np.concatenate(arrays, axis=0)
+            stacked[name] = np.concatenate(
+                [values[name] for values in values_list], axis=0)
         (outputs, report, wall), = self.run_many(variant, (stacked,))
         share = wall / n
         results = []

@@ -33,8 +33,9 @@ bookkeeping) was all moved to compile time by
 * ``run_batch`` executes through one backend invocation - and, when the
   program is batch-stackable
   (:func:`repro.runtime.batching.analyze`), through ONE kernel pass for
-  the whole micro-batch: inputs stacked along the batch axis, a cached
-  batch-N program variant run once, outputs split per request.
+  the whole micro-batch: inputs stacked along the batch axis, the
+  bucket's cached stacked variant run once at the batch's exact size,
+  outputs split per request.
   Non-stackable programs fall back to the sequential per-request loop
   inside the single invocation.
 
@@ -87,7 +88,7 @@ class RunStats:
     configured backend unless graceful degradation substituted the
     reference backend (:attr:`SessionStats.fallbacks`)."""
     batched: bool = False
-    """True when the request was served by a stacked batch-N pass.  The
+    """True when the request was served by a stacked pass.  The
     pass is one execution of the variant and one wall-clock interval for
     the whole micro-batch, so :attr:`pool` is the variant's report,
     *shared* with the batchmates, and :attr:`wall_s` carries this
@@ -512,8 +513,8 @@ class Session:
         Batching: a multi-request invocation of a batch-stackable
         program (:func:`repro.runtime.batching.analyze`) routes through
         ``run_stacked`` - inputs concatenated along the batch axis, one
-        pass of the cached power-of-two batch variant, outputs split per
-        request.
+        pass of the power-of-two bucket's stacked variant at the batch's
+        exact size, outputs split per request.
         Non-stackable programs, solo requests, and batches with
         per-request parameter overrides take the sequential ``run_many``
         path; both paths are byte-identical per request.
@@ -580,87 +581,60 @@ class Session:
         (unavailable, per-request overrides, mixed extents), and for
         every other backend, the invocation runs in-process - on the
         sharding backend's declared ``inner`` in the first case.
+
+        In-process, requests are grouped by leading extent - a concrete
+        session is the one-group case - and rows scatter back in request
+        order.  A base-extent group of several requests runs as one
+        stacked pass of the bucket's stacked variant when analysis
+        licenses it and no request overrides a non-input tensor
+        (per-request parameters cannot be shared across a stacked pass),
+        the sequential loop otherwise.  Any other extent runs its
+        bucket's exact variant (:meth:`SymbolicServing.factor`) per
+        request, which keeps outputs byte-identical to a fresh concrete
+        compile at that extent.  A variant that fails to build demotes
+        the program for good: a wrong stacked result is never
+        acceptable, a sequential one always is.
         """
         if bk.shards_requests:
             sharded = bk.try_sharded(self, vlist)
             if sharded is not None:
                 return sharded
             bk = get_backend(bk.inner)
-        return self._invoke_inprocess(bk, vlist)
-
-    def _invoke_inprocess(self, bk, vlist):
-        """``(rows, batched)`` for one in-process invocation on ``bk``.
-
-        Concrete sessions keep the stacked-vs-sequential decision
-        unchanged.  Symbolic sessions group requests by leading extent
-        first: base-extent requests take the concrete path (including
-        stacking); any other extent runs through its bucket's symbolic
-        variant (:meth:`SymbolicServing.factor`), each request at its
-        *exact* extent - never padded, never stacked - which is what
-        keeps outputs byte-identical to a fresh concrete compile at
-        that extent.  Rows are scattered back in request order.
-        """
+        program = self.program
+        inputs = program.input_names
         sym = self.symbolic
-        if sym is None:
-            return self._invoke_concrete(bk, vlist)
-        name = self.program.input_names[0]
-        groups: dict[int, list[int]] = {}
+        groups: dict[int | None, list[int]] = {}
         for index, values in enumerate(vlist):
-            groups.setdefault(values[name].shape[0], []).append(index)
-        if len(groups) == 1 and sym.base_extent in groups:
-            return self._invoke_concrete(bk, vlist)
-        results = [None] * len(vlist)
+            extent = None if sym is None else values[inputs[0]].shape[0]
+            groups.setdefault(extent, []).append(index)
+        rows = [None] * len(vlist)
         batched = False
         for extent, indices in groups.items():
             sub = [vlist[i] for i in indices]
-            if extent == sym.base_extent:
-                rows, stacked = self._invoke_concrete(bk, sub)
-                batched = batched or stacked
+            serving, variant = program, None
+            if extent is not None and extent != sym.base_extent:
+                serving = symbolize(program, sym.factor(extent))
+            elif len(sub) > 1 and analyze(program).stackable and all(
+                    key in inputs or sub[0].get(key) is value
+                    for values in sub[1:] for key, value in values.items()):
+                factor = bucket(len(sub))
+                try:
+                    variant = rebatch(program, factor)
+                except Exception as err:  # noqa: BLE001 - never risk it
+                    logger.exception(
+                        "building the bucket-%d stacked variant of %r "
+                        "failed; demoting to the sequential path",
+                        factor, self.model or self.graph.name)
+                    mark_unstackable(
+                        program, f"rebatch({factor}) failed: {err}")
+            if variant is None:
+                served = bk.run_many(serving, sub)
             else:
-                rows = bk.run_many(
-                    symbolize(self.program, sym.factor(extent)), sub)
-            for index, row in zip(indices, rows):
-                results[index] = row
-        return results, batched
-
-    def _invoke_concrete(self, bk, vlist):
-        """The concrete serving path, as ``(rows, batched)``: one stacked
-        pass when licensed, the sequential loop otherwise."""
-        variant = self._stacked_context(vlist) if len(vlist) > 1 else None
-        if variant is not None:
-            return bk.run_stacked(self.program, variant, vlist), True
-        return bk.run_many(self.program, vlist), False
-
-    def _stacked_context(self, values_list):
-        """The batch variant serving one stacked pass, or None when the
-        micro-batch must run sequentially.
-
-        Sequential is chosen when analysis refuted stacking, when a
-        request overrides a non-input tensor (per-request parameters
-        cannot be shared across a stacked pass), or when building the
-        variant fails unexpectedly - in which case the program is
-        demoted for good: a wrong stacked result is never acceptable, a
-        sequential one always is.
-        """
-        program = self.program
-        if not analyze(program).stackable:
-            return None
-        inputs = set(program.input_names)
-        first = values_list[0]
-        for values in values_list[1:]:
-            for key, value in values.items():
-                if key not in inputs and first.get(key) is not value:
-                    return None
-        factor = bucket(len(values_list))
-        try:
-            variant = rebatch(program, factor)
-        except Exception as err:  # noqa: BLE001 - never risk wrong results
-            logger.exception(
-                "building batch-%d variant of %r failed; demoting to the "
-                "sequential path", factor, self.model or self.graph.name)
-            mark_unstackable(program, f"rebatch({factor}) failed: {err}")
-            return None
-        return variant
+                served = bk.run_stacked(program, variant, sub)
+                batched = True
+            for index, row in zip(indices, served):
+                rows[index] = row
+        return rows, batched
 
     # -- parallel worker pool ----------------------------------------------
 

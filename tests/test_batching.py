@@ -1,10 +1,11 @@
 """Tests for tensor-level dynamic batching: stacked micro-batches.
 
 The contract: a micro-batch of batch-compatible requests against a
-*stackable* program executes as ONE kernel pass per step (a cached
-power-of-two batch-N program variant), with per-request outputs
-byte-identical to solo runs and to the sequential ``run_many`` path -
-on both execution backends, padded buckets included.  Non-stackable
+*stackable* program executes as ONE kernel pass per step (the cached
+stacked variant of its power-of-two bucket, run at the batch's exact
+size), with per-request outputs byte-identical to solo runs and to the
+sequential ``run_many`` path - on both execution backends, non-bucket
+batch sizes included.  Non-stackable
 programs must fall back to the sequential path explicitly, never
 produce wrong stacked results.
 """
@@ -19,10 +20,11 @@ from repro.api import (
 )
 from repro.bench.harness import clear_cell_cache
 from repro.ir import GraphBuilder
+from repro.ir.symbolic import SYM
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import get_backend, lower
 from repro.runtime.batching import (
-    NotStackable, analyze, bucket, mark_unstackable, rebatch,
+    NotStackable, analyze, bucket, mark_unstackable, rebatch, symbolize,
 )
 from repro.runtime.session import _compile_session
 
@@ -85,11 +87,12 @@ class TestZooParity:
         session = model.session
         program = session.program
         stackable = analyze(program).stackable
-        inputs = [session.make_inputs(seed=s) for s in range(2)]
+        # three requests: a non-power-of-two batch runs at its exact size
+        inputs = [session.make_inputs(seed=s) for s in range(3)]
         solo = [session.run(dict(i)) for i in inputs]
         outs = session.run_batch([dict(i) for i in inputs])
-        stats = list(session.stats.runs)[-2:]
-        assert [s.batched for s in stats] == [stackable, stackable]
+        stats = list(session.stats.runs)[-3:]
+        assert [s.batched for s in stats] == [stackable] * 3
         for got, want in zip(outs, solo):
             _assert_same_outputs(got, want, f"{name}/{backend}")
         if not stackable:
@@ -103,70 +106,97 @@ class TestZooParity:
         for got, (want, _, _) in zip(outs, seq):
             _assert_same_outputs(got, want, f"{name}/{backend}/seq")
         # shared attribution: the pass reports its variant's static plan
-        assert stats[0].pool is stats[1].pool is rebatch(program, 2).report
+        assert stats[0].pool is stats[1].pool is stats[2].pool \
+            is rebatch(program, bucket(3)).report
 
 
 # ---------------------------------------------------------------------------
-# Padded buckets and the variant cache
+# Exact-size stacked passes and the variant cache
 # ---------------------------------------------------------------------------
+
+
+def _row_spy(monkeypatch, session):
+    """Record, per ``run_many`` call on the session's backend, the
+    serving program and the leading extent of each values dict it ran."""
+    calls = []
+    backend = session._backend
+    original = backend.run_many
+    lead = session.program.input_names[0]
+
+    def spy(program, values_list):
+        calls.append((program, [v[lead].shape[0] for v in values_list]))
+        return original(program, values_list)
+
+    monkeypatch.setattr(backend, "run_many", spy)
+    return calls
 
 
 @pytest.mark.usefixtures("private_program")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", STACKED_MODELS)
-class TestPaddedBuckets:
-    def test_non_bucket_exact_batches(self, name, backend):
-        model = compile_private(_smoke(name), CompileOptions(backend=backend))
+class TestExactSizeBatches:
+    def test_non_bucket_batches_execute_exactly_their_rows(
+            self, name, backend, monkeypatch):
+        model = compile_private(_smoke(name), CompileOptions(
+            backend=backend, faults=FaultPlan()))
         session = model.session
-        for n in (3, 5):  # buckets 4 and 8, both padded
+        program = session.program
+        B = analyze(program).batch_extent
+        calls = _row_spy(monkeypatch, session)
+        for n in (3, 5):  # buckets 4 and 8: nothing is padded
             inputs = [session.make_inputs(seed=100 + s) for s in range(n)]
             solo = [session.run(dict(i)) for i in inputs]
+            calls.clear()
             outs = session.run_batch([dict(i) for i in inputs])
             assert session.stats.runs[-1].batched
+            # one pass of the bucket's stacked variant over n*B rows
+            assert calls == [(rebatch(program, bucket(n)), [n * B])]
             for got, want in zip(outs, solo):
                 _assert_same_outputs(got, want, f"{name}/{backend}/n={n}")
-        variants = session.program.backend_cache["batching.variants"]
-        assert sorted(variants) == [4, 8]
-        assert variants[4].batch_factor == 4
-        assert rebatch(session.program, 8) is variants[8]  # cached
+        variants = program.backend_cache["batching.variants"]
+        assert sorted(variants) == [(4, True), (8, True)]
+        assert variants[4, True].symbolic_extent == 4 * B
 
 
 class TestOneKernelPass:
     def test_stacked_batch_is_one_backend_invocation(self, monkeypatch):
-        session = _compile_session(_mini_stackable(), "Ours")
-        calls = []
-        original = session._backend.run_many
-
-        def counting_run_many(program, values_list):
-            calls.append((program.batch_factor, len(values_list)))
-            return original(program, values_list)
-
-        monkeypatch.setattr(session._backend, "run_many", counting_run_many)
+        session = _compile_session(_mini_stackable(), "Ours",
+                                   faults=FaultPlan())
+        calls = _row_spy(monkeypatch, session)
         session.run_batch([session.make_inputs(seed=s) for s in range(3)])
-        # one invocation, one stacked values dict, the bucket-4 variant:
-        # each program step ran its kernel exactly once for the batch
-        assert calls == [(4, 1)]
+        # one invocation, one stacked values dict of 3 rows through the
+        # bucket-4 variant: each program step ran its kernel exactly once
+        assert calls == [(rebatch(session.program, 4), [3])]
 
-    def test_variant_scales_shapes_and_slots(self):
+    def test_variant_is_extent_polymorphic_with_plans_at_the_bound(self):
         program = lower(_mini_stackable())
         variant = rebatch(program, 4)
-        assert variant.batch_factor == 4
+        assert variant.symbolic_extent == 4
         assert [shape for _, shape, _ in variant.input_signature] == \
-            [(4, 8, 16)]
+            [(SYM, 8, 16)]
         assert variant.num_steps == program.num_steps
         for base, scaled in zip(program.steps, variant.steps):
             assert scaled.out_shapes == tuple(
-                (s[0] * 4,) + s[1:] for s in base.out_shapes)
+                (SYM,) + s[1:] for s in base.out_shapes)
         plan = variant.slot_plan
         assert plan.peak_bytes == 4 * program.slot_plan.peak_bytes
         assert plan.allocs_per_run == program.slot_plan.allocs_per_run
 
-    def test_codegen_emits_batch_variant_source(self):
+    def test_one_cache_entry_per_bucket_and_flavour(self):
+        program = lower(_mini_stackable())
+        stacked, exact = rebatch(program, 4), symbolize(program, 4)
+        assert stacked is not exact
+        assert rebatch(program, 4) is stacked
+        assert symbolize(program, 4) is exact
+        assert program.backend_cache["batching.variants"] == {
+            (4, True): stacked, (4, False): exact}
+
+    def test_codegen_emits_bucket_variant_source(self):
         from repro.runtime.codegen_backend import program_source
 
         variant = rebatch(lower(_mini_stackable()), 4)
         source = program_source(variant)
-        assert "Batch-4 stacked variant" in source
+        assert "Symbolic bucket variant (extent bound 4)" in source
         assert "def run_plain(values):" in source
 
 

@@ -360,12 +360,13 @@ class TestArenaSharing:
 
 
 def _stacked_inputs(graph, program):
-    """``make_inputs`` widened to a batch variant's input signature."""
+    """``make_inputs`` widened to a bucket variant's bound extent."""
     inputs = {k: v for k, v in make_inputs(graph).items()
               if k in program.graph.tensors}
-    for name, shape, _ in program.input_signature:
-        repeats = shape[0] // inputs[name].shape[0]
-        inputs[name] = np.concatenate([inputs[name]] * repeats)
+    if program.symbolic_extent is not None:
+        for name in program.input_names:
+            repeats = program.symbolic_extent // inputs[name].shape[0]
+            inputs[name] = np.concatenate([inputs[name]] * repeats)
     return inputs
 
 

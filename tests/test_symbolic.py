@@ -10,20 +10,25 @@ under chaos (codegen degradation, worker crashes), and guarded by
 compile-count and shm-layout regressions.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro
-from repro.api import AdmissionError, CompileOptions, InvalidOptions
+from repro.api import (
+    AdmissionError, CompileOptions, ExecutionError, InvalidOptions,
+)
 from repro.ir.symbolic import (
     OPEN_STOP, SYM, SymDim, concretize, is_placeholder, is_symbolic_shape,
 )
 from repro.models import build_smoke
 from repro.models.registry import SMOKE_CONFIGS
-from repro.runtime import FaultPlan, FaultRule, active_segments
+from repro.runtime import FaultPlan, FaultRule, active_segments, get_backend
 from repro.runtime.batching import NotStackable, analyze, bucket, symbolize
 from repro.runtime.codegen_backend import emission_count
 from repro.runtime.parallel_backend import parallel_supported
+from repro.runtime.program import ExecutionProgram
 from repro.runtime.session import _compile_session
 from repro.runtime.shm import ShardLayout
 
@@ -225,6 +230,41 @@ class TestZooParity:
         with pytest.raises(NotStackable):
             symbolize(session.program, 2)
 
+    def test_wrong_leading_extent_raises_identically(self):
+        # A symbolic spec pins the leading extent too: it is the pass's
+        # live extent, so a kernel dropping a row fails at its own step,
+        # with the same words on both backends.
+        graph = build_smoke("Pythia", batch=1)
+        session = _compile_session(
+            graph, "Ours", faults=NO_FAULTS,
+            signature=symbolic_signature(graph), max_extent=MAX_EXTENT)
+        variant = symbolize(session.program, 4)
+        index, step = next(
+            (i, step) for i, step in enumerate(variant.steps)
+            if step.op_type not in ("reshape", "transpose")
+            and len(step.out_shapes) == 1
+            and is_symbolic_shape(step.out_shapes[0]))
+
+        def drops_a_row(inputs, attrs, _kernel=step.kernel):
+            return _kernel(inputs, attrs)[1:]
+
+        steps = list(variant.steps)
+        steps[index] = replace(step, kernel=drops_a_row)
+        broken = ExecutionProgram(
+            variant.graph, tuple(steps), variant.slot_plan,
+            input_signature=variant.input_signature,
+            symbolic_extent=variant.symbolic_extent, packs=variant.packs)
+        values, _ = concrete_reference("Pythia", 3)
+        messages = []
+        for backend in BACKENDS:
+            with pytest.raises(ExecutionError) as caught:
+                get_backend(backend).run(broken, session._admit(values))
+            messages.append(str(caught.value))
+        want = (3,) + tuple(step.out_shapes[0][1:])
+        assert f"({step.node_id}) produced shape {(2,) + want[1:]}, " \
+            f"spec says {want}" in messages[0]
+        assert messages[0] == messages[1]
+
 
 # ---------------------------------------------------------------------------
 # satellite 2: reliability under chaos
@@ -364,12 +404,13 @@ class TestCompileCount:
                     [session._admit(values)])
                 assert_outputs_identical(results[0][0], want, f"S={extent}")
         emitted = emission_count() - before
-        variants = session.program.backend_cache.get("batching.symbolic", {})
+        variants = session.program.backend_cache.get("batching.variants", {})
         # Base extent (1) routes the concrete path; every other extent
-        # lands in the power-of-two bucket covering it.
+        # lands in the power-of-two bucket covering it, exact flavour.
         expected_buckets = {bucket(extent)
                             for extent in range(2, MAX_EXTENT + 1)}
-        assert set(variants) == expected_buckets
+        assert {factor for factor, rows in variants if not rows} \
+            == expected_buckets
         # One lowering + one codegen emission per bucket, plus at most
         # one for the base program itself - never per shape, never per
         # round.
@@ -387,11 +428,11 @@ class TestCompileCount:
             session.execute_values([session._admit(admitted)])
         before = emission_count()
         variants_before = dict(
-            session.program.backend_cache["batching.symbolic"])
+            session.program.backend_cache["batching.variants"])
         for extent, admitted in values.items():
             session.execute_values([session._admit(admitted)])
         assert emission_count() == before
-        assert dict(session.program.backend_cache["batching.symbolic"]) \
+        assert dict(session.program.backend_cache["batching.variants"]) \
             == variants_before
 
 
