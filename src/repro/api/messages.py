@@ -53,8 +53,8 @@ class InferenceResponse:
     the request, in bytes of the graph's dtypes, not what the allocator
     did).  ``batch_size`` reports how many requests shared the backend
     invocation that produced this response.  When that invocation was a
-    *stacked* batch-N kernel pass, ``stats.batched`` is True and the
-    attribution is shared: ``stats.pool`` is the batch variant's report
+    *stacked* kernel pass, ``stats.batched`` is True and the
+    attribution is shared: ``stats.pool`` is the bucket variant's report
     (identical object across the batchmates) and ``stats.wall_s``
     carries this request's even share of the stacked execution time.  ``queued_ms`` is the time
     the request spent waiting to be coalesced (always ``0.0`` on the

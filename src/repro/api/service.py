@@ -210,8 +210,8 @@ class ServiceReport:
     requests: int
     batches: int
     stacked_batches: int
-    """Coalesced batches served as ONE stacked kernel pass (a batch-N
-    program variant) instead of a sequential per-request loop."""
+    """Coalesced batches served as ONE stacked kernel pass (the bucket's
+    stacked program variant) instead of a sequential per-request loop."""
     mean_batch_size: float
     largest_batch: int
     queue_depth: int

@@ -184,9 +184,8 @@ class _SourceEmitter:
         """Inline a pre-resolved view chain as direct ndarray calls.
 
         Symbolic chains render their batch-axis placeholders against
-        ``_n``, the per-request extent local emitted at the top of the
-        function body - the runtime spelling of what a concrete variant
-        embeds as a shape literal.
+        ``_n``, the pass's leading extent, a local emitted at the top of
+        the function body.
         """
         symbolic = isinstance(chain, SymViewChain)
         for step in chain.steps:

@@ -128,8 +128,8 @@ class ConvScratch:
         cached = getattr(state, "padded", None)
         if cached is None or cached.dtype != dtype:
             cached = state.padded = np.zeros(self.pad_shape, dtype=dtype)
-        # Symbolic bucket variants plan at the bucket's max extent;
-        # smaller runtime extents use the (contiguous) leading prefix.
+        # Bucket variants plan at the bucket's max extent; smaller
+        # runtime extents use the (contiguous) leading prefix.
         return cached if n == self.pad_shape[0] else cached[:n]
 
     def held_bytes(self) -> int:

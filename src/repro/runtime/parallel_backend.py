@@ -11,7 +11,7 @@ variants, and the materialized parameters - all inherited for free over
 Dispatch composes with the existing layers instead of bypassing them:
 
 * the dispatcher shards a scheduler micro-batch into contiguous chunks -
-  one *whole stacked batch-N pass* per worker for batch-stackable
+  one *whole stacked pass* per worker for batch-stackable
   programs (:func:`repro.runtime.batching.analyze`), per-request chunks
   otherwise;
 * request/response tensors cross the process boundary through a ring of
@@ -229,7 +229,7 @@ class WorkerPool:
     def _warm_parent(self) -> None:
         """Build every per-program artifact the workers will need
         *before* forking, so each child inherits compiled runners,
-        batch-N variants, and materialized parameters instead of
+        bucket variants, and materialized parameters instead of
         rebuilding them ``workers`` times."""
         session = self.session
         inner = get_backend(self.inner_name)
