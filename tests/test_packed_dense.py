@@ -315,7 +315,7 @@ class TestRouteMatrix:
         assert any(moved[k].tobytes() != want[0][k].tobytes() for k in moved)
         same(session.run(dict(requests[0])), want[0], "after the override")
 
-        # stacked batch-N == solo
+        # stacked == solo
         for size in sizes:
             outs = session.run_batch([dict(r) for r in requests[:size]])
             assert session.stats.runs[-1].batched == stackable

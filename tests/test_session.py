@@ -223,7 +223,7 @@ class TestProgramPlumbing:
         session.run_batch([session.make_inputs(seed=s) for s in range(3)])
         # One backend invocation for the whole batch: the sequential
         # path passes all 3 value dicts at once, the stacked path passes
-        # 1 concatenated dict through the batch-N variant.
+        # 1 concatenated dict through the bucket's stacked variant.
         assert len(calls) == 1
         assert calls[0] in (1, 3)
 
