@@ -209,11 +209,13 @@ def compile_private(model: str | Graph,
                     options: CompileOptions) -> CompiledModel:
     """A CompiledModel over a *private* session (no registry).
 
-    Used by :func:`repro.serve`: a service's worker thread must own its
-    session exclusively, so it never shares one with direct callers.
-    "Private" means what is per session - stats, fault injector, worker
-    pool.  What is a function of graph content - the lowered program and
-    its ``backend_cache`` (runners, batch variants, codegen module), the
+    Used by :func:`repro.serve`: a service's scheduler and executor
+    threads must own its session exclusively, so it never shares one
+    with direct callers.  "Private" means what is per session - stats
+    (recorded under the session's lock, as the two threads serve at
+    once), fault injector, worker pool.  What is a function of graph
+    content - the lowered program and its ``backend_cache`` (runners,
+    batch variants, codegen module; each filled once under a lock), the
     parameters (read-only arrays) and the cost report - comes from the
     content-addressed compile cache and is shared with every other
     session of the same model, so re-serving a known graph (by name or

@@ -1,15 +1,20 @@
 """``repro.serve``: a compiled model behind a micro-batching scheduler.
 
 A :class:`Service` owns a private session (its own stats over a program
-and parameters shared by content) and a worker thread draining a
+and parameters shared by content) and a scheduler thread draining a
 thread-safe priority queue.  Concurrent ``submit()`` calls are admitted
-in the submitting thread (fail-fast, and off the worker's critical
+in the submitting thread (fail-fast, and off the scheduler's critical
 path), queued, and coalesced into **one** backend invocation on the
-lowered program path.  Batching is *work-conserving*: the worker blocks
-only while the queue is empty, then takes up to ``max_batch_size`` of
-the requests queued right then - the running batch is the coalescing
-window, and an idle worker never holds a request back (the old hold,
-``ServeOptions.max_wait_ms``, is deprecated).  When the program is
+lowered program path.  Batching is *work-conserving*: the scheduler
+blocks only while the queue is empty, then takes up to
+``max_batch_size`` of the requests queued right then - the running batch
+is the coalescing window, and an idle scheduler never holds a request
+back (the old hold, ``ServeOptions.max_wait_ms``, is deprecated).  A
+*heavy* batch - one whose pass moves at least :data:`HEAVY_STEP_BYTES`
+per step - goes to a second, executor thread when that one is idle, so
+two kernel-bound passes run at once (numpy drops the GIL inside BLAS
+and ufunc loops); light batches run on the scheduler thread
+(``ServiceReport.offloaded_batches`` counts the hand-offs).  When the program is
 batch-stackable (:func:`repro.runtime.batching.analyze`), that
 invocation is a single *stacked* kernel pass: request tensors
 concatenated along the batch axis, one kernel call per step for the
@@ -32,15 +37,15 @@ Failure semantics (see ``docs/architecture.md`` for the full contract):
 * with a :class:`~repro.api.RetryPolicy` on the options, retryable
   failures are re-enqueued with exponential backoff - never past the
   request's deadline;
-* the worker thread is **supervised**: if it crashes, a replacement is
+* both threads are **supervised**: if one crashes, a replacement is
   spawned, unresolved in-flight requests are rescued back onto the
-  queue, and the crash is counted in :meth:`Service.report`.
+  front of the queue, and the crash is counted in :meth:`Service.report`.
 
     service = repro.serve("Pythia")
     futures = [service.submit(req) for req in requests]
     responses = [f.result() for f in futures]
     print(service.report().throughput_rps)
-    service.close()                     # drains the queue, joins the worker
+    service.close()                     # drains the queue, joins the threads
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from __future__ import annotations
 import asyncio
 import heapq
 import logging
+import math
+import os
 import random
 import threading
 import time
@@ -58,6 +65,7 @@ from typing import Mapping
 import numpy as np
 
 from ..ir.graph import Graph
+from ..runtime.batching import analyze
 from ..runtime.faults import InjectedCrash
 from .compiled import CompiledModel, compile_private
 from .errors import (
@@ -73,6 +81,23 @@ _MAX_RESCUES = 2
 """Times one request may be rescued from a crashed worker before it is
 failed as poisonous (a request whose execution keeps killing workers
 must not crash-loop the service forever)."""
+
+HEAVY_STEP_BYTES = 512 * 1024
+"""A batch is *heavy* - run on the executor thread beside the scheduler's
+pass - when its pass moves at least this much static traffic per step:
+the base program's mean ``Step.bytes_read + bytes_written``, times the
+rows per pass (``n`` stacked, 1 sequential).  numpy drops the GIL inside
+BLAS and ufunc loops, so two heavy passes overlap; light, dispatch-bound
+passes serialise on the GIL and would only lose to the hand-off."""
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the
+    platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 class InferenceFuture:
@@ -212,6 +237,11 @@ class ServiceReport:
     stacked_batches: int
     """Coalesced batches served as ONE stacked kernel pass (the bucket's
     stacked program variant) instead of a sequential per-request loop."""
+    offloaded_batches: int
+    """Batches served on the executor thread: heavy batches the
+    scheduler handed off, plus those the executor took itself after
+    finishing one.  0 when the executor never started (light traffic,
+    one usable CPU, a request-sharding backend)."""
     mean_batch_size: float
     largest_batch: int
     queue_depth: int
@@ -226,9 +256,9 @@ class ServiceReport:
     isolated: int
     """Requests re-run solo after their coalesced batch failed."""
     worker_restarts: int
-    """Workers lost and replaced: scheduler-thread crashes survived by
-    spawning a replacement thread, plus worker-*process* respawns
-    performed by the parallel backends' pool."""
+    """Workers lost and replaced: scheduler- and executor-thread crashes
+    survived by spawning a replacement thread, plus worker-*process*
+    respawns performed by the parallel backends' pool."""
     fallbacks: int
     """Backend invocations the session degraded to the reference
     backend (:attr:`~repro.runtime.session.SessionStats.fallbacks`)."""
@@ -242,27 +272,35 @@ class Service:
     """A compiled model served by a dynamic micro-batching scheduler.
 
     Thread-safe: any number of threads may ``submit()`` concurrently.
-    The service owns its session exclusively - all execution happens on
-    the single worker thread, so the session's statistics stay
-    consistent under concurrent traffic without locking the hot loop.
+    The service owns its session exclusively.  Execution happens on at
+    most two threads: the scheduler runs light batches itself, and hands
+    a heavy one (:data:`HEAVY_STEP_BYTES`) to an executor thread when
+    that one is idle.  The executor is spawned on the first heavy batch,
+    and never when the process may use one CPU only or the backend
+    shards requests across worker processes.  The two passes share only
+    read-only programs and parameters; each thread has its own conv
+    scratch, and the session's stats are recorded under a lock.
 
     Request lifecycle: :meth:`submit` admits the request in the calling
     thread (malformed requests raise
     :class:`~repro.api.errors.AdmissionError` immediately), enqueues it
     (FIFO for default priority, heap for prioritized;
     :class:`~repro.api.errors.QueueFull` once ``max_queue`` is hit), and
-    returns an :class:`InferenceFuture`.  The worker sleeps only while
-    the queue is empty, then takes up to ``max_batch_size`` live queued
-    requests - what arrived while the previous batch ran, never held to
-    let a batch fill (``max_wait_ms`` is deprecated and ignored) - into
-    one ``backend.run_many`` invocation; expired deadlines resolve
+    returns an :class:`InferenceFuture`.  The scheduler sleeps only
+    while the queue is empty, then takes up to ``max_batch_size`` live
+    queued requests - what arrived while the previous batch ran, never
+    held to let a batch fill (``max_wait_ms`` is deprecated and ignored)
+    - into one ``backend.run_many`` invocation, on itself or on the
+    executor; when the executor finishes a batch it takes the next one
+    itself only if the queue already holds a heavy batch.  Expired deadlines resolve
     their futures with :class:`~repro.api.errors.DeadlineExceeded`, an
     executor failure is isolated per request (and retried under the
     options' :class:`~repro.api.RetryPolicy` when retryable).
     :meth:`infer` is the synchronous convenience, :meth:`report`
     snapshots lifetime statistics, and :meth:`close` (or using the
     service as a context manager) drains the queue - including pending
-    retries - and joins the worker.  ``close()`` is idempotent;
+    retries and the executor's batch - and joins both threads.
+    ``close()`` is idempotent;
     :meth:`submit` after it raises
     :class:`~repro.api.errors.ServiceClosed` without enqueueing.
     """
@@ -287,6 +325,7 @@ class Service:
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)      # producer -> worker
         self._completed = threading.Condition(self._lock)  # worker -> waiters
+        self._handed = threading.Condition(self._lock)    # worker -> executor thread
         # Default-priority requests ride a FIFO deque (O(1) C-speed ends,
         # no Python-level comparisons on the submit hot path); the heap
         # only engages for requests with an explicit priority.
@@ -298,6 +337,7 @@ class Service:
         self._requests = 0
         self._batches = 0
         self._stacked = 0
+        self._offloaded = 0
         self._expired = 0
         self._failed = 0
         self._cancelled = 0
@@ -318,17 +358,49 @@ class Service:
                                             self._max_batch)
             session.ensure_parallel_pool()
 
+        # The executor thread and its one hand-off slot.  The scheduler
+        # sets `_executor_busy` when it hands a batch over; the executor
+        # clears it when it goes idle.
+        self._heavy_from = self._smallest_heavy_batch()
+        self._executor: threading.Thread | None = None
+        self._executor_busy = False
+        self._handoff: list[_Pending] | None = None
+        self._executor_stop = False
+
         self._worker: threading.Thread | None = None
         if _start:
             self._worker = self._spawn_worker()
 
     def _spawn_worker(self) -> threading.Thread:
+        return self._spawn(self._drain_loop, "")
+
+    def _spawn(self, target, role: str) -> threading.Thread:
         session = self._session
-        worker = threading.Thread(
-            target=self._drain_loop, daemon=True,
-            name=f"repro-service-{session.model or session.graph.name}")
-        worker.start()
-        return worker
+        thread = threading.Thread(
+            target=target, daemon=True,
+            name=f"repro-service{role}-{session.model or session.graph.name}")
+        thread.start()
+        return thread
+
+    def _smallest_heavy_batch(self) -> int | None:
+        """The smallest heavy batch size, or None when no batch is
+        heavy - including when the executor is off: the backend shards
+        requests across worker processes, or this process may use one
+        CPU only."""
+        steps = self._program.steps
+        if self._backend.shards_requests or _usable_cpus() < 2 or not steps:
+            return None
+        traffic = sum(step.bytes_read + step.bytes_written
+                      for step in steps) / len(steps)
+        if traffic >= HEAVY_STEP_BYTES:
+            return 1
+        if not traffic or not analyze(self._program).stackable:
+            return None
+        smallest = math.ceil(HEAVY_STEP_BYTES / traffic)
+        return smallest if smallest <= self._max_batch else None
+
+    def _heavy(self, size: int) -> bool:
+        return self._heavy_from is not None and size >= self._heavy_from
 
     # -- introspection -----------------------------------------------------
 
@@ -373,6 +445,7 @@ class Service:
                 requests=requests,
                 batches=batches,
                 stacked_batches=self._stacked,
+                offloaded_batches=self._offloaded,
                 mean_batch_size=requests / batches if batches else 0.0,
                 largest_batch=self._largest_batch,
                 queue_depth=self.queue_depth,
@@ -502,30 +575,33 @@ class Service:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self, timeout: float | None = None) -> None:
-        """Graceful shutdown: drain the queue, then join the worker.
+        """Graceful shutdown: drain the queue, then join both threads.
 
         Every request submitted before ``close()`` is served - pending
-        retry backoffs included; later ``submit()`` calls raise
+        retry backoffs and the executor's batch included; later
+        ``submit()`` calls raise
         :class:`~repro.api.errors.ServiceClosed`.  Idempotent (closing a
-        closed service is a no-op beyond re-joining a dead worker).
-        Once the worker has drained, the session's process-external
+        closed service is a no-op beyond re-joining dead threads).  Once
+        the scheduler has drained - it exits only when the executor is
+        idle, and then stops it - the session's process-external
         resources - the parallel backends' worker processes and every
         shared-memory segment - are released too.
         """
         with self._lock:
             self._closed = True
             self._work.notify_all()
-        # The worker may be replaced by the supervisor while we join
-        # (a crash during drain): follow the replacement chain.
-        while True:
-            worker = self._worker
-            if worker is None:
-                break
-            worker.join(timeout)
-            if worker.is_alive():  # timeout expired with work left
-                return
-            if self._worker is worker:
-                break
+        # Either thread may be replaced by the supervisor while we join
+        # (a crash during drain): follow each replacement chain.
+        for role in ("_worker", "_executor"):
+            while True:
+                thread = getattr(self, role)
+                if thread is None:
+                    break
+                thread.join(timeout)
+                if thread.is_alive():  # timeout expired with work left
+                    return
+                if getattr(self, role) is thread:
+                    break
         self._session.close()
 
     def __enter__(self) -> "Service":
@@ -541,24 +617,33 @@ class Service:
 
         Work-conserving: up to ``max_batch_size`` live entries queued
         right now - whatever arrived while the previous batch ran; an
-        idle worker never waits for a batch to fill.  Entries cancelled
-        while queued are skipped, so they take no slot from a live
-        request.  On shutdown the worker exits only once the queue *and*
-        the pending retry backoffs are drained, so a retried request
-        submitted before ``close()`` still resolves.
+        idle scheduler never waits for a batch to fill.  Entries
+        cancelled while queued are skipped, so they take no slot from a
+        live request.  On shutdown the scheduler exits only once the
+        queue, the pending retry backoffs *and* the executor are
+        drained, so a retried or rescued request submitted before
+        ``close()`` still resolves; it then stops the executor.
         """
-        batch: list[_Pending] = []
         with self._lock:
             while True:
-                while len(batch) < self._max_batch and self.queue_depth:
-                    entry = self._pop_next()
-                    if not entry.future._resolved:
-                        batch.append(entry)
+                batch = self._take()
                 if batch:
                     return batch
-                if self._closed and self._pending_retries == 0:
+                if self._closed and self._pending_retries == 0 \
+                        and not self._executor_busy:
+                    self._executor_stop = True
+                    self._handed.notify_all()
                     return None
                 self._work.wait()
+
+    def _take(self) -> list[_Pending]:
+        """Up to ``max_batch_size`` live queued entries (lock held)."""
+        batch: list[_Pending] = []
+        while len(batch) < self._max_batch and self.queue_depth:
+            entry = self._pop_next()
+            if not entry.future._resolved:
+                batch.append(entry)
+        return batch
 
     def _drain_loop(self) -> None:
         batch: list[_Pending] | None = None
@@ -567,21 +652,67 @@ class Service:
                 batch = self._next_batch()
                 if batch is None:
                     return
-                self._execute(batch)
+                if not self._hand_off(batch):
+                    self._execute(batch)
                 batch = None
         except BaseException as err:  # noqa: BLE001 - worker crashed
             self._supervise(err, batch or [])
 
-    def _supervise(self, err: BaseException, batch: list[_Pending]) -> None:
-        """Worker crashed: rescue its in-flight batch, spawn a
+    def _hand_off(self, batch: list[_Pending]) -> bool:
+        """Give a heavy batch to the idle executor (spawned on first
+        need); False when the batch is light or the executor is busy -
+        the scheduler then runs it itself."""
+        if not self._heavy(len(batch)):
+            return False
+        with self._lock:
+            if self._executor_busy:
+                return False
+            self._executor_busy = True
+            self._handoff = batch
+            if self._executor is None:
+                self._executor = self._spawn(self._executor_loop, "-exec")
+            self._handed.notify()
+        return True
+
+    def _executor_loop(self) -> None:
+        """Run handed-off batches; after each, take the next batch
+        itself only if the queue already holds a heavy one."""
+        batch: list[_Pending] | None = None
+        try:
+            while True:
+                with self._lock:
+                    while self._handoff is None:
+                        if self._executor_stop:
+                            return
+                        self._handed.wait()
+                    batch, self._handoff = self._handoff, None
+                while batch:
+                    self._execute(batch, offloaded=True)
+                    with self._lock:
+                        batch = None
+                        if self._heavy(min(self.queue_depth,
+                                           self._max_batch)):
+                            batch = self._take()
+                        if not batch:
+                            self._executor_busy = False
+                            self._work.notify_all()  # a closing scheduler
+        except BaseException as err:  # noqa: BLE001 - executor crashed
+            self._supervise(err, batch or [], executor=True)
+
+    def _supervise(self, err: BaseException, batch: list[_Pending],
+                   executor: bool = False) -> None:
+        """A thread crashed: rescue its in-flight batch, spawn a
         replacement thread, count the restart.
 
         Unresolved in-flight entries go back to the *front* of the
         queue; an entry that keeps crashing workers is failed after
         ``_MAX_RESCUES`` rescues instead of crash-looping the service.
+        A replacement executor starts idle, waiting for a hand-off.
         """
         unresolved = [e for e in batch if not e.future._resolved]
         with self._lock:
+            if executor:
+                self._executor_busy = False
             self._worker_restarts += 1
             restarts = self._worker_restarts
             poisoned = 0
@@ -600,11 +731,13 @@ class Service:
                 self._completed.notify_all()
             self._work.notify_all()
         logger.error(
-            "service worker crashed (%s: %s); restart #%d, %d in-flight "
-            "request(s) rescued", type(err).__name__, err, restarts,
-            len(unresolved) - poisoned)
-        replacement = self._spawn_worker()
-        self._worker = replacement
+            "service %s crashed (%s: %s); restart #%d, %d in-flight "
+            "request(s) rescued", "executor" if executor else "worker",
+            type(err).__name__, err, restarts, len(unresolved) - poisoned)
+        if executor:
+            self._executor = self._spawn(self._executor_loop, "-exec")
+        else:
+            self._worker = self._spawn_worker()
 
     def _run_entries(self, entries: list[_Pending]):
         """One recorded backend invocation over ``entries``
@@ -639,8 +772,11 @@ class Service:
             [dict(entry.values) for entry in entries],
             backend=self._backend)
 
-    def _execute(self, batch: list[_Pending]) -> None:
-        """Run one coalesced batch; isolate failures per request."""
+    def _execute(self, batch: list[_Pending],
+                 offloaded: bool = False) -> None:
+        """Run one coalesced batch in the calling thread; isolate
+        failures per request.  ``offloaded``: the calling thread is the
+        executor."""
         # Cancelled since `_next_batch` popped them (or before an
         # isolation re-run): their future is resolved, drop them.
         batch = [entry for entry in batch if not entry.future._resolved]
@@ -682,7 +818,7 @@ class Service:
                 "batch of %d failed (%s: %s); isolating request-by-request",
                 len(live), type(err).__name__, err)
             for entry in live:
-                self._execute([entry])
+                self._execute([entry], offloaded)
             return
         exec_s = perf() - start
 
@@ -701,6 +837,8 @@ class Service:
             self._batches += 1
             if served[0][1].batched:  # one invocation: same for every row
                 self._stacked += 1
+            if offloaded:
+                self._offloaded += 1
             self._total_exec_s += exec_s
             if n > self._largest_batch:
                 self._largest_batch = n
@@ -773,8 +911,9 @@ def serve(model: str | Graph, options: ServeOptions | None = None,
     """Compile ``model`` and stand up a :class:`Service` in front of it.
 
     The concurrent face of the serving stack: any number of threads may
-    ``submit()`` requests; a worker thread coalesces them into
-    micro-batches on the lowered program path and resolves futures.
+    ``submit()`` requests; a scheduler thread coalesces them into
+    micro-batches on the lowered program path and resolves futures,
+    running heavy batches on a second, executor thread when it is idle.
 
     Arguments:
         model: a catalog name or a built :class:`~repro.ir.graph.Graph`.
@@ -789,7 +928,7 @@ def serve(model: str | Graph, options: ServeOptions | None = None,
 
     Returns:
         A running :class:`Service`.  Use it as a context manager, or
-        call :meth:`Service.close` to drain and join the worker.
+        call :meth:`Service.close` to drain and join its threads.
 
     Raises:
         RuntimeError: the framework cannot serve the model.
@@ -800,8 +939,8 @@ def serve(model: str | Graph, options: ServeOptions | None = None,
     a second time reuses the lowered program, its compiled runners and
     batch variants, the read-only parameters and the cost report - but
     owns its *session* (stats, fault injector, worker pool) privately:
-    its worker thread is the only executor on it, so the session's
-    statistics need no lock on the hot loop.
+    its scheduler and executor threads are the only ones running it, and
+    the session records their statistics under its own lock.
 
     Example::
 

@@ -11,8 +11,9 @@ symbolically - output shapes lead with
 :data:`~repro.ir.symbolic.SYM`, reshape targets with ``-1``, batch-axis
 slices stop at :data:`~repro.ir.symbolic.OPEN_STOP`, view chains become
 :class:`~repro.ir.symbolic.SymViewChain` - and the
-:class:`~repro.runtime.program.SlotPlan`, conv scratch and traffic
-counters sized at the bucket's bound.  A variant runs at whatever
+:class:`~repro.runtime.program.SlotPlan` and traffic counters sized at
+the bucket's bound.  Conv steps keep the base step's bound kernel and
+scratch, running longer extents in chunks.  A variant runs at whatever
 leading extent its inputs carry, up to the bound.  Because it is an
 ordinary ``ExecutionProgram``, both execution backends serve it through
 their ``_compile_runner`` hook.
@@ -80,8 +81,10 @@ from dataclasses import dataclass
 
 from ..ir.symbolic import OPEN_STOP, SYM, SymViewChain
 from ..ir.view import ViewChain, ViewStep
-from .kernels import bind_conv2d, get_kernel
-from .program import ExecutionProgram, Step, _assign_slots, _compile_view
+from .kernels import get_kernel
+from .program import (
+    ExecutionProgram, Step, _assign_slots, _compile_view, fill_once,
+)
 
 _ANALYSIS_KEY = "batching.analysis"
 _VARIANTS_KEY = "batching.variants"
@@ -132,10 +135,7 @@ def analyze(program: ExecutionProgram) -> BatchAnalysis:
     :meth:`~repro.runtime.session.Session.execute_values` to route a
     micro-batch through one stacked pass.
     """
-    found = program.backend_cache.get(_ANALYSIS_KEY)
-    if found is None:
-        found = program.backend_cache[_ANALYSIS_KEY] = _analyze(program)
-    return found
+    return fill_once(program.backend_cache, _ANALYSIS_KEY, _analyze, program)
 
 
 def mark_unstackable(program: ExecutionProgram, reason: str) -> None:
@@ -218,20 +218,16 @@ def _variant(program: ExecutionProgram, factor: int,
     keyed by ``(factor, per_request_rows)``."""
     if factor < 1:
         raise ValueError("batch factor must be at least 1")
-    variants = program.backend_cache.setdefault(_VARIANTS_KEY, {})
-    key = factor, per_request_rows
-    found = variants.get(key)
-    if found is None:
-        found = variants[key] = _build_variant(program, factor,
-                                               per_request_rows)
-    return found
+    variants = fill_once(program.backend_cache, _VARIANTS_KEY, dict)
+    return fill_once(variants, (factor, per_request_rows), _build_variant,
+                     program, factor, per_request_rows)
 
 
 def _build_variant(program: ExecutionProgram, factor: int,
                    per_request_rows: bool) -> ExecutionProgram:
     """The one variant builder: every batched value's leading extent
-    becomes symbolic, and memory, scratch and traffic are sized at the
-    bound ``B * factor``.  ``per_request_rows`` wraps rank-2 GEMMs by
+    becomes symbolic, and memory and traffic are sized at the bound
+    ``B * factor`` (conv scratch stays the base step's).  ``per_request_rows`` wraps rank-2 GEMMs by
     :func:`_per_request_rows`; it is the only difference between the
     stacked and the exact flavour."""
     analysis = analyze(program)
@@ -280,8 +276,11 @@ def _build_variant(program: ExecutionProgram, factor: int,
             bytes_read=step.bytes_read * scale,
             bytes_written=step.bytes_written * scale,
             flops=step.flops * scale,
-            scratch_bytes=step.scratch_bytes * scale,
-            arena_bytes=step.arena_bytes * scale,
+            # A conv keeps the base step's bound kernel, which runs a
+            # longer extent in chunks of its own: the scratch does not
+            # scale, whatever the bound.
+            scratch_bytes=step.scratch_bytes,
+            arena_bytes=step.arena_bytes,
             owned=owned,
         ))
     # Fusion groups are step indices, stable across variants: the
@@ -440,9 +439,10 @@ def _transform_step(step: Step, B: int, factor: int, batched,
     dict - reshape targets lead with ``-1``, slice stops with
     :data:`~repro.ir.symbolic.OPEN_STOP` (the ``slice`` kernel clamps) -
     the ``(position, chain)`` capture with batched chains made
-    :class:`~repro.ir.symbolic.SymViewChain`, the kernel (a conv rebound
-    at the bound ``B * factor``, the reference one where the variant
-    cannot keep the step's ownership), and the variant step's
+    :class:`~repro.ir.symbolic.SymViewChain`, the kernel (the base
+    step's - a conv runs longer extents in chunks of its planned one -
+    or the reference one where the variant cannot keep the step's
+    ownership), and the variant step's
     :attr:`~Step.owned`.  Every rule is checked on the concrete base
     shapes.  Raises :class:`NotStackable` when stacking would change
     results.
@@ -545,13 +545,6 @@ def _transform_step(step: Step, B: int, factor: int, batched,
                 f"{op}: weights/scale/bias must be non-batched")
         if rank < 2:
             raise NotStackable(f"{op}: activation has no batch axis")
-        if op == "conv2d":
-            # The base kernel is bound to a padded buffer planned for
-            # the solo batch extent; the variant needs its own binding,
-            # sized at the bound and sliced to the live extent per run.
-            kernel, _ = bind_conv2d(
-                (B * factor,) + arg_shape(0)[1:], arg_shape(1), attrs,
-                step.node_id)
     elif op in ("reduce_mean", "reduce_sum", "reduce_max"):
         if 0 in _axes(attrs, rank, tuple(range(rank))):
             raise NotStackable(f"{op} reduces across the batch axis")

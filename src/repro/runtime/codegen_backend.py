@@ -64,7 +64,9 @@ from typing import Callable
 
 from ..api.errors import BackendCompilationError, ExecutionError
 from ..ir.symbolic import OPEN_STOP, SymDim, SymViewChain
-from .program import ExecutionProgram, NumPyBackend, register_backend
+from .program import (
+    ExecutionProgram, NumPyBackend, fill_once, register_backend,
+)
 
 _MODULE_CACHE_KEY = "codegen.module"
 
@@ -342,33 +344,35 @@ def compile_program(program: ExecutionProgram) -> CompiledProgramModule:
     so a graph mutation invalidates the runner exactly when it
     invalidates the lowering.
     """
-    found = program.backend_cache.get(_MODULE_CACHE_KEY)
-    if found is None:
-        global _EMISSIONS
-        _EMISSIONS += 1
-        try:
-            source, namespace = emit_program_source(program)
-            code = compile(source, f"<repro-codegen:{program.graph.name}>",
-                           "exec")
-            exec(code, namespace)
-        except BackendCompilationError:
-            raise
-        except Exception as err:
-            # Emission/compile bugs surface as the taxonomy's retryable
-            # compile failure, which is what licenses the session to
-            # degrade to the reference backend instead of failing the
-            # request.  Nothing is cached: a later call retries.
-            raise BackendCompilationError(
-                f"codegen failed to compile {program.graph.name!r}: {err}",
-                model=program.graph.name, backend=CodegenBackend.name,
-            ) from err
-        found = program.backend_cache[_MODULE_CACHE_KEY] = \
-            CompiledProgramModule(
-                source=source,
-                run_plain=namespace["run_plain"],
-                namespace=namespace,
-            )
-    return found
+    return fill_once(program.backend_cache, _MODULE_CACHE_KEY,
+                     _emit_and_compile, program)
+
+
+def _emit_and_compile(program: ExecutionProgram) -> CompiledProgramModule:
+    """One emission: :func:`compile_program`'s cache miss."""
+    global _EMISSIONS
+    _EMISSIONS += 1
+    try:
+        source, namespace = emit_program_source(program)
+        code = compile(source, f"<repro-codegen:{program.graph.name}>",
+                       "exec")
+        exec(code, namespace)
+    except BackendCompilationError:
+        raise
+    except Exception as err:
+        # Emission/compile bugs surface as the taxonomy's retryable
+        # compile failure, which is what licenses the session to
+        # degrade to the reference backend instead of failing the
+        # request.  Nothing is cached: a later call retries.
+        raise BackendCompilationError(
+            f"codegen failed to compile {program.graph.name!r}: {err}",
+            model=program.graph.name, backend=CodegenBackend.name,
+        ) from err
+    return CompiledProgramModule(
+        source=source,
+        run_plain=namespace["run_plain"],
+        namespace=namespace,
+    )
 
 
 def program_source(program: ExecutionProgram) -> str:

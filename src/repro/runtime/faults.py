@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -200,9 +201,11 @@ class FaultInjector:
     """Runtime state for one installation of a :class:`FaultPlan`.
 
     Holds the per-rule fire/match counters and the seeded RNG; the plan
-    itself stays immutable.  Not thread-safe by design - each injector
-    is owned by exactly one session (whose backend invocations are
-    serialized) or one service worker.
+    itself stays immutable.  Each injector is owned by one session or
+    one service, whose two execution threads (the scheduler and the
+    executor) consult it concurrently: every counter update and RNG
+    draw is serialised by the injector's lock, and injected latency
+    sleeps outside it.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -211,6 +214,7 @@ class FaultInjector:
         self._matched: dict[int, int] = {}
         self._fired: dict[int, int] = {}
         self._requests_seen = 0
+        self._lock = threading.Lock()
 
     def fired(self, rule_index: int) -> int:
         """How many times rule ``rule_index`` has fired (tests)."""
@@ -219,16 +223,19 @@ class FaultInjector:
     def _gate(self, index: int, rule: FaultRule) -> bool:
         """Stateful firing decision: ``after`` skip, ``times`` budget,
         seeded ``probability``."""
-        seen = self._matched.get(index, 0)
-        self._matched[index] = seen + 1
-        if seen < rule.after:
-            return False
-        if rule.times is not None and self._fired.get(index, 0) >= rule.times:
-            return False
-        if rule.probability < 1.0 and self._rng.random() >= rule.probability:
-            return False
-        self._fired[index] = self._fired.get(index, 0) + 1
-        return True
+        with self._lock:
+            seen = self._matched.get(index, 0)
+            self._matched[index] = seen + 1
+            if seen < rule.after:
+                return False
+            if rule.times is not None \
+                    and self._fired.get(index, 0) >= rule.times:
+                return False
+            if rule.probability < 1.0 \
+                    and self._rng.random() >= rule.probability:
+                return False
+            self._fired[index] = self._fired.get(index, 0) + 1
+            return True
 
     # -- session-level ------------------------------------------------------
 
@@ -242,8 +249,9 @@ class FaultInjector:
         :class:`~repro.api.errors.ExecutionError` (kernel/alloc
         faults).  ``context`` carries model/fingerprint for the error.
         """
-        first = self._requests_seen
-        self._requests_seen += n_requests
+        with self._lock:
+            first = self._requests_seen
+            self._requests_seen += n_requests
         context = context or {}
         for index, rule in enumerate(self.plan.rules):
             if rule.service_level:

@@ -21,8 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..api.errors import ExecutionError
-
 _KERNELS: dict[str, Callable] = {}
 
 
@@ -85,11 +83,14 @@ class ConvScratch:
     geometry, so it is allocated (zero-filled) once per thread and runs
     only rewrite the interior - the pad cost drops from a full
     ``np.pad`` copy per call to an interior copy.  It is per-thread
-    because lowered programs are shared across sessions; a process-wide
-    buffer would be corrupted by concurrent workers.  The column buffer
-    belongs to nobody: every conv borrows it from the per-thread arena
-    (:func:`_arena_cols`), so ``cols_shape`` only records the demand the
-    slot plan takes the maximum of.
+    because lowered programs are shared across sessions and a service
+    runs two passes at once; a process-wide buffer would be corrupted by
+    concurrent threads.  The column buffer belongs to nobody: every conv
+    borrows it from the per-thread arena (:func:`_arena_cols`), so
+    ``cols_shape`` only records the demand the slot plan takes the
+    maximum of.  Both are sized at the planned leading extent
+    :attr:`extent`; a pass at a larger extent (a stacked batch, one
+    request of a bucket variant) runs in chunks of it.
     """
 
     __slots__ = ("pad_shape", "cols_shape", "node_id", "_local")
@@ -107,6 +108,11 @@ class ConvScratch:
         pad_shape = (n, c, h + 2 * ph, wd + 2 * pw) if ph or pw else None
         return cls(pad_shape, (n, c * kh * kw, oh * ow), node_id)
 
+    @property
+    def extent(self) -> int:
+        """The leading extent the buffers are planned for: the chunk."""
+        return self.cols_shape[0]
+
     def pad_bytes(self, itemsize: int) -> int:
         """Bytes of the step-owned padded buffer (0 when unpadded)."""
         return math.prod(self.pad_shape or (0,)) * itemsize
@@ -116,20 +122,15 @@ class ConvScratch:
         return math.prod(self.cols_shape) * itemsize
 
     def padded(self, dtype, n):
-        """This thread's zero-halo buffer, cut to the live extent ``n``."""
+        """This thread's zero-halo buffer, cut to a chunk of ``n`` <=
+        :attr:`extent` rows."""
         if self.pad_shape is None:
             return None
-        if n > self.pad_shape[0]:
-            raise ExecutionError(
-                f"kernel conv2d ({self.node_id}) planned its padded "
-                f"scratch for a leading extent of {self.pad_shape[0]}, "
-                f"got {n}")
         state = self._local
         cached = getattr(state, "padded", None)
         if cached is None or cached.dtype != dtype:
             cached = state.padded = np.zeros(self.pad_shape, dtype=dtype)
-        # Bucket variants plan at the bucket's max extent; smaller
-        # runtime extents use the (contiguous) leading prefix.
+        # A short last chunk uses the (contiguous) leading prefix.
         return cached if n == self.pad_shape[0] else cached[:n]
 
     def held_bytes(self) -> int:
@@ -163,32 +164,38 @@ def arena_bytes() -> int:
     return 0 if buf is None else buf.nbytes
 
 
-def _im2col(xp, cols6, sh, sw, dh, dw):
-    """Gather every conv window into the column buffer in one copy.
+def _windows(xp, shape, sh, sw, dh, dw):
+    """Every conv window of ``xp`` as one strided view.
 
     The window gather is a pure striding trick: ``as_strided`` views the
     (already padded) input as a 6-D ``(n, c, kh, kw, oh, ow)`` patch
-    tensor without touching data, and a single ``copyto`` materializes it
-    into the column buffer - all groups at once (a group is a run of
-    channels), no per-(channel, tap) Python loop, no intermediate
-    reshape copies, no astype.
+    tensor without touching data, and one ``copyto`` per chunk
+    materializes it into the column buffer - all groups at once (a group
+    is a run of channels), no per-(channel, tap) Python loop, no
+    intermediate reshape copies, no astype.
     """
     s0, s1, s2, s3 = xp.strides
-    patches = np.lib.stride_tricks.as_strided(
-        xp, cols6.shape, (s0, s1, s2 * dh, s3 * dw, s2 * sh, s3 * sw))
-    np.copyto(cols6, patches)
+    return np.lib.stride_tricks.as_strided(
+        xp, shape, (s0, s1, s2 * dh, s3 * dw, s2 * sh, s3 * sw))
 
 
 @kernel("conv2d", fresh=True)
 def conv2d_gemm(inputs, attrs, scratch: ConvScratch | None = None):
-    """GEMM-shaped conv2d: one strided-view im2col + one batched matmul.
+    """GEMM-shaped conv2d: one strided-view im2col + one batched matmul
+    per chunk of the planned extent.
 
     The matmul's batch axes are ``(n, groups)``, so numpy issues the
     per-group BLAS GEMMs in C - a depthwise conv costs the same handful
     of numpy calls as a dense one.  ``scratch`` is the step's planned
     :class:`ConvScratch` when the kernel was bound by
     :func:`bind_conv2d` at lowering; unbound calls (graph interpreter,
-    direct kernel use) plan a throwaway one.
+    direct kernel use) plan a throwaway one at the live extent.  A
+    leading extent beyond the plan runs in chunks of
+    :attr:`ConvScratch.extent` rows, each gathered into the step's own
+    scratch and multiplied straight into its rows of the output: the
+    same ``(n, group)`` GEMMs on the same operands as one unchunked
+    call, so the bytes do not depend on the chunking.  The views every
+    chunk reuses (windows, columns, output) are built once per call.
     """
     x, w = inputs[0], inputs[1]
     bias = inputs[2] if len(inputs) > 2 else None
@@ -197,19 +204,29 @@ def conv2d_gemm(inputs, attrs, scratch: ConvScratch | None = None):
         x.shape, w.shape, attrs)
     if scratch is None:
         scratch = ConvScratch.plan(x.shape, w.shape, attrs)
-    xp = scratch.padded(x.dtype, n)
-    if xp is None:
-        xp = x
-    else:
-        xp[:, :, ph:ph + h, pw:pw + wd] = x
-    cols = _arena_cols((n, c, kh, kw, oh, ow), x.dtype)
-    _im2col(xp, cols, sh, sw, dh, dw)
+    chunk = min(scratch.extent, n)
     k = cpg * kh * kw
     ocpg = oc // groups
+    shape = (chunk, c, kh, kw, oh, ow)
+    cols = _arena_cols(shape, x.dtype)
+    xp = scratch.padded(x.dtype, chunk)
+    # Unpadded, the windows are views of the input itself: one view
+    # over all n rows.  Padded, they view the step's chunk buffer.
+    windows = _windows(x if xp is None else xp,
+                       (n,) + shape[1:] if xp is None else shape,
+                       sh, sw, dh, dw)
+    wg = w.reshape(groups, ocpg, k)
+    cols_g = cols.reshape(chunk, groups, k, oh * ow)
     out = np.empty((n, oc, oh, ow), dtype=x.dtype)
-    np.matmul(w.reshape(groups, ocpg, k),
-              cols.reshape(n, groups, k, oh * ow),
-              out=out.reshape(n, groups, ocpg, oh * ow))
+    out_g = out.reshape(n, groups, ocpg, oh * ow)
+    for lo in range(0, n, chunk):
+        m = min(chunk, n - lo)
+        if xp is None:
+            np.copyto(cols[:m], windows[lo:lo + m])
+        else:
+            xp[:m, :, ph:ph + h, pw:pw + wd] = x[lo:lo + m]
+            np.copyto(cols[:m], windows[:m])
+        np.matmul(wg, cols_g[:m], out=out_g[lo:lo + m])
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out
@@ -262,13 +279,14 @@ def conv2d_reference(inputs, attrs):
 def bind_conv2d(x_shape, w_shape, attrs, node_id=None):
     """Bind a conv2d step to a statically planned :class:`ConvScratch`.
 
-    Returns ``(kernel, scratch)``.  Called by ``lower()``, and by every
-    bucket variant of :mod:`repro.runtime.batching` with the batch shape
-    at the bucket's bound, so every run reuses the step's padded buffer
-    instead of reallocating it.  A variant pass at a smaller live extent
-    - a stacked batch of ``n`` requests, or one request at an exact
-    extent - uses the buffer's first rows.  ``node_id`` names the step in
-    the scratch's errors.
+    Returns ``(kernel, scratch)``.  Called once per conv step by
+    ``lower()``, so every run reuses the step's padded buffer instead of
+    reallocating it.  Every bucket variant of
+    :mod:`repro.runtime.batching` shares the base step's bound kernel: a
+    variant pass - a stacked batch of ``n`` requests, or one request at
+    an exact extent - runs in chunks of the planned extent, so a thread
+    holds the same scratch whichever variants it has run.  ``node_id``
+    names the step.
     """
     scratch = ConvScratch.plan(x_shape, w_shape, attrs, node_id)
 

@@ -52,6 +52,7 @@ same program path.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -70,6 +71,27 @@ from .kernels import (
 from .traffic import roofline_summary, step_traffic
 
 _PROGRAM_CACHE_KEY = "execution_program"
+
+_FILL_LOCK = threading.RLock()
+
+
+def fill_once(cache: dict, key, build: Callable, *args):
+    """``cache[key]``, built by ``build(*args)`` on the first miss.
+
+    The one way a program's shared caches fill (runners, modules,
+    variants, analyses): a hit takes no lock, and a miss re-checks under
+    one process-wide re-entrant lock - so two threads missing together
+    get one object, built once.  Re-entrant because one fill can need
+    another (a variant build reads its program's analysis).  A ``build``
+    that raises caches nothing.
+    """
+    found = cache.get(key)
+    if found is None:
+        with _FILL_LOCK:
+            found = cache.get(key)
+            if found is None:
+                found = cache[key] = build(*args)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +365,8 @@ class ExecutionProgram:
 
     def roofline(self) -> dict[str, dict]:
         """Per-kernel-family static traffic summary (memoized)."""
-        found = self.backend_cache.get("roofline")
-        if found is None:
-            found = self.backend_cache["roofline"] = \
-                roofline_summary(self.steps)
-        return found
+        return fill_once(self.backend_cache, "roofline", roofline_summary,
+                         self.steps)
 
     def bind_packs(self, values: dict) -> dict:
         """Add every packed operand ``values`` lacks.  A dict merged over
@@ -714,11 +733,8 @@ class NumPyBackend(ExecutionBackend):
     def _runner(self, program: ExecutionProgram):
         """The program's executor, built once per (program, backend) and
         cached on the program."""
-        found = program.backend_cache.get(self.name)
-        if found is None:
-            found = program.backend_cache[self.name] = \
-                self._compile_runner(program)
-        return found
+        return fill_once(program.backend_cache, self.name,
+                         self._compile_runner, program)
 
     def _compile_runner(self, program: ExecutionProgram):
         """Build the program's executor - the only method an

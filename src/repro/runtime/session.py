@@ -331,6 +331,9 @@ class Session:
         self._param_values: dict[str, np.ndarray] | None = None
         self._input_cache: dict[int, dict[str, np.ndarray]] = {}
         self.stats = SessionStats()
+        # A service runs two passes at once: the stats they record go
+        # through this lock (the passes themselves share nothing).
+        self._stats_lock = threading.Lock()
         # Fault injection: an explicit plan wins; otherwise the ambient
         # chaos plan (REPRO_FAULT_SEED) applies, injecting only faults
         # the reliability layer is required to absorb.
@@ -693,7 +696,8 @@ class Session:
 
     def _degrade(self, backend_name: str, err: BaseException) -> None:
         """Record one fallback to the reference backend."""
-        self.stats.fallbacks += 1
+        with self._stats_lock:
+            self.stats.fallbacks += 1
         opened = _CIRCUIT.record_failure(backend_name, self.fingerprint)
         logger.warning(
             "backend %r failed for %r (%s); degrading to %r%s",
@@ -765,21 +769,22 @@ class Session:
             est = self._est_latency_ms = self.est_latency_ms
         stats = self.stats
         served = []
-        for index, (outputs, report, wall_s) in enumerate(results):
-            if admit_walls is not None:
-                wall_s += admit_walls[index]
-            stats.requests += 1
-            stats.total_wall_s += wall_s
-            run = RunStats(
-                request=stats.requests,
-                wall_s=wall_s,
-                est_latency_ms=est,
-                pool=report,
-                backend=served_by,
-                batched=batched,
-            )
-            stats.runs.append(run)
-            served.append((outputs, run))
+        with self._stats_lock:
+            for index, (outputs, report, wall_s) in enumerate(results):
+                if admit_walls is not None:
+                    wall_s += admit_walls[index]
+                stats.requests += 1
+                stats.total_wall_s += wall_s
+                run = RunStats(
+                    request=stats.requests,
+                    wall_s=wall_s,
+                    est_latency_ms=est,
+                    pool=report,
+                    backend=served_by,
+                    batched=batched,
+                )
+                stats.runs.append(run)
+                served.append((outputs, run))
         return served
 
 

@@ -15,8 +15,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.api.errors import ExecutionError
-
 from repro.core import smartmem_optimize
 from repro.ir import GraphBuilder
 from repro.models import SMOKE_CONFIGS, build
@@ -283,18 +281,27 @@ class TestConvScratch:
         assert all(step.scratch_bytes == 0 and step.arena_bytes == 0
                    for step in non_conv)
 
-    def test_extent_beyond_the_plan_names_the_step(self):
-        attrs = {"padding": 1}
-        bound, _ = bind_conv2d((2, 3, 8, 8), (4, 3, 3, 3), attrs, "conv_7")
-        inputs = _conv_inputs((4, 3, 8, 8), (4, 3, 3, 3), bias=False)
-        with pytest.raises(ExecutionError) as caught:
-            bound(inputs, attrs)
-        message = str(caught.value)
-        assert "conv_7" in message and "2" in message and "4" in message
-        # a smaller extent than planned is the symbolic-variant route
-        small = [inputs[0][:1], inputs[1]]
-        assert np.array_equal(bound(small, attrs),
-                              conv2d_gemm(small, attrs))
+    @pytest.mark.parametrize("extent", [1, 2, 3, 5, 7])
+    def test_extent_beyond_the_plan_runs_in_chunks(self, extent):
+        # Planned at a leading extent of 2: any live extent runs on that
+        # scratch, in chunks of 2 rows and a short last one, with the
+        # bytes of one unchunked call.
+        attrs = {"padding": 1, "groups": 3}
+        x_shape, w_shape = (extent, 6, 8, 8), (6, 2, 3, 3)
+        inputs = _conv_inputs(x_shape, w_shape, bias=True, seed=extent)
+        expected = conv2d_gemm(inputs, attrs)
+
+        def chunked():
+            bound, scratch = bind_conv2d((2,) + x_shape[1:], w_shape, attrs,
+                                         "conv_7")
+            got = bound(inputs, attrs)
+            held = scratch.held_bytes() + arena_bytes()
+            return got, held, scratch.pad_bytes(4) + scratch.cols_bytes(4)
+
+        got, held, planned = _in_thread(chunked)
+        assert got.tobytes() == expected.tobytes()
+        # never more than the plan; all of it once a full chunk ran
+        assert held == planned if extent >= 2 else held < planned
 
 
 class TestArenaSharing:
@@ -370,6 +377,101 @@ def _stacked_inputs(graph, program):
     return inputs
 
 
+CONFORMER_MEDIUM = dict(frames=64, mels=80, dim=96, depth=2, heads=4)
+
+#: every program whose conv geometries the chunked-conv tests walk: the
+#: smoke zoo without its two conv-free language models, and the
+#: ``kernel_open`` model
+CONV_PROGRAMS = sorted(set(SMOKE_CONFIGS) - {"Pythia", "SD-TextEncoder"}) \
+    + ["Conformer-medium"]
+
+
+def _optimized_program(name):
+    if name == "Conformer-medium":
+        return lower(smartmem_optimize(
+            build("Conformer", **CONFORMER_MEDIUM)).graph)
+    return lower(smartmem_optimize(build(name, **SMOKE_CONFIGS[name])).graph)
+
+
+def _conv_steps(program):
+    """``(step, x_shape, w_shape)`` per conv2d step, distinct geometries
+    only (the shapes its bound kernel reads, post-view)."""
+    graph = program.graph
+    seen, found = set(), []
+    for step in program.steps:
+        if step.op_type != "conv2d":
+            continue
+        chains = dict(step.views)
+        x_shape, w_shape = (
+            tuple(chains[i].out_shape) if i in chains
+            else tuple(graph.shape(step.arg_names[i])) for i in (0, 1))
+        key = (x_shape, w_shape, repr(sorted(step.attrs.items())),
+               len(step.arg_names))
+        if key not in seen:
+            seen.add(key)
+            found.append((step, x_shape, w_shape))
+    return found
+
+
+class TestChunkedConv:
+    """A stacked conv runs on the step's solo scratch, in chunks of the
+    planned extent; the bytes are those of each request run alone."""
+
+    @pytest.mark.parametrize("name", CONV_PROGRAMS)
+    def test_stacked_equals_solo_for_every_zoo_geometry(self, name):
+        convs = _conv_steps(_optimized_program(name))
+        assert convs
+        rng = np.random.default_rng(0)
+        for step, x_shape, w_shape in convs:
+            bias = len(step.arg_names) > 2
+            params = _conv_inputs(x_shape, w_shape, bias)[1:]
+            for n in (3, 5, 16):
+                rows = [rng.standard_normal(x_shape).astype(np.float32)
+                        for _ in range(n)]
+                stacked = step.kernel([np.concatenate(rows), *params],
+                                      step.attrs)
+                solo = np.concatenate([step.kernel([x, *params], step.attrs)
+                                       for x in rows])
+                assert stacked.tobytes() == solo.tobytes(), \
+                    (name, step.node_id, n)
+
+    @pytest.mark.parametrize("n", [3, 5, 16])
+    def test_conformer_medium_stacked_equals_solo(self, n):
+        graph = build("Conformer", **CONFORMER_MEDIUM)
+        session = _compile_session(graph, "Ours", faults=FaultPlan())
+        batch = [session.make_inputs(seed=s) for s in range(n)]
+        outputs = session.run_batch([dict(b) for b in batch])
+        assert all(run.batched for run in list(session.stats.runs)[-n:])
+        for inputs, got in zip(batch, outputs):
+            want = session.run(dict(inputs))
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes(), key
+
+    def test_every_bucket_of_conformer_medium_holds_the_solo_scratch(self):
+        # The pinned fact: 470 544 B - the base plan's padded buffers
+        # plus its widest column matrix - whatever buckets a thread has
+        # run.  A variant with its own conv bindings, sized at its
+        # bound, held 10 439 664 B here after all four buckets.
+        program = _optimized_program("Conformer-medium")
+        graph = build("Conformer", **CONFORMER_MEDIUM)
+        variants = [rebatch(program, factor) for factor in (2, 4, 8, 16)]
+        assert program.slot_plan.scratch_bytes == 470_544
+        for variant in variants:
+            assert variant.slot_plan.scratch_bytes == 470_544
+
+        def run_every_bucket():
+            backend = get_backend("numpy")
+            for served in [program, *variants]:
+                backend.run(served, _stacked_inputs(graph, served))
+            kernels = {id(step.kernel): step.kernel for served in
+                       [program, *variants] for step in served.steps
+                       if step.op_type == "conv2d"}
+            return arena_bytes() + sum(
+                kernel.scratch.held_bytes() for kernel in kernels.values())
+
+        assert _in_thread(run_every_bucket) == 470_544
+
+
 class TestScratchAccountingIsReal:
     """``slot_plan.scratch_bytes`` is a claim about memory; check it
     against what a thread holds after running the program once."""
@@ -441,7 +543,7 @@ class TestStackedParity:
             for key in ref:
                 assert np.array_equal(out[key], ref[key]), key
 
-    def test_rebatch_scales_stamps_and_scratch(self):
+    def test_rebatch_scales_stamps_and_shares_scratch(self):
         graph = smartmem_optimize(
             build("AutoFormer", **SMOKE_CONFIGS["AutoFormer"])).graph
         program = lower(graph)
@@ -451,14 +553,14 @@ class TestStackedParity:
             assert scaled.bytes_read >= base.bytes_read
             assert scaled.flops >= base.flops
             if base.op_type == "conv2d":
-                assert scaled.scratch_bytes == 4 * base.scratch_bytes
-                assert scaled.arena_bytes == 4 * base.arena_bytes > 0
-        assert variant.slot_plan.scratch_sizes == tuple(
-            4 * size for size in program.slot_plan.scratch_sizes)
-        assert variant.slot_plan.arena_bytes \
-            == 4 * program.slot_plan.arena_bytes
+                # the variant runs the base step's kernel, in chunks
+                assert scaled.kernel is base.kernel
+                assert scaled.scratch_bytes == base.scratch_bytes
+                assert scaled.arena_bytes == base.arena_bytes > 0
+        assert variant.slot_plan.scratch_sizes \
+            == program.slot_plan.scratch_sizes
         assert variant.slot_plan.scratch_bytes \
-            == 4 * program.slot_plan.scratch_bytes > 0
+            == program.slot_plan.scratch_bytes > 0
 
 
 class TestChaosDegradation:
