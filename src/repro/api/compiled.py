@@ -111,8 +111,7 @@ class CompiledModel:
         bucket range ``1..max_extent`` (shared across the request's
         inputs); everything past the leading dim stays exact.
         """
-        return _admit(self._session, request.inputs, True,
-                      request.request_id)
+        return _admit(self._session, request.inputs, request.request_id)
 
     # -- execution ---------------------------------------------------------
 

@@ -19,7 +19,7 @@ import time
 
 from ..models import SMOKE_CONFIGS, build_smoke
 from ..runtime.faults import FaultPlan
-from ..runtime.session import _compile_session
+from ..runtime.session import _admit, _compile_session
 from ..runtime.traffic import FAMILIES, family
 from .harness import clear_cell_cache
 
@@ -155,10 +155,10 @@ def measure_symbolic(models: tuple[str, ...] = SYMBOLIC_MODELS,
 
         # One request warms the top bucket (compiles its variant, warms
         # its pool); every later extent in the bucket is a new shape.
-        session.execute_values([session._admit(inputs_at(bucket_lo))])
+        session.execute_values([_admit(session, inputs_at(bucket_lo))])
         symbolic_walls = []
         for extent in range(bucket_lo + 1, max_extent + 1):
-            admitted = session._admit(inputs_at(extent))
+            admitted = _admit(session, inputs_at(extent))
             start = perf()
             session.execute_values([admitted])
             symbolic_walls.append(perf() - start)
@@ -170,7 +170,7 @@ def measure_symbolic(models: tuple[str, ...] = SYMBOLIC_MODELS,
             cold_graph = build_smoke(name, batch=extent)
             start = perf()
             cold = _compile_session(cold_graph, "Ours", faults=FaultPlan())
-            cold.run(cold.make_inputs(seed=0))
+            cold.execute_values([_admit(cold, cold.make_inputs(seed=0))])
             cold_walls.append(perf() - start)
         cold_ms = min(cold_walls) * 1e3
 

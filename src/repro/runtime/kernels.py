@@ -315,7 +315,8 @@ def pack(weight):
     last float bits (and is 2-4x slower at serving shapes), so every
     ``dense`` computes on this operand - precomputed once per compiled
     cell (:func:`~repro.runtime.executor.make_params`) or recomputed per
-    call (:func:`dense`, request overrides) - never on a transposed view.
+    call (:func:`dense`, ``ExecutionProgram.bind_packs``) - never on a
+    transposed view.
     """
     return np.ascontiguousarray(weight.T)
 

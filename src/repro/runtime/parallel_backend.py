@@ -200,7 +200,6 @@ class WorkerPool:
         program = session.program
         self.layout = ShardLayout(program, self.capacity)
         self.stackable = analyze(program).stackable
-        self._input_names = frozenset(program.input_names)
         self._first_input = program.input_names[0]
         # Symbolic sessions add per-extent layouts (lazily, mirrored in
         # each worker) and size segments for whichever layout is the
@@ -231,9 +230,11 @@ class WorkerPool:
         *before* forking, so each child inherits compiled runners,
         bucket variants, and materialized parameters instead of
         rebuilding them ``workers`` times."""
+        from .session import _admit
+
         session = self.session
         inner = get_backend(self.inner_name)
-        values = session._admit(session.make_inputs(seed=0))
+        values = _admit(session, session.make_inputs(seed=0))
         session.execute_values([dict(values)], backend=inner)
         if self.stackable:
             for size in {self._shard_size(self.capacity),
@@ -337,16 +338,10 @@ class WorkerPool:
 
         Returns ``(rows, batched)`` shaped like
         ``ExecutionBackend.run_many`` output, or ``None`` when the
-        invocation cannot shard (per-request parameter overrides, or a
-        symbolic micro-batch mixing leading extents - the in-process
-        path groups those per extent) and must run in-process.
+        invocation cannot shard (the pool is closed, or a symbolic
+        micro-batch mixes leading extents - the in-process path groups
+        those per extent) and must run in-process.
         """
-        params = self.session._params
-        for values in values_list:
-            for key, value in values.items():
-                if key not in self._input_names \
-                        and params.get(key) is not value:
-                    return None  # per-request params: in-process path
         extent = None
         sym = self.session.symbolic
         if sym is not None:
@@ -518,9 +513,8 @@ class ParallelBackend(ExecutionBackend):
     whole invocations through :meth:`try_sharded` before the in-process
     stacked/sequential paths.  Everything else - ``run``, ``run_many``,
     ``run_stacked`` - delegates to the declared ``inner`` backend, so a
-    parallel session that cannot shard (platform without ``fork``,
-    per-request parameter overrides, pool startup failure) behaves
-    exactly like its inner backend in-process.
+    parallel session that cannot shard (platform without ``fork``, pool
+    startup failure) behaves exactly like its inner backend in-process.
     """
 
     name = "parallel"
@@ -544,8 +538,8 @@ class ParallelBackend(ExecutionBackend):
 
         Returns ``(rows, batched)`` or ``None`` when the pool is
         unavailable (unsupported platform, startup failure, closed) or
-        the invocation carries per-request parameter overrides - the
-        caller then takes the normal in-process path on :attr:`inner`.
+        declines the invocation (mixed symbolic extents) - the caller
+        then takes the normal in-process path on :attr:`inner`.
         """
         pool = session.ensure_parallel_pool()
         if pool is None:

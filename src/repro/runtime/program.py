@@ -283,7 +283,7 @@ class ExecutionProgram:
                  "output_names", "input_signature",
                  "report", "op_list", "backend_cache", "fused_chains",
                  "fused_step_count", "symbolic_extent",
-                 "packs", "pack_of", "source_of", "__weakref__")
+                 "packs", "__weakref__")
 
     def __init__(self, graph: Graph, steps: tuple[Step, ...],
                  slot_plan: SlotPlan,
@@ -300,8 +300,6 @@ class ExecutionProgram:
         # source in the cell's parameters unless something else still
         # reads it.  Variants share the base program's packs.
         self.packs = packs
-        self.pack_of = {source: packed for packed, source, _ in packs}
-        self.source_of = {packed: source for packed, source, _ in packs}
         # The compiler's fusion groups of two or more members, as tuples
         # of step indices: what the slot plan's unslotted interiors come
         # from.  Bucket variants inherit them verbatim - step indices
@@ -509,11 +507,14 @@ def lower(graph: Graph) -> ExecutionProgram:
     Memoized per graph generation through the graph's analysis cache:
     repeated calls (the executor, the verifier, every session serving
     this graph) share one lowering until the next structural mutation.
+    The memo fills through :func:`fill_once`, so two threads lowering
+    the same graph at once get one program - one ``backend_cache``.
     """
-    cache = graph.analysis_cache()
-    found = cache.get(_PROGRAM_CACHE_KEY)
-    if found is not None:
-        return found
+    return fill_once(graph.analysis_cache(), _PROGRAM_CACHE_KEY, _lower,
+                     graph)
+
+
+def _lower(graph: Graph) -> ExecutionProgram:
     order = graph.topo_order()
     schedule = liveness_schedule(graph)
     groups: dict[int, list[int]] = {}
@@ -620,15 +621,13 @@ def lower(graph: Graph) -> ExecutionProgram:
 
     steps = tuple(make_step(i, node) for i, node in enumerate(order))
     still_read = set(graph.outputs).union(*(s.arg_names for s in steps))
-    program = ExecutionProgram(
+    return ExecutionProgram(
         graph, steps, plan.with_scratch(steps),
         fused_chains=tuple(
             tuple(members) for members in groups.values()
             if len(members) >= 2),
         packs=tuple((name, w, w in still_read)
                     for w, name in packed.items()))
-    cache[_PROGRAM_CACHE_KEY] = program
-    return program
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ on that shared cell, read-only; a session owns only what is per-session
 (statistics, fault injector, worker pool).
 
 The session itself is now only request admission + statistics: every
-``run(inputs)`` / ``run_batch(list_of_inputs)`` validates the request,
-merges it over the session's materialized parameters, and hands the
-values to the session's :class:`~repro.runtime.program.ExecutionBackend`
-- the per-node interpretation (kernel lookups, view resolution, liveness
-bookkeeping) was all moved to compile time by
+request a front door serves (``CompiledModel.run`` / ``run_batch``, the
+:class:`~repro.api.Service` scheduler) is validated by :func:`_admit`
+against the graph's declared inputs, merged over the session's
+materialized parameters, and handed to the session's
+:class:`~repro.runtime.program.ExecutionBackend` - the per-node
+interpretation (kernel lookups, view resolution, liveness bookkeeping)
+was all moved to compile time by
 :func:`~repro.runtime.program.lower`:
 
 * parameters are materialized once per compiled cell and shared
@@ -30,7 +32,7 @@ bookkeeping) was all moved to compile time by
   and never replayed at run time;
 * dead intermediate ndarrays are dropped mid-run, bounding true process
   memory by the live set rather than the whole graph;
-* ``run_batch`` executes through one backend invocation - and, when the
+* a micro-batch executes through one backend invocation - and, when the
   program is batch-stackable
   (:func:`repro.runtime.batching.analyze`), through ONE kernel pass for
   the whole micro-batch: inputs stacked along the batch axis, the
@@ -39,9 +41,9 @@ bookkeeping) was all moved to compile time by
   Non-stackable programs fall back to the sequential per-request loop
   inside the single invocation.
 
-    >>> session = repro.compile("Swin").session
-    >>> out = session.run(session.make_inputs(seed=0))
-    >>> session.stats.runs[-1].pool is session.program.report
+    >>> model = repro.compile("Swin")
+    >>> out = model.run(model.make_request(seed=0)).outputs
+    >>> model.stats.runs[-1].pool is model.program.report
     True
 """
 
@@ -65,7 +67,6 @@ from .batching import analyze, bucket, mark_unstackable, rebatch, symbolize
 from .device import DeviceSpec, SD8GEN2
 from .executor import make_inputs, make_params
 from .faults import REFERENCE_BACKEND, FaultPlan
-from .kernels import pack
 from .program import ExecutionProgram, get_backend, lower
 
 logger = logging.getLogger("repro.runtime.session")
@@ -192,74 +193,48 @@ def circuit_breaker() -> CircuitBreaker:
 
 
 def _refusal(door, body: str, sep: str = ": ") -> AdmissionError:
-    """The error one admission refusal raises: the strict door leads the
-    message with the request and attaches its id."""
-    session, strict, request_id = door
-    if strict:
-        who = "request" if request_id is None else f"request {request_id!r}"
-        body = f"{who}{sep}{body}"
-    return AdmissionError(body, request_id=request_id,
+    """The error one admission refusal raises: the message leads with the
+    request, whose id the error also carries."""
+    session, request_id = door
+    who = "request" if request_id is None else f"request {request_id!r}"
+    return AdmissionError(f"{who}{sep}{body}", request_id=request_id,
                           model=session.model or session.graph.name)
 
 
-def _admit(session: "Session", inputs, strict: bool = False,
+def _admit(session: "Session", inputs,
            request_id=None) -> dict[str, np.ndarray]:
     """Validate one request and merge it over the session parameters.
 
-    The one admission function behind both front doors.  Every adopted
-    tensor is checked against its spec, so a wrong-shape or wrong-dtype
-    request fails here with an :class:`~repro.api.errors.AdmissionError`
-    naming the tensor instead of deep inside a kernel; under a symbolic
-    compile the leading dim of the graph inputs admits any extent in
-    ``1..max_extent``, shared across the request's inputs.
-
-    ``strict`` (``CompiledModel.admit``): the request must name exactly
-    the graph's declared inputs - empty requests, unknown names and
-    missing inputs are rejected - and messages lead with the request,
-    which ``request_id`` also attaches to the error.  Lenient
-    (``Session._admit``): any tensor the compiled graph declares
-    overrides the session's materialization (an overridden packed
-    weight is re-packed from the array as it is now, never cached), an
-    already-packed ``<weight>@kn`` operand - another session's admitted
-    dict - is adopted against the transposed spec, and everything else
-    (e.g. the full value dict of the *source* graph) is ignored.
+    The one admission function: a request names exactly the graph's
+    declared inputs - empty requests, unknown names and missing inputs
+    are refused - and every tensor is checked against its spec, so a
+    wrong-shape or wrong-dtype request fails here with an
+    :class:`~repro.api.errors.AdmissionError` naming the tensor instead
+    of deep inside a kernel.  Messages lead with the request, which
+    ``request_id`` also attaches to the error.  Under a symbolic compile
+    the leading dim of the graph inputs admits any extent in
+    ``1..max_extent``, shared across the request's inputs.  Parameters
+    are the session's own, packed once per cell: a request never
+    overrides one.
     """
     sym = session.symbolic
     specs = session._input_specs
-    door = session, strict, request_id  # what decorates a refusal
-    if strict and not inputs:
+    door = session, request_id  # what decorates a refusal
+    if not inputs:
         raise _refusal(
             door, f"has no input tensors; expected {sorted(specs)}", sep=" ")
     values = dict(session._params)
     extent = extent_name = None
     for name, value in inputs.items():
         spec = specs.get(name)
-        declared_input = spec is not None
-        if not declared_input:
-            if strict:
-                raise _refusal(
-                    door, f"unknown input tensor {name!r}; this model "
-                    f"takes {sorted(specs)}")
-            tensor = session.graph.tensors.get(name)
-            if tensor is None:
-                source = session.program.source_of.get(name)
-                if source is not None:
-                    tensor = session.graph.tensors[source]
-                    expected = tuple(tensor.shape)[::-1]
-                    if tuple(value.shape) != expected \
-                            or value.dtype != tensor.dtype.numpy_dtype:
-                        raise _refusal(
-                            door, f"packed weight {name!r}: got "
-                            f"{value.dtype} {tuple(value.shape)}, expected "
-                            f"{np.dtype(tensor.dtype.numpy_dtype)} "
-                            f"{expected}")
-                    values[name] = value
-                continue
-            spec = tensor.shape, np.dtype(tensor.dtype.numpy_dtype)
+        if spec is None:
+            raise _refusal(
+                door, f"unknown input tensor {name!r}; this model takes "
+                f"{sorted(specs)}")
         expected, dtype = spec
         if not isinstance(value, np.ndarray):
             value = np.asarray(value)
-        if sym is not None and declared_input:
+        if sym is not None:
             shape = tuple(value.shape)
             if len(shape) != len(expected) or shape[1:] != expected[1:]:
                 raise _refusal(
@@ -287,16 +262,9 @@ def _admit(session: "Session", inputs, strict: bool = False,
                 door, f"input {name!r}: got dtype {value.dtype}, expected "
                 f"{dtype}")
         values[name] = value
-        if not declared_input:
-            packed = session.program.pack_of.get(name)
-            if packed is not None:
-                values[packed] = pack(value)
-    for name in specs:
-        if name not in values:
-            missing = [n for n in specs if n not in values]
-            raise _refusal(
-                door, f"missing input tensors {missing}" if strict
-                else f"missing graph inputs: {missing}")
+    if len(inputs) != len(specs):
+        missing = [n for n in specs if n not in inputs]
+        raise _refusal(door, f"missing input tensors {missing}")
     return values
 
 
@@ -484,10 +452,6 @@ class Session:
             out[name] = (shape, np.dtype(spec.dtype.numpy_dtype))
         return out
 
-    def _admit(self, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Lenient admission of one raw input dict - see :func:`_admit`."""
-        return _admit(self, inputs)
-
     # -- serving -----------------------------------------------------------
 
     @property
@@ -503,11 +467,10 @@ class Session:
         one backend invocation, with graceful degradation.
 
         Every execution path of the serving stack funnels through here -
-        :meth:`run`, :meth:`run_batch`, ``CompiledModel.run[_batch]``,
-        and the :class:`~repro.api.Service` scheduler - so fault
-        injection, the numpy fallback, the circuit breaker, *and* the
-        stacked-batch routing apply uniformly.  Returns ``(results,
-        backend_name, batched)`` where results is the
+        ``CompiledModel.run[_batch]`` and the :class:`~repro.api.Service`
+        scheduler - so fault injection, the numpy fallback, the circuit
+        breaker, *and* the stacked-batch routing apply uniformly.
+        Returns ``(results, backend_name, batched)`` where results is the
         ``run_many``-shaped list of ``(outputs, report, wall_s)``,
         ``backend_name`` names the backend that actually served the
         invocation, and ``batched`` reports whether the requests were
@@ -518,9 +481,8 @@ class Session:
         ``run_stacked`` - inputs concatenated along the batch axis, one
         pass of the power-of-two bucket's stacked variant at the batch's
         exact size, outputs split per request.
-        Non-stackable programs, solo requests, and batches with
-        per-request parameter overrides take the sequential ``run_many``
-        path; both paths are byte-identical per request.
+        Non-stackable programs and solo requests take the sequential
+        ``run_many`` path; both paths are byte-identical per request.
 
         Degradation: when the configured backend is not the reference
         one, a :class:`~repro.api.errors.BackendCompilationError` (or any
@@ -581,19 +543,17 @@ class Session:
         A backend declaring ``shards_requests`` (the parallel family) is
         offered the whole invocation for its worker pool; stacking then
         happens *inside* each worker's shard.  When the pool declines
-        (unavailable, per-request overrides, mixed extents), and for
-        every other backend, the invocation runs in-process - on the
-        sharding backend's declared ``inner`` in the first case.
+        (unavailable, mixed extents), and for every other backend, the
+        invocation runs in-process - on the sharding backend's declared
+        ``inner`` in the first case.
 
         In-process, requests are grouped by leading extent - a concrete
         session is the one-group case - and rows scatter back in request
         order.  A base-extent group of several requests runs as one
         stacked pass of the bucket's stacked variant when analysis
-        licenses it and no request overrides a non-input tensor
-        (per-request parameters cannot be shared across a stacked pass),
-        the sequential loop otherwise.  Any other extent runs its
-        bucket's exact variant (:meth:`SymbolicServing.factor`) per
-        request, which keeps outputs byte-identical to a fresh concrete
+        licenses it, the sequential loop otherwise.  Any other extent
+        runs its bucket's exact variant (:meth:`SymbolicServing.factor`)
+        per request, which keeps outputs byte-identical to a fresh concrete
         compile at that extent.  A variant that fails to build demotes
         the program for good: a wrong stacked result is never
         acceptable, a sequential one always is.
@@ -604,11 +564,11 @@ class Session:
                 return sharded
             bk = get_backend(bk.inner)
         program = self.program
-        inputs = program.input_names
+        first = program.input_names[0]
         sym = self.symbolic
         groups: dict[int | None, list[int]] = {}
         for index, values in enumerate(vlist):
-            extent = None if sym is None else values[inputs[0]].shape[0]
+            extent = None if sym is None else values[first].shape[0]
             groups.setdefault(extent, []).append(index)
         rows = [None] * len(vlist)
         batched = False
@@ -617,9 +577,7 @@ class Session:
             serving, variant = program, None
             if extent is not None and extent != sym.base_extent:
                 serving = symbolize(program, sym.factor(extent))
-            elif len(sub) > 1 and analyze(program).stackable and all(
-                    key in inputs or sub[0].get(key) is value
-                    for values in sub[1:] for key, value in values.items()):
+            elif len(sub) > 1 and analyze(program).stackable:
                 factor = bucket(len(sub))
                 try:
                     variant = rebatch(program, factor)
@@ -706,45 +664,13 @@ class Session:
             " - circuit open, routing straight to the reference backend"
             if opened else "")
 
-    def run(self, inputs: dict[str, np.ndarray] | None = None,
-            seed: int = 0) -> dict[str, np.ndarray]:
-        """Serve one request; returns the graph outputs.
-
-        ``inputs`` may carry extra tensors (e.g. the full value dict of
-        the *source* graph): anything the compiled graph declares
-        overrides the session's own materialization, everything else is
-        ignored.  ``seed`` applies only when ``inputs`` is None, in which
-        case deterministic values for that seed are generated; passing
-        both is rejected to avoid silently ignoring one.
-        """
-        if inputs is None:
-            inputs = self.make_inputs(seed)
-        elif seed != 0:
-            raise ValueError("pass either inputs or seed, not both")
-        return self._serve([inputs], self._admit)[0][0]
-
-    def run_batch(self, batch: list[dict[str, np.ndarray]]
-                  ) -> list[dict[str, np.ndarray]]:
-        """Serve a list of requests through *one* backend invocation - a
-        single stacked kernel pass when the program is batch-stackable, a
-        sequential loop otherwise.
-
-        Per-request ``RunStats.wall_s`` covers admission + execution,
-        comparable to :meth:`run` (an even share of the stacked pass on
-        the batched path, flagged by ``RunStats.batched``).
-        """
-        if not batch:
-            raise ValueError(
-                "run_batch() needs at least one request; got an empty batch")
-        return [outputs for outputs, _ in self._serve(batch, self._admit)]
-
     def _serve(self, requests, admit=None, backend=None):
         """Recorded execution: admit, :meth:`execute_values`, then one
         :class:`RunStats` per request; returns ``[(outputs, RunStats)]``
         in request order.
 
-        The one admit-execute-record loop behind :meth:`run`,
-        :meth:`run_batch`, ``CompiledModel.run[_batch]`` and the
+        The one admit-execute-record loop behind
+        ``CompiledModel.run[_batch]`` and the
         :class:`~repro.api.Service` scheduler.  With ``admit`` (a front
         door's admission function) each request is admitted here and its
         admission time counts into its recorded wall; without it

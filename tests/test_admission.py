@@ -1,13 +1,15 @@
-"""The admission table: one function, two front doors, two shape regimes.
+"""The admission table: one function, one mode, three front doors, two
+shape regimes.
 
-``runtime.session._admit`` is the only admission implementation; the
-strict door (``CompiledModel.admit``: declared inputs only, messages and
-errors decorated with the request) and the lenient door
-(``Session._admit``: any graph tensor plus ``<weight>@kn`` operands) are
-one-line callers of it.  Every malformed-request case runs against both
-doors, on a concrete and on a symbolic compile of the same two-input
-graph, and pins the error type, the tensor it names, its
-``request_id``/``model`` context and the message text.
+``runtime.session._admit`` is the only admission implementation, and
+``CompiledModel.admit`` a one-line caller of it: a request names exactly
+the declared graph inputs, and messages and errors are decorated with
+the request.  ``CompiledModel.run`` and ``.run_batch`` admit through it
+before anything executes.  Every malformed-request case runs through
+each door, on a concrete and on a symbolic compile of the same
+two-input graph, and pins the error type, the tensor it names, its
+``request_id``/``model`` context, the message text, and that no request
+was recorded.
 """
 
 import numpy as np
@@ -18,7 +20,6 @@ from repro.api import (
 )
 from repro.ir import GraphBuilder
 from repro.runtime import FaultPlan
-from repro.runtime.kernels import pack
 
 MAX_EXTENT = 4
 RID = "r7"
@@ -46,13 +47,21 @@ def compiled(request):
     return compile_private(graph, options)
 
 
-@pytest.fixture(params=["strict", "lenient"])
+@pytest.fixture(params=["admit", "run", "run_batch"])
 def door(request, compiled):
-    """``(admit(inputs), strict)`` for one front door."""
-    if request.param == "strict":
-        return (lambda inputs: compiled.admit(
-            InferenceRequest(inputs=inputs, request_id=RID))), True
-    return compiled.session._admit, False
+    """``submit(inputs)`` through one front door, under the request id
+    ``RID``.  The batch door serves the request behind a well-formed
+    batchmate, which must not mask its refusal."""
+    def submit(inputs):
+        bad = InferenceRequest(inputs=inputs, request_id=RID)
+        if request.param == "admit":
+            return compiled.admit(bad)
+        if request.param == "run":
+            return compiled.run(bad)
+        good = InferenceRequest(
+            inputs=compiled.session.make_inputs(seed=3), request_id="ok")
+        return compiled.run_batch([good, bad])
+    return submit
 
 
 def grown(value, extent):
@@ -60,30 +69,25 @@ def grown(value, extent):
 
 
 # Each case: (inputs, session) -> (bad inputs, tensor the error names,
-# shared message body or None, {door or regime: what differs}).  A body
-# is the text both doors raise (the strict door prefixes the request);
-# "ok" marks a door that admits the request instead.
+# message body, {regime: body there}).  The error's message is the body
+# led by the request.
 
 
 def unknown_name(inputs, session):
-    return ({**inputs, "not_a_tensor": np.zeros(3)}, "not_a_tensor", None, {
-        "strict": "unknown input tensor 'not_a_tensor'; this model takes "
-                  f"{sorted(inputs)}",
-        "lenient": "ok"})
+    return ({**inputs, "not_a_tensor": np.zeros(3)}, "not_a_tensor",
+            "unknown input tensor 'not_a_tensor'; this model takes "
+            f"{sorted(inputs)}", {})
 
 
 def missing_input(inputs, session):
     dropped = sorted(inputs)[0]
     rest = {k: v for k, v in inputs.items() if k != dropped}
-    return rest, dropped, None, {
-        "strict": f"missing input tensors {[dropped]}",
-        "lenient": f"missing graph inputs: {[dropped]}"}
+    return rest, dropped, f"missing input tensors {[dropped]}", {}
 
 
 def empty_request(inputs, session):
-    return {}, sorted(inputs)[0], None, {
-        "strict": f"has no input tensors; expected {sorted(inputs)}",
-        "lenient": f"missing graph inputs: {list(inputs)}"}
+    return {}, sorted(inputs)[0], (
+        f"has no input tensors; expected {sorted(inputs)}"), {}
 
 
 def wrong_shape(inputs, session):
@@ -125,24 +129,20 @@ def extent_disagreement(inputs, session):
 
 
 def packed_operand_wrong_shape(inputs, session):
-    packed, source, _ = session.program.packs[0]
+    packed, _, _ = session.program.packs[0]
     operand = session._params[packed]
     assert operand.shape[0] != operand.shape[1]
-    expected = tuple(session.graph.shape(source))[::-1]
-    return {**inputs, packed: operand.T}, packed, None, {
-        "strict": f"unknown input tensor {packed!r}; this model takes "
-                  f"{sorted(inputs)}",
-        "lenient": f"packed weight {packed!r}: got float32 "
-                   f"{operand.T.shape}, expected float32 {expected}"}
+    return {**inputs, packed: operand.T}, packed, (
+        f"unknown input tensor {packed!r}; this model takes "
+        f"{sorted(inputs)}"), {}
 
 
 def packed_weight_override(inputs, session):
     _, source, _ = session.program.packs[0]
     override = np.full(session.graph.shape(source), 0.5, dtype=np.float32)
-    return {**inputs, source: override}, source, None, {
-        "strict": f"unknown input tensor {source!r}; this model takes "
-                  f"{sorted(inputs)}",
-        "lenient": "ok"}
+    return {**inputs, source: override}, source, (
+        f"unknown input tensor {source!r}; this model takes "
+        f"{sorted(inputs)}"), {}
 
 
 CASES = [unknown_name, missing_input, empty_request, wrong_shape,
@@ -152,34 +152,21 @@ CASES = [unknown_name, missing_input, empty_request, wrong_shape,
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__)
 def test_admission_table(case, door, compiled):
-    admit, strict = door
     session = compiled.session
     good = session.make_inputs(seed=1)
     bad, named, body, differs = case(good, session)
     regime = "symbolic" if session.symbolic is not None else "concrete"
-    body = differs.get("strict" if strict else "lenient",
-                       differs.get(regime, body))
-    if body == "ok":
-        values = admit(bad)
-        for name, value in good.items():
-            assert values[name] is value
-        assert "not_a_tensor" not in values
-        if named in session.program.pack_of:  # the override, re-packed
-            packed = session.program.pack_of[named]
-            assert values[named] is bad[named]
-            assert values[packed].tobytes() == pack(bad[named]).tobytes()
-            assert values[packed] is not session._params[packed]
-        return
+    body = differs.get(regime, body)
+    recorded = session.stats.requests
     with pytest.raises(AdmissionError) as raised:
-        admit(bad)
+        door(bad)
+    assert session.stats.requests == recorded
     err = raised.value
     assert isinstance(err, ValueError)
     assert err.model == "two-input"
-    assert err.request_id == (RID if strict else None)
+    assert err.request_id == RID
     assert repr(named) in str(err)
-    if not strict:
-        assert str(err) == body
-    elif case is empty_request:
+    if case is empty_request:
         assert str(err) == f"request {RID!r} {body}"
     else:
         assert str(err) == f"request {RID!r}: {body}"
@@ -191,13 +178,12 @@ def test_anonymous_strict_request_is_named_generically(compiled):
     assert err.value.request_id is None
 
 
-def test_admitted_request_is_merged_over_the_parameters(door, compiled):
-    admit, _strict = door
+def test_admitted_request_is_merged_over_the_parameters(compiled):
     session = compiled.session
     inputs = session.make_inputs(seed=2)
     if session.symbolic is not None:
         inputs = {name: grown(value, 3) for name, value in inputs.items()}
-    values = admit(inputs)
+    values = compiled.admit(InferenceRequest(inputs=inputs, request_id=RID))
     assert set(values) == set(session._params) | set(inputs)
     for name, value in inputs.items():
         assert values[name] is value

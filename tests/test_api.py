@@ -106,10 +106,6 @@ class TestStrictAdmission:
         with pytest.raises(ValueError, match="empty batch"):
             model.run_batch([])
 
-    def test_session_empty_batch_rejected(self, model):
-        with pytest.raises(ValueError, match="empty batch"):
-            model.session.run_batch([])
-
     def test_submit_rejects_before_queueing(self):
         service = serve(_smoke("ViT"))
         try:

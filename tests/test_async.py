@@ -19,6 +19,8 @@ from repro.models import build_smoke
 from repro.runtime import FaultPlan
 from repro.runtime.session import _compile_session
 
+from front_door import serve_one
+
 NO_FAULTS = FaultPlan()
 
 
@@ -34,7 +36,7 @@ def make_burst(count):
     session = _compile_session(build_smoke("Pythia"), "Ours",
                                faults=NO_FAULTS)
     inputs = [session.make_inputs(seed=seed) for seed in range(count)]
-    expected = [session.run(dict(values)) for values in inputs]
+    expected = [serve_one(session, dict(values)) for values in inputs]
     return inputs, expected
 
 

@@ -26,7 +26,9 @@ from repro.runtime import get_backend, lower
 from repro.runtime.batching import (
     NotStackable, analyze, bucket, mark_unstackable, rebatch, symbolize,
 )
-from repro.runtime.session import _compile_session
+from repro.runtime.session import _admit, _compile_session
+
+from front_door import serve_batch, serve_one
 
 BACKENDS = ("numpy", "codegen")
 STACKED_MODELS = ("Pythia", "SD-TextEncoder")
@@ -89,8 +91,8 @@ class TestZooParity:
         stackable = analyze(program).stackable
         # three requests: a non-power-of-two batch runs at its exact size
         inputs = [session.make_inputs(seed=s) for s in range(3)]
-        solo = [session.run(dict(i)) for i in inputs]
-        outs = session.run_batch([dict(i) for i in inputs])
+        solo = [serve_one(session, dict(i)) for i in inputs]
+        outs = serve_batch(session, [dict(i) for i in inputs])
         stats = list(session.stats.runs)[-3:]
         assert [s.batched for s in stats] == [stackable] * 3
         for got, want in zip(outs, solo):
@@ -102,7 +104,7 @@ class TestZooParity:
         # the stacked pass must also match the sequential run_many path
         # (the explicit fallback both paths share)
         seq = get_backend(backend).run_many(
-            program, [session._admit(dict(i)) for i in inputs])
+            program, [_admit(session, dict(i)) for i in inputs])
         for got, (want, _, _) in zip(outs, seq):
             _assert_same_outputs(got, want, f"{name}/{backend}/seq")
         # shared attribution: the pass reports its variant's static plan
@@ -145,9 +147,9 @@ class TestExactSizeBatches:
         calls = _row_spy(monkeypatch, session)
         for n in (3, 5):  # buckets 4 and 8: nothing is padded
             inputs = [session.make_inputs(seed=100 + s) for s in range(n)]
-            solo = [session.run(dict(i)) for i in inputs]
+            solo = [serve_one(session, dict(i)) for i in inputs]
             calls.clear()
-            outs = session.run_batch([dict(i) for i in inputs])
+            outs = serve_batch(session, [dict(i) for i in inputs])
             assert session.stats.runs[-1].batched
             # one pass of the bucket's stacked variant over n*B rows
             assert calls == [(rebatch(program, bucket(n)), [n * B])]
@@ -163,7 +165,7 @@ class TestOneKernelPass:
         session = _compile_session(_mini_stackable(), "Ours",
                                    faults=FaultPlan())
         calls = _row_spy(monkeypatch, session)
-        session.run_batch([session.make_inputs(seed=s) for s in range(3)])
+        serve_batch(session, [session.make_inputs(seed=s) for s in range(3)])
         # one invocation, one stacked values dict of 3 rows through the
         # bucket-4 variant: each program step ran its kernel exactly once
         assert calls == [(rebatch(session.program, 4), [3])]
@@ -241,8 +243,8 @@ class TestNonStackableFallback:
             rebatch(program, 2)
         session = _compile_session(graph, "Ours")
         inputs = [session.make_inputs(seed=s) for s in range(3)]
-        solo = [session.run(dict(i)) for i in inputs]
-        outs = session.run_batch([dict(i) for i in inputs])
+        solo = [serve_one(session, dict(i)) for i in inputs]
+        outs = serve_batch(session, [dict(i) for i in inputs])
         assert not session.stats.runs[-1].batched
         for got, want in zip(outs, solo):
             _assert_same_outputs(got, want, label)
@@ -261,21 +263,10 @@ class TestNonStackableFallback:
         mark_unstackable(program, "test demotion")
         assert not analyze(program).stackable
         assert analyze(program).reason == "test demotion"
-        outs = session.run_batch(
-            [session.make_inputs(seed=s) for s in range(2)])
+        outs = serve_batch(
+            session, [session.make_inputs(seed=s) for s in range(2)])
         assert len(outs) == 2
         assert not session.stats.runs[-1].batched
-
-    def test_per_request_parameter_override_goes_sequential(self):
-        session = _compile_session(_mini_stackable(), "Ours")
-        param = next(iter(session._params))
-        a = session.make_inputs(seed=0)
-        b_inputs = session.make_inputs(seed=1)
-        b_inputs[param] = session._params[param] + 1.0
-        solo_b = session.run(dict(b_inputs))
-        outs = session.run_batch([dict(a), dict(b_inputs)])
-        assert not session.stats.runs[-1].batched  # params differ per request
-        _assert_same_outputs(outs[1], solo_b, "override")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +290,7 @@ class TestStackedStats:
 
     def test_solo_requests_stay_unbatched(self):
         session = _compile_session(_mini_stackable(), "Ours")
-        session.run(session.make_inputs(seed=0))
+        serve_one(session, session.make_inputs(seed=0))
         assert not session.stats.runs[-1].batched
 
 
@@ -319,7 +310,7 @@ class TestStackedReliability:
         futures = {}
         for rid in ("ok-1", "bad", "ok-2"):
             inputs = compiled.session.make_inputs(seed=hash(rid) % 100)
-            reference[rid] = compiled.session.run(dict(inputs))
+            reference[rid] = compiled.run(dict(inputs)).outputs
             futures[rid] = service.submit(
                 InferenceRequest(inputs=inputs, request_id=rid))
         service._execute(service._next_batch())
@@ -359,6 +350,5 @@ class TestStackedReliability:
         assert all(r.stats.batched for r in responses)
         reference = compile_private(_smoke("Pythia"), CompileOptions())
         for seed, response in enumerate(responses):
-            want = reference.session.run(
-                reference.session.make_inputs(seed=seed))
+            want = reference.run(reference.make_request(seed=seed)).outputs
             _assert_same_outputs(response.outputs, want, f"seed={seed}")

@@ -27,6 +27,8 @@ from repro.runtime import (
 from repro.runtime.kernels import get_kernel
 from repro.runtime.session import _compile_session
 
+from front_door import serve_one
+
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
@@ -179,8 +181,8 @@ class TestCodegenPlumbing:
         assert session.backend == "codegen"
         reference = _compile_session(attention_graph, "Ours")
         inputs = session.make_inputs(seed=3)
-        out = session.run(dict(inputs))
-        ref = reference.run(dict(inputs))
+        out = serve_one(session, dict(inputs))
+        ref = serve_one(reference, dict(inputs))
         for key in ref:
             assert np.array_equal(out[key], ref[key]), key
         # every request reports the program's static slot-plan report

@@ -33,6 +33,8 @@ from repro.runtime.session import (
     _compile_session, circuit_breaker, stable_model_key,
 )
 
+from front_door import serve_batch, serve_one
+
 BACKENDS = ("numpy", "codegen")
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -87,7 +89,7 @@ class TestContentKey:
         assert second is not first
         assert second.stats is not first.stats
         inputs = first.make_inputs(seed=3)
-        _same(second.run(dict(inputs)), first.run(dict(inputs)))
+        _same(serve_one(second, dict(inputs)), serve_one(first, dict(inputs)))
         assert first.stats.requests == second.stats.requests == 1
 
     def test_one_key_function_for_harness_and_registry(self):
@@ -125,7 +127,7 @@ class TestContentKey:
             raise AssertionError("cost model ran on the request path")
 
         monkeypatch.setattr(type(session._cell.result), "cost", refuse)
-        session.run(session.make_inputs(seed=0))
+        serve_one(session, session.make_inputs(seed=0))
         assert session.stats.runs[-1].est_latency_ms \
             == session._cell.report.latency_ms
 
@@ -160,8 +162,8 @@ class TestBoundedLRU:
         assert capacity >= 64
         model = compile_private(_mini(8), CompileOptions(backend="codegen"))
         session = model.session
-        session.run(session.make_inputs(seed=0))
-        session.run_batch([session.make_inputs(seed=s) for s in range(3)])
+        serve_one(session, session.make_inputs(seed=0))
+        serve_batch(session, [session.make_inputs(seed=s) for s in range(3)])
         variant = rebatch(session.program, 4)
         modules = [owner.backend_cache["codegen.module"]
                    for owner in (session.program, variant)

@@ -29,7 +29,9 @@ from repro.runtime import batching, codegen_backend
 from repro.runtime.batching import rebatch
 from repro.runtime.codegen_backend import emission_count
 from repro.runtime.faults import FaultInjector
-from repro.runtime.session import _compile_session
+from repro.runtime.session import _admit, _compile_session
+
+from front_door import serve_one
 
 #: The ``kernel_open`` model: kernel-bound, heavy from 9 stacked requests.
 CONFORMER_MEDIUM = dict(frames=64, mels=80, dim=96, depth=2, heads=4)
@@ -56,7 +58,7 @@ def _executor_threads():
 def _solo(graph, requests):
     """Each request's outputs from a solo numpy run."""
     reference = compile_private(graph, CompileOptions()).session
-    return [reference.run(dict(r.inputs)) for r in requests]
+    return [serve_one(reference, dict(r.inputs)) for r in requests]
 
 
 def _assert_bytes_equal(got, want, label):
@@ -334,7 +336,8 @@ class TestThreadSafety:
 
         def serve():
             for _ in range(200):
-                session._serve([dict(inputs)], session._admit)
+                session._serve([dict(inputs)],
+                               lambda values: _admit(session, values))
 
         _race(serve)
         assert session.stats.requests == 400

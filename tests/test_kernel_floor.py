@@ -28,6 +28,8 @@ from repro.runtime.kernels import (
     conv2d_reference, get_kernel, layout_convert_elided,
 )
 from repro.runtime.session import _compile_session, circuit_breaker
+
+from front_door import serve_batch, serve_one
 from repro.runtime.traffic import FAMILIES, family, roofline_summary
 
 # ---------------------------------------------------------------------------
@@ -440,10 +442,10 @@ class TestChunkedConv:
         graph = build("Conformer", **CONFORMER_MEDIUM)
         session = _compile_session(graph, "Ours", faults=FaultPlan())
         batch = [session.make_inputs(seed=s) for s in range(n)]
-        outputs = session.run_batch([dict(b) for b in batch])
+        outputs = serve_batch(session, [dict(b) for b in batch])
         assert all(run.batched for run in list(session.stats.runs)[-n:])
         for inputs, got in zip(batch, outputs):
-            want = session.run(dict(inputs))
+            want = serve_one(session, dict(inputs))
             for key in want:
                 assert got[key].tobytes() == want[key].tobytes(), key
 
@@ -536,10 +538,10 @@ class TestStackedParity:
         reference = _compile_session(graph, "Ours", backend="numpy")
         assert analyze(session.program).stackable
         batch = [session.make_inputs(seed=s) for s in (1, 2, 3, 4)]
-        outputs = session.run_batch([dict(b) for b in batch])
+        outputs = serve_batch(session, [dict(b) for b in batch])
         assert all(run.batched for run in session.stats.runs)
         for inputs, out in zip(batch, outputs):
-            ref = reference.run(dict(inputs))
+            ref = serve_one(reference, dict(inputs))
             for key in ref:
                 assert np.array_equal(out[key], ref[key]), key
 
@@ -580,8 +582,8 @@ class TestChaosDegradation:
             try:
                 for seed in (0, 1, 2):
                     inputs = chaotic.make_inputs(seed=seed)
-                    out = chaotic.run(dict(inputs))
-                    ref = clean.run(dict(inputs))
+                    out = serve_one(chaotic, dict(inputs))
+                    ref = serve_one(clean, dict(inputs))
                     for key in ref:
                         assert np.array_equal(out[key], ref[key]), key
             finally:

@@ -36,6 +36,8 @@ from repro.runtime.kernels import (
 from repro.runtime.program import ExecutionProgram
 from repro.runtime.session import _compile_session, circuit_breaker
 
+from front_door import serve_batch, serve_one
+
 NO_FAULTS = FaultPlan()  # explicit empty plan: overrides ambient chaos
 DTYPES = (np.float32, np.float16)
 CONFORMER_MEDIUM = dict(frames=64, mels=80, dim=96, depth=2, heads=4)
@@ -272,10 +274,10 @@ class TestVariantOwnership:
         # the relu after it owns a batched value: still in place
         assert variant.steps[add + 1].owned == 0
         batch = [session.make_inputs(seed=s) for s in (1, 2, 3)]
-        stacked = session.run_batch([dict(values) for values in batch])
+        stacked = serve_batch(session, [dict(values) for values in batch])
         assert all(run.batched for run in session.stats.runs)
         for values, got in zip(batch, stacked):
-            want = session.run(dict(values))
+            want = serve_one(session, dict(values))
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes()
 
@@ -292,11 +294,12 @@ class TestVariantOwnership:
         for extent in range(1, 5):
             concrete = _compile_session(_broadcast_graph(extent), "Ours",
                                         backend=backend, faults=NO_FAULTS)
-            # parameters are seeded by graph content: share one set
-            values = {**concrete.make_inputs(seed=extent),
-                      **session._params}
-            want = concrete.run(dict(values))
-            got = session.run(dict(values))
+            inputs = concrete.make_inputs(seed=extent)
+            # parameters are seeded by graph content: the reference
+            # reads the symbolic session's own
+            want = concrete.execute_values(
+                [{**session._params, **inputs}])[0][0][0]
+            got = serve_one(session, dict(inputs))
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes()
 
@@ -360,8 +363,8 @@ def test_degraded_codegen_replays_in_place_byte_identically(name, plan):
                                faults=plan)
     try:
         batch = [chaotic.make_inputs(seed=s) for s in range(3)]
-        outputs = [chaotic.run(dict(values)) for values in batch]
-        outputs += chaotic.run_batch([dict(values) for values in batch])
+        outputs = [serve_one(chaotic, dict(values)) for values in batch]
+        outputs += serve_batch(chaotic, [dict(values) for values in batch])
         backends = [run.backend for run in chaotic.stats.runs]
         if plan is not None:
             # the first request wrote in place on codegen; every later
@@ -369,7 +372,7 @@ def test_degraded_codegen_replays_in_place_byte_identically(name, plan):
             assert backends[0] == "codegen"
             assert set(backends[1:]) == {"numpy"}
         for values, got in zip(batch + batch, outputs):
-            want = clean.run(dict(values))
+            want = serve_one(clean, dict(values))
             for key in want:
                 assert got[key].tobytes() == want[key].tobytes(), key
     finally:

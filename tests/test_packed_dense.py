@@ -3,8 +3,9 @@
 ``lower()`` binds a ``dense`` whose weight is a parameter to its
 ``(K, N)``-contiguous GEMM operand, the compiled cell materialises that
 operand once, and every other way of executing a ``dense`` - the graph
-interpreter, ``executor.execute``, a request overriding the weight -
-packs per call through the same :func:`repro.runtime.kernels.pack`.
+interpreter, ``executor.execute`` - packs per call through the same
+:func:`repro.runtime.kernels.pack`.  A request never supplies a weight:
+admission refuses anything but the declared inputs.
 BLAS's no-transpose and transposed-operand GEMMs differ in the last
 float bits, so the contract is byte-identity across *routes* (which all
 read the packed layout), never against a transposed view.
@@ -12,6 +13,7 @@ read the packed layout), never against a transposed view.
 
 import gc
 import logging
+import re
 import time
 import weakref
 
@@ -29,7 +31,9 @@ from repro.runtime.batching import analyze, rebatch, symbolize
 from repro.runtime.executor import make_params, run_node
 from repro.runtime.kernels import dense_packed, pack
 from repro.runtime.parallel_backend import parallel_supported
-from repro.runtime.session import _compile_session, circuit_breaker
+from repro.runtime.session import _admit, _compile_session, circuit_breaker
+
+from front_door import serve_batch, serve_one
 
 NO_FAULTS = FaultPlan()  # explicit empty plan: overrides ambient chaos
 
@@ -216,11 +220,12 @@ class TestLowering:
         params = make_params(graph)
         assert {packed, source} <= set(params)
         assert np.array_equal(params[packed], params[source].T)
-        # an override reaches both readers
+        # both readers read the cell's weight
         session = _compile_session(_tied(), "Ours", faults=NO_FAULTS)
-        values = {**source_params(session.graph), **session.make_inputs(1)}
-        values[source] = values[source] * 2
-        same(session.run(values), execute(session.graph, values))
+        request = session.make_inputs(1)
+        same(serve_one(session, request),
+             execute(session.graph, {**source_params(session.graph),
+                                     **request}))
 
     def test_variants_share_the_base_programs_packs(self):
         program = lower(_shared())
@@ -256,8 +261,8 @@ class TestCellParameters:
             logging.getLogger("repro.runtime.session"), "disabled", True)
         monkeypatch.setattr(harness, "GRAPH_CACHE_CAPACITY", 2)
         session = _compile_session(_shared(), "Ours", backend="codegen")
-        session.run(session.make_inputs(seed=0))
-        session.run_batch([session.make_inputs(seed=s) for s in range(4)])
+        serve_one(session, session.make_inputs(seed=0))
+        serve_batch(session, [session.make_inputs(seed=s) for s in range(4)])
         refs = [weakref.ref(session._params[packed])
                 for packed, _, _ in session.program.packs]
         assert refs
@@ -292,32 +297,19 @@ class TestRouteMatrix:
         requests = [session.make_inputs(seed=s) for s in range(max(sizes))]
 
         # cell params: the reference route
-        want = [session.run(dict(r)) for r in requests]
+        want = [serve_one(session, dict(r)) for r in requests]
 
         # un-lowered and source-keyed routes pack per call
-        sources = source_params(graph)
-        full = {**sources, **requests[0]}
+        full = {**source_params(graph), **requests[0]}
         same(execute(graph, full), want[0], "executor.execute")
         values = dict(full)
         for node in graph.topo_order():
             run_node(graph, node, values)
         same({k: values[k] for k in graph.outputs}, want[0], "run_node")
 
-        # a request overriding a packed weight: a writable array,
-        # mutated between two requests - the pack is never stale
-        _, source, _ = program.packs[-1]
-        override = sources[source].copy()
-        request = {**requests[0], source: override}
-        same(session.run(dict(request)), want[0], "override")
-        override *= 0.5
-        moved = session.run(dict(request))
-        same(moved, execute(graph, {**full, source: override}), "mutated")
-        assert any(moved[k].tobytes() != want[0][k].tobytes() for k in moved)
-        same(session.run(dict(requests[0])), want[0], "after the override")
-
         # stacked == solo
         for size in sizes:
-            outs = session.run_batch([dict(r) for r in requests[:size]])
+            outs = serve_batch(session, [dict(r) for r in requests[:size]])
             assert session.stats.runs[-1].batched == stackable
             for got, ref in zip(outs, want):
                 same(got, ref, f"stacked batch-{size}")
@@ -325,8 +317,8 @@ class TestRouteMatrix:
         # codegen == numpy
         codegen = session_of(name, backend="codegen")
         assert codegen._params is session._params
-        same(codegen.run(dict(requests[0])), want[0], "codegen solo")
-        outs = codegen.run_batch([dict(r) for r in requests[:sizes[-1]]])
+        same(serve_one(codegen, dict(requests[0])), want[0], "codegen solo")
+        outs = serve_batch(codegen, [dict(r) for r in requests[:sizes[-1]]])
         for got, ref in zip(outs, want):
             same(got, ref, "codegen stacked")
 
@@ -339,10 +331,12 @@ class TestRouteMatrix:
                     for t in graph.inputs})
             concrete = _compile_session(graph_of(name, batch=2), "Ours",
                                         faults=NO_FAULTS)
-            admitted = concrete._admit(concrete.make_inputs(seed=5))
-            ref = concrete.execute_values([dict(admitted)])[0][0][0]
+            inputs = concrete.make_inputs(seed=5)
             got = symbolic.execute_values(
-                [symbolic._admit(admitted)])[0][0][0]
+                [_admit(symbolic, inputs)])[0][0][0]
+            # the reference reads the symbolic session's own weights
+            ref = concrete.execute_values(
+                [{**symbolic._params, **inputs}])[0][0][0]
             same(got, ref, "symbolic")
 
         # parallel == in-process
@@ -350,8 +344,8 @@ class TestRouteMatrix:
             parallel = session_of(name, backend="parallel", workers=2)
             parallel.parallel_capacity = sizes[-1]
             try:
-                outs = parallel.run_batch(
-                    [dict(r) for r in requests[:sizes[-1]]])
+                outs = serve_batch(
+                    parallel, [dict(r) for r in requests[:sizes[-1]]])
                 assert parallel._parallel_pool is not None
             finally:
                 parallel.close()
@@ -367,64 +361,32 @@ class TestRouteMatrix:
         assert head.out_names == ("dense_78",) and head.kernel is dense_packed
         rows = session.graph.shape(head.arg_names[0])[:-1]
         assert int(np.prod(rows)) == 1
-        full = make_inputs(session.graph, seed=0)
-        want = execute(session.graph, full)
-        same(session.run(session.make_inputs(seed=0)), want, "cell params")
-        same(session.run(full), want, "every weight overridden")
-        same(session_of("ViT", backend="codegen").run(full), want, "codegen")
+        want = execute(session.graph, make_inputs(session.graph, seed=0))
+        request = session.make_inputs(seed=0)
+        same(serve_one(session, request), want, "cell params")
+        same(serve_one(session_of("ViT", backend="codegen"), request), want,
+             "codegen")
 
 
 # ---------------------------------------------------------------------------
-# overrides demote, packs are computed once
+# overrides are refused, packs are computed once
 # ---------------------------------------------------------------------------
 
 
 class TestOverridesAndCounts:
-    def test_an_overriding_request_demotes_its_micro_batch(self):
-        session = session_of("Pythia")
-        _, source, _ = session.program.packs[0]
-        plain = [session.make_inputs(seed=s) for s in range(3)]
-        session.run_batch([dict(r) for r in plain])
-        assert session.stats.runs[-1].batched
-        override = source_params(session.graph)[source] + 1.0
-        mixed = [dict(plain[0]), {**plain[1], source: override},
-                 dict(plain[2])]
-        solo = [session.run(dict(r)) for r in mixed]
-        outs = session.run_batch([dict(r) for r in mixed])
-        assert not session.stats.runs[-1].batched
-        for got, ref in zip(outs, solo):
-            same(got, ref, "sequential route")
-
-    @pytest.mark.skipif(not parallel_supported(),
-                        reason="fork start method unavailable")
-    def test_an_overriding_request_stays_in_process_on_parallel(self):
-        session = session_of("Pythia", backend="parallel", workers=2)
-        try:
-            _, source, _ = session.program.packs[0]
-            plain = [session.make_inputs(seed=s) for s in range(2)]
-            override = source_params(session.graph)[source] + 1.0
-            mixed = [dict(plain[0]), {**plain[1], source: override}]
-            pool = session.ensure_parallel_pool()
-            assert pool.run([session._admit(r) for r in plain]) is not None
-            assert pool.run([session._admit(r) for r in mixed]) is None
-            reference = session_of("Pythia")
-            for got, request in zip(session.run_batch(mixed), mixed):
-                same(got, reference.run(dict(request)), "in-process route")
-        finally:
-            session.close()
-
-    def test_a_packed_operand_is_admitted_as_it_is(self):
+    def test_a_packed_operand_is_refused_at_admission(self):
         first = session_of("Pythia")
-        admitted = first._admit(first.make_inputs(seed=2))
+        admitted = _admit(first, first.make_inputs(seed=2))
         clear_cell_cache()
         second = session_of("Pythia")
         assert second._params is not first._params
-        again = second._admit(admitted)
+        request = second.make_inputs(seed=2)
+        again = _admit(second, request)
         for packed, _, _ in second.program.packs:
-            assert again[packed] is admitted[packed]
-        wrong = {**admitted, packed: admitted[packed].T}
-        with pytest.raises(ValueError, match="packed weight"):
-            second._admit(wrong)
+            assert again[packed] is second._params[packed]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown input tensor {packed!r}")):
+                _admit(second, {**request, packed: admitted[packed]})
 
     def test_each_weight_is_packed_once_per_cell(self, monkeypatch):
         packed_shapes = []
@@ -447,12 +409,12 @@ class TestOverridesAndCounts:
         try:
             for session in sessions:
                 requests = [session.make_inputs(seed=s) for s in range(16)]
-                session.run(dict(requests[0]))
-                session.run_batch([dict(r) for r in requests[:4]])
-                session.run_batch([dict(r) for r in requests])
+                serve_one(session, dict(requests[0]))
+                serve_batch(session, [dict(r) for r in requests[:4]])
+                serve_batch(session, [dict(r) for r in requests])
             wide = {name: np.resize(value, (3,) + value.shape[1:])
                     for name, value in requests[0].items()}
-            sessions[-1].run(wide)
+            serve_one(sessions[-1], wide)
         finally:
             for session in sessions:
                 session.close()
@@ -482,7 +444,7 @@ def test_dense_steps_cost_what_their_gemms_cost():
     rest is the bias add and one closure call per step)."""
     session = session_of(MEDIUM)
     program = session.program
-    values = session._admit(session.make_inputs())
+    values = _admit(session, session.make_inputs())
     step_s = bare_s = 0.0
     for step, (execute, drops) in zip(program.steps, program.op_list):
         execute(values)

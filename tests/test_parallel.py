@@ -18,7 +18,9 @@ from repro.models import build_smoke
 from repro.runtime import FaultPlan, FaultRule, active_segments
 from repro.runtime import parallel_backend as pb
 from repro.runtime.parallel_backend import parallel_supported
-from repro.runtime.session import _compile_session
+from repro.runtime.session import _admit, _compile_session
+
+from front_door import serve_one
 
 pytestmark = pytest.mark.skipif(
     not parallel_supported(), reason="fork start method unavailable")
@@ -29,7 +31,7 @@ NO_FAULTS = FaultPlan()  # explicit empty plan: overrides ambient chaos
 def reference_outputs(graph, count):
     session = _compile_session(graph, "Ours", faults=NO_FAULTS)
     inputs = [session.make_inputs(seed=seed) for seed in range(count)]
-    return inputs, [session.run(dict(values)) for values in inputs]
+    return inputs, [serve_one(session, dict(values)) for values in inputs]
 
 
 def assert_byte_identical(responses, expected):
@@ -108,7 +110,7 @@ class TestParallelParity:
         session = _compile_session(
             graph, "Ours", backend="parallel", workers=2, faults=NO_FAULTS)
         try:
-            outputs = session.run(dict(inputs[0]))
+            outputs = serve_one(session, dict(inputs[0]))
             for key, value in expected[0].items():
                 assert outputs[key].tobytes() == value.tobytes()
         finally:
@@ -125,7 +127,7 @@ class TestParallelParity:
         try:
             assert session.ensure_parallel_pool() is None
             results, backend_name, _ = session.execute_values(
-                [session._admit(dict(values)) for values in inputs])
+                [_admit(session, dict(values)) for values in inputs])
             for (outputs, _report, _wall), want in zip(results, expected):
                 for key, value in want.items():
                     assert outputs[key].tobytes() == value.tobytes()
@@ -196,12 +198,12 @@ class TestShmCleanup:
         session = _compile_session(
             graph, "Ours", backend="parallel", workers=1, faults=NO_FAULTS)
         inputs = session.make_inputs(seed=0)
-        first = session.run(dict(inputs))
+        first = serve_one(session, dict(inputs))
         session.close()
         session.close()
         assert not active_segments()
         # The session stays usable: the pool is recreated on demand.
-        again = session.run(dict(inputs))
+        again = serve_one(session, dict(inputs))
         for key, value in first.items():
             assert again[key].tobytes() == value.tobytes()
         session.close()
@@ -231,7 +233,7 @@ class TestSharding:
             faults=FaultPlan(rules=(
                 FaultRule(kind="worker_crash", probability=1.0, times=1),)))
         try:
-            session.run(dict(session.make_inputs(seed=0)))
+            serve_one(session, dict(session.make_inputs(seed=0)))
             assert session.parallel_restarts == 1
         finally:
             session.close()

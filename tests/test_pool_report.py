@@ -20,7 +20,7 @@ from repro.api import CompileOptions, compile_private
 from repro.models import build_smoke
 from repro.runtime import FaultPlan, parallel_supported
 from repro.runtime.batching import bucket, rebatch, symbolize
-from repro.runtime.session import _compile_session
+from repro.runtime.session import _admit, _compile_session
 
 BACKENDS = ("numpy", "codegen")
 ROUTES = ("solo", "stacked", "symbolic")
@@ -49,7 +49,7 @@ def route(session, kind):
         seeds, extent = [0], OFF_BASE_EXTENT
         serving = symbolize(program,
                             session.symbolic.factor(OFF_BASE_EXTENT))
-    requests = [session._admit({
+    requests = [_admit(session, {
         name: np.resize(value, (extent,) + value.shape[1:])
         for name, value in session.make_inputs(seed=seed).items()})
         for seed in seeds]
@@ -91,9 +91,10 @@ class TestStaticPoolReport:
         program = session.program
         # A wrong-shaped packed weight past the midpoint: admission never
         # sees it, the dense step reading it raises mid-graph.
+        packs = {p for p, _, _ in program.packs}
         packed = next(
             name for step in program.steps[program.num_steps // 2:]
-            for name in step.arg_names if name in program.source_of)
+            for name in step.arg_names if name in packs)
         poison = np.zeros((3, 3), np.float32)
         with pytest.raises(ValueError):
             session.execute_values(

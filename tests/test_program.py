@@ -1,6 +1,8 @@
 """Tests for the lowered ExecutionProgram + pluggable backend layer."""
 
 import hashlib
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -10,7 +12,7 @@ from repro.baselines import make_framework
 from repro.core import smartmem_optimize
 from repro.ir.tensor import TensorSpec
 from repro.memory.pool import liveness_schedule
-from repro.models import SMOKE_CONFIGS, build
+from repro.models import SMOKE_CONFIGS, build, build_smoke
 from repro.runtime import (
     SD8GEN2, ExecutionBackend, ExecutionProgram, NumPyBackend,
     available_backends, execute, get_backend, lower, make_inputs,
@@ -227,6 +229,32 @@ class TestLowering:
         attention_graph.add_tensor(TensorSpec("scratch", (1,)))
         b = lower(attention_graph)
         assert b is not a
+
+    def test_two_threads_lowering_one_graph_share_one_program(self):
+        # One lowering per graph generation even under a race: two
+        # programs would mean two ``backend_cache``s, and a demotion
+        # recorded on one would go unseen through the other.
+        graph = build_smoke("Conformer")
+        barrier = threading.Barrier(2)
+        got = [None, None]
+
+        def lower_at_once(index):
+            barrier.wait()
+            got[index] = lower(graph)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-lowering
+        try:
+            threads = [threading.Thread(target=lower_at_once, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0] is not None
+        assert got[0] is got[1]
 
     def test_optimize_result_carries_program(self, attention_graph):
         result = smartmem_optimize(attention_graph)

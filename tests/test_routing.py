@@ -13,7 +13,7 @@ from repro.runtime import (
     ExecutionBackend, FaultPlan, get_backend, register_backend,
 )
 from repro.runtime.program import BACKEND_REGISTRY, _BACKEND_INSTANCES
-from repro.runtime.session import _compile_session
+from repro.runtime.session import _admit, _compile_session
 
 
 class Spy(ExecutionBackend):
@@ -74,7 +74,7 @@ def session_of(**kwargs):
 
 def admitted(session, extents):
     base = session.make_inputs(seed=0)
-    return [session._admit({
+    return [_admit(session, {
         name: np.resize(value, (extent,) + value.shape[1:])
         for name, value in base.items()}) for extent in extents]
 

@@ -1,5 +1,7 @@
 """Tests for the compile-once/run-many Session/SessionRegistry layer."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,9 @@ from repro.models import ALL_MODELS, SMOKE_CONFIGS as SMALL_CONFIGS, build
 from repro.runtime import (
     SD8GEN2, Session, SessionRegistry, execute, make_inputs,
 )
+from repro.runtime.session import _admit
+
+from front_door import serve_batch, serve_one
 
 
 def fresh_session(model, framework="Ours", device=SD8GEN2, **options):
@@ -33,12 +38,11 @@ class TestEveryRegistryModel:
     def test_run_many_matches_reference(self, name):
         g, session, inputs = _session_and_reference(name)
         ref = execute(g, inputs)
+        request = {k: inputs[k] for k in g.inputs}
         # byte-identical to executing the compiled graph directly
-        compiled_ref = execute(
-            session.graph,
-            {k: v for k, v in inputs.items() if k in session.graph.tensors})
-        out1 = session.run(inputs)
-        out2 = session.run(inputs)
+        compiled_ref = execute(session.graph, {**session._params, **request})
+        out1 = serve_one(session, request)
+        out2 = serve_one(session, request)
         assert list(out1) == list(ref)
         for key in ref:
             assert np.array_equal(out1[key], compiled_ref[key]), key
@@ -55,7 +59,7 @@ class TestSessionAccounting:
     def test_per_request_stats(self, vit_session):
         g, session = vit_session
         start = session.stats.requests
-        session.run(session.make_inputs(seed=3))
+        serve_one(session, session.make_inputs(seed=3))
         stats = session.stats.runs[-1]
         assert session.stats.requests == start + 1
         assert stats.wall_s > 0
@@ -67,8 +71,8 @@ class TestSessionAccounting:
     def test_run_batch(self, vit_session):
         g, session = vit_session
         start = session.stats.requests
-        batch = [make_inputs(g, seed=s) for s in range(3)]
-        outs = session.run_batch(batch)
+        batch = [session.make_inputs(seed=s) for s in range(3)]
+        outs = serve_batch(session, batch)
         assert len(outs) == 3
         assert session.stats.requests == start + 3
         # different seeds produce different outputs
@@ -77,15 +81,19 @@ class TestSessionAccounting:
 
     def test_seeded_run_without_inputs(self, vit_session):
         _, session = vit_session
-        a = session.run(seed=11)
-        b = session.run(seed=11)
+        a = serve_one(session, session.make_inputs(seed=11))
+        b = serve_one(session, session.make_inputs(seed=11))
         for key in a:
             assert np.array_equal(a[key], b[key])
 
-    def test_inputs_and_seed_together_rejected(self, vit_session):
-        _, session = vit_session
-        with pytest.raises(ValueError, match="not both"):
-            session.run(session.make_inputs(), seed=3)
+    def test_one_admission_door(self):
+        """A session serves only through the front doors, and admission
+        takes the session, the request's inputs and its id - nothing
+        else."""
+        for gone in ("run", "run_batch", "_admit"):
+            assert not hasattr(Session, gone), gone
+        assert list(inspect.signature(_admit).parameters) == [
+            "session", "inputs", "request_id"]
 
     def test_failed_run_records_nothing(self, vit_session):
         """A refused request records nothing, and the session keeps
@@ -97,9 +105,9 @@ class TestSessionAccounting:
         bad[name] = bad[name][..., :-1]  # wrong shape
         requests_before = session.stats.requests
         with pytest.raises(Exception):
-            session.run(bad)
+            serve_one(session, bad)
         assert session.stats.requests == requests_before
-        out = session.run(inputs)  # session still serves correctly
+        out = serve_one(session, inputs)  # session still serves correctly
         assert out
 
     def test_graph_model_batch_rejected(self):
@@ -128,7 +136,7 @@ class TestInputValidation:
         inputs[name] = inputs[name][..., :-1]
         requests = session.stats.requests
         with pytest.raises(ValueError):
-            session.run(inputs)
+            serve_one(session, inputs)
         assert session.stats.requests == requests
 
 
@@ -220,7 +228,7 @@ class TestProgramPlumbing:
             return original(program, values_list)
 
         monkeypatch.setattr(session._backend, "run_many", counting_run_many)
-        session.run_batch([session.make_inputs(seed=s) for s in range(3)])
+        serve_batch(session, [session.make_inputs(seed=s) for s in range(3)])
         # One backend invocation for the whole batch: the sequential
         # path passes all 3 value dicts at once, the stacked path passes
         # 1 concatenated dict through the bucket's stacked variant.
@@ -259,7 +267,7 @@ class TestCompileOnce:
         session = fresh_session(g, "DNNF")
         inputs = make_inputs(g)
         ref = execute(g, inputs)
-        out = session.run(inputs)
+        out = serve_one(session, {k: inputs[k] for k in g.inputs})
         for key in ref:
             assert np.allclose(ref[key], out[key], rtol=1e-4, atol=1e-5), key
 

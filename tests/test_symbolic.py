@@ -29,7 +29,7 @@ from repro.runtime.batching import NotStackable, analyze, bucket, symbolize
 from repro.runtime.codegen_backend import emission_count
 from repro.runtime.parallel_backend import parallel_supported
 from repro.runtime.program import ExecutionProgram
-from repro.runtime.session import _compile_session
+from repro.runtime.session import _admit, _compile_session
 from repro.runtime.shm import ShardLayout
 
 NO_FAULTS = FaultPlan()  # explicit empty plan: overrides ambient chaos
@@ -74,31 +74,17 @@ def sweep_extents(name, per_bucket=3):
     return sorted(chosen)
 
 
-def concrete_reference(name, extent, seed=None):
-    """(admitted values, outputs) of a fresh concrete compile at extent."""
-    session = _compile_session(build_smoke(name, batch=extent), "Ours",
-                               faults=NO_FAULTS)
-    values = session._admit(session.make_inputs(seed=extent if seed is None
-                                                else seed))
-    outputs = session.execute_values([dict(values)])[0][0][0]
-    return values, outputs
-
-
-def sharded_case(session, name, extent):
-    """(admitted request, reference outputs) for the *pool* path.
-
-    The request carries only graph inputs (param arrays from another
-    session would read as per-request overrides and make the pool
-    decline the shard); the reference is a fresh concrete compile fed
-    the symbolic session's own admitted values.
-    """
-    values, _outputs = concrete_reference(name, extent)
-    inputs = {key: values[key] for key in session.graph.inputs}
-    admitted = session._admit(inputs)
+def concrete_reference(session, name, extent, seed=None):
+    """(request inputs, reference outputs) at ``extent``: the inputs of a
+    fresh concrete compile at that extent, and its outputs on the
+    symbolic ``session``'s own parameters (the two graphs materialize
+    different parameters from their seeds)."""
     concrete = _compile_session(build_smoke(name, batch=extent), "Ours",
                                 faults=NO_FAULTS)
-    want = concrete.execute_values([concrete._admit(admitted)])[0][0][0]
-    return admitted, want
+    inputs = concrete.make_inputs(seed=extent if seed is None else seed)
+    outputs = concrete.execute_values(
+        [{**session._params, **inputs}])[0][0][0]
+    return inputs, outputs
 
 
 def assert_outputs_identical(got, want, context=""):
@@ -152,8 +138,8 @@ class TestZooParity:
             faults=NO_FAULTS, signature=symbolic_signature(graph),
             max_extent=MAX_EXTENT)
         for extent in sweep_extents(name):
-            values, want = concrete_reference(name, extent)
-            admitted = session._admit(values)
+            values, want = concrete_reference(session, name, extent)
+            admitted = _admit(session, values)
             results, _backend, _batched = session.execute_values([admitted])
             assert_outputs_identical(
                 results[0][0], want, f"{name} {backend} S={extent}")
@@ -182,8 +168,8 @@ class TestZooParity:
         extents = [3, 1, 8, 5, 1, 2]
         batch, expected = [], []
         for extent in extents:
-            values, want = concrete_reference("Pythia", extent)
-            batch.append(session._admit(values))
+            values, want = concrete_reference(session, "Pythia", extent)
+            batch.append(_admit(session, values))
             expected.append(want)
         results, _backend, _batched = session.execute_values(batch)
         for extent, (got, _report, _wall), want in zip(
@@ -196,18 +182,9 @@ class TestZooParity:
             faults=NO_FAULTS, signature=symbolic_signature(graph),
             max_extent=MAX_EXTENT))
         for extent in (1, 3, 8):
-            request_values, _ = concrete_reference("Pythia", extent)
-            inputs = {name: request_values[name] for name in graph.inputs}
+            inputs, want = concrete_reference(
+                model.session, "Pythia", extent)
             response = model.run(repro.InferenceRequest(inputs=inputs))
-            # Reference: a fresh concrete compile at this extent, fed
-            # the symbolic session's own parameter values (the two
-            # graphs materialize different params from their seeds).
-            full = model.session._admit(inputs)
-            concrete = _compile_session(
-                build_smoke("Pythia", batch=extent), "Ours",
-                faults=NO_FAULTS)
-            want = concrete.execute_values(
-                [concrete._admit(full)])[0][0][0]
             assert_outputs_identical(response.outputs, want, f"S={extent}")
 
     def test_symbolize_factor_one_serves_below_base_extents(self):
@@ -219,9 +196,9 @@ class TestZooParity:
         sym_session = _compile_session(
             build_smoke("ViT", batch=4), "Ours", faults=NO_FAULTS,
             signature=symbolic_signature(graph), max_extent=8)
-        values, want = concrete_reference("ViT", 2)
+        values, want = concrete_reference(sym_session, "ViT", 2)
         got = sym_session.execute_values(
-            [sym_session._admit(values)])[0][0][0]
+            [_admit(sym_session, values)])[0][0][0]
         assert_outputs_identical(got, want, "below-base extent")
 
     def test_symbolize_refuses_unstackable_programs(self):
@@ -254,11 +231,11 @@ class TestZooParity:
             variant.graph, tuple(steps), variant.slot_plan,
             input_signature=variant.input_signature,
             symbolic_extent=variant.symbolic_extent, packs=variant.packs)
-        values, _ = concrete_reference("Pythia", 3)
+        values, _ = concrete_reference(session, "Pythia", 3)
         messages = []
         for backend in BACKENDS:
             with pytest.raises(ExecutionError) as caught:
-                get_backend(backend).run(broken, session._admit(values))
+                get_backend(backend).run(broken, _admit(session, values))
             messages.append(str(caught.value))
         want = (3,) + tuple(step.out_shapes[0][1:])
         assert f"({step.node_id}) produced shape {(2,) + want[1:]}, " \
@@ -280,9 +257,9 @@ class TestSymbolicReliability:
             faults=plan, signature=symbolic_signature(graph),
             max_extent=MAX_EXTENT)
         for extent in (3, 5, 7):
-            values, want = concrete_reference("Pythia", extent)
+            values, want = concrete_reference(session, "Pythia", extent)
             results, backend, _batched = session.execute_values(
-                [session._admit(values)])
+                [_admit(session, values)])
             assert backend == "numpy"  # degraded, not failed
             assert_outputs_identical(results[0][0], want, f"S={extent}")
 
@@ -297,7 +274,8 @@ class TestSymbolicReliability:
             workers=2, faults=plan,
             signature=symbolic_signature(graph), max_extent=MAX_EXTENT)
         try:
-            admitted, want = sharded_case(session, "Pythia", 5)
+            values, want = concrete_reference(session, "Pythia", 5)
+            admitted = _admit(session, values)
             batch = [dict(admitted) for _ in range(4)]
             results, _backend, _batched = session.execute_values(batch)
             for got, _report, _wall in results:
@@ -317,8 +295,8 @@ class TestSymbolicReliability:
         extents = [5, 1, 3, 8]
         batch, expected = [], []
         for extent in extents:
-            values, want = concrete_reference("Pythia", extent)
-            batch.append(session._admit(values))
+            values, want = concrete_reference(session, "Pythia", extent)
+            batch.append(_admit(session, values))
             expected.append(want)
         for _ in range(3):  # repeated bursts so chaos rules fire
             results, _backend, _batched = session.execute_values(
@@ -394,14 +372,14 @@ class TestCompileCount:
             faults=NO_FAULTS, signature=symbolic_signature(graph),
             max_extent=MAX_EXTENT)
         references = {
-            extent: concrete_reference("Pythia", extent)
+            extent: concrete_reference(session, "Pythia", extent)
             for extent in range(1, MAX_EXTENT + 1)}
         before = emission_count()
         for _round in range(3):
             for extent in range(1, MAX_EXTENT + 1):
                 values, want = references[extent]
                 results, _b, _s = session.execute_values(
-                    [session._admit(values)])
+                    [_admit(session, values)])
                 assert_outputs_identical(results[0][0], want, f"S={extent}")
         emitted = emission_count() - before
         variants = session.program.backend_cache.get("batching.variants", {})
@@ -422,15 +400,15 @@ class TestCompileCount:
             build_smoke("ViT", batch=1), "Ours", backend="codegen",
             faults=NO_FAULTS, signature=symbolic_signature(graph),
             max_extent=MAX_EXTENT)
-        values = {extent: concrete_reference("ViT", extent)[0]
+        values = {extent: concrete_reference(session, "ViT", extent)[0]
                   for extent in (2, 3, 5, 8)}
         for extent, admitted in values.items():
-            session.execute_values([session._admit(admitted)])
+            session.execute_values([_admit(session, admitted)])
         before = emission_count()
         variants_before = dict(
             session.program.backend_cache["batching.variants"])
         for extent, admitted in values.items():
-            session.execute_values([session._admit(admitted)])
+            session.execute_values([_admit(session, admitted)])
         assert emission_count() == before
         assert dict(session.program.backend_cache["batching.variants"]) \
             == variants_before
@@ -491,7 +469,8 @@ class TestBucketedPlans:
             workers=2, faults=NO_FAULTS,
             signature=symbolic_signature(graph), max_extent=MAX_EXTENT)
         try:
-            admitted, want = sharded_case(session, "Pythia", 6)
+            values, want = concrete_reference(session, "Pythia", 6)
+            admitted = _admit(session, values)
             batch = [dict(admitted) for _ in range(4)]
             results, _backend, _batched = session.execute_values(batch)
             for got, _report, _wall in results:
