@@ -232,50 +232,6 @@ def conv2d_gemm(inputs, attrs, scratch: ConvScratch | None = None):
     return out
 
 
-def conv2d_reference(inputs, attrs):
-    """Pre-GEMM reference conv2d (per-tap Python im2col + einsum).
-
-    Kept as the parity oracle for the GEMM path (nothing registers or
-    routes to it): the im2col columns it gathers are byte-identical to
-    :func:`_im2col`'s, while the contraction
-    (einsum vs. BLAS matmul) agrees to float tolerance only - which is
-    why zoo-wide byte-identity is asserted across backends/batching (all
-    sharing one kernel), and GEMM-vs-reference is asserted via allclose.
-    """
-    x, w = inputs[0], inputs[1]
-    bias = inputs[2] if len(inputs) > 2 else None
-    groups = int(attrs.get("groups", 1))
-    sh, sw = _pair(attrs.get("stride", 1))
-    ph, pw = _pair(attrs.get("padding", 0))
-    dh, dw = _pair(attrs.get("dilation", 1))
-    n, c, h, wd = x.shape
-    oc, cpg, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    oh = (h + 2 * ph - (dh * (kh - 1) + 1)) // sh + 1
-    ow = (wd + 2 * pw - (dw * (kw - 1) + 1)) // sw + 1
-    ocpg = oc // groups
-    out = np.zeros((n, oc, oh, ow), dtype=x.dtype)
-    # im2col per group
-    for g in range(groups):
-        xg = xp[:, g * cpg:(g + 1) * cpg]
-        cols = np.empty((n, cpg * kh * kw, oh * ow), dtype=x.dtype)
-        col = 0
-        for ci in range(cpg):
-            for ki in range(kh):
-                for kj in range(kw):
-                    patch = xg[:, ci,
-                               ki * dh: ki * dh + oh * sh: sh,
-                               kj * dw: kj * dw + ow * sw: sw]
-                    cols[:, col] = patch.reshape(n, -1)
-                    col += 1
-        wg = w[g * ocpg:(g + 1) * ocpg].reshape(ocpg, -1)
-        res = np.einsum("ok,nkp->nop", wg, cols)
-        out[:, g * ocpg:(g + 1) * ocpg] = res.reshape(n, ocpg, oh, ow)
-    if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1)
-    return out
-
-
 def bind_conv2d(x_shape, w_shape, attrs, node_id=None):
     """Bind a conv2d step to a statically planned :class:`ConvScratch`.
 
@@ -516,11 +472,15 @@ def _axes_tuple(attrs, rank):
     return tuple(sorted(a % rank for a in axes))
 
 
+#: ``eps`` when a norm's attrs do not set one
+DEFAULT_EPS = {"layernorm": 1e-5, "rmsnorm": 1e-6}
+
+
 @kernel("layernorm", fresh=True)
 def layernorm(inputs, attrs):
     x = inputs[0]
     axes = _axes_tuple(attrs, x.ndim)
-    out = _norm(x, axes, attrs.get("eps", 1e-5))
+    out = _norm(x, axes, attrs.get("eps", DEFAULT_EPS["layernorm"]))
     if len(inputs) > 1:
         shape = [x.shape[a] if a in axes else 1 for a in range(x.ndim)]
         out = out * inputs[1].reshape(shape)
@@ -533,7 +493,8 @@ def layernorm(inputs, attrs):
 def rmsnorm(inputs, attrs):
     x = inputs[0]
     axes = _axes_tuple(attrs, x.ndim)
-    rms = np.sqrt((x * x).mean(axis=axes, keepdims=True) + attrs.get("eps", 1e-6))
+    rms = np.sqrt((x * x).mean(axis=axes, keepdims=True)
+                  + attrs.get("eps", DEFAULT_EPS["rmsnorm"]))
     out = x / rms
     if len(inputs) > 1:
         shape = [x.shape[a] if a in axes else 1 for a in range(x.ndim)]

@@ -68,6 +68,7 @@ from .kernels import (
     bind_conv2d, bind_in_place, dense_packed, get_kernel,
     layout_convert_elided, pack, returns_fresh,
 )
+from . import native
 from .traffic import roofline_summary, step_traffic
 
 _PROGRAM_CACHE_KEY = "execution_program"
@@ -547,13 +548,13 @@ def _lower(graph: Graph) -> ExecutionProgram:
         arg_shapes = tuple(
             view_shapes.get(idx, tuple(graph.shape(t)))
             for idx, t in enumerate(node.inputs))
-        arg_itemsizes = tuple(
-            np.dtype(tensors[t].dtype.numpy_dtype).itemsize
-            for t in node.inputs)
+        arg_dtypes = tuple(np.dtype(tensors[t].dtype.numpy_dtype)
+                           for t in node.inputs)
+        arg_itemsizes = tuple(dtype.itemsize for dtype in arg_dtypes)
         out_shapes = tuple(graph.shape(t) for t in node.outputs)
-        out_itemsizes = tuple(
-            np.dtype(tensors[t].dtype.numpy_dtype).itemsize
-            for t in node.outputs)
+        out_dtypes = tuple(np.dtype(tensors[t].dtype.numpy_dtype)
+                           for t in node.outputs)
+        out_itemsizes = tuple(dtype.itemsize for dtype in out_dtypes)
         reads, writes, flops = step_traffic(
             node.op_type, node.attrs, arg_shapes, arg_itemsizes,
             out_shapes, out_itemsizes)
@@ -592,6 +593,11 @@ def _lower(graph: Graph) -> ExecutionProgram:
             if (src in materialized and src not in graph_inputs
                     and src in schedule.value_drops_at[i]):
                 run_kernel = layout_convert_elided
+        elif node.op_type in native.MAX_AFFINE:  # layernorm, rmsnorm
+            # A certified native kernel, where one holds for the step's
+            # exact (op, D, affine operands, eps); the reference otherwise.
+            run_kernel = native.bind(node.op_type, node.attrs, arg_shapes,
+                                     arg_dtypes, out_dtypes[0]) or run_kernel
         owned, in_place = _owned_operand(graph, node, view_shapes,
                                          kernel_of, consumers, graph_outputs)
         if in_place is not None:

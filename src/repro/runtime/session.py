@@ -784,7 +784,8 @@ class SessionRegistry:
     With ``max_sessions`` set, the registry is bounded: compiling a new
     triple past the limit evicts the least-recently-used session, so a
     long-lived process cannot grow sessions without bound.  ``evict()``
-    drops a triple explicitly.
+    drops a triple explicitly.  ``_lock`` guards the table: a compile
+    runs under it, so two threads compiling one triple get one Session.
     """
 
     def __init__(self, device: DeviceSpec = SD8GEN2,
@@ -794,6 +795,7 @@ class SessionRegistry:
         self.device = device
         self.max_sessions = max_sessions
         self._sessions: OrderedDict = OrderedDict()
+        self._lock = threading.RLock()
 
     def _key(self, model, framework, device, batch, backend, fw_kwargs,
              faults=None, workers=1, signature=None, max_extent=0):
@@ -817,20 +819,21 @@ class SessionRegistry:
                 **fw_kwargs) -> Session:
         key = self._key(model, framework, device, batch, backend, fw_kwargs,
                         faults, workers, signature, max_extent)
-        found = self._sessions.get(key) if key is not None else None
-        if found is not None:
-            self._sessions.move_to_end(key)  # LRU: refresh recency
-            return found
-        session = _compile_session(model, framework, device or self.device,
-                                   batch, backend=backend, faults=faults,
-                                   workers=workers, signature=signature,
-                                   max_extent=max_extent, **fw_kwargs)
-        if key is not None:  # an unhashable config compiles uncached
-            self._sessions[key] = session
-            if self.max_sessions is not None \
-                    and len(self._sessions) > self.max_sessions:
-                self._sessions.popitem(last=False)  # drop least recent
-        return session
+        with self._lock:
+            found = self._sessions.get(key) if key is not None else None
+            if found is not None:
+                self._sessions.move_to_end(key)  # LRU: refresh recency
+                return found
+            session = _compile_session(
+                model, framework, device or self.device, batch,
+                backend=backend, faults=faults, workers=workers,
+                signature=signature, max_extent=max_extent, **fw_kwargs)
+            if key is not None:  # an unhashable config compiles uncached
+                self._sessions[key] = session
+                if self.max_sessions is not None \
+                        and len(self._sessions) > self.max_sessions:
+                    self._sessions.popitem(last=False)  # drop least recent
+            return session
 
     def evict(self, model: str | Graph, framework: str = "Ours",
               device: DeviceSpec | None = None, batch: int = 1,
@@ -840,11 +843,14 @@ class SessionRegistry:
         """Drop the live session for a triple; True when one was evicted."""
         key = self._key(model, framework, device, batch, backend, fw_kwargs,
                         faults, workers, signature, max_extent)
-        return key is not None and self._sessions.pop(key, None) is not None
+        with self._lock:
+            return key is not None \
+                and self._sessions.pop(key, None) is not None
 
     def clear(self) -> None:
         """Drop every live session."""
-        self._sessions.clear()
+        with self._lock:
+            self._sessions.clear()
 
     @property
     def num_sessions(self) -> int:

@@ -24,8 +24,8 @@ from repro.runtime import (
 from repro.runtime.batching import analyze, rebatch
 from repro.runtime.faults import FaultPlan
 from repro.runtime.kernels import (
-    ConvScratch, _arena_cols, arena_bytes, bind_conv2d, conv2d_gemm,
-    conv2d_reference, get_kernel, layout_convert_elided,
+    ConvScratch, _arena_cols, _pair, arena_bytes, bind_conv2d, conv2d_gemm,
+    get_kernel, layout_convert_elided,
 )
 from repro.runtime.session import _compile_session, circuit_breaker
 
@@ -35,6 +35,50 @@ from repro.runtime.traffic import FAMILIES, family, roofline_summary
 # ---------------------------------------------------------------------------
 # GEMM-shaped conv2d
 # ---------------------------------------------------------------------------
+
+
+def conv2d_reference(inputs, attrs):
+    """Pre-GEMM reference conv2d (per-tap Python im2col + einsum).
+
+    The parity oracle for the GEMM path: the im2col columns it gathers
+    are byte-identical to ``kernels._im2col``'s, while the contraction
+    (einsum vs. BLAS matmul) agrees to float tolerance only - which is
+    why zoo-wide byte-identity is asserted across backends/batching (all
+    sharing one kernel), and GEMM-vs-reference is asserted via allclose.
+    """
+    x, w = inputs[0], inputs[1]
+    bias = inputs[2] if len(inputs) > 2 else None
+    groups = int(attrs.get("groups", 1))
+    sh, sw = _pair(attrs.get("stride", 1))
+    ph, pw = _pair(attrs.get("padding", 0))
+    dh, dw = _pair(attrs.get("dilation", 1))
+    n, c, h, wd = x.shape
+    oc, cpg, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    oh = (h + 2 * ph - (dh * (kh - 1) + 1)) // sh + 1
+    ow = (wd + 2 * pw - (dw * (kw - 1) + 1)) // sw + 1
+    ocpg = oc // groups
+    out = np.zeros((n, oc, oh, ow), dtype=x.dtype)
+    # im2col per group
+    for g in range(groups):
+        xg = xp[:, g * cpg:(g + 1) * cpg]
+        cols = np.empty((n, cpg * kh * kw, oh * ow), dtype=x.dtype)
+        col = 0
+        for ci in range(cpg):
+            for ki in range(kh):
+                for kj in range(kw):
+                    patch = xg[:, ci,
+                               ki * dh: ki * dh + oh * sh: sh,
+                               kj * dw: kj * dw + ow * sw: sw]
+                    cols[:, col] = patch.reshape(n, -1)
+                    col += 1
+        wg = w[g * ocpg:(g + 1) * ocpg].reshape(ocpg, -1)
+        res = np.einsum("ok,nkp->nop", wg, cols)
+        out[:, g * ocpg:(g + 1) * ocpg] = res.reshape(n, ocpg, oh, ow)
+    if bias is not None:
+        out = out + bias.reshape(1, -1, 1, 1)
+    return out
+
 
 #: (x_shape, w_shape, attrs) grid covering stride / padding / dilation /
 #: groups, including the ViT-patchify and Conformer-depthwise regimes.

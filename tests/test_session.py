@@ -1,6 +1,8 @@
 """Tests for the compile-once/run-many Session/SessionRegistry layer."""
 
 import inspect
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from repro.api import CompileOptions, compile_private
 from repro.bench.harness import cell_cache_stats
 from repro.core import PipelineStages
 from repro.models import ALL_MODELS, SMOKE_CONFIGS as SMALL_CONFIGS, build
+from repro.models.registry import build_smoke
 from repro.runtime import (
     SD8GEN2, Session, SessionRegistry, execute, make_inputs,
 )
@@ -175,6 +178,33 @@ class TestRegistryLRU:
     def test_max_sessions_validated(self):
         with pytest.raises(ValueError, match="max_sessions"):
             SessionRegistry(max_sessions=0)
+
+    def test_two_threads_compiling_one_triple_share_one_session(self):
+        # Check-then-set on the table would compile twice and hand the
+        # two callers different Sessions - two stats, two programs.
+        barrier = threading.Barrier(2)
+        registry = SessionRegistry()
+        got = [None, None]
+
+        def compile_at_once(index):
+            barrier.wait()
+            got[index] = registry.compile(build_smoke("Conformer"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-compile
+        try:
+            threads = [threading.Thread(target=compile_at_once, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got[0] is not None
+        assert got[0] is got[1]
+        assert registry.num_sessions == 1
 
     def test_evict_api(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
