@@ -14,8 +14,7 @@ step's own attrs, return identical bytes - so every bytewise contract
 keeps its meaning.  The library is built once per host with ``gcc`` (no
 ``-march=native``) into ``$XDG_CACHE_HOME`` or ``~/.cache``, under
 ``repro/native/``; later processes only load it.  With no compiler, an
-unwritable cache, a failed build or load, or ``REPRO_NATIVE=0``, every
-step binds numpy.
+unwritable cache, or a failed build or load, every step binds numpy.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import os
 import platform
 import shutil
 import subprocess
+import threading
 from pathlib import Path
 from typing import Callable
 
@@ -79,27 +79,12 @@ static float mean_of(float sum, ptrdiff_t d)
     return (float)((double)acc / (double)d);
 }
 
-/* Operands arrive as ndarray objects: an ndarray's data pointer is the
-   first field after the object header (numpy's PyArrayObject_fields).
-   The loader checks this against ndarray.ctypes.data before binding.
-   The library is loaded as a PyDLL, so it is called holding the
-   interpreter lock: it reads the pointers, then releases the lock for
-   the arithmetic, which touches no Python object. */
-#define DATA(obj) \
-    (*(float **)((char *)(obj) + sizeof(ptrdiff_t) + sizeof(void *)))
-void *PyEval_SaveThread(void);
-void PyEval_RestoreThread(void *);
-
-void *repro_data(void *obj) { return DATA(obj); }
-
 /* layernorm (center = 1) or rmsnorm (center = 0) of each d-wide row,
    times g (affine >= 1), plus b (affine == 2). */
-void repro_norm(void *xo, void *go, void *bo, void *outo, ptrdiff_t rows,
-                ptrdiff_t d, float eps, int center, int affine)
+void repro_norm(const float *x, const float *g, const float *b, float *out,
+                ptrdiff_t rows, ptrdiff_t d, float eps, int center,
+                int affine)
 {
-    const float *x = DATA(xo), *g = DATA(go), *b = DATA(bo);
-    float *out = DATA(outo);
-    void *thread = PyEval_SaveThread();
     for (ptrdiff_t r = 0; r < rows; r++, x += d, out += d) {
         const float *c = x;  /* what is normalised: x, or x - mean */
         if (center) {
@@ -118,7 +103,6 @@ void repro_norm(void *xo, void *go, void *bo, void *outo, ptrdiff_t rows,
             out[i] = v;
         }
     }
-    PyEval_RestoreThread(thread);
 }
 """
 
@@ -140,9 +124,9 @@ def compiler() -> str | None:
     return shutil.which("gcc")
 
 
-def _build_library():
-    """Load the cached build, building it first on a miss.  Returns the
-    library, or a string saying why there is none."""
+def _build():
+    """The cached library's path, building it first on a miss; or a
+    string saying why there is none."""
     cc = compiler()
     if cc is None:
         return "no C compiler (gcc) on PATH"
@@ -160,24 +144,37 @@ def _build_library():
                     f"norms-{digest.hexdigest()[:16]}.so")
         if not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            try:
-                subprocess.run([cc, *FLAGS, "-x", "c", "-", "-o", str(tmp),
-                                "-lm"], input=SOURCE, capture_output=True,
-                               text=True, check=True, timeout=120)
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
-        library = ctypes.PyDLL(str(path))
+            _compile(cc, path)
     except (OSError, subprocess.SubprocessError) as exc:
         return f"native build failed: {exc}"
-    data = library.repro_data
-    data.restype, data.argtypes = ctypes.c_void_p, (ctypes.py_object,)
-    probe = np.empty(3, _F32)
-    if data(probe) != probe.ctypes.data:
-        return "ndarray data pointer not where the native kernels read it"
+    return path
+
+
+def _compile(cc: str, path: Path) -> None:
+    """Build the library into ``path``, through a temp name unique to
+    this process so concurrent builders never see a partial file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        subprocess.run([cc, *FLAGS, "-x", "c", "-", "-o", str(tmp), "-lm"],
+                       input=SOURCE, capture_output=True, text=True,
+                       check=True, timeout=120)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _load(path):
+    """The library at ``path`` with its signature declared, or the reason
+    there is none.  A ``CDLL`` call releases the interpreter lock, so two
+    threads' norms run in parallel."""
+    if isinstance(path, str):
+        return path
+    try:
+        library = ctypes.CDLL(str(path))
+    except OSError as exc:
+        return f"native load failed: {exc}"
     library.repro_norm.restype = None
-    library.repro_norm.argtypes = (ctypes.py_object,) * 4 \
+    library.repro_norm.argtypes = (ctypes.c_void_p,) * 4 \
         + (ctypes.c_ssize_t,) * 2 + (ctypes.c_float,) + (ctypes.c_int,) * 2
     return library
 
@@ -187,14 +184,23 @@ def _fill(key, build, *args):
     return fill_once(_CACHE, key, build, *args)
 
 
+_BUILD_LOCK = threading.Lock()
+"""One build per process.  Only the load fills through ``fill_once``, so
+other threads' cache fills never wait on the compiler."""
+
+
 def _library():
-    return _fill("library", _build_library)
+    """The loaded library, or the reason there is none."""
+    found = _CACHE.get("library")
+    if found is None:
+        with _BUILD_LOCK:
+            path = _build()
+        found = _fill("library", _load, path)
+    return found
 
 
 def unavailable() -> str | None:
     """Why nothing binds native in this process, or None when it can."""
-    if os.environ.get("REPRO_NATIVE") == "0":
-        return "REPRO_NATIVE=0"
     found = _library()
     return found if isinstance(found, str) else None
 
@@ -217,9 +223,10 @@ def _native_kernel(reference: Callable, center: int, d: int, n_affine: int,
             if a.shape != (d,):
                 return reference(inputs, attrs)
         out = np.empty(x.shape, _F32)
-        g = inputs[1] if n_affine else x  # unread when absent
-        b = inputs[2] if n_affine == 2 else x
-        norm(x, g, b, out, x.size // d, d, eps, center, n_affine)
+        g = inputs[1].ctypes.data if n_affine else None  # NULL: unread
+        b = inputs[2].ctypes.data if n_affine == 2 else None
+        norm(x.ctypes.data, g, b, out.ctypes.data, x.size // d, d, eps,
+             center, n_affine)
         return out
 
     kernel.fresh = True

@@ -509,10 +509,16 @@ def lower(graph: Graph) -> ExecutionProgram:
     repeated calls (the executor, the verifier, every session serving
     this graph) share one lowering until the next structural mutation.
     The memo fills through :func:`fill_once`, so two threads lowering
-    the same graph at once get one program - one ``backend_cache``.
+    the same graph at once get one program - one ``backend_cache``.  A
+    graph with a norm readies the native library first, outside that
+    lock, so no other thread's fill waits on a cold-cache build.
     """
-    return fill_once(graph.analysis_cache(), _PROGRAM_CACHE_KEY, _lower,
-                     graph)
+    cache = graph.analysis_cache()
+    if _PROGRAM_CACHE_KEY not in cache and any(
+            node.op_type in native.MAX_AFFINE
+            for node in graph.nodes.values()):
+        native.unavailable()
+    return fill_once(cache, _PROGRAM_CACHE_KEY, _lower, graph)
 
 
 def _lower(graph: Graph) -> ExecutionProgram:

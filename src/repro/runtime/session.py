@@ -49,6 +49,7 @@ was all moved to compile time by
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
 import time
@@ -784,8 +785,10 @@ class SessionRegistry:
     With ``max_sessions`` set, the registry is bounded: compiling a new
     triple past the limit evicts the least-recently-used session, so a
     long-lived process cannot grow sessions without bound.  ``evict()``
-    drops a triple explicitly.  ``_lock`` guards the table: a compile
-    runs under it, so two threads compiling one triple get one Session.
+    drops a triple explicitly.  ``_lock`` guards the table and is held
+    only to read or write it; a compile runs under its triple's own
+    in-flight lock, so two threads compiling one triple get one Session
+    and a hit never waits on another triple's compile.
     """
 
     def __init__(self, device: DeviceSpec = SD8GEN2,
@@ -795,7 +798,8 @@ class SessionRegistry:
         self.device = device
         self.max_sessions = max_sessions
         self._sessions: OrderedDict = OrderedDict()
-        self._lock = threading.RLock()
+        self._compiling: dict = {}  # key -> its in-flight compile's lock
+        self._lock = threading.Lock()
 
     def _key(self, model, framework, device, batch, backend, fw_kwargs,
              faults=None, workers=1, signature=None, max_extent=0):
@@ -819,21 +823,36 @@ class SessionRegistry:
                 **fw_kwargs) -> Session:
         key = self._key(model, framework, device, batch, backend, fw_kwargs,
                         faults, workers, signature, max_extent)
+        build = functools.partial(
+            _compile_session, model, framework, device or self.device,
+            batch, backend=backend, faults=faults, workers=workers,
+            signature=signature, max_extent=max_extent, **fw_kwargs)
+        if key is None:  # an unhashable config compiles uncached
+            return build()
+        found = self._lookup(key)
+        if found is not None:
+            return found
         with self._lock:
-            found = self._sessions.get(key) if key is not None else None
+            compiling = self._compiling.setdefault(key, threading.Lock())
+        with compiling:
+            found = self._lookup(key)  # compiled while this thread waited
             if found is not None:
-                self._sessions.move_to_end(key)  # LRU: refresh recency
                 return found
-            session = _compile_session(
-                model, framework, device or self.device, batch,
-                backend=backend, faults=faults, workers=workers,
-                signature=signature, max_extent=max_extent, **fw_kwargs)
-            if key is not None:  # an unhashable config compiles uncached
+            session = build()
+            with self._lock:
                 self._sessions[key] = session
+                self._compiling.pop(key, None)
                 if self.max_sessions is not None \
                         and len(self._sessions) > self.max_sessions:
                     self._sessions.popitem(last=False)  # drop least recent
-            return session
+        return session
+
+    def _lookup(self, key) -> Session | None:
+        with self._lock:
+            found = self._sessions.get(key)
+            if found is not None:
+                self._sessions.move_to_end(key)  # LRU: refresh recency
+            return found
 
     def evict(self, model: str | Graph, framework: str = "Ours",
               device: DeviceSpec | None = None, batch: int = 1,

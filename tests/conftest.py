@@ -14,6 +14,20 @@ from repro.ir import GraphBuilder
 from repro.runtime import FaultPlan, FaultRule
 
 
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--numpy-kernels", action="store_true",
+        help="bind no native kernel: every step runs the numpy reference "
+             "kernels (CI reruns the parity suites this way)")
+
+
+def pytest_configure(config):
+    if config.getoption("--numpy-kernels"):
+        from repro.runtime import native
+        native._CACHE["library"] = "numpy kernels only (--numpy-kernels)"
+
+
 class Scheduling:
     """Deterministic scheduler set-ups.
 

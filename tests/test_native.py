@@ -3,9 +3,9 @@
 A ``layernorm`` / ``rmsnorm`` step binds the C kernel only when the C
 kernel and the numpy reference return identical bytes for the step's
 exact ``(op, D, affine operands, eps)``; everything else - and every
-step when no compiler is found or ``REPRO_NATIVE=0`` - keeps numpy.
-Tests that need the library skip, with the reason, where it cannot be
-built.
+step when the library cannot be built - keeps numpy.  Tests that need
+the library skip, with the reason, where it cannot be built or the run
+is ``--numpy-kernels``.
 """
 
 import hashlib
@@ -20,6 +20,7 @@ from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import get_backend, lower, make_inputs, native
 from repro.runtime.faults import FaultPlan
 from repro.runtime.kernels import get_kernel
+from repro.runtime.program import fill_once
 from repro.runtime.session import _compile_session
 
 from front_door import serve_batch, serve_one
@@ -147,7 +148,6 @@ def _outputs(program, graph):
 
 def test_no_compiler_binds_numpy_with_the_same_outputs(fresh_native,
                                                        monkeypatch):
-    monkeypatch.delenv("REPRO_NATIVE", raising=False)
     graph = _medium()
     want = _outputs(lower(graph), graph)
     monkeypatch.setattr(native, "compiler", lambda: "/nonexistent/bin/gcc")
@@ -161,16 +161,8 @@ def test_no_compiler_binds_numpy_with_the_same_outputs(fresh_native,
     assert_outputs_identical(_outputs(program, graph), want)
 
 
-def test_native_off_switch(fresh_native, monkeypatch):
-    monkeypatch.setenv("REPRO_NATIVE", "0")
-    assert native.unavailable() == "REPRO_NATIVE=0"
-    assert _bind("layernorm", 96, 2) is None
-    assert "library" not in native._CACHE  # nothing built or loaded
-
-
 def test_an_unwritable_cache_binds_numpy(fresh_native, monkeypatch,
                                           tmp_path):
-    monkeypatch.delenv("REPRO_NATIVE", raising=False)
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
@@ -193,15 +185,16 @@ def test_the_library_builds_once_into_the_cache_dir(fresh_native,
 
 @needs_native
 def test_two_threads_first_bind_share_one_library_and_callable(
-        fresh_native, monkeypatch):
+        fresh_native, monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # a cold cache
     builds = []
-    build = native._build_library
+    compile_ = native._compile
 
-    def counted():
+    def counted(*args):
         builds.append(1)
-        return build()
+        return compile_(*args)
 
-    monkeypatch.setattr(native, "_build_library", counted)
+    monkeypatch.setattr(native, "_compile", counted)
     barrier = threading.Barrier(2)
     got = [None, None]
 
@@ -223,6 +216,32 @@ def test_two_threads_first_bind_share_one_library_and_callable(
     assert not any(thread.is_alive() for thread in threads)
     assert got[0] is not None and got[0] is got[1]
     assert len(builds) == 1
+
+
+@needs_native
+def test_a_build_holds_no_fill_lock(fresh_native, monkeypatch, tmp_path):
+    # A cold-cache build runs gcc for a few tenths of a second; lowering
+    # a norm graph meanwhile must not block other threads' cache fills.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    started, release = threading.Event(), threading.Event()
+    compile_ = native._compile
+
+    def held(*args):
+        started.set()
+        release.wait(timeout=10)
+        return compile_(*args)
+
+    monkeypatch.setattr(native, "_compile", held)
+    thread = threading.Thread(target=lower, args=(_medium(),))
+    thread.start()
+    try:
+        assert started.wait(timeout=10)
+        assert fill_once({}, "unrelated", lambda: 1) == 1
+        assert thread.is_alive()  # the build is still held
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert native.unavailable() is None
 
 
 @needs_native
@@ -293,7 +312,7 @@ def test_one_outputs_digest_with_native_on_and_off(fresh_native,
                                                    monkeypatch):
     on, bound = _zoo_digest()
     assert bound > 100
-    monkeypatch.setenv("REPRO_NATIVE", "0")
+    monkeypatch.setattr(native, "_CACHE", {"library": "numpy kernels only"})
     off, bound = _zoo_digest()
     assert bound == 0
     assert on == off

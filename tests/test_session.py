@@ -15,6 +15,7 @@ from repro.models.registry import build_smoke
 from repro.runtime import (
     SD8GEN2, Session, SessionRegistry, execute, make_inputs,
 )
+from repro.runtime import session as session_module
 from repro.runtime.session import _admit
 
 from front_door import serve_batch, serve_one
@@ -205,6 +206,33 @@ class TestRegistryLRU:
         assert got[0] is not None
         assert got[0] is got[1]
         assert registry.num_sessions == 1
+
+    def test_a_hit_does_not_wait_on_another_triples_compile(
+            self, monkeypatch):
+        # The table lock is held only to read or write the table: while
+        # one triple compiles, a cached triple returns at once.
+        registry = SessionRegistry()
+        cached = registry.compile(build_smoke("ViT"))
+        started, release = threading.Event(), threading.Event()
+        compile_session = session_module._compile_session
+
+        def held(*args, **kwargs):
+            started.set()
+            release.wait(timeout=10)
+            return compile_session(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "_compile_session", held)
+        thread = threading.Thread(target=registry.compile,
+                                  args=(build_smoke("Conformer"),))
+        thread.start()
+        try:
+            assert started.wait(timeout=10)
+            assert registry.compile(build_smoke("ViT")) is cached
+            assert thread.is_alive()  # the other compile is still held
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert registry.num_sessions == 2
 
     def test_evict_api(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
