@@ -15,15 +15,16 @@ import threading
 import repro
 from repro.models import build_smoke
 
-# 1. Compile once.  Sessions are cached process-wide on the graph's
-#    *content fingerprint*: rebuilding an identical graph hits the cache.
+# 1. Compile once.  Programs are cached process-wide on the graph's
+#    *content fingerprint*: rebuilding an identical graph reuses the
+#    program; each compile gets its own session (stats, worker pool).
 graph = build_smoke("Pythia")
 model = repro.compile(graph)
 program = model.program
 print(f"Pythia (smoke): {len(model.graph.nodes)} nodes lowered to "
       f"{program.num_steps} steps")
 print(f"admission spec: {model.input_signature}")
-assert repro.compile(build_smoke("Pythia")).session is model.session
+assert repro.compile(build_smoke("Pythia")).program is program
 
 # 2. Typed request in, typed response out - with per-request RunStats.
 request = model.make_request(seed=0)

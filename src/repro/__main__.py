@@ -3,7 +3,6 @@
     python -m repro Swin                       # optimize + cost on SD 8 Gen 2
     python -m repro Swin --device tesla-v100   # another device
     python -m repro Swin --compare             # against all frameworks
-    python -m repro Swin --save swin.json      # write deployment artifact
     python -m repro --list                     # available models/devices
 """
 
@@ -15,7 +14,6 @@ from .core import smartmem_optimize
 from .ir.printer import summarize
 from .models import ALL_MODELS, build
 from .runtime import DEVICES, SD8GEN2, estimate
-from .runtime.artifact import Artifact
 from .runtime.cost_model import CostModelConfig
 
 
@@ -47,8 +45,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch", type=int, default=1)
     parser.add_argument("--compare", action="store_true",
                         help="also cost every baseline framework")
-    parser.add_argument("--save", metavar="PATH",
-                        help="write the optimized module as an artifact")
     parser.add_argument("--list", action="store_true",
                         help="list models and devices")
     args = parser.parse_args(argv)
@@ -84,12 +80,6 @@ def main(argv: list[str] | None = None) -> int:
             fw_report = fw_result.cost(device)
             print(f"  {fw_name:8s} {fw_report.latency_ms:10.1f} ms  "
                   f"({fw_report.latency_ms / report.latency_ms:.2f}x ours)")
-
-    if args.save:
-        Artifact.from_result(result, metadata={
-            "model": args.model, "batch": args.batch,
-            "device": device.name}).save(args.save)
-        print(f"\nwrote artifact to {args.save}")
     return 0
 
 

@@ -21,7 +21,7 @@ Both are configured by frozen options dataclasses
 raw ndarray dicts.
 """
 
-from .compiled import CompiledModel, compile, compile_private, session_cache
+from .compiled import CompiledModel, compile
 from .errors import (
     AdmissionError, BackendCompilationError, DeadlineExceeded, ExecutionError,
     InvalidOptions, QueueFull, ReproError, RequestCancelled, ServiceClosed,
@@ -37,6 +37,5 @@ __all__ = [
     "InferenceRequest", "InferenceResponse", "InvalidOptions", "QueueFull",
     "ReproError", "RequestCancelled", "RetryPolicy", "Service",
     "ServeOptions", "ServiceClosed", "ServiceReport", "WorkerCrashed",
-    "as_request", "compile", "compile_private", "merge_options", "serve",
-    "session_cache",
+    "as_request", "compile", "merge_options", "serve",
 ]

@@ -8,39 +8,27 @@ checked against the program's
 :attr:`~repro.runtime.program.ExecutionProgram.input_signature`, so a
 wrong-*name* tensor fails as loudly as a wrong-shape one.
 
-``compile()`` fronts a process-wide :class:`SessionRegistry` keyed on
-graph content fingerprints: recompiling a structurally identical user
-graph returns the same live session (and its statistics).  Underneath,
-the compile caches use the same content key, so even a *private* session
-(:func:`compile_private`, :func:`repro.serve`) of a known graph reuses
-its lowered program, ``backend_cache``, read-only parameters and cost
-report - see the "Caches" table in ``docs/architecture.md``.
+``compile()`` builds a private session - its own stats, fault injector
+and worker pool - over the content-addressed compile cache, so
+compiling a known graph (by name or as a structurally identical rebuilt
+:class:`~repro.ir.graph.Graph`) reuses its lowered program,
+``backend_cache``, read-only parameters and cost report, and two
+threads compiling one graph at once get one program - see the "Caches"
+table in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping
 
 import numpy as np
 
 from ..ir.graph import Graph
-from ..runtime.session import (
-    Session, SessionRegistry, _admit, _compile_session,
-)
+from ..runtime.session import Session, _admit, _compile_session
 from .errors import AdmissionError
 from .messages import InferenceRequest, InferenceResponse, as_request
 from .options import CompileOptions, merge_options
-
-_REGISTRY = SessionRegistry(max_sessions=64)
-"""Process-wide session cache behind :func:`compile`, LRU-bounded so a
-long-lived server compiling many distinct triples cannot grow sessions
-(graphs, materialized parameters) without bound."""
-
-
-def session_cache() -> SessionRegistry:
-    """The process-wide registry (for explicit ``evict()``/``clear()``)."""
-    return _REGISTRY
-
 
 class CompiledModel:
     """One compiled model serving typed requests.
@@ -58,9 +46,10 @@ class CompiledModel:
     and :attr:`session` for the underlying execution session.
 
     Not thread-safe: concurrent callers should go through
-    :func:`repro.serve`, whose scheduler owns a private session
-    (private stats; the program and parameters are shared, read-only,
-    with every session compiled from the same content).
+    :func:`repro.serve`, whose scheduler owns the session.  Every
+    :func:`compile` returns its own session (private stats); the program
+    and parameters are shared, read-only, with every session compiled
+    from the same content.
     """
 
     def __init__(self, session: Session) -> None:
@@ -153,15 +142,18 @@ class CompiledModel:
 
 def compile(model: str | Graph, options: CompileOptions | None = None,
             **overrides) -> CompiledModel:
-    """Compile a model into a :class:`CompiledModel` (cached per triple).
+    """Compile a model into a :class:`CompiledModel` over a private session.
 
-    Runs the SmartMem pass pipeline once, lowers the optimized graph to
-    an :class:`~repro.runtime.program.ExecutionProgram`, and wraps the
-    resulting session behind typed request/response objects.  The
-    compile-once/run-many contract holds at process scope: sessions are
-    cached on the model's content fingerprint plus the options, so
-    repeated compiles - including of a *rebuilt but identical* graph -
-    return the same live session and its statistics.
+    Runs the SmartMem pass pipeline once per graph content, lowers the
+    optimized graph to an
+    :class:`~repro.runtime.program.ExecutionProgram`, and wraps a fresh
+    session behind typed request/response objects.  The compile-once
+    contract holds at process scope on the program, not the session:
+    repeated compiles - of a *rebuilt but identical* graph too, and from
+    concurrent threads - share one program, its ``backend_cache``, the
+    read-only parameters and the cost report, while stats, fault
+    injector and worker pool belong to the returned model.  Dropping the
+    model releases its worker pool (``close()`` does so at once).
 
     Arguments:
         model: a catalog name (``"Pythia"``, see
@@ -194,37 +186,15 @@ def compile(model: str | Graph, options: CompileOptions | None = None,
         response.outputs, response.stats.wall_s
     """
     options = merge_options(CompileOptions, options, overrides)
-    session = _REGISTRY.compile(
-        model, options.framework, options.device, options.batch,
-        backend=options.backend, faults=options.faults,
-        workers=options.workers,
-        check_memory=options.check_memory,
-        signature=options.signature, max_extent=options.max_extent,
-        **options.framework_kwargs())
-    return CompiledModel(session)
-
-
-def compile_private(model: str | Graph,
-                    options: CompileOptions) -> CompiledModel:
-    """A CompiledModel over a *private* session (no registry).
-
-    Used by :func:`repro.serve`: a service's scheduler and executor
-    threads must own its session exclusively, so it never shares one
-    with direct callers.  "Private" means what is per session - stats
-    (recorded under the session's lock, as the two threads serve at
-    once), fault injector, worker pool.  What is a function of graph
-    content - the lowered program and its ``backend_cache`` (runners,
-    batch variants, codegen module; each filled once under a lock), the
-    parameters (read-only arrays) and the cost report - comes from the
-    content-addressed compile cache and is shared with every other
-    session of the same model, so re-serving a known graph (by name or
-    as a structurally identical rebuilt :class:`~repro.ir.graph.Graph`)
-    does not recompile.
-    """
     session = _compile_session(
         model, options.framework, options.device, options.batch,
         check_memory=options.check_memory, backend=options.backend,
         faults=options.faults, workers=options.workers,
         signature=options.signature, max_extent=options.max_extent,
         **options.framework_kwargs())
-    return CompiledModel(session)
+    compiled = CompiledModel(session)
+    # This door built the session, so it owns the session's pool: a
+    # model dropped without close() still reaps its workers.  (Borrowed
+    # sessions wrapped in a CompiledModel elsewhere are not closed.)
+    weakref.finalize(compiled, session.close)
+    return compiled

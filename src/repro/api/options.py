@@ -1,7 +1,7 @@
 """Typed configuration for the service-layer front doors.
 
 The options dataclasses make every knob named, defaulted, and hashable
-(so they can participate in session-cache keys).
+(so the compile fields can key the content-addressed compile cache).
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class RetryPolicy:
 class CompileOptions:
     """Everything :func:`repro.compile` needs besides the model.
 
-    Fields (all defaulted; the instance is frozen and hashable so it can
-    participate in session-cache keys):
+    Fields (all defaulted; the instance is frozen and hashable, so its
+    framework, device, batch and stages can key the compile cache):
 
     * ``framework`` - compiler pipeline to run (``"Ours"`` = SmartMem;
       baseline names from ``repro.baselines.ALL_FRAMEWORKS`` work too).

@@ -67,7 +67,7 @@ import numpy as np
 from ..ir.graph import Graph
 from ..runtime.batching import analyze
 from ..runtime.faults import InjectedCrash
-from .compiled import CompiledModel, compile_private
+from .compiled import CompiledModel, compile
 from .errors import (
     DeadlineExceeded, ExecutionError, QueueFull, ReproError,
     RequestCancelled, ServiceClosed,
@@ -950,5 +950,4 @@ def serve(model: str | Graph, options: ServeOptions | None = None,
         service.report().throughput_rps
     """
     options = merge_options(ServeOptions, options, overrides)
-    return Service(compile_private(model, options.resolved_compile()),
-                   options)
+    return Service(compile(model, options.resolved_compile()), options)

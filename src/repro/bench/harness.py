@@ -112,18 +112,20 @@ _GRAPH_LRU: OrderedDict = OrderedDict()
 """fingerprint -> [(cache, key), ...] of the entries compiled from it,
 least recently used first."""
 _CACHE_LOCK = threading.Lock()
-"""Guards lookups/insertions (not compiles: two threads missing the same
-key both compile, and the later insert wins)."""
+"""Guards the tables - both caches, the LRU index, the counters and the
+in-flight locks - and is held only to read or write them, never across
+a compile."""
+_FILLING: dict = {}
+"""(cache, key) -> the lock its in-flight compile holds."""
 
 
 def _cell_key(model, framework, device, check_memory, batch, fw_kwargs):
     """Hashable cache key, or None when the cell is uncacheable.
 
-    The model slot is :func:`~repro.runtime.session.stable_model_key` -
-    the one key function shared with ``SessionRegistry`` - so graphs are
-    content-addressed: a structurally identical rebuilt graph hits, a
-    mutated one (new generation, new fingerprint) misses, and no entry
-    has to keep the source graph alive.
+    The model slot is :func:`~repro.runtime.session.stable_model_key`,
+    so graphs are content-addressed: a structurally identical rebuilt
+    graph hits, a mutated one (new generation, new fingerprint) misses,
+    and no entry has to keep the source graph alive.
     """
     key = (stable_model_key(model), framework, device, check_memory, batch,
            tuple(sorted(fw_kwargs.items())))
@@ -138,9 +140,12 @@ def _lookup(cache: dict, key):
     """``cache[key]`` or None, refreshing a graph key's recency."""
     with _CACHE_LOCK:
         found = cache.get(key)
-        kind, ident = key[0]
-        if found is not None and kind == "graph":
-            _GRAPH_LRU.move_to_end(ident)
+        if found is not None:
+            if cache is _CELL_CACHE:
+                _CELL_STATS["hits"] += 1
+            kind, ident = key[0]
+            if kind == "graph":
+                _GRAPH_LRU.move_to_end(ident)
         return found
 
 
@@ -148,6 +153,8 @@ def _remember(cache: dict, key, value) -> None:
     """Insert, evicting the least recently used graph past capacity."""
     with _CACHE_LOCK:
         cache[key] = value
+        if cache is _CELL_CACHE:
+            _CELL_STATS["misses"] += 1
         kind, ident = key[0]
         if kind != "graph":
             return
@@ -160,11 +167,41 @@ def _remember(cache: dict, key, value) -> None:
             _CELL_STATS["evictions"] += 1
 
 
+def _fill(cache: dict, key, build, *args):
+    """``cache[key]``, built by ``build(*args)`` once per key.
+
+    A miss builds under the key's own in-flight lock and re-checks
+    first, so two threads missing one key get one compile - one
+    program - while hits and other keys' compiles go on.  The key's lock
+    is taken before any lock the build takes (the core fill's, then
+    ``fill_once``'s inside ``lower()``), never after.  A build that
+    raises caches nothing.
+    """
+    found = _lookup(cache, key)
+    if found is not None:
+        return found
+    slot = (id(cache), key)
+    with _CACHE_LOCK:
+        filling = _FILLING.setdefault(slot, threading.Lock())
+    try:
+        with filling:
+            found = _lookup(cache, key)  # built while this thread waited
+            if found is None:
+                found = build(*args)
+                _remember(cache, key, found)
+    finally:
+        with _CACHE_LOCK:
+            if _FILLING.get(slot) is filling:
+                del _FILLING[slot]
+    return found
+
+
 def cell_cache_stats() -> dict[str, int]:
     """Process-wide compile/cost cache counters (copies):
     ``hits``/``misses`` of :func:`run_cell`, graph fingerprints evicted
     (``evictions``) and currently cached (``graph_entries``)."""
-    return {**_CELL_STATS, "graph_entries": len(_GRAPH_LRU)}
+    with _CACHE_LOCK:
+        return {**_CELL_STATS, "graph_entries": len(_GRAPH_LRU)}
 
 
 def clear_cell_cache() -> None:
@@ -180,32 +217,29 @@ def clear_cell_cache() -> None:
 
 def run_cell(model: str | Graph, framework: str, device: DeviceSpec = SD8GEN2,
              check_memory: bool = False, batch: int = 1, **fw_kwargs) -> Cell:
-    """Compile + cost one model under one framework on one device."""
+    """Compile + cost one model under one framework on one device,
+    once per cell key however many threads ask at once."""
     key = _cell_key(model, framework, device, check_memory, batch, fw_kwargs)
-    if key is not None:
-        found = _lookup(_CELL_CACHE, key)
-        if found is not None:
-            _CELL_STATS["hits"] += 1
-            return found
+    if key is None:
+        return _compile_cell(model, framework, device, check_memory, batch,
+                             None, fw_kwargs)
+    return _fill(_CELL_CACHE, key, _compile_cell, model, framework, device,
+                 check_memory, batch, key, fw_kwargs)
+
+
+def _compile_cell(model, framework, device, check_memory, batch, key,
+                  fw_kwargs) -> Cell:
     graph = cached_model(model, batch) if isinstance(model, str) else model
     fw = make_framework(framework, **fw_kwargs)
-    core = None
-    core_key = None
-    if key is not None:
-        model_key, _, _, _, batch_key, kwargs_key = key
-        core_key = (model_key, framework, batch_key, kwargs_key,
-                    device.has_texture)
-        core = _lookup(_CORE_CACHE, core_key)
-    if core is None:
+    if key is None:
         core = fw.compile_core(graph, device)
-        if core_key is not None:
-            _remember(_CORE_CACHE, core_key, core)
+    else:
+        model_key, _, _, _, batch_key, kwargs_key = key
+        core = _fill(_CORE_CACHE, (model_key, framework, batch_key,
+                                   kwargs_key, device.has_texture),
+                     fw.compile_core, graph, device)
     result = fw.compile(graph, device, check_memory=check_memory, core=core)
-    cell = Cell(result, device)
-    if key is not None:
-        _CELL_STATS["misses"] += 1
-        _remember(_CELL_CACHE, key, cell)
-    return cell
+    return Cell(result, device)
 
 
 def geomean(values: list[float]) -> float:

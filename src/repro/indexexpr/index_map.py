@@ -142,36 +142,6 @@ class IndexMap:
                 return False
         return True
 
-    def input_stride_of_output_dim(self, out_dim: int) -> int | None:
-        """Stride in the *flat input* per unit step of output dim ``out_dim``.
-
-        Returns None when the relationship is not an affine translation
-        (i.e. stepping the output dim changes which div/mod bucket input
-        coordinates fall into).  Used by the cost model to judge locality
-        of eliminated-transform reads.
-        """
-        env0 = {f"o{i}": 0 for i in range(len(self.out_shape))}
-        env1 = dict(env0)
-        if self.out_shape[out_dim] < 2:
-            return 0
-        env1[f"o{out_dim}"] = 1
-        env2 = dict(env0)
-        probe = min(2, self.out_shape[out_dim] - 1)
-        env2[f"o{out_dim}"] = probe
-        strides = []
-        acc = 1
-        for extent in reversed(self.in_shape):
-            strides.append(acc)
-            acc *= extent
-        strides.reverse()
-        flat0 = sum(int(e.evaluate(env0)) * s for e, s in zip(self.exprs, strides))
-        flat1 = sum(int(e.evaluate(env1)) * s for e, s in zip(self.exprs, strides))
-        flat2 = sum(int(e.evaluate(env2)) * s for e, s in zip(self.exprs, strides))
-        step = flat1 - flat0
-        if flat2 - flat0 != probe * step:
-            return None
-        return step
-
     # -- execution -------------------------------------------------------------
 
     def evaluate(self) -> tuple[np.ndarray, ...]:

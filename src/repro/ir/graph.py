@@ -118,7 +118,7 @@ class Graph:
         optimizer annotations (groups, views, layouts).
 
         Two graphs built the same way fingerprint identically whatever
-        their object identity, so a session cache keyed on the
+        their object identity, so the compile cache keyed on the
         fingerprint survives a user rebuilding the same model.  Memoized
         per generation (any structural mutation recomputes it).
         """

@@ -188,23 +188,6 @@ class Layout:
             return replace(self, memory=memory, vector_dim=vec)
         return replace(self, memory=memory, vector_dim=None, num_width_dims=1)
 
-    def permuted(self, perm: Sequence[int]) -> "Layout":
-        """Layout of ``transpose(x, perm)`` if data is *not* moved.
-
-        Logical dim ``i`` of the output is logical dim ``perm[i]`` of the
-        input, so every input dim index in this layout is renamed through
-        the inverse permutation.
-        """
-        perm = _check_perm(perm, self.rank)
-        inverse = [0] * self.rank
-        for new_axis, old_axis in enumerate(perm):
-            inverse[old_axis] = new_axis
-        return replace(
-            self,
-            dim_order=tuple(inverse[d] for d in self.dim_order),
-            vector_dim=None if self.vector_dim is None else inverse[self.vector_dim],
-        )
-
     def to_json(self) -> dict:
         return {
             "dim_order": list(self.dim_order),

@@ -1,6 +1,5 @@
 """Execution substrate: devices, reference executor, analytical cost model."""
 
-from .artifact import Artifact, plan_from_json, plan_to_json
 from .codegen import GeneratedKernel, generate_group, generate_kernel
 from .codegen_backend import (
     CodegenBackend, CompiledProgramModule, compile_program,
@@ -23,24 +22,24 @@ from .program import (
 )
 from .shm import SegmentRing, ShardLayout, SharedSegment, active_segments
 from .session import (
-    CircuitBreaker, RunStats, Session, SessionRegistry, SessionStats,
+    CircuitBreaker, RunStats, Session, SessionStats,
     circuit_breaker, stable_model_key,
 )
 
 __all__ = [
-    "Artifact", "CircuitBreaker", "CodegenBackend", "CompiledProgramModule",
+    "CircuitBreaker", "CodegenBackend", "CompiledProgramModule",
     "ExecutionBackend", "ExecutionProgram", "FaultInjector",
     "FaultPlan", "FaultRule", "GeneratedKernel", "InjectedCrash",
     "NumPyBackend", "ParallelBackend", "ParallelCodegenBackend", "RunStats",
     "SegmentRing", "Session",
-    "SessionRegistry", "SessionStats", "ShardLayout", "SharedSegment",
+    "SessionStats", "ShardLayout", "SharedSegment",
     "SlotPlan", "Step",
     "VerificationReport", "WorkerPool", "active_segments",
     "circuit_breaker", "parallel_supported", "stable_model_key",
     "available_backends", "compile_program",
     "emit_program_source", "generate_group",
-    "generate_kernel", "get_backend", "lower", "plan_from_json",
-    "plan_to_json", "program_source", "register_backend",
+    "generate_kernel", "get_backend", "lower",
+    "program_source", "register_backend",
     "verify_equivalence",
     "CostModelConfig", "CostReport", "DEVICES", "DIMENSITY700", "DeviceSpec",
     "KernelCost", "SD835", "SD8GEN2", "V100", "estimate", "execute",

@@ -6,10 +6,10 @@ module provides the plan objects that make every failure path
 reproducible on demand.
 
 A :class:`FaultPlan` is a frozen, hashable tuple of :class:`FaultRule`\\ s
-- frozen so it can ride :class:`~repro.api.CompileOptions` into the
-session-cache key (a faulty compile never shares a session with a clean
-one), hashable for the same reason.  All runtime state (fire counters,
-the seeded RNG behind ``probability`` gates) lives in the
+- frozen so it can ride the frozen, hashable
+:class:`~repro.api.CompileOptions` into the session it configures.  All
+runtime state (fire counters, the seeded RNG behind ``probability``
+gates) lives in the
 :class:`FaultInjector` a session or service builds from the plan, so one
 plan object can be installed in many places independently.
 
@@ -141,8 +141,8 @@ class FaultRule:
 class FaultPlan:
     """A frozen set of fault rules plus the seed gating probabilities.
 
-    Hashable by construction so it can participate in session-cache
-    keys via ``CompileOptions(faults=...)``.
+    Hashable by construction so ``CompileOptions(faults=...)`` stays
+    hashable.
     """
 
     rules: tuple[FaultRule, ...] = ()

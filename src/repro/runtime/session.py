@@ -49,11 +49,10 @@ was all moved to compile time by
 
 from __future__ import annotations
 
-import functools
 import logging
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -726,11 +725,12 @@ def _compile_session(model: str | Graph, framework: str = "Ours",
     Compilation is served by the bench harness's content-addressed
     cell cache: repeated calls for the same triple - a name, the same
     graph, or a structurally identical rebuilt one - (or a benchmark
-    that already costed it) share one compile, one lowering with its
-    ``backend_cache``, one parameter materialization and one cost
-    report.  The Session is fresh: stats, fault injector and worker
-    pool are never shared.  Raises ``RuntimeError`` when the
-    framework does not support the model (capability or memory limits).
+    that already costed it), concurrent ones included, share one
+    compile, one lowering with its ``backend_cache``, one parameter
+    materialization and one cost report.  The Session is fresh: stats,
+    fault injector, input memo and worker pool are never shared.
+    Raises ``RuntimeError`` when the framework does not support the
+    model (capability or memory limits).
 
     Internal workhorse behind :func:`repro.api.compile` and
     :func:`repro.api.serve`.
@@ -760,117 +760,14 @@ def _compile_session(model: str | Graph, framework: str = "Ours",
 
 
 def stable_model_key(model: str | Graph):
-    """Content identity of a model argument for session caching.
+    """Content identity of a model argument for compile caching.
 
     Registry names key by value; graphs key by *content fingerprint*
     (memoized per graph generation), so a user rebuilding an identical
     graph object hits the same cache entry instead of recompiling, while
     a mutated graph misses.  The one key function of the compile path:
-    the bench harness's cell/core caches and :class:`SessionRegistry`
-    both use it.
+    the bench harness's cell and core caches use it.
     """
     if isinstance(model, Graph):
         return ("graph", model.fingerprint())
     return ("name", model)
-
-
-class SessionRegistry:
-    """Session cache: one live Session per compiled triple.
-
-    ``compile()`` returns the *same* Session for the same triple, so its
-    statistics carry across callers - the compile-once/run-many contract
-    at process scope.  Graph-object
-    models are keyed by :meth:`~repro.ir.graph.Graph.fingerprint`, so
-    recompiling a structurally identical user graph hits the cache.
-    With ``max_sessions`` set, the registry is bounded: compiling a new
-    triple past the limit evicts the least-recently-used session, so a
-    long-lived process cannot grow sessions without bound.  ``evict()``
-    drops a triple explicitly.  ``_lock`` guards the table and is held
-    only to read or write it; a compile runs under its triple's own
-    in-flight lock, so two threads compiling one triple get one Session
-    and a hit never waits on another triple's compile.
-    """
-
-    def __init__(self, device: DeviceSpec = SD8GEN2,
-                 max_sessions: int | None = None) -> None:
-        if max_sessions is not None and max_sessions < 1:
-            raise ValueError("max_sessions must be at least 1")
-        self.device = device
-        self.max_sessions = max_sessions
-        self._sessions: OrderedDict = OrderedDict()
-        self._compiling: dict = {}  # key -> its in-flight compile's lock
-        self._lock = threading.Lock()
-
-    def _key(self, model, framework, device, batch, backend, fw_kwargs,
-             faults=None, workers=1, signature=None, max_extent=0):
-        """Hashable triple identity, or None when uncacheable."""
-        if isinstance(signature, dict):
-            signature = tuple(sorted(
-                (name, tuple(shape)) for name, shape in signature.items()))
-        key = (stable_model_key(model), framework, device or self.device,
-               batch, backend, faults, workers, signature, max_extent,
-               tuple(sorted(fw_kwargs.items())))
-        try:
-            hash(key)
-        except TypeError:  # unhashable config: compile uncached
-            return None
-        return key
-
-    def compile(self, model: str | Graph, framework: str = "Ours",
-                device: DeviceSpec | None = None, batch: int = 1,
-                backend: str = "numpy", faults: FaultPlan | None = None,
-                workers: int = 1, signature=None, max_extent: int = 0,
-                **fw_kwargs) -> Session:
-        key = self._key(model, framework, device, batch, backend, fw_kwargs,
-                        faults, workers, signature, max_extent)
-        build = functools.partial(
-            _compile_session, model, framework, device or self.device,
-            batch, backend=backend, faults=faults, workers=workers,
-            signature=signature, max_extent=max_extent, **fw_kwargs)
-        if key is None:  # an unhashable config compiles uncached
-            return build()
-        found = self._lookup(key)
-        if found is not None:
-            return found
-        with self._lock:
-            compiling = self._compiling.setdefault(key, threading.Lock())
-        with compiling:
-            found = self._lookup(key)  # compiled while this thread waited
-            if found is not None:
-                return found
-            session = build()
-            with self._lock:
-                self._sessions[key] = session
-                self._compiling.pop(key, None)
-                if self.max_sessions is not None \
-                        and len(self._sessions) > self.max_sessions:
-                    self._sessions.popitem(last=False)  # drop least recent
-        return session
-
-    def _lookup(self, key) -> Session | None:
-        with self._lock:
-            found = self._sessions.get(key)
-            if found is not None:
-                self._sessions.move_to_end(key)  # LRU: refresh recency
-            return found
-
-    def evict(self, model: str | Graph, framework: str = "Ours",
-              device: DeviceSpec | None = None, batch: int = 1,
-              backend: str = "numpy", faults: FaultPlan | None = None,
-              workers: int = 1, signature=None, max_extent: int = 0,
-              **fw_kwargs) -> bool:
-        """Drop the live session for a triple; True when one was evicted."""
-        key = self._key(model, framework, device, batch, backend, fw_kwargs,
-                        faults, workers, signature, max_extent)
-        with self._lock:
-            return key is not None \
-                and self._sessions.pop(key, None) is not None
-
-    def clear(self) -> None:
-        """Drop every live session."""
-        with self._lock:
-            self._sessions.clear()
-
-    @property
-    def num_sessions(self) -> int:
-        return len(self._sessions)

@@ -7,8 +7,8 @@ from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.api import ServeOptions, Service
-from repro.api.compiled import compile_private
 from repro.api.options import merge_options
 from repro.ir import GraphBuilder
 from repro.runtime import FaultPlan, FaultRule
@@ -48,7 +48,7 @@ class Scheduling:
         ``_next_batch`` / ``_execute`` by hand)."""
         options = merge_options(ServeOptions, options, overrides)
         service = Service(
-            compile_private(model, options.resolved_compile()), options,
+            repro.compile(model, options.resolved_compile()), options,
             _start=False)
         self._services.append(service)
         return service

@@ -15,8 +15,9 @@ was recorded.
 import numpy as np
 import pytest
 
+import repro
 from repro.api import (
-    AdmissionError, CompileOptions, InferenceRequest, compile_private,
+    AdmissionError, CompileOptions, InferenceRequest,
 )
 from repro.ir import GraphBuilder
 from repro.runtime import FaultPlan
@@ -44,7 +45,7 @@ def compiled(request):
             faults=FaultPlan(), max_extent=MAX_EXTENT,
             signature={name: (None,) + tuple(graph.shape(name))[1:]
                        for name in graph.inputs})
-    return compile_private(graph, options)
+    return repro.compile(graph, options)
 
 
 @pytest.fixture(params=["admit", "run", "run_batch"])

@@ -14,8 +14,7 @@ from repro.api import (
 from repro.api import options as options_module
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import (
-    FaultPlan, FaultRule, NumPyBackend, SessionRegistry, execute,
-    make_inputs,
+    FaultPlan, FaultRule, NumPyBackend, execute, make_inputs,
 )
 
 
@@ -65,17 +64,21 @@ class TestCompileFrontDoor:
         assert not np.array_equal(responses[0].outputs[name],
                                   responses[1].outputs[name])
 
-    def test_identical_rebuilt_graph_hits_session_cache(self):
+    def test_identical_rebuilt_graph_shares_one_program(self):
         g1, g2 = _smoke("ViT"), _smoke("ViT")
         assert g1 is not g2
         assert g1.fingerprint() == g2.fingerprint()
-        assert repro.compile(g1).session is repro.compile(g2).session
+        a, b = repro.compile(g1), repro.compile(g2)
+        assert a.program is b.program
+        assert a.session is not b.session
 
     def test_options_merge_and_validation(self):
         g = _smoke("ViT")
         options = CompileOptions(framework="Ours")
-        assert repro.compile(g, options).session \
-            is repro.compile(g, framework="Ours").session
+        a = repro.compile(g, options)
+        b = repro.compile(g, framework="Ours")
+        assert a.program is b.program
+        assert a.session is not b.session
         with pytest.raises(TypeError, match="unknown CompileOptions fields"):
             repro.compile(g, options, not_a_field=1)
         with pytest.raises(KeyError, match="unknown backend"):
@@ -375,12 +378,3 @@ class TestDeprecatedOptions:
         assert relevant[0].filename == __file__  # blames the caller
         assert options.max_wait_ms == 2.0  # still accepted and carried
 
-
-class TestSessionRegistry:
-    def test_graph_keys_normalized_by_fingerprint(self):
-        registry = SessionRegistry()
-        g1, g2 = _smoke("ViT"), _smoke("ViT")
-        assert registry.compile(g1) is registry.compile(g2)
-        assert registry.num_sessions == 1
-        assert registry.evict(g2) is True  # either object addresses the entry
-        assert registry.num_sessions == 0

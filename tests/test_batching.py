@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro import FaultPlan, FaultRule
 from repro.api import (
-    CompileOptions, InferenceRequest, ServeOptions, Service, compile_private,
+    CompileOptions, InferenceRequest, ServeOptions, Service,
 )
 from repro.bench.harness import clear_cell_cache
 from repro.ir import GraphBuilder
@@ -85,7 +85,7 @@ class TestBucket:
 @pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
 class TestZooParity:
     def test_batched_matches_sequential_and_solo(self, name, backend):
-        model = compile_private(_smoke(name), CompileOptions(backend=backend))
+        model = repro.compile(_smoke(name), CompileOptions(backend=backend))
         session = model.session
         program = session.program
         stackable = analyze(program).stackable
@@ -139,7 +139,7 @@ def _row_spy(monkeypatch, session):
 class TestExactSizeBatches:
     def test_non_bucket_batches_execute_exactly_their_rows(
             self, name, backend, monkeypatch):
-        model = compile_private(_smoke(name), CompileOptions(
+        model = repro.compile(_smoke(name), CompileOptions(
             backend=backend, faults=FaultPlan()))
         session = model.session
         program = session.program
@@ -276,7 +276,7 @@ class TestNonStackableFallback:
 
 class TestStackedStats:
     def test_run_stats_flag_wall_share_and_shared_pool(self):
-        model = compile_private(_smoke("Pythia"), CompileOptions())
+        model = repro.compile(_smoke("Pythia"), CompileOptions())
         requests = [InferenceRequest(inputs=model.session.make_inputs(seed=s),
                                      request_id=s) for s in range(3)]
         responses = model.run_batch(requests)
@@ -302,7 +302,7 @@ class TestStackedStats:
 class TestStackedReliability:
     def test_faulting_batchmate_is_isolated_from_stacked_batch(self):
         plan = FaultPlan(rules=(FaultRule(kind="kernel", request_id="bad"),))
-        compiled = compile_private(_smoke("Pythia"), CompileOptions())
+        compiled = repro.compile(_smoke("Pythia"), CompileOptions())
         reference = {}
         service = Service(
             compiled, ServeOptions(max_batch_size=4, faults=plan),
@@ -338,7 +338,7 @@ class TestStackedReliability:
 
     def test_stacked_batch_degrades_as_a_unit(self):
         plan = FaultPlan(rules=(FaultRule(kind="compile"),))
-        model = compile_private(
+        model = repro.compile(
             _smoke("Pythia"), CompileOptions(backend="codegen", faults=plan))
         session = model.session
         requests = [InferenceRequest(inputs=session.make_inputs(seed=s))
@@ -348,7 +348,7 @@ class TestStackedReliability:
         assert session.stats.fallbacks == 1
         # degradation preserved the stacked routing on the fallback
         assert all(r.stats.batched for r in responses)
-        reference = compile_private(_smoke("Pythia"), CompileOptions())
+        reference = repro.compile(_smoke("Pythia"), CompileOptions())
         for seed, response in enumerate(responses):
             want = reference.run(reference.make_request(seed=seed)).outputs
             _assert_same_outputs(response.outputs, want, f"seed={seed}")

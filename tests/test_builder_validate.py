@@ -1,12 +1,15 @@
 """Tests for GraphBuilder, validate, serialize, and pattern matching."""
 
+import numpy as np
 import pytest
 
+from repro.core import smartmem_optimize
 from repro.ir import (
     GraphBuilder, GraphError, dumps, find_chains, layout_transform_chains,
     loads, validate,
 )
 from repro.ir.view import ViewChain
+from repro.runtime import execute, make_inputs, verify_equivalence
 
 
 class TestBuilder:
@@ -160,3 +163,37 @@ class TestPatterns:
         g = b.finish()
         chains = list(layout_transform_chains(g))
         assert all(len(c.nodes) == 1 for c in chains)
+
+
+class TestSplitOp:
+    def test_split_shapes_and_execution(self):
+        b = GraphBuilder()
+        x = b.input("x", (2, 6, 4))
+        parts = b.split(x, 3, axis=1)
+        assert len(parts) == 3
+        assert all(b.shape(p) == (2, 2, 4) for p in parts)
+        y = b.concat(parts, axis=1)
+        b.output(y)
+        g = b.finish()
+        validate(g)
+        inputs = make_inputs(g)
+        out = execute(g, inputs)
+        assert np.array_equal(list(out.values())[0], inputs["x"])
+
+    def test_split_divisibility(self):
+        b = GraphBuilder()
+        x = b.input("x", (2, 5))
+        with pytest.raises(ValueError):
+            b.split(x, 2, axis=1)
+
+    def test_split_survives_pipeline(self):
+        b = GraphBuilder()
+        x = b.input("x", (2, 8, 4))
+        h = b.dense(x, 4)
+        parts = b.split(h, 2, axis=1)
+        y = b.add(parts[0], parts[1])
+        b.output(y)
+        g = b.finish()
+        result = smartmem_optimize(g)
+        validate(result.graph)
+        assert verify_equivalence(g, result.graph, seeds=(0,)).passed

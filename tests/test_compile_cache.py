@@ -1,11 +1,12 @@
-"""The compile path is content-addressed and bounded.
+"""The compile path is content-addressed, compiles each key once, and
+is bounded.
 
 Contract: the harness's cell/core caches key a graph by
-``Graph.fingerprint()`` - the same key ``SessionRegistry`` uses - so a
-structurally identical rebuilt graph reuses one compile, one lowered
-program (with its ``backend_cache``), one read-only parameter
-materialization and one cost report, while every session keeps private
-pools and stats.  Graph-keyed entries are an LRU over distinct
+``Graph.fingerprint()``, so a structurally identical rebuilt graph
+reuses one compile, one lowered program (with its ``backend_cache``),
+one read-only parameter materialization and one cost report, while
+every session keeps private pools and stats.  Two threads missing one
+key get one compile.  Graph-keyed entries are an LRU over distinct
 fingerprints: evicted programs are really freed, and re-serving a known
 graph neither recompiles nor grows the process.
 """
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api import CompileOptions, compile_private
+from repro.api import CompileOptions
 from repro.bench import harness
 from repro.bench.harness import cell_cache_stats, clear_cell_cache, run_cell
 from repro.ir import GraphBuilder
@@ -92,7 +93,7 @@ class TestContentKey:
         _same(serve_one(second, dict(inputs)), serve_one(first, dict(inputs)))
         assert first.stats.requests == second.stats.requests == 1
 
-    def test_one_key_function_for_harness_and_registry(self):
+    def test_one_key_function_for_both_caches(self):
         graph = _mini()
         key = stable_model_key(graph)
         assert key == ("graph", graph.fingerprint())
@@ -160,7 +161,7 @@ class TestBoundedLRU:
             logging.getLogger("repro.runtime.session"), "disabled", True)
         capacity = harness.GRAPH_CACHE_CAPACITY
         assert capacity >= 64
-        model = compile_private(_mini(8), CompileOptions(backend="codegen"))
+        model = repro.compile(_mini(8), CompileOptions(backend="codegen"))
         session = model.session
         serve_one(session, session.make_inputs(seed=0))
         serve_batch(session, [session.make_inputs(seed=s) for s in range(3)])
@@ -244,18 +245,112 @@ class TestBoundedLRU:
         assert len(indexed) <= 4
         for cache in (harness._CELL_CACHE, harness._CORE_CACHE):
             assert {key[0][1] for key in cache} <= indexed
+        stats = cell_cache_stats()
+        assert stats["hits"] + stats["misses"] == 6 * 60  # none lost
+        assert not harness._FILLING
+
+
+def _at_once(*calls):
+    """Each call in its own barrier-started thread, switching threads
+    mid-compile; returns their results in order."""
+    barrier = threading.Barrier(len(calls))
+    got = [None] * len(calls)
+
+    def run(index):
+        barrier.wait()
+        got[index] = calls[index]()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert None not in got
+    return got
+
+
+class TestOneCompilePerKey:
+    """A miss compiles under its key's own in-flight lock: concurrent
+    callers of one key get one compile - one program, one
+    ``backend_cache`` - and other keys never wait on it."""
+
+    def test_two_threads_compiling_one_key_share_one_cell(self):
+        graph = build_smoke("Conformer")
+        first, second = _at_once(lambda: run_cell(graph, "Ours"),
+                                 lambda: run_cell(graph, "Ours"))
+        assert first is second
+        assert cell_cache_stats()["misses"] == 1
+
+    def test_cells_sharing_a_core_share_one_compile(self):
+        # check_memory splits the cell key, not the core key.
+        graph = build_smoke("Conformer")
+        loose, checked = _at_once(
+            lambda: run_cell(graph, "Ours"),
+            lambda: run_cell(graph, "Ours", check_memory=True))
+        assert loose is not checked
+        assert loose.result.program is checked.result.program
+        assert len(harness._CORE_CACHE) == 1
+
+    @pytest.mark.parametrize("door", ["compile", "serve"])
+    def test_two_threads_at_one_door_get_one_program(self, door):
+        graph = build_smoke("Conformer")
+        opened = _at_once(lambda: getattr(repro, door)(graph),
+                          lambda: getattr(repro, door)(graph))
+        try:
+            first, second = (getattr(got, "compiled", got)
+                             for got in opened)
+            assert first.program is second.program
+            assert first.session is not second.session
+        finally:
+            for got in opened:
+                got.close()
+
+    def test_a_compile_waits_on_no_other_key(self, monkeypatch):
+        # The table lock is held only to read or write the tables: while
+        # one key compiles, a hit and another key's compile both finish.
+        cached = run_cell(_mini(8), "Ours")
+        slow = _mini(9)
+        started, release = threading.Event(), threading.Event()
+        compile_cell = harness._compile_cell
+
+        def held(model, *args):
+            if model is slow:
+                started.set()
+                release.wait(timeout=10)
+            return compile_cell(model, *args)
+
+        monkeypatch.setattr(harness, "_compile_cell", held)
+        thread = threading.Thread(target=run_cell, args=(slow, "Ours"))
+        thread.start()
+        try:
+            assert started.wait(timeout=10)
+            assert run_cell(_mini(8), "Ours") is cached
+            run_cell(_mini(10), "Ours")
+            assert thread.is_alive()  # the slow compile is still held
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert cell_cache_stats()["misses"] == 3
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
 def test_hit_outputs_match_miss_outputs(name, backend):
     options = CompileOptions(backend=backend)
-    miss = compile_private(build_smoke(name), options)
+    miss = repro.compile(build_smoke(name), options)
     request = miss.make_request(seed=11)
     want = {key: value.copy()
             for key, value in miss.run(request).outputs.items()}
     before = cell_cache_stats()
-    hit = compile_private(build_smoke(name), options)
+    hit = repro.compile(build_smoke(name), options)
     after = cell_cache_stats()
     assert after["misses"] == before["misses"]
     assert after["hits"] == before["hits"] + 1

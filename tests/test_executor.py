@@ -20,8 +20,9 @@ import time
 
 import pytest
 
+import repro
 from repro import FaultPlan, FaultRule
-from repro.api import CompileOptions, ExecutionError, compile_private
+from repro.api import CompileOptions, ExecutionError
 from repro.api.service import HEAVY_STEP_BYTES, _usable_cpus
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import get_backend, lower
@@ -57,7 +58,7 @@ def _executor_threads():
 
 def _solo(graph, requests):
     """Each request's outputs from a solo numpy run."""
-    reference = compile_private(graph, CompileOptions()).session
+    reference = repro.compile(graph, CompileOptions()).session
     return [serve_one(reference, dict(r.inputs)) for r in requests]
 
 

@@ -52,36 +52,12 @@ class TestFig3Example:
         assert isinstance(m.exprs[2], Var)
         assert m.exprs[2].name == "o3"
 
-    def test_unit_stride_detected(self):
-        m = IndexMap.from_view_chain(self.chain)
-        assert m.input_stride_of_output_dim(3) == 1
-
     def test_dependency_kinds(self):
         raw = IndexMap.from_view_chain(self.chain, simplified=False)
         # before simplification everything looks compound (stacked div/mod
         # over a merged linear index)
         assert all(k in ("compound", "split", "merge", "identity")
                    for k in raw.dependency_kinds())
-
-
-class TestStride:
-    def test_transpose_stride(self):
-        chain = ViewChain.identity((4, 6)).then_transpose((1, 0))
-        m = IndexMap.from_view_chain(chain)
-        # stepping output dim 0 walks input dim 1: stride 1
-        assert m.input_stride_of_output_dim(0) == 1
-        # stepping output dim 1 walks input dim 0: stride 6
-        assert m.input_stride_of_output_dim(1) == 6
-
-    def test_slice_stride(self):
-        chain = ViewChain.identity((8,)).then_slice(((1, 8, 2),))
-        m = IndexMap.from_view_chain(chain)
-        assert m.input_stride_of_output_dim(0) == 2
-
-    def test_size_one_dim(self):
-        chain = ViewChain.identity((1, 4))
-        m = IndexMap.from_view_chain(chain)
-        assert m.input_stride_of_output_dim(0) == 0
 
 
 class TestErrors:

@@ -70,29 +70,6 @@ class TestTextureLayout:
             Layout.row_major(2).texel_count((2, 2))
 
 
-class TestPermuted:
-    def test_transpose_tracking(self):
-        # data stored row-major for shape (A, B); after logical transpose
-        # the same bytes serve the transposed tensor with swapped order
-        layout = Layout.row_major(2)
-        transposed = layout.permuted((1, 0))
-        assert transposed.dim_order == (1, 0)
-
-    def test_permuted_keeps_memory_kind(self):
-        layout = Layout.texture((0, 1, 2), vector_dim=2)
-        out = layout.permuted((2, 0, 1))
-        assert out.memory is MemoryKind.TEXTURE_2D5
-        # old dim 2 is new dim 0
-        assert out.vector_dim == 0
-
-    @given(st.permutations(range(4)))
-    def test_permuted_is_consistent(self, perm):
-        perm = tuple(perm)
-        layout = Layout.row_major(4)
-        out = layout.permuted(perm)
-        assert sorted(out.dim_order) == [0, 1, 2, 3]
-
-
 class TestJson:
     def test_roundtrip_buffer(self):
         layout = Layout.buffer((1, 0, 2))

@@ -8,6 +8,9 @@ Outputs are always compared **byte-identical** against a single-process
 reference session - the backend's core contract.
 """
 
+import gc
+import multiprocessing
+
 import pytest
 
 import repro
@@ -209,6 +212,24 @@ class TestShmCleanup:
         session.close()
         assert not active_segments()
 
+
+    def test_a_dropped_model_releases_its_pool(self):
+        # compile() owns the session it builds, so a model dropped
+        # without close() still stops its workers and unlinks its ring.
+        graph = build_smoke("Pythia")
+        segments = active_segments()
+        workers = len(multiprocessing.active_children())
+        models = [repro.compile(graph, backend="parallel", workers=1,
+                                faults=NO_FAULTS) for _ in range(2)]
+        assert models[0].program is models[1].program
+        for model in models:
+            model.run(model.make_request(seed=0))
+            assert model.session._parallel_pool is not None
+        assert len(multiprocessing.active_children()) == workers + 2
+        del models, model
+        gc.collect()
+        assert active_segments() == segments
+        assert len(multiprocessing.active_children()) == workers
 
 class TestSharding:
     def test_stackable_shards_stay_large(self):

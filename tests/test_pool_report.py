@@ -16,7 +16,8 @@ solo, stacked, symbolic at an off-base extent - plus one parallel burst:
 import numpy as np
 import pytest
 
-from repro.api import CompileOptions, compile_private
+import repro
+from repro.api import CompileOptions
 from repro.models import build_smoke
 from repro.runtime import FaultPlan, parallel_supported
 from repro.runtime.batching import bucket, rebatch, symbolize
@@ -113,7 +114,7 @@ class TestStaticPoolReport:
                     reason="fork start method unavailable")
 def test_parallel_burst_reports_the_dispatched_plan():
     graph = build_smoke("Pythia", batch=1)
-    model = compile_private(graph, CompileOptions(
+    model = repro.compile(graph, CompileOptions(
         backend="parallel", workers=1, faults=NO_FAULTS))
     try:
         requests = [model.make_request(seed=s) for s in range(4)]
@@ -121,7 +122,7 @@ def test_parallel_burst_reports_the_dispatched_plan():
         assert model.session._parallel_pool is not None  # worker-served
     finally:
         model.close()
-    reference = compile_private(graph, CompileOptions(faults=NO_FAULTS))
+    reference = repro.compile(graph, CompileOptions(faults=NO_FAULTS))
     for request, response in zip(requests, responses):
         assert response.stats.backend == "parallel"
         assert_plan_report(response.stats.pool, model.program)

@@ -17,7 +17,7 @@ from repro import FaultPlan, FaultRule, RetryPolicy
 from repro.api import (
     AdmissionError, BackendCompilationError, CompileOptions, DeadlineExceeded,
     ExecutionError, InferenceRequest, QueueFull, ReproError, ServeOptions,
-    Service, ServiceClosed, compile_private, serve,
+    Service, ServiceClosed, serve,
 )
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import circuit_breaker, execute, make_inputs
@@ -107,15 +107,16 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="latency_ms"):
             FaultRule(kind="latency", latency_ms=-1)
 
-    def test_plan_is_hashable_and_splits_the_session_cache(self):
+    def test_plan_is_hashable_and_rides_its_own_session(self):
         plan = FaultPlan(rules=(FaultRule(kind="latency", latency_ms=0.01),))
-        hash(plan)  # frozen -> usable in cache keys
+        hash(plan)  # frozen -> usable as a CompileOptions field
         graph = _smoke()
         clean = repro.compile(graph)
         faulty = repro.compile(graph, faults=plan)
-        again = repro.compile(graph)
+        # A fault plan is per session: the program is shared.
+        assert faulty.program is clean.program
         assert faulty.session is not clean.session
-        assert again.session is clean.session
+        assert faulty.session.faults == plan
 
     def test_chaos_plan_is_deterministic_per_seed(self):
         assert FaultPlan.chaos(7) == FaultPlan.chaos(7)
@@ -132,7 +133,7 @@ class TestFaultPlan:
 
     def test_injected_kernel_fault_surfaces_as_execution_error(self):
         plan = FaultPlan(rules=(FaultRule(kind="kernel", step=3),))
-        model = compile_private(_smoke(), CompileOptions(faults=plan))
+        model = repro.compile(_smoke(), CompileOptions(faults=plan))
         with pytest.raises(ExecutionError, match="injected kernel fault "
                                                  "at step 3"):
             model.run(model.make_request(seed=0))
@@ -161,7 +162,7 @@ class TestGracefulDegradation:
         graph = _smoke()
         inputs = _graph_inputs(graph, seed=5)
         plan = FaultPlan(rules=(FaultRule(kind="compile"),))
-        model = compile_private(
+        model = repro.compile(
             _smoke(), CompileOptions(backend="codegen", faults=plan))
 
         degraded = model.run(InferenceRequest(inputs=inputs))
@@ -178,7 +179,7 @@ class TestGracefulDegradation:
 
     def test_circuit_breaker_opens_after_repeated_failures(self):
         plan = FaultPlan(rules=(FaultRule(kind="compile", times=None),))
-        model = compile_private(
+        model = repro.compile(
             _smoke(), CompileOptions(backend="codegen", faults=plan))
         session = model.session
         breaker = circuit_breaker()
@@ -195,7 +196,7 @@ class TestGracefulDegradation:
 
     def test_compile_faults_never_target_the_reference_backend(self):
         plan = FaultPlan(rules=(FaultRule(kind="compile", times=None),))
-        model = compile_private(
+        model = repro.compile(
             _smoke(), CompileOptions(backend="numpy", faults=plan))
         response = model.run(model.make_request(seed=0))
         assert response.stats.backend == "numpy"
@@ -204,7 +205,7 @@ class TestGracefulDegradation:
     def test_run_batch_degrades_as_a_unit(self):
         graph = _smoke()
         plan = FaultPlan(rules=(FaultRule(kind="compile"),))
-        model = compile_private(
+        model = repro.compile(
             _smoke(), CompileOptions(backend="codegen", faults=plan))
         requests = [InferenceRequest(inputs=_graph_inputs(graph, seed=s))
                     for s in range(3)]
@@ -226,7 +227,7 @@ class TestIsolationAndRetry:
         plan = FaultPlan(rules=(
             FaultRule(kind="kernel", request_id="bad"),))
         service = Service(
-            compile_private(_smoke(), CompileOptions()),
+            repro.compile(_smoke(), CompileOptions()),
             ServeOptions(max_batch_size=4, faults=plan),
             _start=False)
         futures = {}
@@ -279,7 +280,7 @@ class TestIsolationAndRetry:
         plan = FaultPlan(rules=(FaultRule(
             kind="kernel", request_id="flaky", retryable=True),))
         service = Service(
-            compile_private(_smoke(), CompileOptions()),
+            repro.compile(_smoke(), CompileOptions()),
             ServeOptions(max_batch_size=2, faults=plan,
                          retry=RetryPolicy(max_attempts=5, backoff_ms=500.0)),
             _start=False)
@@ -392,7 +393,7 @@ class TestCloseAndPressure:
     def test_backpressure_under_concurrent_submitters(self):
         graph = _smoke()
         service = Service(
-            compile_private(_smoke(), CompileOptions()),
+            repro.compile(_smoke(), CompileOptions()),
             ServeOptions(max_batch_size=8, max_queue=3),
             _start=False)
         admitted, rejected, errors = [], [], []
@@ -430,7 +431,7 @@ class TestCloseAndPressure:
     def test_deadline_misses_under_concurrent_load_are_attributed(self):
         graph = _smoke()
         service = Service(
-            compile_private(_smoke(), CompileOptions()),
+            repro.compile(_smoke(), CompileOptions()),
             ServeOptions(max_batch_size=8), _start=False)
         futures = {}
         lock = threading.Lock()
@@ -476,7 +477,7 @@ class TestChaos:
             inputs = _graph_inputs(graph, seed)
             clean[seed] = (inputs, _reference(graph, inputs))
         for chaos_seed in (1, 20_240_428):
-            model = compile_private(_smoke(), CompileOptions(
+            model = repro.compile(_smoke(), CompileOptions(
                 backend="codegen", faults=FaultPlan.chaos(chaos_seed)))
             for seed, (inputs, ref) in clean.items():
                 outputs = model.run(InferenceRequest(inputs=inputs)).outputs

@@ -1,21 +1,16 @@
-"""Tests for the compile-once/run-many Session/SessionRegistry layer."""
+"""Tests for the compile-once/run-many Session layer."""
 
 import inspect
-import sys
-import threading
 
 import numpy as np
 import pytest
 
-from repro.api import CompileOptions, compile_private
+import repro
+from repro.api import CompileOptions
 from repro.bench.harness import cell_cache_stats
 from repro.core import PipelineStages
 from repro.models import ALL_MODELS, SMOKE_CONFIGS as SMALL_CONFIGS, build
-from repro.models.registry import build_smoke
-from repro.runtime import (
-    SD8GEN2, Session, SessionRegistry, execute, make_inputs,
-)
-from repro.runtime import session as session_module
+from repro.runtime import SD8GEN2, Session, execute, make_inputs
 from repro.runtime.session import _admit
 
 from front_door import serve_batch, serve_one
@@ -24,7 +19,7 @@ from front_door import serve_batch, serve_one
 def fresh_session(model, framework="Ours", device=SD8GEN2, **options):
     """A fresh private session (own stats), as ``repro.serve`` builds
     one."""
-    return compile_private(model, CompileOptions(
+    return repro.compile(model, CompileOptions(
         framework=framework, device=device, **options)).session
 
 
@@ -144,119 +139,13 @@ class TestInputValidation:
         assert session.stats.requests == requests
 
 
-class TestRegistryLRU:
-    def _stages(self, n):
-        # distinct hashable configs -> distinct triples
-        return PipelineStages(tuned_boost=1.1 + n / 100)
-
-    def test_eviction_beyond_max_sessions(self):
-        g = build("ViT", **SMALL_CONFIGS["ViT"])
-        registry = SessionRegistry(max_sessions=2)
-        a = registry.compile(g, stages=self._stages(0))
-        registry.compile(g, stages=self._stages(1))
-        registry.compile(g, stages=self._stages(2))
-        assert registry.num_sessions == 2
-        # a was least recently used: recompiling yields a fresh session
-        assert registry.compile(g, stages=self._stages(0)) is not a
-
-    def test_use_refreshes_recency(self):
-        g = build("ViT", **SMALL_CONFIGS["ViT"])
-        registry = SessionRegistry(max_sessions=2)
-        a = registry.compile(g, stages=self._stages(0))
-        b = registry.compile(g, stages=self._stages(1))
-        assert registry.compile(g, stages=self._stages(0)) is a  # touch a
-        registry.compile(g, stages=self._stages(2))  # evicts b, not a
-        assert registry.compile(g, stages=self._stages(0)) is a
-        assert registry.compile(g, stages=self._stages(1)) is not b
-
-    def test_unbounded_by_default(self):
-        g = build("ViT", **SMALL_CONFIGS["ViT"])
-        registry = SessionRegistry()
-        for n in range(4):
-            registry.compile(g, stages=self._stages(n))
-        assert registry.num_sessions == 4
-
-    def test_max_sessions_validated(self):
-        with pytest.raises(ValueError, match="max_sessions"):
-            SessionRegistry(max_sessions=0)
-
-    def test_two_threads_compiling_one_triple_share_one_session(self):
-        # Check-then-set on the table would compile twice and hand the
-        # two callers different Sessions - two stats, two programs.
-        barrier = threading.Barrier(2)
-        registry = SessionRegistry()
-        got = [None, None]
-
-        def compile_at_once(index):
-            barrier.wait()
-            got[index] = registry.compile(build_smoke("Conformer"))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads mid-compile
-        try:
-            threads = [threading.Thread(target=compile_at_once, args=(i,))
-                       for i in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert got[0] is not None
-        assert got[0] is got[1]
-        assert registry.num_sessions == 1
-
-    def test_a_hit_does_not_wait_on_another_triples_compile(
-            self, monkeypatch):
-        # The table lock is held only to read or write the table: while
-        # one triple compiles, a cached triple returns at once.
-        registry = SessionRegistry()
-        cached = registry.compile(build_smoke("ViT"))
-        started, release = threading.Event(), threading.Event()
-        compile_session = session_module._compile_session
-
-        def held(*args, **kwargs):
-            started.set()
-            release.wait(timeout=10)
-            return compile_session(*args, **kwargs)
-
-        monkeypatch.setattr(session_module, "_compile_session", held)
-        thread = threading.Thread(target=registry.compile,
-                                  args=(build_smoke("Conformer"),))
-        thread.start()
-        try:
-            assert started.wait(timeout=10)
-            assert registry.compile(build_smoke("ViT")) is cached
-            assert thread.is_alive()  # the other compile is still held
-        finally:
-            release.set()
-            thread.join(timeout=60)
-        assert registry.num_sessions == 2
-
-    def test_evict_api(self):
-        g = build("ViT", **SMALL_CONFIGS["ViT"])
-        registry = SessionRegistry()
-        session = registry.compile(g)
-        assert registry.evict(g) is True
-        assert registry.evict(g) is False  # already gone
-        assert registry.num_sessions == 0
-        assert registry.compile(g) is not session
-
-    def test_clear(self):
-        g = build("ViT", **SMALL_CONFIGS["ViT"])
-        registry = SessionRegistry()
-        registry.compile(g)
-        registry.clear()
-        assert registry.num_sessions == 0
-
-
 class TestProgramPlumbing:
     def test_sessions_share_one_lowering(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
         a = fresh_session(g, "Ours")
         b = fresh_session(g, "Ours")
         assert a.program is b.program  # program rides the compile cache
+        assert a is not b
 
     def test_ours_program_comes_from_lower_pass(self):
         g = build("Swin", **SMALL_CONFIGS["Swin"])
@@ -295,15 +184,13 @@ class TestProgramPlumbing:
 
 
 class TestCompileOnce:
-    def test_registry_returns_same_session(self):
+    def test_compiles_share_one_program_per_stages(self):
         g = build("ViT", **SMALL_CONFIGS["ViT"])
-        registry = SessionRegistry()
-        a = registry.compile(g)
-        b = registry.compile(g)
-        assert a is b
-        assert registry.num_sessions == 1
-        assert registry.compile(g, stages=PipelineStages(lte=False)) is not a
-        assert registry.num_sessions == 2
+        a, b = repro.compile(g), repro.compile(g)
+        assert a.program is b.program
+        assert a.session is not b.session
+        other = repro.compile(g, stages=PipelineStages(lte=False))
+        assert other.program is not a.program
 
     def test_compile_reuses_cell_cache(self):
         g = build("Swin", **SMALL_CONFIGS["Swin"])

@@ -59,13 +59,6 @@ class TestCli:
         for fw in ("MNN", "NCNN", "DNNF"):
             assert fw in out
 
-    def test_save_artifact(self, tmp_path, capsys):
-        path = tmp_path / "mod.json"
-        assert cli_main(["ResNext", "--save", str(path)]) == 0
-        from repro.runtime.artifact import Artifact
-        artifact = Artifact.load(path)
-        assert artifact.metadata["model"] == "ResNext"
-
     def test_device_selection(self, capsys):
         assert cli_main(["ResNext", "--device", "tesla-v100"]) == 0
         assert "tesla-v100" in capsys.readouterr().out
