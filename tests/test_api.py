@@ -1,5 +1,6 @@
 """Tests for the typed service-layer API: repro.compile / repro.serve."""
 
+import importlib
 import threading
 import time
 import warnings
@@ -359,6 +360,32 @@ class TestServiceScheduler:
             ServeOptions(max_wait_ms=-1.0)
         with pytest.raises(ValueError, match="max_queue"):
             ServeOptions(max_queue=0)
+
+
+class TestPublicSurface:
+    def test_top_level_names_all_resolve(self):
+        assert len(repro.__all__) == 43
+        for name in repro.__all__:
+            assert hasattr(repro, name), name
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.api", "session_cache"),
+        ("repro.api", "compile_private"),
+        ("repro.runtime", "SessionRegistry"),
+        ("repro.runtime", "Artifact"),
+        ("repro.runtime", "plan_to_json"),
+        ("repro.runtime", "plan_from_json"),
+    ])
+    def test_removed_name_is_gone(self, module, name):
+        # One compile cache (the cell cache) and no on-disk artifact:
+        # their old doors must not linger under a public name.
+        module = importlib.import_module(module)
+        assert name not in module.__all__
+        assert not hasattr(module, name)
+
+    def test_the_artifact_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.runtime.artifact")
 
 
 class TestDeprecatedOptions:

@@ -103,6 +103,16 @@ class TestContentKey:
         assert [k[0] for k in harness._CORE_CACHE] == [key]
         assert not hasattr(harness, "model_cache_key")
 
+    def test_graph_keys_normalized_by_fingerprint(self):
+        first, second = build_smoke("ViT"), build_smoke("ViT")
+        assert first is not second
+        cell = run_cell(first, "Ours")
+        assert run_cell(second, "Ours") is cell  # either object addresses it
+        assert cell_cache_stats()["graph_entries"] == 1
+        clear_cell_cache()
+        assert cell_cache_stats()["graph_entries"] == 0
+        assert run_cell(second, "Ours") is not cell
+
     def test_mutating_the_source_graph_misses(self):
         graph = _mini()
         first = run_cell(graph, "Ours")
@@ -311,6 +321,91 @@ class TestOneCompilePerKey:
         finally:
             for got in opened:
                 got.close()
+
+    def test_many_threads_count_one_miss_and_the_rest_hits(
+            self, monkeypatch):
+        graph = _mini()
+        compiles = []
+        compile_cell = harness._compile_cell
+
+        def counted(*args):
+            compiles.append(args[0])
+            return compile_cell(*args)
+
+        monkeypatch.setattr(harness, "_compile_cell", counted)
+        cells = _at_once(*[lambda: run_cell(graph, "Ours")] * 4)
+        assert len(compiles) == 1
+        assert all(cell is cells[0] for cell in cells)
+        stats = cell_cache_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 3)
+        assert not harness._FILLING
+
+    def test_a_failed_compile_caches_nothing_and_frees_its_key(
+            self, monkeypatch):
+        graph = _mini()
+        compile_cell = harness._compile_cell
+        failures = [RuntimeError("compile failed")]
+
+        def flaky(*args):
+            if failures:
+                raise failures.pop()
+            return compile_cell(*args)
+
+        monkeypatch.setattr(harness, "_compile_cell", flaky)
+        with pytest.raises(RuntimeError, match="compile failed"):
+            run_cell(graph, "Ours")
+        assert not harness._CELL_CACHE
+        assert not harness._FILLING
+        assert cell_cache_stats()["misses"] == 0
+        cell = run_cell(graph, "Ours")  # the key is free to compile again
+        assert run_cell(graph, "Ours") is cell
+        assert cell_cache_stats()["misses"] == 1
+
+    def test_a_waiter_behind_a_failed_compile_compiles_itself(
+            self, monkeypatch):
+        # The thread that fails raises; the one waiting on its key finds
+        # nothing cached and compiles the key itself.
+        graph = _mini()
+        started, release = threading.Event(), threading.Event()
+        compile_cell = harness._compile_cell
+        calls = []
+
+        def first_fails(*args):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 1:
+                started.set()
+                release.wait(timeout=10)
+                raise RuntimeError("compile failed")
+            return compile_cell(*args)
+
+        monkeypatch.setattr(harness, "_compile_cell", first_fails)
+        errors, got = [], []
+
+        def failing():
+            try:
+                run_cell(graph, "Ours")
+            except RuntimeError as err:
+                errors.append(err)
+
+        failer = threading.Thread(target=failing, name="failer")
+        waiter = threading.Thread(
+            target=lambda: got.append(run_cell(graph, "Ours")),
+            name="waiter")
+        failer.start()
+        try:
+            assert started.wait(timeout=10)
+            waiter.start()
+            waiter.join(timeout=0.2)
+            assert waiter.is_alive()  # parked on the failing key's lock
+        finally:
+            release.set()
+            failer.join(timeout=60)
+            waiter.join(timeout=60)
+        assert not failer.is_alive() and not waiter.is_alive()
+        assert len(errors) == 1
+        assert calls == ["failer", "waiter"]
+        assert got == [run_cell(graph, "Ours")]
+        assert not harness._FILLING
 
     def test_a_compile_waits_on_no_other_key(self, monkeypatch):
         # The table lock is held only to read or write the tables: while

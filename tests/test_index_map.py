@@ -9,6 +9,17 @@ from repro.ir.view import ViewChain
 from test_view import random_chain
 
 
+def _flat_step(m, out_dim):
+    """Flat-input offset per unit step of output dim ``out_dim``, read
+    off the map's own coordinate grid; None when the step is not one
+    constant (a div/mod bucket boundary falls inside the dim)."""
+    if m.out_shape[out_dim] < 2:
+        return 0
+    flat = np.ravel_multi_index(m.evaluate(), m.in_shape)
+    steps = np.unique(np.diff(flat, axis=out_dim))
+    return int(steps[0]) if len(steps) == 1 else None
+
+
 class TestIdentity:
     def test_identity_map(self):
         m = IndexMap.identity((3, 4))
@@ -52,12 +63,36 @@ class TestFig3Example:
         assert isinstance(m.exprs[2], Var)
         assert m.exprs[2].name == "o3"
 
+    def test_unit_stride_detected(self):
+        m = IndexMap.from_view_chain(self.chain)
+        assert _flat_step(m, 3) == 1
+
     def test_dependency_kinds(self):
         raw = IndexMap.from_view_chain(self.chain, simplified=False)
         # before simplification everything looks compound (stacked div/mod
         # over a merged linear index)
         assert all(k in ("compound", "split", "merge", "identity")
                    for k in raw.dependency_kinds())
+
+
+class TestStride:
+    def test_transpose_stride(self):
+        chain = ViewChain.identity((4, 6)).then_transpose((1, 0))
+        m = IndexMap.from_view_chain(chain)
+        # stepping output dim 0 walks input dim 1: stride 1
+        assert _flat_step(m, 0) == 1
+        # stepping output dim 1 walks input dim 0: stride 6
+        assert _flat_step(m, 1) == 6
+
+    def test_slice_stride(self):
+        chain = ViewChain.identity((8,)).then_slice(((1, 8, 2),))
+        m = IndexMap.from_view_chain(chain)
+        assert _flat_step(m, 0) == 2
+
+    def test_size_one_dim(self):
+        chain = ViewChain.identity((1, 4))
+        m = IndexMap.from_view_chain(chain)
+        assert _flat_step(m, 0) == 0
 
 
 class TestErrors:

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.api import (
-    CompileOptions, InferenceRequest, InvalidOptions, ServeOptions, serve,
+    CompiledModel, CompileOptions, InferenceRequest, InvalidOptions, ServeOptions, serve,
 )
 from repro.models import build_smoke
 from repro.runtime import FaultPlan, FaultRule, active_segments
@@ -212,7 +212,6 @@ class TestShmCleanup:
         session.close()
         assert not active_segments()
 
-
     def test_a_dropped_model_releases_its_pool(self):
         # compile() owns the session it builds, so a model dropped
         # without close() still stops its workers and unlinks its ring.
@@ -230,6 +229,42 @@ class TestShmCleanup:
         gc.collect()
         assert active_segments() == segments
         assert len(multiprocessing.active_children()) == workers
+
+    def test_a_borrowed_session_outlives_its_wrapper(self):
+        # Only compile() owns a session; a CompiledModel wrapped around
+        # a session built elsewhere leaves its pool alone when dropped.
+        graph = build_smoke("Pythia")
+        session = _compile_session(
+            graph, "Ours", backend="parallel", workers=1, faults=NO_FAULTS)
+        try:
+            wrapper = CompiledModel(session)
+            wrapper.run(wrapper.make_request(seed=0))
+            pool = session._parallel_pool
+            assert pool is not None
+            del wrapper
+            gc.collect()
+            assert session._parallel_pool is pool
+            assert active_segments()
+            serve_one(session, session.make_inputs(seed=1))
+        finally:
+            session.close()
+        assert not active_segments()
+
+    def test_close_then_drop_releases_once(self):
+        graph = build_smoke("Pythia")
+        segments = active_segments()
+        workers = len(multiprocessing.active_children())
+        model = repro.compile(graph, backend="parallel", workers=1,
+                              faults=NO_FAULTS)
+        model.run(model.make_request(seed=0))
+        model.close()
+        assert active_segments() == segments
+        assert len(multiprocessing.active_children()) == workers
+        del model
+        gc.collect()  # the finalizer's second close is a no-op
+        assert active_segments() == segments
+        assert len(multiprocessing.active_children()) == workers
+
 
 class TestSharding:
     def test_stackable_shards_stay_large(self):

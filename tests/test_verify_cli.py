@@ -63,6 +63,12 @@ class TestCli:
         assert cli_main(["ResNext", "--device", "tesla-v100"]) == 0
         assert "tesla-v100" in capsys.readouterr().out
 
+    def test_save_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["ResNext", "--save", "module.json"])
+        assert exit_info.value.code == 2
+        assert "--save" in capsys.readouterr().err
+
     def test_unknown_model_errors(self):
         with pytest.raises(KeyError):
             cli_main(["NotAModel"])
