@@ -22,6 +22,7 @@ from ..models import build
 from ..runtime.cost_model import CostReport
 from ..runtime.device import DeviceSpec, SD8GEN2
 from ..runtime.executor import make_params
+from ..runtime.program import fill_once
 from ..runtime.session import stable_model_key
 
 
@@ -40,9 +41,7 @@ class Cell:
         self.result = result
         self.device = device
         self.reason = reason or (result.reason if result is not None else "")
-        self._report: CostReport | None = None
-        self._params: dict | None = None
-        self._lock = threading.Lock()
+        self._lazy: dict = {}  # "report", "params"; shared across threads
 
     @property
     def supported(self) -> bool:
@@ -56,11 +55,7 @@ class Cell:
     def report(self) -> CostReport | None:
         if not self.supported:
             return None
-        if self._report is None:
-            with self._lock:  # cells are shared across serving threads
-                if self._report is None:
-                    self._report = self.result.cost(self.device)
-        return self._report
+        return fill_once(self._lazy, "report", self.result.cost, self.device)
 
     @property
     def params(self) -> dict:
@@ -68,11 +63,7 @@ class Cell:
         (:func:`~repro.runtime.executor.make_params` is a pure function
         of the graph), drawn once per cell and shared read-only by every
         session served from it."""
-        if self._params is None:
-            with self._lock:
-                if self._params is None:
-                    self._params = make_params(self.result.graph)
-        return self._params
+        return fill_once(self._lazy, "params", make_params, self.result.graph)
 
     @property
     def latency_ms(self) -> float | None:
@@ -112,11 +103,8 @@ _GRAPH_LRU: OrderedDict = OrderedDict()
 """fingerprint -> [(cache, key), ...] of the entries compiled from it,
 least recently used first."""
 _CACHE_LOCK = threading.Lock()
-"""Guards the tables - both caches, the LRU index, the counters and the
-in-flight locks - and is held only to read or write them, never across
-a compile."""
-_FILLING: dict = {}
-"""(cache, key) -> the lock its in-flight compile holds."""
+"""Guards the LRU index, the counters, and eviction and clearing of the
+two caches; held only to read or write them, never across a compile."""
 
 
 def _cell_key(model, framework, device, check_memory, batch, fw_kwargs):
@@ -136,63 +124,35 @@ def _cell_key(model, framework, device, check_memory, batch, fw_kwargs):
     return key
 
 
-def _lookup(cache: dict, key):
-    """``cache[key]`` or None, refreshing a graph key's recency."""
-    with _CACHE_LOCK:
-        found = cache.get(key)
-        if found is not None:
-            if cache is _CELL_CACHE:
-                _CELL_STATS["hits"] += 1
-            kind, ident = key[0]
-            if kind == "graph":
-                _GRAPH_LRU.move_to_end(ident)
-        return found
+def _fill(cache: dict, key, build, *args):
+    """``cache[key]`` through :func:`~repro.runtime.program.fill_once`
+    (one compile per key, however many threads miss it at once), then
+    counted and indexed: a build is a miss, anything else a hit, and a
+    graph key refreshes its fingerprint's recency, evicting the least
+    recently used fingerprint past capacity."""
+    built = []
 
+    def compile_():
+        built.append(True)
+        return build(*args)
 
-def _remember(cache: dict, key, value) -> None:
-    """Insert, evicting the least recently used graph past capacity."""
+    found = fill_once(cache, key, compile_)
+    kind, ident = key[0]
     with _CACHE_LOCK:
-        cache[key] = value
         if cache is _CELL_CACHE:
-            _CELL_STATS["misses"] += 1
-        kind, ident = key[0]
+            _CELL_STATS["misses" if built else "hits"] += 1
         if kind != "graph":
-            return
-        _GRAPH_LRU.setdefault(ident, []).append((cache, key))
+            return found
+        if built:
+            _GRAPH_LRU.setdefault(ident, []).append((cache, key))
+        elif ident not in _GRAPH_LRU:  # evicted, or not indexed yet
+            return found
         _GRAPH_LRU.move_to_end(ident)
         while len(_GRAPH_LRU) > GRAPH_CACHE_CAPACITY:
             _, owned = _GRAPH_LRU.popitem(last=False)
             for owner, owned_key in owned:
                 owner.pop(owned_key, None)
             _CELL_STATS["evictions"] += 1
-
-
-def _fill(cache: dict, key, build, *args):
-    """``cache[key]``, built by ``build(*args)`` once per key.
-
-    A miss builds under the key's own in-flight lock and re-checks
-    first, so two threads missing one key get one compile - one
-    program - while hits and other keys' compiles go on.  The key's lock
-    is taken before any lock the build takes (the core fill's, then
-    ``fill_once``'s inside ``lower()``), never after.  A build that
-    raises caches nothing.
-    """
-    found = _lookup(cache, key)
-    if found is not None:
-        return found
-    slot = (id(cache), key)
-    with _CACHE_LOCK:
-        filling = _FILLING.setdefault(slot, threading.Lock())
-    try:
-        with filling:
-            found = _lookup(cache, key)  # built while this thread waited
-            if found is None:
-                found = build(*args)
-                _remember(cache, key, found)
-    finally:
-        with _CACHE_LOCK:
-            if _FILLING.get(slot) is filling:
-                del _FILLING[slot]
     return found
 
 

@@ -59,6 +59,7 @@ subclass, override :meth:`_compile_runner`, ``@register_backend``.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,6 +74,7 @@ _MODULE_CACHE_KEY = "codegen.module"
 #: Module sources actually emitted+compiled (cache misses) since process
 #: start - the regression-test observable for "one emission per bucket".
 _EMISSIONS = 0
+_EMISSIONS_LOCK = threading.Lock()  # distinct programs emit at once
 
 
 def emission_count() -> int:
@@ -351,7 +353,8 @@ def compile_program(program: ExecutionProgram) -> CompiledProgramModule:
 def _emit_and_compile(program: ExecutionProgram) -> CompiledProgramModule:
     """One emission: :func:`compile_program`'s cache miss."""
     global _EMISSIONS
-    _EMISSIONS += 1
+    with _EMISSIONS_LOCK:
+        _EMISSIONS += 1
     try:
         source, namespace = emit_program_source(program)
         code = compile(source, f"<repro-codegen:{program.graph.name}>",

@@ -25,7 +25,6 @@ import os
 import platform
 import shutil
 import subprocess
-import threading
 from pathlib import Path
 from typing import Callable
 
@@ -163,10 +162,11 @@ def _compile(cc: str, path: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _load(path):
-    """The library at ``path`` with its signature declared, or the reason
-    there is none.  A ``CDLL`` call releases the interpreter lock, so two
-    threads' norms run in parallel."""
+def _load():
+    """The library, built first on a cold cache, with its signature
+    declared; or the reason there is none.  A ``CDLL`` call releases the
+    interpreter lock, so two threads' norms run in parallel."""
+    path = _build()
     if isinstance(path, str):
         return path
     try:
@@ -184,19 +184,11 @@ def _fill(key, build, *args):
     return fill_once(_CACHE, key, build, *args)
 
 
-_BUILD_LOCK = threading.Lock()
-"""One build per process.  Only the load fills through ``fill_once``, so
-other threads' cache fills never wait on the compiler."""
-
-
 def _library():
-    """The loaded library, or the reason there is none."""
-    found = _CACHE.get("library")
-    if found is None:
-        with _BUILD_LOCK:
-            path = _build()
-        found = _fill("library", _load, path)
-    return found
+    """The loaded library, or the reason there is none.  A cold-cache
+    build runs under the ``"library"`` key's own fill lock, so no other
+    key's fill waits on the compiler."""
+    return _fill("library", _load)
 
 
 def unavailable() -> str | None:

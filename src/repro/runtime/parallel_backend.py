@@ -107,9 +107,12 @@ def _worker_main(conn_, session, inner_name: str, ring: SegmentRing) -> None:
     exit_code = 0
     try:
         # Forked locks may be held by threads that do not exist in the
-        # child; give it private reliability state.
-        from . import session as session_module
+        # child; give it private reliability state and an empty
+        # in-flight fill table.
+        from . import program as program_module, session as session_module
         session_module._CIRCUIT = session_module.CircuitBreaker()
+        program_module._FILLING = {}
+        program_module._FILLING_LOCK = threading.Lock()
         inner = get_backend(inner_name)
         # Per-extent layouts, built lazily and deterministically from
         # (program, capacity, extent) - the parent derives the same

@@ -73,26 +73,54 @@ from .traffic import roofline_summary, step_traffic
 
 _PROGRAM_CACHE_KEY = "execution_program"
 
-_FILL_LOCK = threading.RLock()
+_FILLING: dict = {}
+"""``(id(cache), key)`` -> the lock that key's in-flight build holds."""
+_FILLING_LOCK = threading.Lock()
+"""Guards :data:`_FILLING`; held only to read or write it, never across
+a build."""
 
 
 def fill_once(cache: dict, key, build: Callable, *args):
-    """``cache[key]``, built by ``build(*args)`` on the first miss.
+    """``cache[key]``, built by ``build(*args)`` once per key.
 
-    The one way a program's shared caches fill (runners, modules,
-    variants, analyses): a hit takes no lock, and a miss re-checks under
-    one process-wide re-entrant lock - so two threads missing together
-    get one object, built once.  Re-entrant because one fill can need
-    another (a variant build reads its program's analysis).  A ``build``
-    that raises caches nothing.
+    The one build-once primitive: compile cells, lowerings, codegen
+    modules, batch variants and analyses, the native library and its
+    certificates all fill through it.  A hit takes no lock.  A miss
+    re-checks and builds under that key's own in-flight lock, so
+    concurrent callers of one key get one object, built once, and no
+    lock is held across a build for any other key.  A ``build`` that
+    raises caches nothing; a caller that waited on it then builds the
+    key itself.
+
+    A build may fill other keys: they nest in call order (cell -> core
+    -> lower -> native; variant -> analysis), never in a cycle, so they
+    cannot deadlock.  A build that fills its *own* key deadlocks.  A
+    forked worker starts with a fresh table
+    (``parallel_backend._worker_main``): a key a parent thread was
+    building at the fork would stay locked in the child forever.
     """
     found = cache.get(key)
-    if found is None:
-        with _FILL_LOCK:
-            found = cache.get(key)
-            if found is None:
-                found = cache[key] = build(*args)
-    return found
+    if found is not None:
+        return found
+    slot = (id(cache), key)
+    while True:
+        with _FILLING_LOCK:
+            filling = _FILLING.setdefault(slot, threading.Lock())
+        with filling:
+            try:
+                found = cache.get(key)  # built while this thread waited
+                if found is not None:
+                    return found
+                with _FILLING_LOCK:
+                    owner = _FILLING.get(slot) is filling
+                if owner:
+                    found = cache[key] = build(*args)
+                    return found
+            finally:
+                with _FILLING_LOCK:
+                    if _FILLING.get(slot) is filling:
+                        del _FILLING[slot]
+        # The build this thread waited on raised: take the key afresh.
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +537,10 @@ def lower(graph: Graph) -> ExecutionProgram:
     repeated calls (the executor, the verifier, every session serving
     this graph) share one lowering until the next structural mutation.
     The memo fills through :func:`fill_once`, so two threads lowering
-    the same graph at once get one program - one ``backend_cache``.  A
-    graph with a norm readies the native library first, outside that
-    lock, so no other thread's fill waits on a cold-cache build.
+    the same graph at once get one program - one ``backend_cache``.
     """
-    cache = graph.analysis_cache()
-    if _PROGRAM_CACHE_KEY not in cache and any(
-            node.op_type in native.MAX_AFFINE
-            for node in graph.nodes.values()):
-        native.unavailable()
-    return fill_once(cache, _PROGRAM_CACHE_KEY, _lower, graph)
+    return fill_once(graph.analysis_cache(), _PROGRAM_CACHE_KEY, _lower,
+                     graph)
 
 
 def _lower(graph: Graph) -> ExecutionProgram:

@@ -29,7 +29,10 @@ from repro.bench.harness import cell_cache_stats, clear_cell_cache, run_cell
 from repro.ir import GraphBuilder
 from repro.ir.tensor import TensorSpec
 from repro.models import SMOKE_CONFIGS, build_smoke
+from repro.runtime import program
 from repro.runtime.batching import rebatch
+from repro.runtime.codegen_backend import emission_count
+from repro.runtime.faults import FaultPlan
 from repro.runtime.session import (
     _compile_session, circuit_breaker, stable_model_key,
 )
@@ -257,7 +260,7 @@ class TestBoundedLRU:
             assert {key[0][1] for key in cache} <= indexed
         stats = cell_cache_stats()
         assert stats["hits"] + stats["misses"] == 6 * 60  # none lost
-        assert not harness._FILLING
+        assert not program._FILLING
 
 
 def _at_once(*calls):
@@ -338,7 +341,7 @@ class TestOneCompilePerKey:
         assert all(cell is cells[0] for cell in cells)
         stats = cell_cache_stats()
         assert (stats["misses"], stats["hits"]) == (1, 3)
-        assert not harness._FILLING
+        assert not program._FILLING
 
     def test_a_failed_compile_caches_nothing_and_frees_its_key(
             self, monkeypatch):
@@ -355,7 +358,7 @@ class TestOneCompilePerKey:
         with pytest.raises(RuntimeError, match="compile failed"):
             run_cell(graph, "Ours")
         assert not harness._CELL_CACHE
-        assert not harness._FILLING
+        assert not program._FILLING
         assert cell_cache_stats()["misses"] == 0
         cell = run_cell(graph, "Ours")  # the key is free to compile again
         assert run_cell(graph, "Ours") is cell
@@ -405,7 +408,7 @@ class TestOneCompilePerKey:
         assert len(errors) == 1
         assert calls == ["failer", "waiter"]
         assert got == [run_cell(graph, "Ours")]
-        assert not harness._FILLING
+        assert not program._FILLING
 
     def test_a_compile_waits_on_no_other_key(self, monkeypatch):
         # The table lock is held only to read or write the tables: while
@@ -434,6 +437,30 @@ class TestOneCompilePerKey:
             thread.join(timeout=60)
         assert not thread.is_alive()
         assert cell_cache_stats()["misses"] == 3
+
+    def test_threads_compiling_distinct_graphs_each_emit_once(self):
+        # Distinct keys compile side by side, each under its own lock:
+        # one program and one codegen emission per graph, no emission
+        # bump lost, and outputs a solo compile's bytes.
+        names = ("Conformer", "Pythia", "Swin", "ViT")
+
+        def compile_and_serve(name):
+            model = repro.compile(build_smoke(name), backend="codegen",
+                                  faults=FaultPlan())
+            return model, model.run(model.make_request(seed=0)).outputs
+
+        want = [compile_and_serve(name)[1] for name in names]
+        clear_cell_cache()
+        before = emission_count()
+        got = _at_once(*[lambda name=name: compile_and_serve(name)
+                         for name in names])
+        assert emission_count() - before == len(names)
+        programs = {id(model.program): model.program for model, _ in got}
+        assert len(programs) == len(names)
+        assert all("codegen.module" in program.backend_cache
+                   for program in programs.values())
+        for (_, outputs), solo in zip(got, want):
+            _same(outputs, solo)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

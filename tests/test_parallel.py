@@ -10,6 +10,7 @@ reference session - the backend's core contract.
 
 import gc
 import multiprocessing
+import threading
 
 import pytest
 
@@ -17,10 +18,13 @@ import repro
 from repro.api import (
     CompiledModel, CompileOptions, InferenceRequest, InvalidOptions, ServeOptions, serve,
 )
+from repro.bench.harness import clear_cell_cache
 from repro.models import build_smoke
 from repro.runtime import FaultPlan, FaultRule, active_segments
 from repro.runtime import parallel_backend as pb
+from repro.runtime.batching import _build_variant
 from repro.runtime.parallel_backend import parallel_supported
+from repro.runtime.program import fill_once
 from repro.runtime.session import _admit, _compile_session
 
 from front_door import serve_one
@@ -264,6 +268,49 @@ class TestShmCleanup:
         gc.collect()  # the finalizer's second close is a no-op
         assert active_segments() == segments
         assert len(multiprocessing.active_children()) == workers
+
+
+class TestForkDuringAFill:
+    """A worker forked while a parent thread is inside a build starts
+    with an empty in-flight fill table: neither another key's held lock
+    nor the held lock of the very variant the worker needs stalls it."""
+
+    @pytest.mark.parametrize("held", ["another key", "the worker's variant"])
+    def test_a_worker_forked_during_a_fill_serves(self, monkeypatch, held):
+        monkeypatch.setattr(pb, "_DISPATCH_TIMEOUT_S", 10.0)
+        clear_cell_cache()  # a fresh program: no variant built in-process
+        model = repro.compile(build_smoke("ViT"), backend="parallel",
+                              workers=1, faults=NO_FAULTS)
+        requests = [model.make_request(seed=seed) for seed in range(3)]
+        started, release = threading.Event(), threading.Event()
+
+        def build(*args):
+            started.set()
+            release.wait(timeout=60)
+            return _build_variant(*args) if args else 1
+
+        if held == "another key":
+            fill = ({}, "unrelated", build)
+        else:  # the bucket-4 stacked variant a batch of 3 runs
+            variants = fill_once(model.program.backend_cache,
+                                 "batching.variants", dict)
+            assert (4, True) not in variants  # only workers built it
+            fill = (variants, (4, True), build, model.program, 4, True)
+        holder = threading.Thread(target=fill_once, args=fill)
+        try:
+            want = model.run_batch(requests)
+            model.close()  # the next batch forks a new worker
+            holder.start()
+            assert started.wait(timeout=10)
+            got = model.run_batch(requests)  # forks while the fill is held
+            assert model.session.parallel_restarts == 0
+            assert_byte_identical(got, [r.outputs for r in want])
+        finally:
+            release.set()
+            if holder.is_alive():
+                holder.join(timeout=60)
+            model.close()
+        assert not active_segments()
 
 
 class TestSharding:

@@ -18,7 +18,9 @@ from repro.runtime import (
     available_backends, execute, get_backend, lower, make_inputs,
     register_backend, run_node,
 )
+from repro.runtime import program as program_module
 from repro.runtime.batching import analyze, rebatch, symbolize
+from repro.runtime.program import fill_once
 
 
 def _interpret(graph, inputs):
@@ -280,6 +282,159 @@ class TestLowering:
             1 for node in optimized.iter_nodes()
             for view in node.input_views.values() if not view.is_identity)
         assert lowered_views == graph_views > 0
+
+
+class TestFillOnce:
+    """The one build-once primitive: a hit takes no lock; a miss builds
+    under its key's own in-flight lock, so one key builds once and no
+    key waits on another's build."""
+
+    def test_a_held_build_does_not_block_another_keys_fill(self):
+        cache = {}
+        started, release = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            release.wait(timeout=30)
+            return "slow"
+
+        holder = threading.Thread(target=fill_once,
+                                  args=(cache, "slow", slow))
+        holder.start()
+        assert started.wait(timeout=10)
+        got = []
+        other = threading.Thread(
+            target=lambda: got.append(fill_once(cache, "fast", lambda: 2)))
+        other.start()
+        try:
+            other.join(timeout=5)
+            assert not other.is_alive()  # never waited on "slow"
+            assert got == [2]
+            assert holder.is_alive()  # "slow" is still building
+            assert (id(cache), "slow") in program_module._FILLING
+        finally:
+            release.set()
+            holder.join(timeout=30)
+            other.join(timeout=30)
+        assert cache == {"slow": "slow", "fast": 2}
+        assert not program_module._FILLING
+
+    def test_a_build_may_fill_other_keys(self):
+        cache, inner = {}, {}
+
+        def outer():
+            return fill_once(cache, "a", lambda: 1) \
+                + fill_once(inner, "a", lambda: 10)
+
+        assert fill_once(cache, "b", outer) == 11
+        assert cache == {"a": 1, "b": 11} and inner == {"a": 10}
+        assert not program_module._FILLING
+
+    def test_threads_missing_one_key_build_it_once(self):
+        cache, builds, k = {}, [], 8
+        barrier = threading.Barrier(k)
+        got = [None] * k
+
+        def build():
+            builds.append(threading.current_thread().name)
+            return object()
+
+        def fill(index):
+            barrier.wait()
+            got[index] = fill_once(cache, "key", build)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=fill, args=(i,))
+                       for i in range(k)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        assert got[0] is not None and all(item is got[0] for item in got)
+        assert not program_module._FILLING
+
+    def test_a_raising_build_caches_nothing(self):
+        cache = {}
+
+        def broken():
+            raise RuntimeError("build failed")
+
+        with pytest.raises(RuntimeError, match="build failed"):
+            fill_once(cache, "key", broken)
+        assert not cache
+        assert not program_module._FILLING
+        assert fill_once(cache, "key", lambda: 3) == 3  # the key is free
+
+    def test_a_caller_finding_the_key_built_leaves_no_entry(self):
+        # A caller can miss, then register the key after another caller
+        # built it and left; it finds the value and must still leave.
+        class Racing(dict):
+            raced = False
+
+            def get(self, key, default=None):
+                found = super().get(key, default)
+                if found is None and not self.raced:
+                    self.raced = True
+                    fill_once(self, key, lambda: 1)  # built meanwhile
+                return found
+
+        assert fill_once(Racing(), "key", lambda: 2) == 1
+        assert not program_module._FILLING
+
+    def test_after_a_raising_build_the_key_builds_once_more(self):
+        # The caller that waited on a raising build takes the key afresh
+        # before it builds, so a caller arriving during that rebuild
+        # waits on it instead of building a second copy.
+        cache, builds = {}, []
+        entered = [threading.Event(), threading.Event()]
+        gates = [threading.Event(), threading.Event()]
+
+        def build():
+            index = len(builds)
+            builds.append(index)
+            if index < 2:
+                entered[index].set()
+                gates[index].wait(timeout=30)
+            if index == 0:
+                raise RuntimeError("build failed")
+            return index
+
+        def fill(into):
+            try:
+                into.append(fill_once(cache, "key", build))
+            except RuntimeError as err:
+                into.append(err)
+
+        failed, got = [], []
+        threads = [threading.Thread(target=fill, args=(into,))
+                   for into in (failed, got, got)]
+        threads[0].start()
+        try:
+            assert entered[0].wait(timeout=10)
+            threads[1].start()
+            threads[1].join(timeout=0.2)
+            assert threads[1].is_alive()  # parked on the failing build
+            gates[0].set()
+            assert entered[1].wait(timeout=10)  # the waiter rebuilds
+            threads[2].start()
+            threads[2].join(timeout=0.2)
+            assert threads[2].is_alive()  # parked on the rebuild
+            assert builds == [0, 1]
+        finally:
+            for gate in gates:
+                gate.set()
+            for thread in threads:
+                if thread.is_alive():
+                    thread.join(timeout=30)
+        assert isinstance(failed[0], RuntimeError)
+        assert got == [1, 1] and cache == {"key": 1}
+        assert not program_module._FILLING
 
 
 class TestServingExecution:
