@@ -11,7 +11,11 @@ checkout's ``benchmarks/perf/run.py`` on both sides - ``PYTHONPATH``
 pointed at the parent's ``src/`` for one run of the pair and at this
 checkout's for the other, alternating which side goes first.  Each
 side's records are appended to ``<out-dir>/parent.json`` and
-``<out-dir>/change.json`` (``run.py --out`` lists), and the script ends
+``<out-dir>/change.json`` (``run.py --out`` lists), each record's
+``host.commit`` rewritten to the commit that side measured (``run.py``
+can only see the harness checkout's ``HEAD``): ``<commit>`` resolved
+for the parent, ``HEAD`` for the change, with ``+dirty`` appended when
+this checkout's ``src/`` has uncommitted changes.  The script ends
 with ``run.py compare parent.json change.json``, whose exit code it
 returns (non-zero: an end-to-end metric regressed past its bound).
 
@@ -24,6 +28,7 @@ was not used while the change was written.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -38,20 +43,38 @@ RUN = REPO / "benchmarks" / "perf" / "run.py"
 def export_src(ref: str, into: Path) -> Path:
     """``<ref>``'s ``src/`` tree under ``into``; the path to it."""
     archive = into / "parent.tar"
-    subprocess.run(["git", "archive", "-o", str(archive), ref, "src"],
-                   cwd=REPO, check=True)
+    git("archive", "-o", str(archive), ref, "src")
     with tarfile.open(archive) as tar:
         tar.extractall(into, filter="data")
     archive.unlink()
     return into / "src"
 
 
-def measure(src: Path, workload: str, seed: int, out: Path) -> None:
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=REPO, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def change_commit() -> str:
+    """This checkout's ``HEAD``, ``+dirty`` if ``src/`` differs from it."""
+    dirty = git("status", "--porcelain", "--", "src")
+    return git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
+
+
+def measure(src: Path, workload: str, seed: int, out: Path,
+            commit: str) -> None:
+    """One run of ``workload`` on ``src``, appended to ``out`` with
+    ``host.commit`` set to ``commit``."""
+    before = len(json.loads(out.read_text())) if out.exists() else 0
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(
         [sys.executable, str(RUN), "--workload", workload,
          "--seed", str(seed), "--out", str(out)],
         cwd=REPO, env=env, check=True)
+    records = json.loads(out.read_text())
+    for record in records[before:]:
+        record["host"]["commit"] = commit
+    out.write_text(json.dumps(records, indent=1))
 
 
 def main(argv=None) -> int:
@@ -75,15 +98,16 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     parent_out, change_out = out_dir / "parent.json", out_dir / "change.json"
     with tempfile.TemporaryDirectory(prefix="ab_bench-parent-") as scratch:
-        sides = {"parent": (export_src(args.ref, Path(scratch)), parent_out),
-                 "change": (REPO / "src", change_out)}
+        sides = {"parent": (export_src(args.ref, Path(scratch)), parent_out,
+                            git("rev-parse", f"{args.ref}^{{commit}}")),
+                 "change": (REPO / "src", change_out, change_commit())}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 \
                 else ("change", "parent")
             for side in order:
                 print(f"-- pair {pair + 1}/{args.pairs}: {side}", flush=True)
-                src, out = sides[side]
-                measure(src, args.workload, args.seed, out)
+                src, out, commit = sides[side]
+                measure(src, args.workload, args.seed, out, commit)
     print(f"-- compare {parent_out} {change_out}", flush=True)
     return subprocess.run(
         [sys.executable, str(RUN), "compare", str(parent_out),

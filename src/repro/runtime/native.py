@@ -11,20 +11,22 @@ trusted: :func:`bind` gives a step the C kernel only when its exact
 ``(op, D, affine operands, eps)`` holds a *certificate* - the reference
 and the C kernel, run in-process on a deterministic probe with the
 step's own attrs, return identical bytes - so every bytewise contract
-keeps its meaning.  The library is built once per host with ``gcc`` (no
-``-march=native``) into ``$XDG_CACHE_HOME`` or ``~/.cache``, under
-``repro/native/``; later processes only load it.  With no compiler, an
+keeps its meaning.  The extension module is built once per host with
+``gcc`` (no ``-march=native``) under ``$XDG_CACHE_HOME`` or ``~/.cache``;
+later processes only import it.  With no compiler or ``Python.h``, an
 unwritable cache, or a failed build or load, every step binds numpy.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.util
 import os
 import platform
 import shutil
 import subprocess
+import sysconfig
+from importlib.machinery import ExtensionFileLoader
 from pathlib import Path
 from typing import Callable
 
@@ -33,6 +35,7 @@ import numpy as np
 from .kernels import DEFAULT_EPS, _axes_tuple, get_kernel
 
 SOURCE = r"""
+#include <Python.h>
 #include <math.h>
 #include <stddef.h>
 
@@ -80,9 +83,9 @@ static float mean_of(float sum, ptrdiff_t d)
 
 /* layernorm (center = 1) or rmsnorm (center = 0) of each d-wide row,
    times g (affine >= 1), plus b (affine == 2). */
-void repro_norm(const float *x, const float *g, const float *b, float *out,
-                ptrdiff_t rows, ptrdiff_t d, float eps, int center,
-                int affine)
+static void repro_norm(const float *x, const float *g, const float *b,
+                       float *out, ptrdiff_t rows, ptrdiff_t d, float eps,
+                       int center, int affine)
 {
     for (ptrdiff_t r = 0; r < rows; r++, x += d, out += d) {
         const float *c = x;  /* what is normalised: x, or x - mean */
@@ -103,6 +106,61 @@ void repro_norm(const float *x, const float *g, const float *b, float *out,
         }
     }
 }
+
+/* 1, holding obj's buffer in view, if it is a C-contiguous float32
+   buffer of rank >= 1 (writable if asked); else 0, holding nothing. */
+static int take(PyObject *obj, Py_buffer *view, int flags)
+{
+    if (PyObject_GetBuffer(obj, view,
+                           flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) != 0) {
+        PyErr_Clear();
+        return 0;
+    }
+    if (view->format && strcmp(view->format, "f") == 0 && view->ndim >= 1)
+        return 1;
+    PyBuffer_Release(view);
+    return 0;
+}
+
+/* norm(out, eps, center, x[, g[, b]]) -> bool: repro_norm of x into out,
+   lock released, if every operand is taken, g and b are 1-D of x's last
+   extent and out has x's size; else False.  Every buffer is released. */
+static PyObject *norm(PyObject *self, PyObject *const *args,
+                      Py_ssize_t nargs)
+{
+    if (nargs < 4 || nargs > 6 || !PyFloat_Check(args[1]))
+        return PyErr_Format(PyExc_TypeError, "norm: bad arguments");
+    float eps = (float)PyFloat_AS_DOUBLE(args[1]);
+    int center = args[2] == Py_True;
+    Py_buffer view[4], *out = &view[0], *x = &view[1];  /* then g, b */
+    Py_ssize_t operands = nargs - 2, held = 0, d, served;
+    while (held < operands
+           && take(args[held ? held + 2 : 0], &view[held],
+                   held ? PyBUF_SIMPLE : PyBUF_WRITABLE))
+        held++;
+    d = held == operands ? x->shape[x->ndim - 1] : 0;
+    served = d > 0 && out->len == x->len;
+    for (Py_ssize_t k = 2; served && k < operands; k++)
+        served = view[k].ndim == 1 && view[k].shape[0] == d;
+    if (served) {
+        const float *g = operands > 2 ? view[2].buf : NULL;
+        const float *b = operands > 3 ? view[3].buf : NULL;
+        Py_BEGIN_ALLOW_THREADS
+        repro_norm(x->buf, g, b, out->buf, x->len / 4 / d, d, eps, center,
+                   (int)operands - 2);
+        Py_END_ALLOW_THREADS
+    }
+    while (held > 0)
+        PyBuffer_Release(&view[--held]);
+    return PyBool_FromLong(served);
+}
+
+static PyMethodDef methods[] = {
+    {"norm", (PyCFunction)(void (*)(void))norm, METH_FASTCALL, NULL}, {0}};
+static PyModuleDef module = {PyModuleDef_HEAD_INIT, "repro_norms", NULL, 0,
+                             methods};
+
+PyMODINIT_FUNC PyInit_repro_norms(void) { return PyModuleDef_Init(&module); }
 """
 
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
@@ -113,70 +171,82 @@ MAX_AFFINE = {"layernorm": 2, "rmsnorm": 1}
 _F32 = np.dtype(np.float32)
 
 _CACHE: dict = {}
-"""``"library"`` -> the loaded library or the reason there is none;
+"""``"library"`` -> the loaded module or the reason there is none;
 ``(op, D, affine operands, eps type, eps)`` -> the certified callable, or
 False.  Both fill through :func:`~repro.runtime.program.fill_once`."""
 
 
 def compiler() -> str | None:
-    """The C compiler the library is built with."""
+    """The C compiler the module is built with."""
     return shutil.which("gcc")
 
 
+def include_dir() -> str:
+    """The directory holding this interpreter's ``Python.h``."""
+    return sysconfig.get_paths()["include"]
+
+
+def _path(cc: str, include: str) -> Path:
+    """Where the module built by ``cc`` against ``include`` is cached.
+    The compiler is identified by its file, not by running it: any child
+    process of a large process reports that process's RSS as its own
+    peak, so the warm path spawns nothing."""
+    real = os.path.realpath(cc)
+    stat = os.stat(real)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    digest = hashlib.sha256("\0".join(
+        (SOURCE, real, str(stat.st_size), str(stat.st_mtime_ns), *FLAGS,
+         platform.machine(), include, suffix)).encode())
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root, "repro", "native",
+                f"norms-{digest.hexdigest()[:16]}{suffix}")
+
+
 def _build():
-    """The cached library's path, building it first on a miss; or a
+    """The cached module's path, building it first on a miss; or a
     string saying why there is none."""
-    cc = compiler()
+    cc, include = compiler(), include_dir()
     if cc is None:
         return "no C compiler (gcc) on PATH"
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        return f"no CPython headers: {include}/Python.h is missing"
     try:
-        # The compiler is identified by its file, not by running it: any
-        # child process of a large process reports that process's RSS
-        # as its own peak, so the warm path spawns nothing.
-        real = os.path.realpath(cc)
-        stat = os.stat(real)
-        digest = hashlib.sha256("\0".join(
-            (SOURCE, real, str(stat.st_size), str(stat.st_mtime_ns),
-             *FLAGS, platform.machine())).encode())
-        root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
-        path = Path(root, "repro", "native",
-                    f"norms-{digest.hexdigest()[:16]}.so")
+        path = _path(cc, include)
         if not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-            _compile(cc, path)
+            _compile(cc, include, path)
     except (OSError, subprocess.SubprocessError) as exc:
         return f"native build failed: {exc}"
     return path
 
 
-def _compile(cc: str, path: Path) -> None:
-    """Build the library into ``path``, through a temp name unique to
+def _compile(cc: str, include: str, path: Path) -> None:
+    """Build the module into ``path``, through a temp name unique to
     this process so concurrent builders never see a partial file."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        subprocess.run([cc, *FLAGS, "-x", "c", "-", "-o", str(tmp), "-lm"],
-                       input=SOURCE, capture_output=True, text=True,
-                       check=True, timeout=120)
+        subprocess.run([cc, *FLAGS, "-I", include, "-x", "c", "-", "-o",
+                        str(tmp), "-lm"], input=SOURCE, capture_output=True,
+                       text=True, check=True, timeout=120)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def _load():
-    """The library, built first on a cold cache, with its signature
-    declared; or the reason there is none.  A ``CDLL`` call releases the
-    interpreter lock, so two threads' norms run in parallel."""
+    """The extension module, built first on a cold cache; or the reason
+    there is none."""
     path = _build()
     if isinstance(path, str):
         return path
+    loader = ExtensionFileLoader("repro_norms", str(path))
     try:
-        library = ctypes.CDLL(str(path))
-    except OSError as exc:
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader("repro_norms", loader))
+        loader.exec_module(module)
+    except ImportError as exc:
         return f"native load failed: {exc}"
-    library.repro_norm.restype = None
-    library.repro_norm.argtypes = (ctypes.c_void_p,) * 4 \
-        + (ctypes.c_ssize_t,) * 2 + (ctypes.c_float,) + (ctypes.c_int,) * 2
-    return library
+    return module
 
 
 def _fill(key, build, *args):
@@ -185,7 +255,7 @@ def _fill(key, build, *args):
 
 
 def _library():
-    """The loaded library, or the reason there is none.  A cold-cache
+    """The loaded module, or the reason there is none.  A cold-cache
     build runs under the ``"library"`` key's own fill lock, so no other
     key's fill waits on the compiler."""
     return _fill("library", _load)
@@ -197,29 +267,19 @@ def unavailable() -> str | None:
     return found if isinstance(found, str) else None
 
 
-def _native_kernel(reference: Callable, center: int, d: int, n_affine: int,
+def _native_kernel(reference: Callable, center: bool, d: int, n_affine: int,
                    eps: float) -> Callable:
     """The callable one certificate key binds: the C kernel over C-
-    contiguous float32 operands of the certified extent, the reference
-    for anything else."""
-    norm = _library().repro_norm
+    contiguous float32 operands of the certified extents (the interpreter
+    lock released), the reference for anything it refuses."""
+    norm = _library().norm
 
     def kernel(inputs, attrs):
-        x = inputs[0]
-        if len(inputs) != 1 + n_affine or x.shape[-1] != d:
-            return reference(inputs, attrs)
-        for a in inputs:
-            if a.dtype is not _F32 or not a.flags.c_contiguous:
-                return reference(inputs, attrs)
-        for a in inputs[1:]:
-            if a.shape != (d,):
-                return reference(inputs, attrs)
-        out = np.empty(x.shape, _F32)
-        g = inputs[1].ctypes.data if n_affine else None  # NULL: unread
-        b = inputs[2].ctypes.data if n_affine == 2 else None
-        norm(x.ctypes.data, g, b, out.ctypes.data, x.size // d, d, eps,
-             center, n_affine)
-        return out
+        if len(inputs) == 1 + n_affine and inputs[0].shape[-1] == d:
+            out = np.empty(inputs[0].shape, _F32)
+            if norm(out, eps, center, *inputs):
+                return out
+        return reference(inputs, attrs)
 
     kernel.fresh = True
     kernel.native = True
@@ -243,8 +303,8 @@ def _certify(op: str, rank: int, d: int, n_affine: int, eps, attrs):
     1e-3..1e3 and offsets up to 1e3, 32 rows spanning six decades each,
     and a row of ``-0.0`` - else False."""
     reference = get_kernel(op)
-    candidate = _native_kernel(reference, int(op == "layernorm"), d,
-                               n_affine, eps)
+    candidate = _native_kernel(reference, op == "layernorm", d, n_affine,
+                               eps)
     u = _noise(96 + n_affine, d)
     k = np.arange(32)[:, None]
     x = np.vstack([u[:32] * 10.0 ** (k % 7 - 3) + (k % 4 == 1) * 1e3

@@ -9,7 +9,9 @@ is ``--numpy-kernels``.
 """
 
 import hashlib
+import subprocess
 import sys
+import sysconfig
 import threading
 
 import numpy as np
@@ -146,19 +148,33 @@ def _outputs(program, graph):
     return get_backend("numpy").run(program, dict(values))
 
 
-def test_no_compiler_binds_numpy_with_the_same_outputs(fresh_native,
-                                                       monkeypatch):
+def _assert_off_binds_numpy(monkeypatch, name, stub, reason):
+    """With ``native.<name>`` stubbed, ``unavailable()`` names ``reason``
+    and every Conformer-medium norm step keeps numpy, same outputs."""
     graph = _medium()
     want = _outputs(lower(graph), graph)
-    monkeypatch.setattr(native, "compiler", lambda: "/nonexistent/bin/gcc")
+    monkeypatch.setattr(native, name, stub)
     monkeypatch.setattr(native, "_CACHE", {})
-    assert "native build failed" in native.unavailable()
+    assert reason in native.unavailable()
     graph = _medium()
     program = lower(graph)
     norms = _norm_steps(program)
     assert len(norms) == 10
     assert all(s.kernel is get_kernel(s.op_type) for s in norms)
     assert_outputs_identical(_outputs(program, graph), want)
+
+
+def test_no_compiler_binds_numpy_with_the_same_outputs(fresh_native,
+                                                       monkeypatch):
+    _assert_off_binds_numpy(monkeypatch, "compiler",
+                            lambda: "/nonexistent/bin/gcc",
+                            "native build failed")
+
+
+def test_no_python_headers_binds_numpy_with_the_same_outputs(
+        fresh_native, monkeypatch, tmp_path):
+    _assert_off_binds_numpy(monkeypatch, "include_dir", lambda: str(tmp_path),
+                            "Python.h")
 
 
 def test_an_unwritable_cache_binds_numpy(fresh_native, monkeypatch,
@@ -181,6 +197,66 @@ def test_the_library_builds_once_into_the_cache_dir(fresh_native,
     monkeypatch.setattr(native, "_CACHE", {})  # a later process
     assert native.unavailable() is None
     assert built[0].stat().st_mtime_ns == stamp
+
+
+@pytest.mark.skipif(native.compiler() is None, reason="no gcc on PATH")
+def test_the_cached_path_changes_with_the_ext_suffix(monkeypatch):
+    cc, include = native.compiler(), native.include_dir()
+    ours = sysconfig.get_config_var("EXT_SUFFIX")
+    here = native._path(cc, include)
+    real = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda name: (
+        ".cpython-399-other.so" if name == "EXT_SUFFIX" else real(name)))
+    there = native._path(cc, include)
+    assert here.name.endswith(ours)
+    assert there.name.endswith(".cpython-399-other.so")
+    assert there.stem.split(".")[0] != here.stem.split(".")[0]  # the hash
+
+
+@needs_native
+def test_a_warm_load_starts_no_process(fresh_native, monkeypatch, tmp_path):
+    # A child of a large process reports that process's RSS as its own
+    # peak, so loading a cached module must not run gcc or anything else.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert native.unavailable() is None  # the one cold build
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm load started a process")
+
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(native, "_CACHE", {})  # a later process
+    assert native.unavailable() is None
+    assert _bind("layernorm", 96, 2) is not None
+
+
+@needs_native
+def test_every_buffer_is_released_whether_served_or_refused():
+    # A buffer taken and not released keeps a reference to its array, so
+    # a leak on any path shows as a refcount that grows with the calls.
+    kernel = _bind("layernorm", 16, 2)
+    norm = native._library().norm
+    rng = np.random.default_rng(0)
+    x, g, b = (rng.standard_normal(shape).astype(np.float32)
+               for shape in ((4, 16), (16,), (16,)))
+    read_only = np.full((4, 16), 7.0, F32)
+    read_only.flags.writeable = False
+    cases = [  # out, inputs, served
+        (np.full((4, 16), 7.0, F32), [x, g, b], True),
+        (np.full((4, 16), 7.0, F32), [np.ascontiguousarray(x.T).T, g, b],
+         False),  # x not C-contiguous
+        (np.full((4, 16), 7.0, F32), [x, g.astype(np.float64), b], False),
+        (np.full((4, 16), 7.0, F32), [x, g, b.reshape(1, 16)], False),
+        (np.full((4, 15), 7.0, F32), [x, g, b], False),  # out's size
+        (read_only, [x, g, b], False)]
+    for out, inputs, served in cases:
+        operands = [out, *inputs]
+        before = [sys.getrefcount(a) for a in operands]
+        for _ in range(1000):
+            assert norm(out, 1e-5, True, *inputs) is served
+            kernel(inputs, {"axes": -1})
+        assert [sys.getrefcount(a) for a in operands] == before
+        assert served or (out == 7.0).all()  # a refusal writes nothing
 
 
 @needs_native
