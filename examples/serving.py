@@ -118,16 +118,16 @@ print(f"\nparallel backend: {len(async_responses)} async requests, "
       f"{parallel_report.worker_restarts} worker restarts; outputs "
       f"byte-identical to in-process serving")
 
-# 7. Execution backends are pluggable per compile: "codegen" fuses the
-#    whole step loop into generated Python source (inspectable, like the
-#    pseudo-OpenCL kernels) - same outputs, less per-step dispatch.
+# 7. Every program runs as one generated Python function, emitted at
+#    compile time (inspectable, like the pseudo-OpenCL kernels);
+#    "codegen" is another name for that one runner - same outputs.
 from repro.runtime import program_source
 
-fast = repro.compile(graph, repro.CompileOptions(backend="codegen"))
-fast_response = fast.run(fast.make_request(seed=0))
+same = repro.compile(graph, repro.CompileOptions(backend="codegen"))
+same_response = same.run(same.make_request(seed=0))
 for name, value in response.outputs.items():
-    assert (fast_response.outputs[name] == value).all(), name
-source = program_source(fast.program)
-print(f"\ncodegen backend: {fast.program.num_steps} steps fused into "
+    assert (same_response.outputs[name] == value).all(), name
+source = program_source(same.program)
+print(f"\nemitted runner: {same.program.num_steps} steps fused into "
       f"{len(source.splitlines())} lines of generated Python; outputs match")
 print("\n".join(source.splitlines()[:10]))

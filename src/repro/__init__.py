@@ -10,9 +10,9 @@ Quickstart - compile once, serve typed requests::
     response = model.run(request)
     print(response.outputs.keys(), response.stats.wall_s)
 
-Execution backends are pluggable per compile -
-``CompileOptions(backend="codegen")`` runs the program through fused
-generated Python instead of the reference step interpreter (identical
+Every compiled program runs as one generated Python function;
+``CompileOptions(backend="parallel")`` shards micro-batches across a
+pool of worker processes running that same function (identical
 outputs; see ``docs/architecture.md`` for the backend registry).
 
 Serving concurrent traffic - a scheduler coalesces requests into

@@ -129,9 +129,9 @@ class CompiledModel:
                 for request, (outputs, stats) in zip(requests, served)]
 
     def close(self) -> None:
-        """Release process-external resources (the parallel backends'
+        """Release process-external resources (the parallel backend's
         worker processes and shared-memory segments).  A no-op for the
-        in-process backends; idempotent."""
+        in-process runner; idempotent."""
         self._session.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -160,11 +160,12 @@ def compile(model: str | Graph, options: CompileOptions | None = None,
             ``repro.models.ALL_MODELS``) or a built
             :class:`~repro.ir.graph.Graph`.
         options: a :class:`CompileOptions` picking framework, device,
-            batch, execution ``backend`` (``"numpy"`` or ``"codegen"``),
-            and pipeline stages.  Defaults to ``CompileOptions()``.
+            batch, execution ``backend`` (``"numpy"``, also spelled
+            ``"codegen"``, or ``"parallel"``), and pipeline stages.
+            Defaults to ``CompileOptions()``.
         **overrides: loose keyword alternatives for any
             :class:`CompileOptions` field, e.g.
-            ``compile(g, backend="codegen")``; they win field-by-field
+            ``compile(g, backend="parallel")``; they win field-by-field
             over ``options``.
 
     Returns:
@@ -181,7 +182,7 @@ def compile(model: str | Graph, options: CompileOptions | None = None,
     Example::
 
         model = repro.compile("Pythia", repro.CompileOptions(
-            backend="codegen"))
+            backend="parallel", workers=2))
         response = model.run(model.make_request(seed=0))
         response.outputs, response.stats.wall_s
     """

@@ -90,11 +90,12 @@ class ExecutionError(ReproError, RuntimeError):
 
 
 class BackendCompilationError(ReproError, RuntimeError):
-    """An execution backend failed to compile its per-program runners
-    (e.g. the codegen backend's generated module).  Retryable by nature:
-    the session degrades to the reference backend for the request and
-    may try the failing backend again later (until its circuit breaker
-    opens)."""
+    """An execution backend failed to compile its per-program runner.
+    Raised by the emitted runner's module compile (at session build, so
+    the compile fails) and injected for the process pool, which is
+    retryable by nature: the session degrades to the in-process runner
+    for the request and may try the pool again later (until its circuit
+    breaker opens)."""
 
     def __init__(self, message: str = "", *, retryable: bool = True,
                  **context) -> None:

@@ -76,14 +76,15 @@ class CompileOptions:
       to registry-name models (build a :class:`~repro.ir.graph.Graph`
       at the desired batch size otherwise).
     * ``backend`` - execution-backend registry name
-      (:func:`repro.runtime.available_backends`): ``"numpy"`` is the
-      reference interpreter over pre-compiled step closures,
-      ``"codegen"`` compiles the whole step loop to Python source,
-      ``"parallel"``/``"parallel-codegen"`` shard work across a pool of
-      worker processes (see :mod:`repro.runtime.parallel_backend`).
-      Outputs are identical; only the execution strategy differs.
-    * ``workers`` - worker-process count for the parallel backends
-      (ignored by the in-process backends).
+      (:func:`repro.runtime.available_backends`): ``"numpy"`` (the
+      default; ``"codegen"`` is the same backend) runs the program
+      in-process as one generated Python function, emitted at compile
+      time; ``"parallel"`` shards micro-batches across a pool of worker
+      processes running that same function (see
+      :mod:`repro.runtime.parallel_backend`).  Outputs are identical;
+      ``RunStats.backend`` reports the canonical name.
+    * ``workers`` - worker-process count for the parallel backend
+      (ignored by the in-process runner).
     * ``check_memory`` - reject models whose peak footprint exceeds the
       device budget instead of just costing them.
     * ``stages`` - :class:`~repro.core.passes.PipelineStages` feeding

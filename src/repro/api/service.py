@@ -258,10 +258,10 @@ class ServiceReport:
     worker_restarts: int
     """Workers lost and replaced: scheduler- and executor-thread crashes
     survived by spawning a replacement thread, plus worker-*process*
-    respawns performed by the parallel backends' pool."""
+    respawns performed by the parallel backend's pool."""
     fallbacks: int
-    """Backend invocations the session degraded to the reference
-    backend (:attr:`~repro.runtime.session.SessionStats.fallbacks`)."""
+    """Process-pool invocations the session degraded to the in-process
+    runner (:attr:`~repro.runtime.session.SessionStats.fallbacks`)."""
     total_exec_s: float
     throughput_rps: float
     """Executor-side rate: requests served per second of backend time."""
@@ -349,7 +349,7 @@ class Service:
         self._queue_peak = 0
         self._total_exec_s = 0.0
 
-        # A sharding backend (the parallel family) gets its worker
+        # A sharding backend (the parallel backend) gets its worker
         # pool *now*, before the scheduler thread exists: forking from
         # an effectively single-threaded parent is the safe point, and
         # the pool's segment capacity must cover a full micro-batch.
@@ -584,7 +584,7 @@ class Service:
         closed service is a no-op beyond re-joining dead threads).  Once
         the scheduler has drained - it exits only when the executor is
         idle, and then stops it - the session's process-external
-        resources - the parallel backends' worker processes and every
+        resources - the parallel backend's worker processes and every
         shared-memory segment - are released too.
         """
         with self._lock:

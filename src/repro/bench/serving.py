@@ -7,7 +7,8 @@ evidence for a serving-performance claim - that is ``benchmarks/perf``
 
 * :func:`measure_roofline` - per smoke model and kernel family, the
   static traffic stamps ``lower()`` computed from tensor specs next to
-  the measured per-step walls of one walk over the step closures;
+  the measured per-step walls of one walk over the per-step closures
+  (:attr:`~repro.runtime.program.ExecutionProgram.op_list`);
 * :func:`measure_symbolic` - first request at a new in-bucket shape vs a
   cold concrete compile, both timed in this process, reported as a
   ratio.
@@ -34,9 +35,10 @@ def measure_roofline(models: tuple[str, ...] | None = None,
     """Per-model roofline report: measured time vs static traffic per
     kernel family, for *every* smoke model.
 
-    The measured side walks the lowered program's step closures (the
-    reference per-step path, so every family is individually timeable)
-    and keeps the best-of-``repeats`` wall per step; the static side is
+    The measured side walks the lowered program's per-step closures
+    (:attr:`~repro.runtime.program.ExecutionProgram.op_list`: serving
+    runs the emitted function, which cannot be timed per step) and
+    keeps the best-of-``repeats`` wall per step; the static side is
     the :meth:`~repro.runtime.program.ExecutionProgram.roofline`
     aggregation of the per-step traffic stamps ``lower()`` computed from
     tensor specs.  Together they say, per family, how much wall time

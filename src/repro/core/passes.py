@@ -273,7 +273,7 @@ class TuningPass(Pass):
 @register_pass
 class LowerPass(Pass):
     """Lower the optimized graph to an ExecutionProgram: kernels
-    pre-bound, input views pre-resolved to appliers, and a static
+    pre-bound, input views captured per step, and a static
     buffer-slot plan register-allocated from the liveness schedule.
 
     Runs last, so ``OptimizeResult`` (and therefore the compile-core

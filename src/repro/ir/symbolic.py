@@ -12,10 +12,10 @@ extent* (kernels read it off the request arrays themselves), never on
 the symbol.
 
 ``repr(SYM)`` is ``"?"`` so symbolic shapes render as ``(?, 64, 32)``
-in error messages - and, because both execution backends embed shapes
-via ``repr``, the reference interpreter and the generated-source
-backend produce byte-identical diagnostics for symbolic programs, the
-same property the concrete paths already guarantee.
+in error messages - and, because the emitted runner and the per-step
+timing walk both embed shapes via ``repr``, they produce byte-identical
+diagnostics for symbolic programs, the same property the concrete paths
+already guarantee.
 
 Users spell the placeholder as ``None`` in
 :class:`~repro.api.options.CompileOptions` signatures (mithril-style);
@@ -68,7 +68,7 @@ class SymViewChain:
     Holds ordinary :class:`~repro.ir.view.ViewStep` objects whose args
     use the symbolic spellings - ``-1`` at the batch position of a
     reshape target, ``(0, OPEN_STOP, 1)`` for the batch-axis slice
-    triple - so the compiled appliers and the generated source work at
+    triple - so the timing walk's appliers and the emitted source work at
     every runtime extent.  ``ViewChain``'s eager shape validation cannot
     accept those spellings, which is the whole reason this type exists;
     the concrete scaled chain is validated first by the caller

@@ -2,7 +2,7 @@
 
 from .codegen import GeneratedKernel, generate_group, generate_kernel
 from .codegen_backend import (
-    CodegenBackend, CompiledProgramModule, compile_program,
+    CompiledProgramModule, NumPyBackend, compile_program,
     emit_program_source, program_source,
 )
 from .verify import VerificationReport, verify_equivalence
@@ -13,11 +13,9 @@ from .device import DEVICES, DIMENSITY700, DeviceSpec, SD835, SD8GEN2, V100, sca
 from .executor import execute, make_inputs, run_node
 from .faults import FaultInjector, FaultPlan, FaultRule, InjectedCrash
 from .kernels import get_kernel
-from .parallel_backend import (
-    ParallelBackend, ParallelCodegenBackend, WorkerPool, parallel_supported,
-)
+from .parallel_backend import ParallelBackend, WorkerPool, parallel_supported
 from .program import (
-    ExecutionBackend, ExecutionProgram, NumPyBackend, SlotPlan, Step,
+    ExecutionBackend, ExecutionProgram, SlotPlan, Step,
     available_backends, get_backend, lower, register_backend,
 )
 from .shm import SegmentRing, ShardLayout, SharedSegment, active_segments
@@ -27,10 +25,10 @@ from .session import (
 )
 
 __all__ = [
-    "CircuitBreaker", "CodegenBackend", "CompiledProgramModule",
+    "CircuitBreaker", "CompiledProgramModule",
     "ExecutionBackend", "ExecutionProgram", "FaultInjector",
     "FaultPlan", "FaultRule", "GeneratedKernel", "InjectedCrash",
-    "NumPyBackend", "ParallelBackend", "ParallelCodegenBackend", "RunStats",
+    "NumPyBackend", "ParallelBackend", "RunStats",
     "SegmentRing", "Session",
     "SessionStats", "ShardLayout", "SharedSegment",
     "SlotPlan", "Step",

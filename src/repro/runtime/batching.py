@@ -15,8 +15,8 @@ slices stop at :data:`~repro.ir.symbolic.OPEN_STOP`, view chains become
 the bucket's bound.  Conv steps keep the base step's bound kernel and
 scratch, running longer extents in chunks.  A variant runs at whatever
 leading extent its inputs carry, up to the bound.  Because it is an
-ordinary ``ExecutionProgram``, both execution backends serve it through
-their ``_compile_runner`` hook.
+ordinary ``ExecutionProgram``, the in-process runner emits and caches a
+module for it like any other program.
 
 It comes in two flavours, which differ only in whether rank-2
 ``dense``/``matmul`` kernels are wrapped by :func:`_per_request_rows`:
@@ -82,9 +82,7 @@ from dataclasses import dataclass
 from ..ir.symbolic import OPEN_STOP, SYM, SymViewChain
 from ..ir.view import ViewChain, ViewStep
 from .kernels import get_kernel
-from .program import (
-    ExecutionProgram, Step, _assign_slots, _compile_view, fill_once,
-)
+from .program import ExecutionProgram, Step, _assign_slots, fill_once
 
 _ANALYSIS_KEY = "batching.analysis"
 _VARIANTS_KEY = "batching.variants"
@@ -266,8 +264,6 @@ def _build_variant(program: ExecutionProgram, factor: int,
             op_type=step.op_type,
             kernel=kernel,
             arg_names=step.arg_names,
-            appliers=tuple(
-                (idx, _compile_view(chain)) for idx, chain in views),
             views=views,
             attrs=attrs,
             out_names=step.out_names,

@@ -1,21 +1,20 @@
-"""Fused codegen execution backend: ExecutionPrograms compiled to Python.
+"""The in-process runner: ExecutionPrograms compiled to Python.
 
-The :class:`~repro.runtime.program.NumPyBackend` already pays per-step
-dispatch only once per step - but it still pays it on every request: one
-closure call, one argument-list comprehension, one dict read per input,
-one dict write per output, one drop loop.  On dispatch-bound models
-(tiny tensors, many steps) that residue is a measurable fraction of the
-request wall time.
+A program's steps could run as a loop over per-step closures, but that
+loop pays per-step dispatch on every request: one closure call, one
+argument-list comprehension, one dict read per input, one dict write
+per output, one drop loop.  On dispatch-bound models (tiny tensors,
+many steps) that residue is a measurable fraction of the request wall.
 
-:class:`CodegenBackend` removes it by *compiling the whole step loop to
-Python source* once per program:
+:class:`NumPyBackend` - the one in-process runner, selected as
+``"numpy"`` or ``"codegen"`` - removes it by *compiling the whole step
+loop to Python source* once per program:
 
 * every step of the program becomes inline statements in a single
   generated function, emitted one way for every step, with no per-step
   closure dispatch; each step calls the kernel ``lower()`` bound to it
-  (in place where the step owns an operand), so both backends run the
-  same kernels and the compiler's fusion groups are the only fusion
-  decision either one has;
+  (in place where the step owns an operand), so the compiler's fusion
+  groups are the only fusion decision;
 * interior values live in function locals (``LOAD_FAST``) instead of the
   values dict; inputs and parameters are read from the request dict
   exactly once;
@@ -25,35 +24,25 @@ Python source* once per program:
   applier-closure or kernel calls;
 * kernels and per-step attrs are bound as module globals of the
   generated module;
-* shape checks and error messages match the reference backend
-  statement-for-statement, so a misbehaving kernel fails identically on
-  both backends.
+* every output's shape is checked against its spec, with the error text
+  of the per-step timing walk
+  (:attr:`~repro.runtime.program.ExecutionProgram.op_list`).
 
 The module source is emitted by :func:`emit_program_source`, compiled
 once by :func:`compile_program`, and cached on
 :attr:`~repro.runtime.program.ExecutionProgram.backend_cache` - the
 program itself is memoized per graph generation by
 :func:`~repro.runtime.program.lower`, so the compiled runner inherits
-exactly the lowering's lifetime and invalidation, mirroring the
-``lower()`` memoization discipline.
+exactly the lowering's lifetime and invalidation.  A
+:class:`~repro.runtime.session.Session` emits its base program's module
+when it is built, so an emission bug fails the compile, not a request.
 
-Everything *around* the fused body - micro-batch coalescing, stacked
-execution - is inherited from :class:`NumPyBackend` through the
-:meth:`_compile_runner` hook, so there is still exactly one batching
-discipline in the codebase.  That includes dynamic batching for free: a
-bucket variant built by :mod:`repro.runtime.batching` is an ordinary
-``ExecutionProgram``, so ``run_stacked`` and the symbolic route
-transparently compile (and cache) *source* for it through the same
-hook - one module per (bucket, flavour), serving every leading extent
-up to the bucket's bound through the ``_n`` runtime local.
-
-Select it anywhere a backend name is accepted::
-
-    repro.compile("Pythia", repro.CompileOptions(backend="codegen"))
-    verify_equivalence(graph, optimized, backend="codegen")
-
-This is the template for future backends (multi-process, true OpenCL):
-subclass, override :meth:`_compile_runner`, ``@register_backend``.
+Micro-batching and stacked execution wrap the same runner.  A bucket
+variant built by :mod:`repro.runtime.batching` is an ordinary
+``ExecutionProgram``, so ``run_stacked`` and the symbolic route compile
+(and cache) *source* for it the same way - one module per (bucket,
+flavour), serving every leading extent up to the bucket's bound through
+the ``_n`` runtime local.
 """
 
 from __future__ import annotations
@@ -63,10 +52,14 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ..api.errors import BackendCompilationError, ExecutionError
 from ..ir.symbolic import OPEN_STOP, SymDim, SymViewChain
+from ..memory.pool import PoolReport
+from .batching import analyze
 from .program import (
-    ExecutionProgram, NumPyBackend, fill_once, register_backend,
+    ExecutionBackend, ExecutionProgram, fill_once, register_backend,
 )
 
 _MODULE_CACHE_KEY = "codegen.module"
@@ -126,7 +119,7 @@ class _SourceEmitter:
         self.program = program
         self.graph = program.graph
         # ExecutionError is pre-bound so the emitted shape checks raise
-        # the same taxonomy type (and message) as the reference backend.
+        # the taxonomy's type.
         self.namespace: dict = {"ExecutionError": ExecutionError}
         self._kernel_names: dict[int, str] = {}
         self._attrs_names: dict[int, str] = {}
@@ -207,9 +200,9 @@ class _SourceEmitter:
         return expr
 
     def _emit_check(self, lines, out: str, step, shape) -> None:
-        """The reference backend's shape check, verbatim semantics: the
-        full shape, with a symbolic spec's leading extent read from
-        ``_n``, and the same error text."""
+        """The shape check: the full shape, with a symbolic spec's
+        leading extent read from ``_n``, in the timing walk's error
+        text."""
         message = (f"kernel {step.op_type} ({step.node_id}) produced "
                    "shape ").replace("%", "%%") + "%r, spec says %r"
         want = _dims_source(shape)
@@ -221,8 +214,7 @@ class _SourceEmitter:
         """Argument expressions, views rendered inline."""
         # Views come from the Step's lowering-time capture, never the
         # live graph: the program must stay faithful to the state it was
-        # lowered from even if the graph mutates afterwards (the numpy
-        # backend's appliers were compiled from the same capture).
+        # lowered from even if the graph mutates afterwards.
         views = dict(step.views)
         args = []
         for pos, arg_name in enumerate(step.arg_names):
@@ -239,8 +231,7 @@ class _SourceEmitter:
             local = self._locals.get(dead)
             if local is not None:
                 # Free the backing ndarray as soon as the value dies,
-                # bounding process memory by the live set (the reference
-                # backend's values.pop).
+                # bounding process memory by the live set.
                 lines.append(f"    {local} = None")
             if local is None or dead in self._externals:
                 # Only externals (and never-referenced values) live in
@@ -249,8 +240,8 @@ class _SourceEmitter:
 
     def _emit_step(self, lines: list[str], step) -> None:
         """One step's statements: the bound kernel's call (or the
-        ndarray method a relayout kernel makes), the reference backend's
-        tuple unwrap and shape check, then the drops."""
+        ndarray method a relayout kernel makes), the tuple unwrap and
+        shape check, then the drops."""
         args = self._args(step)
         op = step.op_type
         lines.append("    # " + _comment_text(
@@ -363,13 +354,11 @@ def _emit_and_compile(program: ExecutionProgram) -> CompiledProgramModule:
     except BackendCompilationError:
         raise
     except Exception as err:
-        # Emission/compile bugs surface as the taxonomy's retryable
-        # compile failure, which is what licenses the session to
-        # degrade to the reference backend instead of failing the
-        # request.  Nothing is cached: a later call retries.
+        # Emission/compile bugs surface as the taxonomy's compile
+        # failure.  Nothing is cached: a later call retries.
         raise BackendCompilationError(
             f"codegen failed to compile {program.graph.name!r}: {err}",
-            model=program.graph.name, backend=CodegenBackend.name,
+            model=program.graph.name, backend=NumPyBackend.name,
         ) from err
     return CompiledProgramModule(
         source=source,
@@ -385,16 +374,59 @@ def program_source(program: ExecutionProgram) -> str:
 
 
 @register_backend
-class CodegenBackend(NumPyBackend):
-    """Execution backend that runs the generated fused module.
+class NumPyBackend(ExecutionBackend):
+    """The in-process runner: every program and bucket variant runs its
+    emitted function (:func:`compile_program`).
 
-    Inherits the micro-batching discipline from :class:`NumPyBackend`;
-    only the per-program executor differs - it is the compiled
-    ``run_plain`` function of the generated module instead of a closure
-    over the step list.
+    The hot path touches only program-local state: kernels and attrs
+    bound as module globals, views inlined, shapes prefetched - no
+    graph, tensor-spec, or kernel-registry traffic per request, and no
+    pool bookkeeping: the slot plan's accounting is a static fact of the
+    program (:attr:`~repro.runtime.program.ExecutionProgram.report`).
+    ``"codegen"`` selects this same instance.
     """
 
-    name = "codegen"
+    name = "numpy"
 
-    def _compile_runner(self, program: ExecutionProgram):
-        return compile_program(program).run_plain
+    def run(self, program: ExecutionProgram,
+            values: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        return compile_program(program).run_plain(program.bind_packs(values))
+
+    def run_stacked(self, program: ExecutionProgram,
+                    variant: ExecutionProgram, values_list,
+                    ) -> list[tuple[dict[str, np.ndarray], PoolReport, float]]:
+        """Serve a stackable micro-batch as ONE pass of ``variant``.
+
+        The ``n`` requests' input tensors are concatenated along the
+        leading batch axis - nothing is padded - the bucket's stacked
+        variant (:func:`~repro.runtime.batching.rebatch`) runs once at
+        extent ``n*B`` through :meth:`run_many` - one kernel invocation
+        per step for the whole micro-batch - and the batched outputs are
+        split back per request.  Values outside the batched set (graph
+        outputs that are pure parameter expressions) are shared
+        unsliced.
+
+        Result rows mirror :meth:`run_many`: ``(outputs, report, wall)``
+        per request, with the variant's report *shared* (the pass is one
+        execution of one plan) and the stacked wall time divided evenly
+        - callers flag the attribution via ``RunStats.batched``.
+        """
+        analysis = analyze(program)
+        extent = analysis.batch_extent
+        batched = analysis.batched
+        n = len(values_list)
+        stacked = dict(values_list[0])
+        for name in program.input_names:
+            stacked[name] = np.concatenate(
+                [values[name] for values in values_list], axis=0)
+        (outputs, report, wall), = self.run_many(variant, (stacked,))
+        share = wall / n
+        results = []
+        for i in range(n):
+            lo = i * extent
+            hi = lo + extent
+            results.append((
+                {name: value[lo:hi] if name in batched else value
+                 for name, value in outputs.items()},
+                report, share))
+        return results

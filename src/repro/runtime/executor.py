@@ -8,9 +8,10 @@ The test suite runs :func:`~repro.runtime.verify.verify_equivalence` over
 
 Execution itself goes through the lowered-program path
 (:mod:`repro.runtime.program`): :func:`execute` lowers the graph once per
-generation and drives the reference NumPy backend - the same path the
-serving session and the verifier use.  :func:`run_node` remains as the
-single-node reference step (tests use it to cross-check the lowering).
+generation and runs its emitted function - the same path the serving
+session and the verifier use.  :func:`run_node` remains as the
+single-node reference step: interpreting a graph node by node through it
+is the independent reference the tests hold the lowering to.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def execute(graph: Graph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray
     """Run the graph; returns values of the graph outputs.
 
     Lowered once per graph generation (memoized on the graph's analysis
-    cache) and driven through the reference NumPy backend - the same
+    cache) and run on the in-process runner - the same
     :class:`~repro.runtime.program.ExecutionProgram` path the serving
     session uses.
     """

@@ -1,7 +1,8 @@
 """Deterministic fault injection for the serving stack.
 
-The reliability layer (numpy fallback, circuit breaker, retry/backoff,
-worker supervision) is only trustworthy if it can be *driven*: this
+The reliability layer (the process pool's fallback to the in-process
+runner, circuit breaker, retry/backoff, worker supervision) is only
+trustworthy if it can be *driven*: this
 module provides the plan objects that make every failure path
 reproducible on demand.
 
@@ -19,9 +20,11 @@ Two injection sites consume the same plan, split by ``request_id``:
   :meth:`repro.runtime.session.Session.execute_values` once per backend
   invocation: ``latency`` sleeps, ``kernel``/``alloc`` raise
   :class:`~repro.api.errors.ExecutionError`, and ``compile`` raises
-  :class:`~repro.api.errors.BackendCompilationError` for non-reference
-  backends (exercising the numpy fallback + circuit breaker).  Install
-  via ``CompileOptions(faults=...)``.
+  :class:`~repro.api.errors.BackendCompilationError` for the process
+  pool only (exercising its fallback to the in-process runner + the
+  circuit breaker).  The in-process runner emits its program when the
+  session is built, so it has no compile step left to fail and nothing
+  to degrade to.  Install via ``CompileOptions(faults=...)``.
 * **service-level** (rules naming a ``request_id``), consulted by the
   :class:`~repro.api.Service` scheduler per request *and attempt*:
   ``kernel`` faults a specific request deterministically on chosen
@@ -39,10 +42,10 @@ forever.
 Chaos mode: ``REPRO_FAULT_SEED=<int>`` installs
 :meth:`FaultPlan.chaos` on every session that was not given an explicit
 plan.  The chaos plan injects only faults the reliability layer is
-*required* to absorb - artificial latency and backend-compile failures
-(which degrade to the reference backend with byte-identical outputs) -
-so the whole tier-1 suite must stay green under any seed; CI runs
-exactly that (see the ``chaos`` job).
+*required* to absorb - artificial latency, process-pool compile failures
+(which degrade to the in-process runner with byte-identical outputs)
+and worker-process crashes - so the whole tier-1 suite must stay green
+under any seed; CI runs exactly that (see the ``chaos`` job).
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ from ..api.errors import BackendCompilationError, ExecutionError
 KINDS = ("kernel", "latency", "alloc", "compile", "crash", "worker_crash")
 
 REFERENCE_BACKEND = "numpy"
-"""Compile faults never target the reference backend - it has no
-compile step and it is the fallback everything degrades to."""
+"""The in-process runner's name.  Compile faults never target it - its
+program is emitted when the session is built - and it is what the
+process pool degrades to."""
 
 
 class InjectedCrash(Exception):
@@ -162,10 +166,11 @@ class FaultPlan:
         """A randomized-but-seeded plan of *absorbable* faults.
 
         Only fault kinds the reliability layer must hide from callers
-        are generated - artificial latency (slower, never wrong) and
-        backend-compile failures (degraded to the reference backend
-        with identical outputs) - so any test suite that passes clean
-        must pass under any chaos seed.  Same seed, same plan.
+        are generated - artificial latency (slower, never wrong),
+        process-pool compile failures (degraded to the in-process runner
+        with identical outputs) and worker crashes - so any test suite
+        that passes clean must pass under any chaos seed.  Same seed,
+        same plan.
         """
         rng = random.Random(seed)
         rules = [
@@ -245,7 +250,7 @@ class FaultInjector:
 
         May sleep (latency), raise
         :class:`~repro.api.errors.BackendCompilationError` (compile
-        faults, non-reference backends only), or raise
+        faults, never on the in-process runner), or raise
         :class:`~repro.api.errors.ExecutionError` (kernel/alloc
         faults).  ``context`` carries model/fingerprint for the error.
         """

@@ -6,8 +6,8 @@ elimination, view absorption) can be verified numerically: the executor
 runs the original and optimized graphs on the same inputs and the test
 suite requires identical outputs.
 
-They are also the serving floor: the ``numpy`` backend and the codegen
-backend's non-fused steps dispatch straight to them, so they are what
+They are also the serving floor: the emitted runner's steps call
+straight into them, so they are what
 the ``kernel_open`` benchmark workload times and their numpy-call count
 per step is a measured cost.  The paper's model-scale latency rows still
 come from the analytical cost model, never from timing these kernels.

@@ -1,12 +1,12 @@
 """Multi-process parallel execution backend.
 
-The in-process backends (``numpy``, ``codegen``) execute a whole
-invocation under one GIL, so aggregate throughput on kernel-bound models
-is capped no matter how fast each kernel gets.  :class:`ParallelBackend`
-escapes the cap by owning a supervised pool of **worker processes**,
-each holding its own copy of the compiled program, its runners and
-variants, and the materialized parameters - all inherited for free over
-``fork``, never pickled.
+The in-process runner executes a whole invocation under one GIL, so
+aggregate throughput on kernel-bound models is capped no matter how
+fast each kernel gets.  :class:`ParallelBackend` escapes the cap by
+owning a supervised pool of **worker processes**, each holding its own
+copy of the compiled program, its emitted modules and variants, and the
+materialized parameters - all inherited for free over ``fork``, never
+pickled.
 
 Dispatch composes with the existing layers instead of bypassing them:
 
@@ -20,10 +20,8 @@ Dispatch composes with the existing layers instead of bypassing them:
   only ``(segment index, request count)`` tuples and per-request wall
   times;
 * inside each worker, execution funnels through the normal
-  :meth:`~repro.runtime.session.Session.execute_values` path with the
-  configured *inner* backend (``numpy`` for ``"parallel"``, ``codegen``
-  for ``"parallel-codegen"``), so stacked batching, fault injection,
-  graceful degradation and the (per-process) circuit breaker all apply
+  :meth:`~repro.runtime.session.Session.execute_values` path on the
+  in-process runner, so stacked batching and fault injection apply
   unchanged, and outputs stay byte-identical to single-process serving.
 
 Supervision extends PR-6's worker-thread story to processes: a worker
@@ -36,8 +34,7 @@ Injected ``worker_crash`` faults (:mod:`repro.runtime.faults`) drive
 exactly this path deterministically.
 
 On platforms without the ``fork`` start method the backend degrades to
-in-process execution on its inner backend (logged once) - same outputs,
-no scale-out.
+the in-process runner (logged once) - same outputs, no scale-out.
 """
 
 from __future__ import annotations
@@ -55,7 +52,8 @@ import numpy as np
 
 from ..api.errors import WorkerCrashed
 from .batching import analyze, symbolize
-from .program import ExecutionBackend, get_backend, register_backend
+from .codegen_backend import NumPyBackend
+from .program import get_backend, register_backend
 from .shm import SegmentRing, ShardLayout
 
 logger = logging.getLogger("repro.runtime.parallel")
@@ -95,7 +93,7 @@ def _portable(err: BaseException) -> BaseException:
         return RuntimeError(f"{type(err).__name__}: {err}")
 
 
-def _worker_main(conn_, session, inner_name: str, ring: SegmentRing) -> None:
+def _worker_main(conn_, session, ring: SegmentRing) -> None:
     """Worker-process entry point (child side of a ``fork``).
 
     The child inherits the session (program, runners, variants, params)
@@ -107,13 +105,15 @@ def _worker_main(conn_, session, inner_name: str, ring: SegmentRing) -> None:
     exit_code = 0
     try:
         # Forked locks may be held by threads that do not exist in the
-        # child; give it private reliability state and an empty
-        # in-flight fill table.
-        from . import program as program_module, session as session_module
+        # child; give it private reliability state, an empty in-flight
+        # fill table and a free emission lock.
+        from . import codegen_backend, program as program_module, \
+            session as session_module
         session_module._CIRCUIT = session_module.CircuitBreaker()
         program_module._FILLING = {}
         program_module._FILLING_LOCK = threading.Lock()
-        inner = get_backend(inner_name)
+        codegen_backend._EMISSIONS_LOCK = threading.Lock()
+        runner = get_backend(NumPyBackend.name)
         # Per-extent layouts, built lazily and deterministically from
         # (program, capacity, extent) - the parent derives the same
         # offsets from the same triple, so only the extent crosses the
@@ -142,7 +142,7 @@ def _worker_main(conn_, session, inner_name: str, ring: SegmentRing) -> None:
                 values_list.append(values)
             try:
                 results, backend_name, batched = session.execute_values(
-                    values_list, backend=inner)
+                    values_list, backend=runner)
                 walls = []
                 for i, (outputs, _report, wall) in enumerate(results):
                     layout.write_outputs(buf, i, outputs)
@@ -190,10 +190,9 @@ class WorkerPool:
     the safe point), lazily on first sharded invocation otherwise.
     """
 
-    def __init__(self, session, inner: str = "numpy", workers: int = 1,
+    def __init__(self, session, workers: int = 1,
                  capacity: int = 16) -> None:
         self.session = session
-        self.inner_name = inner
         self.workers = max(1, int(workers))
         self.capacity = max(1, int(capacity))
         self.restarts = 0
@@ -236,20 +235,20 @@ class WorkerPool:
         from .session import _admit
 
         session = self.session
-        inner = get_backend(self.inner_name)
+        runner = get_backend(NumPyBackend.name)
         values = _admit(session, session.make_inputs(seed=0))
-        session.execute_values([dict(values)], backend=inner)
+        session.execute_values([dict(values)], backend=runner)
         if self.stackable:
             for size in {self._shard_size(self.capacity),
                          self.capacity}:
                 if size > 1:
                     session.execute_values(
-                        [dict(values) for _ in range(size)], backend=inner)
+                        [dict(values) for _ in range(size)], backend=runner)
         sym = session.symbolic
         if sym is not None:
             # One representative run per symbolic bucket: the children
-            # inherit each bucket's compiled variant (and codegen
-            # runner) instead of rebuilding them ``workers`` times on
+            # inherit each bucket's compiled variant (and its emitted
+            # module) instead of rebuilding them ``workers`` times on
             # first off-base request.
             reps: dict[int, int] = {}
             for extent in range(1, sym.max_extent + 1):
@@ -261,13 +260,13 @@ class WorkerPool:
                     name: np.resize(value, (extent,) + value.shape[1:])
                     if name in sym.inputs else value
                     for name, value in values.items()}
-                session.execute_values([warm], backend=inner)
+                session.execute_values([warm], backend=runner)
 
     def _spawn(self, index: int) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.session, self.inner_name, self.ring),
+            args=(child_conn, self.session, self.ring),
             daemon=True, name=f"repro-parallel-{index}")
         proc.start()
         child_conn.close()
@@ -275,18 +274,14 @@ class WorkerPool:
             proc.terminate()
             raise WorkerCrashed(
                 f"parallel worker {index} failed to come up within "
-                f"{_SPAWN_TIMEOUT_S:.0f}s", backend=self.name_for_errors())
+                f"{_SPAWN_TIMEOUT_S:.0f}s", backend=ParallelBackend.name)
         message = parent_conn.recv()
         if message[0] != "ready":  # pragma: no cover - protocol bug
             proc.terminate()
             raise WorkerCrashed(
                 f"parallel worker {index} sent {message[0]!r} instead of "
-                "the ready handshake", backend=self.name_for_errors())
+                "the ready handshake", backend=ParallelBackend.name)
         return _Worker(index, proc, parent_conn)
-
-    def name_for_errors(self) -> str:
-        return "parallel" if self.inner_name == "numpy" \
-            else f"parallel-{self.inner_name}"
 
     @property
     def alive(self) -> bool:
@@ -417,7 +412,7 @@ class WorkerPool:
                 raise WorkerCrashed(
                     f"parallel dispatch stalled past "
                     f"{_DISPATCH_TIMEOUT_S:.0f}s with shards in flight",
-                    backend=self.name_for_errors())
+                    backend=ParallelBackend.name)
             ready = connection.wait(
                 list(conns) + list(sentinels), timeout=timeout)
             handled = set()
@@ -489,15 +484,16 @@ class WorkerPool:
 
     def _rescue_in_process(self, shard, values_list, rows) -> None:
         """Last-resort execution of a repeatedly-crashing shard in the
-        parent, through the same ``execute_values`` funnel on the inner
-        backend - byte-identical outputs, no scale-out for this shard."""
+        parent, through the same ``execute_values`` funnel on the
+        in-process runner - byte-identical outputs, no scale-out for
+        this shard."""
         logger.warning(
             "shard of %d requests exceeded its respawn budget; executing "
-            "in-process on %r", shard.count, self.inner_name)
+            "in-process", shard.count)
         copies = [dict(values_list[shard.start + i])
                   for i in range(shard.count)]
         results, _backend_name, _batched = self.session.execute_values(
-            copies, backend=get_backend(self.inner_name))
+            copies, backend=get_backend(NumPyBackend.name))
         for i, row in enumerate(results):
             rows[shard.start + i] = row
 
@@ -508,33 +504,20 @@ class WorkerPool:
 
 
 @register_backend
-class ParallelBackend(ExecutionBackend):
+class ParallelBackend(NumPyBackend):
     """Multi-process backend: shards invocations across a worker pool.
 
     It declares ``shards_requests``, so
     :meth:`~repro.runtime.session.Session.execute_values` offers it
-    whole invocations through :meth:`try_sharded` before the in-process
-    stacked/sequential paths.  Everything else - ``run``, ``run_many``,
-    ``run_stacked`` - delegates to the declared ``inner`` backend, so a
-    parallel session that cannot shard (platform without ``fork``, pool
-    startup failure) behaves exactly like its inner backend in-process.
+    whole invocations through :meth:`try_sharded`.  Everything else -
+    ``run``, ``run_many``, ``run_stacked`` - is the in-process runner it
+    inherits, so a parallel session that cannot shard (platform without
+    ``fork``, pool startup failure) serves exactly like an in-process
+    one.
     """
 
     name = "parallel"
-    inner = "numpy"
     shards_requests = True
-
-    def _inner(self) -> ExecutionBackend:
-        return get_backend(self.inner)
-
-    def run(self, program, values):
-        return self._inner().run(program, values)
-
-    def run_many(self, program, values_list):
-        return self._inner().run_many(program, values_list)
-
-    def run_stacked(self, program, variant, values_list):
-        return self._inner().run_stacked(program, variant, values_list)
 
     def try_sharded(self, session, values_list):
         """Serve the invocation across the session's worker pool.
@@ -542,7 +525,7 @@ class ParallelBackend(ExecutionBackend):
         Returns ``(rows, batched)`` or ``None`` when the pool is
         unavailable (unsupported platform, startup failure, closed) or
         declines the invocation (mixed symbolic extents) - the caller
-        then takes the normal in-process path on :attr:`inner`.
+        then runs it on the in-process runner.
         """
         pool = session.ensure_parallel_pool()
         if pool is None:
@@ -550,15 +533,4 @@ class ParallelBackend(ExecutionBackend):
         return pool.run(values_list)
 
 
-@register_backend
-class ParallelCodegenBackend(ParallelBackend):
-    """Worker processes executing the fused codegen path."""
-
-    name = "parallel-codegen"
-    inner = "codegen"
-
-
-__all__ = [
-    "ParallelBackend", "ParallelCodegenBackend", "WorkerPool",
-    "parallel_supported",
-]
+__all__ = ["ParallelBackend", "WorkerPool", "parallel_supported"]

@@ -9,15 +9,15 @@ an :class:`ExecutionProgram`:
 
 * a flat tuple of :class:`Step`\\ s - one per node, in execution order -
   with the kernel callable pre-bound via
-  :func:`~repro.runtime.kernels.get_kernel`, input views pre-resolved to
-  plain appliers, and output shapes pre-fetched from the tensor specs;
+  :func:`~repro.runtime.kernels.get_kernel`, non-identity input views
+  captured, and output shapes pre-fetched from the tensor specs;
   a ``dense`` over a parameter weight is bound to that weight *packed*
   into the GEMM's ``(K, N)`` layout (:func:`~repro.runtime.kernels.pack`),
   which the compiled cell's parameters materialise once - no layout
   transformation is left on the request path; and a ``unary`` /
   ``binary`` / ``batchnorm`` step that owns an input array
   (:func:`_owned_operand`) is bound to the kernel writing into it, so
-  neither backend allocates that step's output;
+  no request allocates that step's output;
 * a static :class:`SlotPlan` - register allocation of pool buffers over
   exact size classes, computed once from
   :func:`~repro.memory.pool.liveness_schedule`.  It slots exactly the
@@ -45,7 +45,9 @@ with a registry mirroring ``@register_pass``::
 
         def run(self, program, values): ...
 
-:class:`NumPyBackend` is the reference implementation; ``Session``,
+The one in-process runner,
+:class:`~repro.runtime.codegen_backend.NumPyBackend`, executes each
+program as one emitted Python function; ``Session``,
 ``executor.execute`` and ``verify_equivalence`` all drive it through the
 same program path.
 """
@@ -167,12 +169,10 @@ class Step:
     """Value names the kernel reads, in argument order: the node's input
     tensors, except that a ``dense`` bound to its packed weight names
     the pack (see :attr:`ExecutionProgram.packs`)."""
-    appliers: tuple[tuple[int, Callable], ...]
-    """(input position, compiled view applier) for non-identity views."""
     views: tuple[tuple[int, ViewChain], ...]
-    """(input position, raw ViewChain) the appliers were compiled from -
-    the lowering-time capture backends that re-emit the views (e.g.
-    codegen) must read, never the live graph."""
+    """(input position, ViewChain) for every non-identity input view -
+    the lowering-time capture the emitted runner and the timing walk
+    read, never the live graph."""
     attrs: dict
     """The node's attrs dict, shared by reference (treat as read-only)."""
     out_names: tuple[str, ...]
@@ -249,21 +249,24 @@ class SlotPlan:
 
 
 def _compile_step(step: Step) -> Callable[..., None]:
-    """Fold one step into a single closure over pre-resolved state.
+    """Fold one step into a single closure: the per-step timing walk.
 
-    The closure reads its inputs from / writes its outputs to a values
-    dict; kernel, argument names, view appliers, attrs, and the expected
-    output shapes are captured once here instead of being re-resolved per
-    request.  It checks every output's full shape.  An output whose spec
-    leads with :data:`~repro.ir.symbolic.SYM` (a batched value of a
-    bucket variant) is checked with the pass's live leading extent
-    ``n``, which the runner passes in; concrete specs ignore ``n``.  The
-    error text matches the codegen backend's character for character.
+    Serving never runs these - every request runs the program's emitted
+    function (:func:`~repro.runtime.codegen_backend.compile_program`).
+    Timing one step at a time needs the steps as separate callables, so
+    :attr:`ExecutionProgram.op_list` builds these on first read.  The
+    closure reads its inputs from / writes its outputs to a values dict,
+    applies the step's views (compiled here from :attr:`Step.views`),
+    calls the bound kernel and checks every output's full shape.  An
+    output whose spec leads with :data:`~repro.ir.symbolic.SYM` (a
+    batched value of a bucket variant) is checked with the pass's live
+    leading extent ``n``; concrete specs ignore ``n``.  The error text
+    matches the emitted runner's character for character.
     """
     kernel = step.kernel
     names = step.arg_names
     attrs = step.attrs
-    appliers = step.appliers
+    appliers = tuple((idx, _compile_view(view)) for idx, view in step.views)
     out_names = step.out_names
     specs = tuple((is_symbolic_shape(shape), tuple(shape[1:]), shape)
                   for shape in step.out_shapes)
@@ -310,7 +313,7 @@ class ExecutionProgram:
 
     __slots__ = ("graph", "steps", "slot_plan", "input_names",
                  "output_names", "input_signature",
-                 "report", "op_list", "backend_cache", "fused_chains",
+                 "report", "backend_cache", "fused_chains",
                  "fused_step_count", "symbolic_extent",
                  "packs", "__weakref__")
 
@@ -375,20 +378,23 @@ class ExecutionProgram:
             reuses=slot_plan.allocs_per_run,
             total_allocated_bytes=slot_plan.total_allocated_bytes,
         )
-        # The hot-loop form: one compiled closure + the dying value names
-        # per step.
-        self.op_list = tuple(
-            (_compile_step(step), step.drops) for step in steps)
-        # Per-backend compiled artifacts (e.g. the codegen backend's
-        # generated module), keyed by backend name.  Living on the
-        # program - itself memoized per graph generation by
-        # :func:`lower` - gives backend runners the same lifetime and
-        # invalidation as the lowering they were compiled from.
+        # Artifacts built once from the program (the emitted runner's
+        # module, bucket variants, analyses, the timing walk's closures),
+        # keyed by name.  Living on the program - itself memoized per
+        # graph generation by :func:`lower` - gives them the same
+        # lifetime and invalidation as the lowering they were built from.
         self.backend_cache: dict[str, object] = {}
 
     @property
     def num_steps(self) -> int:
         return len(self.steps)
+
+    @property
+    def op_list(self) -> tuple:
+        """``(step closure, dying value names)`` per step, built on first
+        read: the per-step timing walk (:func:`_compile_step`), never a
+        request's path."""
+        return fill_once(self.backend_cache, "op_list", _op_list, self.steps)
 
     def roofline(self) -> dict[str, dict]:
         """Per-kernel-family static traffic summary (memoized)."""
@@ -435,6 +441,10 @@ class ExecutionProgram:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ExecutionProgram({self.graph.name!r}, steps={len(self.steps)}, "
                 f"slots={self.slot_plan.num_slots})")
+
+
+def _op_list(steps: tuple[Step, ...]):
+    return tuple((_compile_step(step), step.drops) for step in steps)
 
 
 def _assign_slots(input_names, steps, size_of) -> SlotPlan:
@@ -564,10 +574,6 @@ def _lower(graph: Graph) -> ExecutionProgram:
     packed: dict[str, str] = {}  # dense weight -> its packed value name
 
     def make_step(i: int, node) -> Step:
-        # One view capture; the appliers are *derived* from it, so the
-        # two fields cannot drift apart (the codegen backend re-emits
-        # from ``views`` and must describe exactly what the compiled
-        # appliers execute).
         views = tuple(
             (idx, view)
             for idx, view in sorted(node.input_views.items())
@@ -638,8 +644,6 @@ def _lower(graph: Graph) -> ExecutionProgram:
             op_type=node.op_type,
             kernel=run_kernel,
             arg_names=arg_names,
-            appliers=tuple(
-                (idx, _compile_view(view)) for idx, view in views),
             views=views,
             attrs=node.attrs,
             out_names=tuple(node.outputs),
@@ -669,6 +673,8 @@ def _lower(graph: Graph) -> ExecutionProgram:
 # ---------------------------------------------------------------------------
 
 
+
+
 class ExecutionBackend:
     """Executes lowered programs.  Subclass, set :attr:`name`, decorate
     with :func:`register_backend`, and implement :meth:`run` - the one
@@ -680,10 +686,8 @@ class ExecutionBackend:
     shards_requests = False
     """True when :meth:`~repro.runtime.session.Session.execute_values`
     should offer whole invocations to ``try_sharded(session,
-    values_list)`` (a worker pool) before running them in-process."""
-    inner: str | None = None
-    """Registry name of the in-process backend a sharding backend's
-    workers run, and that serves whatever its pool declines."""
+    values_list)`` (a worker pool) before running them on the in-process
+    runner."""
 
     def run(self, program: ExecutionProgram,
             values: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -709,11 +713,15 @@ class ExecutionBackend:
 
 BACKEND_REGISTRY: dict[str, type[ExecutionBackend]] = {}
 _BACKEND_INSTANCES: dict[str, ExecutionBackend] = {}
+_ALIASES = {"codegen": "numpy"}
+"""Names that select another backend's instance: ``"codegen"`` was the
+emitted runner's own name before it became the only in-process runner."""
 
 
 def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
     """Class decorator: make ``cls`` constructible by name."""
-    if not cls.name or cls.name == ExecutionBackend.name:
+    if not cls.name or cls.name == ExecutionBackend.name \
+            or cls.name in _ALIASES:
         raise ValueError(f"backend class {cls.__name__} needs a distinct name")
     BACKEND_REGISTRY[cls.name] = cls
     _BACKEND_INSTANCES.pop(cls.name, None)  # re-registration resets singleton
@@ -721,7 +729,8 @@ def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
 
 
 def get_backend(name: str = "numpy") -> ExecutionBackend:
-    """Shared backend instance by registry name."""
+    """Shared backend instance by registry name (or alias)."""
+    name = _ALIASES.get(name, name)
     found = _BACKEND_INSTANCES.get(name)
     if found is None:
         try:
@@ -734,105 +743,4 @@ def get_backend(name: str = "numpy") -> ExecutionBackend:
 
 
 def available_backends() -> list[str]:
-    return sorted(BACKEND_REGISTRY)
-
-
-# ---------------------------------------------------------------------------
-# the reference backend
-# ---------------------------------------------------------------------------
-
-
-@register_backend
-class NumPyBackend(ExecutionBackend):
-    """Reference backend: runs the pre-compiled step closures in order.
-
-    The hot loop touches only program-local state: prebound kernels,
-    precompiled view appliers and prefetched shapes - no graph,
-    tensor-spec, or kernel-registry traffic per request, and no pool
-    bookkeeping: the slot plan's accounting is a static fact of the
-    program (:attr:`ExecutionProgram.report`).
-
-    Execution strategy is one per-program *runner*, ``runner(values) ->
-    outputs``, built once by :meth:`_compile_runner` and cached on
-    :attr:`ExecutionProgram.backend_cache`; every request on every route
-    runs it.  Subclasses that execute differently (e.g. the codegen
-    backend, which compiles the whole step loop to Python source) only
-    override :meth:`_compile_runner`; micro-batching and stacked
-    execution are shared.
-    """
-
-    name = "numpy"
-
-    def _runner(self, program: ExecutionProgram):
-        """The program's executor, built once per (program, backend) and
-        cached on the program."""
-        return fill_once(program.backend_cache, self.name,
-                         self._compile_runner, program)
-
-    def _compile_runner(self, program: ExecutionProgram):
-        """Build the program's executor - the only method an
-        execution-strategy subclass needs to override."""
-        op_list = program.op_list
-        output_names = program.output_names
-        # A bucket variant's steps check their outputs against the live
-        # leading extent, read off the first input once per pass.
-        lead = None if program.symbolic_extent is None \
-            else program.input_names[0]
-
-        def plain(values: dict) -> dict:
-            n = None if lead is None else values[lead].shape[0]
-            for execute, drops in op_list:
-                execute(values, n)
-                for t in drops:
-                    values.pop(t, None)
-            return {name: values[name] for name in output_names}
-
-        return plain
-
-    def run(self, program: ExecutionProgram,
-            values: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return self._runner(program)(program.bind_packs(values))
-
-    def run_stacked(self, program: ExecutionProgram,
-                    variant: ExecutionProgram, values_list,
-                    ) -> list[tuple[dict[str, np.ndarray], PoolReport, float]]:
-        """Serve a stackable micro-batch as ONE pass of ``variant``.
-
-        The ``n`` requests' input tensors are concatenated along the
-        leading batch axis - nothing is padded - the bucket's stacked
-        variant (:func:`~repro.runtime.batching.rebatch`) runs once at
-        extent ``n*B`` through :meth:`run_many` - one kernel invocation
-        per step for the whole micro-batch - and the batched outputs are
-        split back per request.  Values outside the batched set (graph
-        outputs that are pure parameter expressions) are shared
-        unsliced.  Subclasses inherit this unchanged: the variant is an
-        ordinary program, so the codegen backend transparently emits
-        source for it via ``_compile_runner``.
-
-        Result rows mirror :meth:`run_many`: ``(outputs, report, wall)``
-        per request, with the variant's report *shared* (the pass is one
-        execution of one plan) and the stacked wall time divided evenly
-        - callers flag the attribution via ``RunStats.batched``.
-        """
-
-        from .batching import analyze  # deferred: batching imports us
-
-        analysis = analyze(program)
-        extent = analysis.batch_extent
-        batched = analysis.batched
-        n = len(values_list)
-        stacked = dict(values_list[0])
-        for name in program.input_names:
-            stacked[name] = np.concatenate(
-                [values[name] for values in values_list], axis=0)
-        (outputs, report, wall), = self.run_many(variant, (stacked,))
-        share = wall / n
-        results = []
-        for i in range(n):
-            lo = i * extent
-            hi = lo + extent
-            results.append((
-                {name: value[lo:hi] if name in batched else value
-                 for name, value in outputs.items()},
-                report, share))
-        return results
+    return sorted((*BACKEND_REGISTRY, *_ALIASES))

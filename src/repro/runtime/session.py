@@ -64,6 +64,7 @@ from ..ir.graph import Graph
 from ..ir.symbolic import SYM, is_placeholder
 from ..memory.pool import PoolReport
 from .batching import analyze, bucket, mark_unstackable, rebatch, symbolize
+from .codegen_backend import compile_program
 from .device import DeviceSpec, SD8GEN2
 from .executor import make_inputs, make_params
 from .faults import REFERENCE_BACKEND, FaultPlan
@@ -85,9 +86,10 @@ class RunStats:
     graph's dtypes - not what the allocator did.  ``allocations`` is 0
     and ``reuses`` the plan's ``allocs_per_run`` on every request."""
     backend: str = ""
-    """Backend that actually served the request - the session's
-    configured backend unless graceful degradation substituted the
-    reference backend (:attr:`SessionStats.fallbacks`)."""
+    """Canonical name of the backend that actually served the request -
+    the session's configured backend unless the process pool failed and
+    the in-process runner served it instead
+    (:attr:`SessionStats.fallbacks`)."""
     batched: bool = False
     """True when the request was served by a stacked pass.  The
     pass is one execution of the variant and one wall-clock interval for
@@ -109,8 +111,8 @@ class SessionStats:
     requests: int = 0
     total_wall_s: float = 0.0
     fallbacks: int = 0
-    """Backend invocations degraded to the reference backend after the
-    configured backend failed to compile or run."""
+    """Process-pool invocations degraded to the in-process runner after
+    the pool failed to compile or run them."""
     runs: deque[RunStats] = field(
         default_factory=lambda: deque(maxlen=256))
 
@@ -120,13 +122,13 @@ class SessionStats:
 
 
 class CircuitBreaker:
-    """Stops re-trying a persistently failing backend per program.
+    """Stops re-trying a persistently failing process pool per program.
 
     Keyed by ``(backend name, graph fingerprint)``: after ``threshold``
     *consecutive* failures the circuit opens and
     :meth:`Session.execute_values` routes that program straight to the
-    reference backend without re-attempting the failing one; a single
-    success closes the circuit again.  Process-wide (like the backend
+    in-process runner without re-attempting the pool; a single success
+    closes the circuit again.  Process-wide (like the backend
     registry) and thread-safe: every session serving the same program on
     the same backend shares one failure history.
     """
@@ -272,7 +274,9 @@ class Session:
     """One compiled module, ready to serve repeated requests.
 
     The session is request admission + stats; execution is the lowered
-    program on the configured backend (``"numpy"`` by default)."""
+    program's emitted runner, in-process (``"numpy"``, also selected as
+    ``"codegen"``; the default) or across a worker pool
+    (``"parallel"``)."""
 
     def __init__(self, graph: Graph, plan, config, device: DeviceSpec,
                  framework: str = "Ours", model: str = "",
@@ -287,15 +291,23 @@ class Session:
         self.device = device
         self.framework = framework
         self.model = model
-        self.backend = backend
         self._backend = get_backend(backend)
+        self.backend = self._backend.name
         self._cell = cell
         self._report = None
         # Priced once per cell, at compile time: the cost model (1-2 ms)
         # never runs on a request's response path.
         self._est_latency_ms: float | None = \
             cell.report.latency_ms if cell is not None else None
-        self._program = program
+        # The lowered program this session serves.  The ``Ours``
+        # pipeline lowers as its final pass, so the program usually
+        # arrives with the compile-cache result; other frameworks lower
+        # here (memoized on the graph, hence still shared across
+        # sessions of the same compiled graph).
+        self.program = program if program is not None else lower(graph)
+        # Emitted now, so an emission bug fails the compile: no request
+        # has anything to degrade to.
+        compile_program(self.program)
         self._param_values: dict[str, np.ndarray] | None = None
         self._input_cache: dict[int, dict[str, np.ndarray]] = {}
         self.stats = SessionStats()
@@ -323,18 +335,6 @@ class Session:
             self._init_symbolic(signature, max_extent)
         # What admission checks the declared inputs against.
         self._input_specs = self.serving_signature
-
-    @property
-    def program(self) -> ExecutionProgram:
-        """The lowered program this session serves.
-
-        The ``Ours`` pipeline lowers as its final pass, so the program
-        usually arrives with the compile-cache result; other frameworks
-        lower lazily here (memoized on the graph, hence still shared
-        across sessions of the same compiled graph)."""
-        if self._program is None:
-            self._program = lower(self.graph)
-        return self._program
 
     @property
     def _params(self) -> dict[str, np.ndarray]:
@@ -468,8 +468,8 @@ class Session:
 
         Every execution path of the serving stack funnels through here -
         ``CompiledModel.run[_batch]`` and the :class:`~repro.api.Service`
-        scheduler - so fault injection, the numpy fallback, the circuit
-        breaker, *and* the stacked-batch routing apply uniformly.
+        scheduler - so fault injection, the process pool's fallback, the
+        circuit breaker, *and* the stacked-batch routing apply uniformly.
         Returns ``(results, backend_name, batched)`` where results is the
         ``run_many``-shaped list of ``(outputs, report, wall_s)``,
         ``backend_name`` names the backend that actually served the
@@ -484,19 +484,21 @@ class Session:
         Non-stackable programs and solo requests take the sequential
         ``run_many`` path; both paths are byte-identical per request.
 
-        Degradation: when the configured backend is not the reference
-        one, a :class:`~repro.api.errors.BackendCompilationError` (or any
-        runner failure) is retried on the reference ``numpy`` backend
-        against pristine copies of the inputs - identical outputs (the
-        retry keeps the stacked/sequential routing of the failed
-        attempt), logged and counted in
-        :attr:`SessionStats.fallbacks` - and the failure feeds the
-        process-wide :class:`CircuitBreaker`; once a program's circuit
-        opens, it routes straight to the reference backend (a later
-        explicit success on the primary closes it again).  Injected
-        session-level faults (:attr:`faults`) fire before the primary
-        invocation; injected kernel/alloc faults propagate (they model
-        backend-independent failures), injected compile faults degrade.
+        Degradation: the in-process runner was emitted when the session
+        was built, so it has nothing to degrade to.  Any other backend -
+        the process pool - that fails with a
+        :class:`~repro.api.errors.BackendCompilationError` (or any
+        runner failure) is retried on the in-process runner against
+        pristine copies of the inputs - identical outputs (the retry
+        keeps the stacked/sequential routing of the failed attempt),
+        logged and counted in :attr:`SessionStats.fallbacks` - and the
+        failure feeds the process-wide :class:`CircuitBreaker`; once a
+        program's circuit opens, it routes straight to the in-process
+        runner (a later explicit success on the pool closes it again).
+        Injected session-level faults (:attr:`faults`) fire before the
+        primary invocation; injected kernel/alloc faults propagate (they
+        model backend-independent failures), injected compile faults
+        degrade.
         """
         primary = backend if backend is not None else self._backend
         name = primary.name
@@ -511,7 +513,7 @@ class Session:
                 fallback = get_backend(REFERENCE_BACKEND)
         # The runners mutate the value dicts in place (drops, outputs),
         # so the fallback replays pristine shallow copies.  Only armed
-        # off the reference path: the default backend pays nothing.
+        # for the pool: the in-process runner pays nothing.
         snapshots = [dict(values) for values in values_list] \
             if fallback is not None else None
         injector = self._injector
@@ -521,11 +523,10 @@ class Session:
             rows, batched = self._route(primary, values_list)
         except Exception as err:  # noqa: BLE001 - compile or runner failure
             # Injected kernel/alloc faults (every other ReproError) are
-            # backend-independent and propagate.  A runner failure
+            # backend-independent and propagate.  A pool failure
             # degrades like a compile failure: if it was input-caused
-            # the reference backend raises the same error (shape checks
-            # match text-for-text); if it was a backend bug, the request
-            # is rescued.
+            # the in-process runner raises the same error; if it was a
+            # pool bug, the request is rescued.
             if fallback is None or (
                     isinstance(err, ReproError)
                     and not isinstance(err, BackendCompilationError)):
@@ -540,12 +541,12 @@ class Session:
     def _route(self, bk, vlist):
         """``(rows, batched)`` for one invocation on ``bk``.
 
-        A backend declaring ``shards_requests`` (the parallel family) is
+        A backend declaring ``shards_requests`` (the process pool) is
         offered the whole invocation for its worker pool; stacking then
         happens *inside* each worker's shard.  When the pool declines
-        (unavailable, mixed extents), and for every other backend, the
-        invocation runs in-process - on the sharding backend's declared
-        ``inner`` in the first case.
+        (unavailable, mixed extents), the invocation runs on the
+        in-process runner; every other backend runs it in-process
+        itself.
 
         In-process, requests are grouped by leading extent - a concrete
         session is the one-group case - and rows scatter back in request
@@ -562,7 +563,7 @@ class Session:
             sharded = bk.try_sharded(self, vlist)
             if sharded is not None:
                 return sharded
-            bk = get_backend(bk.inner)
+            bk = get_backend(REFERENCE_BACKEND)
         program = self.program
         first = program.input_names[0]
         sym = self.symbolic
@@ -602,10 +603,10 @@ class Session:
     def ensure_parallel_pool(self):
         """The session's worker-process pool, created on first need.
 
-        Only meaningful for sharding backends (``"parallel"``,
-        ``"parallel-codegen"``).  Returns ``None`` - permanently, after
-        logging once - when the platform cannot fork or pool startup
-        fails; the caller then serves in-process on the inner backend.
+        Only meaningful for the sharding ``"parallel"`` backend.  Returns
+        ``None`` - permanently, after logging once - when the platform
+        cannot fork or pool startup fails; the caller then serves on the
+        in-process runner.
         The :class:`~repro.api.Service` front door calls this eagerly
         before starting its scheduler thread, so the fork happens while
         the parent is still effectively single-threaded.
@@ -617,22 +618,21 @@ class Session:
             return None
         from .parallel_backend import WorkerPool, parallel_supported
 
-        inner = self._backend.inner
         if not parallel_supported():
             self._parallel_failed = True
             logger.warning(
                 "platform lacks the fork start method; %r serves "
-                "in-process on %r", self.backend, inner)
+                "in-process", self.backend)
             return None
         try:
             self._parallel_pool = WorkerPool(
-                self, inner=inner, workers=self.workers,
+                self, workers=self.workers,
                 capacity=self.parallel_capacity)
         except Exception:
             self._parallel_failed = True
             logger.exception(
                 "parallel worker pool failed to start for %r; serving "
-                "in-process on %r", self.model or self.graph.name, inner)
+                "in-process", self.model or self.graph.name)
             return None
         return self._parallel_pool
 
@@ -653,7 +653,7 @@ class Session:
             pool.close()
 
     def _degrade(self, backend_name: str, err: BaseException) -> None:
-        """Record one fallback to the reference backend."""
+        """Record one fallback to the in-process runner."""
         with self._stats_lock:
             self.stats.fallbacks += 1
         opened = _CIRCUIT.record_failure(backend_name, self.fingerprint)
@@ -661,7 +661,7 @@ class Session:
             "backend %r failed for %r (%s); degrading to %r%s",
             backend_name, self.model or self.graph.name, err,
             REFERENCE_BACKEND,
-            " - circuit open, routing straight to the reference backend"
+            " - circuit open, routing straight to the in-process runner"
             if opened else "")
 
     def _serve(self, requests, admit=None, backend=None):

@@ -4,8 +4,8 @@ The contract: a micro-batch of batch-compatible requests against a
 *stackable* program executes as ONE kernel pass per step (the cached
 stacked variant of its power-of-two bucket, run at the batch's exact
 size), with per-request outputs byte-identical to solo runs and to the
-sequential ``run_many`` path - on both execution backends, non-bucket
-batch sizes included.  Non-stackable
+sequential ``run_many`` path, non-bucket batch sizes included.
+Non-stackable
 programs must fall back to the sequential path explicitly, never
 produce wrong stacked results.
 """
@@ -22,7 +22,7 @@ from repro.bench.harness import clear_cell_cache
 from repro.ir import GraphBuilder
 from repro.ir.symbolic import SYM
 from repro.models import SMOKE_CONFIGS, build
-from repro.runtime import get_backend, lower
+from repro.runtime import circuit_breaker, get_backend, lower
 from repro.runtime.batching import (
     NotStackable, analyze, bucket, mark_unstackable, rebatch, symbolize,
 )
@@ -30,7 +30,6 @@ from repro.runtime.session import _admit, _compile_session
 
 from front_door import serve_batch, serve_one
 
-BACKENDS = ("numpy", "codegen")
 STACKED_MODELS = ("Pythia", "SD-TextEncoder")
 """Dispatch-bound models the serving benchmark stacks (both stackable)."""
 
@@ -77,15 +76,14 @@ class TestBucket:
 
 
 # ---------------------------------------------------------------------------
-# Parity across the model zoo (satellite: all SMOKE_CONFIGS, both backends)
+# Parity across the model zoo (satellite: all SMOKE_CONFIGS)
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
 class TestZooParity:
-    def test_batched_matches_sequential_and_solo(self, name, backend):
-        model = repro.compile(_smoke(name), CompileOptions(backend=backend))
+    def test_batched_matches_sequential_and_solo(self, name):
+        model = repro.compile(_smoke(name), CompileOptions())
         session = model.session
         program = session.program
         stackable = analyze(program).stackable
@@ -96,17 +94,17 @@ class TestZooParity:
         stats = list(session.stats.runs)[-3:]
         assert [s.batched for s in stats] == [stackable] * 3
         for got, want in zip(outs, solo):
-            _assert_same_outputs(got, want, f"{name}/{backend}")
+            _assert_same_outputs(got, want, name)
         if not stackable:
             with pytest.raises(NotStackable):
                 rebatch(program, 2)
             return
         # the stacked pass must also match the sequential run_many path
         # (the explicit fallback both paths share)
-        seq = get_backend(backend).run_many(
+        seq = get_backend("numpy").run_many(
             program, [_admit(session, dict(i)) for i in inputs])
         for got, (want, _, _) in zip(outs, seq):
-            _assert_same_outputs(got, want, f"{name}/{backend}/seq")
+            _assert_same_outputs(got, want, f"{name}/seq")
         # shared attribution: the pass reports its variant's static plan
         assert stats[0].pool is stats[1].pool is stats[2].pool \
             is rebatch(program, bucket(3)).report
@@ -134,13 +132,12 @@ def _row_spy(monkeypatch, session):
 
 
 @pytest.mark.usefixtures("private_program")
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", STACKED_MODELS)
 class TestExactSizeBatches:
     def test_non_bucket_batches_execute_exactly_their_rows(
-            self, name, backend, monkeypatch):
+            self, name, monkeypatch):
         model = repro.compile(_smoke(name), CompileOptions(
-            backend=backend, faults=FaultPlan()))
+            faults=FaultPlan()))
         session = model.session
         program = session.program
         B = analyze(program).batch_extent
@@ -154,7 +151,7 @@ class TestExactSizeBatches:
             # one pass of the bucket's stacked variant over n*B rows
             assert calls == [(rebatch(program, bucket(n)), [n * B])]
             for got, want in zip(outs, solo):
-                _assert_same_outputs(got, want, f"{name}/{backend}/n={n}")
+                _assert_same_outputs(got, want, f"{name}/n={n}")
         variants = program.backend_cache["batching.variants"]
         assert sorted(variants) == [(4, True), (8, True)]
         assert variants[4, True].symbolic_extent == 4 * B
@@ -338,12 +335,14 @@ class TestStackedReliability:
 
     def test_stacked_batch_degrades_as_a_unit(self):
         plan = FaultPlan(rules=(FaultRule(kind="compile"),))
-        model = repro.compile(
-            _smoke("Pythia"), CompileOptions(backend="codegen", faults=plan))
+        model = repro.compile(_smoke("Pythia"), CompileOptions(
+            backend="parallel", workers=1, faults=plan))
         session = model.session
         requests = [InferenceRequest(inputs=session.make_inputs(seed=s))
                     for s in range(3)]
         responses = model.run_batch(requests)
+        model.close()
+        circuit_breaker().reset()
         assert [r.stats.backend for r in responses] == ["numpy"] * 3
         assert session.stats.fallbacks == 1
         # degradation preserved the stacked routing on the fallback

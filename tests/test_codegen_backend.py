@@ -1,8 +1,10 @@
-"""Tests for the fused codegen execution backend.
+"""Tests for the emitted in-process runner.
 
-The contract: the ``codegen`` backend is a drop-in for ``numpy`` -
-identical outputs, identical failure semantics - with the whole step
-loop compiled to Python source once per program and cached on it.
+The contract: every program runs as one generated Python function,
+emitted once per program and cached on it, with the outputs and the
+shape-error text of per-node ``run_node`` interpretation - the
+independent reference.  ``"numpy"`` and ``"codegen"`` name this one
+runner.
 """
 
 import json
@@ -17,12 +19,13 @@ import pytest
 
 import repro
 from repro.api import CompileOptions
+from repro.bench.harness import clear_cell_cache
 from repro.core import smartmem_optimize
-from repro.models import SMOKE_CONFIGS, build
+from repro.models import SMOKE_CONFIGS, build, build_smoke
 from repro.runtime import (
-    CodegenBackend, available_backends, compile_program, execute,
+    NumPyBackend, available_backends, compile_program,
     emit_program_source, get_backend, lower, make_inputs, program_source,
-    verify_equivalence,
+    run_node,
 )
 from repro.runtime.kernels import get_kernel
 from repro.runtime.session import _compile_session
@@ -32,16 +35,12 @@ from front_door import serve_one
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
-@pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
-class TestCodegenParity:
-    """Generated-module execution == reference backend on the whole zoo,
-    through the verifier's own backend selection."""
-
-    def test_verify_equivalence_on_codegen_backend(self, name):
-        graph = build(name, **SMOKE_CONFIGS[name])
-        optimized = smartmem_optimize(graph).graph
-        report = verify_equivalence(graph, optimized, backend="codegen")
-        assert report.passed, report.summary()
+def _interpret(graph, inputs):
+    """The independent reference: run_node over the topo order."""
+    values = dict(inputs)
+    for node in graph.topo_order():
+        run_node(graph, node, values)
+    return {name: values[name] for name in graph.outputs}
 
 
 class TestGeneratedModule:
@@ -83,27 +82,28 @@ class TestGeneratedModule:
         """The generated module must be faithful to the state the
         program was lowered from: a graph mutated after lower() (without
         a structural invalidation) may not leak into a later first-run
-        emission - the numpy backend executes its lowering-time
-        appliers, and codegen must emit from the same capture."""
+        emission - it emits from the steps' lowering-time capture."""
         optimized = smartmem_optimize(attention_graph).graph
         program = lower(optimized)
         inputs = {k: v for k, v in make_inputs(attention_graph).items()
                   if k in optimized.tensors}
-        ref = get_backend("numpy").run(program, dict(inputs))
+        ref = _interpret(optimized, inputs)
         viewed = [n for n in optimized.iter_nodes()
                   if any(not v.is_identity for v in n.input_views.values())]
         assert viewed, "the optimized graph must carry absorbed views"
+        assert "codegen.module" not in program.backend_cache
         for node in viewed:
             node.input_views.clear()  # in-place: no cache invalidation
-        out = get_backend("codegen").run(program, dict(inputs))
+        out = get_backend("numpy").run(program, dict(inputs))
         for key in ref:
             assert np.array_equal(out[key], ref[key]), key
 
-    def test_plain_runner_matches_execute(self, attention_graph):
+    def test_plain_runner_matches_interpretation(self, attention_graph):
         program = lower(attention_graph)
         values = make_inputs(attention_graph)
-        out = get_backend("codegen").run(program, dict(values))
-        ref = execute(attention_graph, values)
+        out = compile_program(program).run_plain(
+            program.bind_packs(dict(values)))
+        ref = _interpret(attention_graph, values)
         for key in ref:
             assert np.array_equal(out[key], ref[key]), key
 
@@ -142,26 +142,65 @@ def test_emitted_source_and_slots_do_not_depend_on_the_hash_seed():
     assert results[0] == results[1]
 
 
+class TestEmittedAtCompile:
+    def test_an_emission_bug_fails_the_compile(self, attention_graph,
+                                               monkeypatch):
+        from repro.api import BackendCompilationError
+        from repro.runtime import codegen_backend
+
+        def broken(program):
+            raise RuntimeError("emitter bug")
+
+        monkeypatch.setattr(codegen_backend, "emit_program_source", broken)
+        with pytest.raises(BackendCompilationError, match="emitter bug"):
+            repro.compile(attention_graph)
+
+    def test_serving_builds_no_step_closures(self):
+        clear_cell_cache()  # a fresh program: nothing read its op_list
+        graph = build_smoke("Pythia", batch=1)
+        model = repro.compile(graph, CompileOptions(
+            max_extent=4, signature={
+                name: (None,) + tuple(graph.shape(name))[1:]
+                for name in graph.inputs}))
+        program = model.program
+        model.run_batch([model.make_request(seed=s) for s in range(3)])
+        wide = {name: np.resize(value, (3,) + value.shape[1:])
+                for name, value in model.make_request(seed=0).inputs.items()}
+        model.run(repro.InferenceRequest(inputs=wide))
+        variants = program.backend_cache["batching.variants"].values()
+        assert len(variants) == 2  # one stacked, one exact
+        for served in (program, *variants):
+            assert "codegen.module" in served.backend_cache
+            assert "op_list" not in served.backend_cache
+        # the per-step timing walk builds its closures on first read
+        assert program.op_list is program.op_list
+        assert len(program.op_list) == program.num_steps
+
+
 class TestCodegenServing:
-    def test_shape_error_matches_reference_backend(self, attention_graph):
+    def test_shape_error_matches_interpretation(self, attention_graph):
         program = lower(attention_graph)
         values = make_inputs(attention_graph)
         bad = dict(values)
         bad["x"] = bad["x"][:, :-1]
         errors = {}
-        for backend in ("numpy", "codegen"):
+        for who, run in (
+                ("runner", lambda: get_backend("numpy").run(
+                    program, dict(bad))),
+                ("run_node", lambda: _interpret(attention_graph, bad))):
             with pytest.raises(Exception) as info:
-                get_backend(backend).run(program, dict(bad))
-            errors[backend] = str(info.value)
-        assert errors["numpy"] == errors["codegen"]
+                run()
+            errors[who] = str(info.value)
+        assert errors["runner"] == errors["run_node"]
+        assert "spec says" in errors["runner"]
 
     def test_run_many_matches_single_runs(self, attention_graph):
         program = lower(attention_graph)
-        backend = get_backend("codegen")
+        backend = get_backend("numpy")
         batch = [make_inputs(attention_graph, seed=s) for s in range(3)]
         results = backend.run_many(program, [dict(b) for b in batch])
         for inputs, (out, report, wall_s) in zip(batch, results):
-            ref = execute(attention_graph, inputs)
+            ref = _interpret(attention_graph, inputs)
             assert wall_s > 0
             assert report is program.report
             for key in ref:
@@ -169,44 +208,44 @@ class TestCodegenServing:
 
 
 class TestCodegenPlumbing:
-    """backend="codegen" is selectable end-to-end through the typed API."""
+    """backend="codegen" selects the one runner end-to-end through the
+    typed API."""
 
     def test_registered(self):
         assert "codegen" in available_backends()
-        assert isinstance(get_backend("codegen"), CodegenBackend)
-        assert get_backend("codegen") is get_backend("codegen")
+        assert isinstance(get_backend("codegen"), NumPyBackend)
+        assert get_backend("codegen") is get_backend("numpy")
 
     def test_session_backend_selection(self, attention_graph):
         session = _compile_session(attention_graph, "Ours", backend="codegen")
-        assert session.backend == "codegen"
-        reference = _compile_session(attention_graph, "Ours")
+        assert session.backend == "numpy"  # the canonical name
+        # the base module was emitted when the session was built
+        assert "codegen.module" in session.program.backend_cache
         inputs = session.make_inputs(seed=3)
         out = serve_one(session, dict(inputs))
-        ref = serve_one(reference, dict(inputs))
+        ref = _interpret(session.graph,
+                         {**make_inputs(session.graph), **inputs})
         for key in ref:
             assert np.array_equal(out[key], ref[key]), key
         # every request reports the program's static slot-plan report
         assert session.stats.runs[-1].pool is session.program.report
 
     def test_compile_options_front_door(self, attention_graph):
-        import repro
-
         fast = repro.compile(attention_graph,
                              CompileOptions(backend="codegen"))
-        assert fast.session.backend == "codegen"
         baseline = repro.compile(attention_graph)
-        assert baseline.program is fast.program  # backends share it
+        assert baseline.program is fast.program  # both names share it
         assert baseline.session is not fast.session
         request = fast.make_request(seed=1)
-        out = fast.run(request).outputs
-        ref = baseline.run(baseline.make_request(seed=1)).outputs
+        response = fast.run(request)
+        assert response.stats.backend == "numpy"
+        ref = _interpret(fast.graph,
+                         {**make_inputs(fast.graph), **request.inputs})
         for key in ref:
-            assert np.array_equal(out[key], ref[key]), key
+            assert np.array_equal(response.outputs[key], ref[key]), key
 
     def test_serve_coalesces_on_codegen_backend(self, attention_graph,
                                                 scheduling):
-        import repro
-
         service = scheduling.parked(
             attention_graph, max_batch_size=8,
             compile=CompileOptions(backend="codegen"))
@@ -215,9 +254,9 @@ class TestCodegenPlumbing:
                    for s in range(16)]
         scheduling.release(service)
         responses = [f.result(timeout=60) for f in futures]
-        assert service._backend is get_backend("codegen")
+        assert service._backend is get_backend("numpy")
         assert [r.batch_size for r in responses] == [8] * 16
-        baseline = repro.compile(attention_graph)  # numpy-backend reference
-        ref = baseline.run(baseline.make_request(seed=2)).outputs
+        ref = _interpret(model.graph, {**make_inputs(model.graph),
+                                       **model.make_request(seed=2).inputs})
         for key in ref:
             assert np.array_equal(responses[2].outputs[key], ref[key]), key

@@ -12,7 +12,6 @@ graph neither recompiles nor grows the process.
 """
 
 import gc
-import logging
 import os
 import subprocess
 import sys
@@ -39,7 +38,6 @@ from repro.runtime.session import (
 
 from front_door import serve_batch, serve_one
 
-BACKENDS = ("numpy", "codegen")
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
@@ -65,8 +63,8 @@ def _same(got, want):
 @pytest.fixture(autouse=True)
 def empty_cache():
     """Every test starts from - and leaves - an empty compile cache and
-    a closed circuit breaker (chaos runs fail codegen compiles here, and
-    the breaker's history is keyed by the fingerprints other files use)."""
+    a closed circuit breaker (its history is keyed by the fingerprints
+    other files use)."""
     clear_cell_cache()
     circuit_breaker().reset()
     yield
@@ -167,23 +165,16 @@ class TestSharedParameters:
 
 
 class TestBoundedLRU:
-    def test_evicted_program_is_freed(self, monkeypatch):
-        # A chaos degradation logs its exception, whose traceback frames
-        # reference the session; pytest's log capture would keep it alive.
-        monkeypatch.setattr(
-            logging.getLogger("repro.runtime.session"), "disabled", True)
+    def test_evicted_program_is_freed(self):
         capacity = harness.GRAPH_CACHE_CAPACITY
         assert capacity >= 64
-        model = repro.compile(_mini(8), CompileOptions(backend="codegen"))
+        model = repro.compile(_mini(8), CompileOptions())
         session = model.session
         serve_one(session, session.make_inputs(seed=0))
         serve_batch(session, [session.make_inputs(seed=s) for s in range(3)])
         variant = rebatch(session.program, 4)
         modules = [owner.backend_cache["codegen.module"]
-                   for owner in (session.program, variant)
-                   if "codegen.module" in owner.backend_cache]
-        # chaos runs may degrade a compile to numpy; clean runs may not
-        assert len(modules) == 2 or session.stats.fallbacks
+                   for owner in (session.program, variant)]
         refs = [weakref.ref(obj) for obj in (
             session.program, session.graph, session._cell, variant,
             *modules)]
@@ -445,8 +436,7 @@ class TestOneCompilePerKey:
         names = ("Conformer", "Pythia", "Swin", "ViT")
 
         def compile_and_serve(name):
-            model = repro.compile(build_smoke(name), backend="codegen",
-                                  faults=FaultPlan())
+            model = repro.compile(build_smoke(name), faults=FaultPlan())
             return model, model.run(model.make_request(seed=0)).outputs
 
         want = [compile_and_serve(name)[1] for name in names]
@@ -463,10 +453,9 @@ class TestOneCompilePerKey:
             _same(outputs, solo)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
-def test_hit_outputs_match_miss_outputs(name, backend):
-    options = CompileOptions(backend=backend)
+def test_hit_outputs_match_miss_outputs(name):
+    options = CompileOptions()
     miss = repro.compile(build_smoke(name), options)
     request = miss.make_request(seed=11)
     want = {key: value.copy()
@@ -479,7 +468,7 @@ def test_hit_outputs_match_miss_outputs(name, backend):
     assert hit.program is miss.program
     assert hit.session is not miss.session
     _same(hit.run(request).outputs, want)
-    with repro.serve(build_smoke(name), backend=backend) as service:
+    with repro.serve(build_smoke(name)) as service:
         _same(service.submit(request).result(30).outputs, want)
     assert cell_cache_stats()["misses"] == before["misses"]
 
@@ -498,7 +487,7 @@ requests = {}
 
 def cycle(name):
     graph = build_smoke(name)
-    with repro.serve(graph, backend="codegen") as service:
+    with repro.serve(graph) as service:
         if name not in requests:
             requests[name] = service.compiled.make_request(seed=0)
         service.submit(requests[name]).result(30)

@@ -25,10 +25,10 @@ from repro import FaultPlan, FaultRule
 from repro.api import CompileOptions, ExecutionError
 from repro.api.service import HEAVY_STEP_BYTES, _usable_cpus
 from repro.models import SMOKE_CONFIGS, build
-from repro.runtime import get_backend, lower
+from repro.runtime import lower
 from repro.runtime import batching, codegen_backend
 from repro.runtime.batching import rebatch
-from repro.runtime.codegen_backend import emission_count
+from repro.runtime.codegen_backend import compile_program, emission_count
 from repro.runtime.faults import FaultInjector
 from repro.runtime.session import _admit, _compile_session
 
@@ -96,7 +96,7 @@ class TestHeavy:
     def test_cold_start_models_are_not_heavy_at_one_request(
             self, scheduling, name):
         service = scheduling.parked(build(name, **SMOKE_CONFIGS[name]),
-                                    max_batch_size=16, backend="codegen")
+                                    max_batch_size=16)
         assert not service._heavy(1)
 
     def test_pythia_is_never_heavy(self, scheduling):
@@ -388,12 +388,11 @@ class TestThreadSafety:
         monkeypatch.setattr(batching, "_build_variant", slow_build)
         monkeypatch.setattr(codegen_backend, "emit_program_source",
                             slow_emit)
-        codegen = get_backend("codegen")
         emitted = emission_count()
 
         def fill():
             variant = rebatch(program, 8)
-            return variant, codegen._runner(variant)
+            return variant, compile_program(variant).run_plain
 
         (first, run_a), (second, run_b) = _race(fill)
         assert first is second and run_a is run_b

@@ -1,10 +1,11 @@
-"""Tests for the kernel-floor work: numpy/codegen backend parity, the
+"""Tests for the kernel-floor work: runner/timing-walk parity, the
 GEMM-shaped conv2d with slot-plan scratch, and the roofline stamps.
 
 The parity contract is two-tiered, matching how the kernels compose:
 
-* paths sharing ONE conv implementation (numpy vs codegen backend, solo
-  vs stacked, bound vs unbound scratch) must agree BYTE-FOR-BYTE;
+* paths sharing ONE conv implementation (the emitted runner vs the
+  per-step timing walk, solo vs stacked, bound vs unbound scratch) must
+  agree BYTE-FOR-BYTE;
 * the GEMM conv vs the einsum reference agree to float tolerance only
   (BLAS and einsum accumulate float32 sums in different orders).
 """
@@ -18,9 +19,7 @@ import pytest
 from repro.core import smartmem_optimize
 from repro.ir import GraphBuilder
 from repro.models import SMOKE_CONFIGS, build
-from repro.runtime import (
-    get_backend, lower, make_inputs,
-)
+from repro.runtime import get_backend, lower, make_inputs, run_node
 from repro.runtime.batching import analyze, rebatch
 from repro.runtime.faults import FaultPlan
 from repro.runtime.kernels import (
@@ -548,38 +547,49 @@ class TestScratchAccountingIsReal:
 
 
 # ---------------------------------------------------------------------------
-# backend parity
+# runner parity
 # ---------------------------------------------------------------------------
+
+
+def _timing_walk(program, values):
+    """``program`` run through its per-step closures
+    (``ExecutionProgram.op_list``), as the per-step timing walk runs it."""
+    program.bind_packs(values)
+    for execute, drops in program.op_list:
+        execute(values)
+        for name in drops:
+            values.pop(name, None)
+    return {name: values[name] for name in program.output_names}
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
 class TestChainParity:
-    """numpy and codegen backends agree byte-for-byte on the whole zoo -
-    in-place epilogues, inlined relayouts, GEMM conv, and elided
-    layout_converts included."""
+    """The emitted runner and the per-step timing walk agree
+    byte-for-byte on the whole zoo - in-place epilogues, inlined
+    relayouts, GEMM conv, and elided layout_converts included - so the
+    walk times what requests run."""
 
-    def test_backends_byte_identical_raw_and_optimized(self, name):
+    def test_runner_and_timing_walk_byte_identical(self, name):
         graph = build(name, **SMOKE_CONFIGS[name])
-        numpy_backend = get_backend("numpy")
-        codegen_backend = get_backend("codegen")
+        runner = get_backend("numpy")
         for candidate in (graph, smartmem_optimize(graph).graph):
             inputs = {k: v for k, v in make_inputs(graph).items()
                       if k in candidate.tensors}
             program = lower(candidate)
-            ref = numpy_backend.run(program, dict(inputs))
-            got = codegen_backend.run(program, dict(inputs))
+            ref = _timing_walk(program, dict(inputs))
+            got = runner.run(program, dict(inputs))
             for key in ref:
                 assert np.array_equal(ref[key], got[key]), key
 
 
 class TestStackedParity:
     @pytest.mark.parametrize("name", ["Pythia", "AutoFormer"])
-    def test_codegen_run_batch_matches_solo_numpy(self, name):
+    def test_run_batch_matches_solo(self, name):
         # AutoFormer covers conv-scratch rebinding in batch variants;
         # Pythia covers in-place epilogues under stacking
         graph = build(name, **SMOKE_CONFIGS[name])
-        session = _compile_session(graph, "Ours", backend="codegen")
-        reference = _compile_session(graph, "Ours", backend="numpy")
+        session = _compile_session(graph, "Ours")
+        reference = _compile_session(graph, "Ours")
         assert analyze(session.program).stackable
         batch = [session.make_inputs(seed=s) for s in (1, 2, 3, 4)]
         outputs = serve_batch(session, [dict(b) for b in batch])
@@ -613,15 +623,15 @@ class TestChaosDegradation:
     @pytest.mark.parametrize("chaos_seed", ["17", "20240428"])
     def test_fused_programs_degrade_as_a_unit(self, monkeypatch,
                                               chaos_seed):
-        # under ambient chaos (REPRO_FAULT_SEED) a codegen session may
-        # degrade to numpy; either way outputs stay byte-identical to
-        # the clean reference
+        # under ambient chaos (REPRO_FAULT_SEED) a process-pool session
+        # may degrade to the in-process runner; either way outputs stay
+        # byte-identical to the clean reference
         monkeypatch.setenv("REPRO_FAULT_SEED", chaos_seed)
         for name in ("Conformer", "AutoFormer"):
             graph = build(name, **SMOKE_CONFIGS[name])
-            clean = _compile_session(graph, "Ours", backend="numpy",
-                                     faults=FaultPlan(()))
-            chaotic = _compile_session(graph, "Ours", backend="codegen")
+            clean = _compile_session(graph, "Ours", faults=FaultPlan(()))
+            chaotic = _compile_session(graph, "Ours", backend="parallel",
+                                       workers=1)
             assert chaotic.faults is not None
             try:
                 for seed in (0, 1, 2):
@@ -631,6 +641,7 @@ class TestChaosDegradation:
                     for key in ref:
                         assert np.array_equal(out[key], ref[key]), key
             finally:
+                chaotic.close()
                 circuit_breaker().reset()
 
 
@@ -735,9 +746,11 @@ class TestLayoutConvertElision:
                     if s.op_type == "layout_convert")
         assert step.kernel is layout_convert_elided
         inputs = make_inputs(graph)
-        ref = get_backend("numpy").run(program, dict(inputs))
-        got = get_backend("codegen").run(program, dict(inputs))
-        for key in ref:
+        ref = dict(inputs)
+        for node in graph.topo_order():  # interpretation: no elision
+            run_node(graph, node, ref)
+        got = get_backend("numpy").run(program, dict(inputs))
+        for key in graph.outputs:
             assert np.array_equal(ref[key], got[key])
 
     @pytest.mark.parametrize("op, attrs", [

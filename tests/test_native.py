@@ -23,7 +23,7 @@ from repro.runtime import get_backend, lower, make_inputs, native
 from repro.runtime.faults import FaultPlan
 from repro.runtime.kernels import get_kernel
 from repro.runtime.program import fill_once
-from repro.runtime.session import _compile_session
+from repro.runtime.session import _admit, _compile_session
 
 from front_door import serve_batch, serve_one
 
@@ -340,15 +340,19 @@ class TestConformerMedium:
         for inputs, got in zip(batch, outputs):
             assert_outputs_identical(got, serve_one(session, dict(inputs)))
 
-    def test_codegen_equals_numpy(self):
-        numpy_session = _compile_session(_medium(), "Ours",
-                                         faults=FaultPlan())
-        codegen = _compile_session(_medium(), "Ours", backend="codegen",
-                                   faults=FaultPlan())
-        assert all(s.kernel.native for s in _norm_steps(codegen.program))
-        inputs = numpy_session.make_inputs(seed=3)
-        assert_outputs_identical(serve_one(codegen, dict(inputs)),
-                                 serve_one(numpy_session, dict(inputs)))
+    def test_emitted_runner_equals_timing_walk(self):
+        session = _compile_session(_medium(), "Ours", faults=FaultPlan())
+        program = session.program
+        assert all(s.kernel.native for s in _norm_steps(program))
+        inputs = session.make_inputs(seed=3)
+        values = _admit(session, dict(inputs))
+        for execute, drops in program.op_list:
+            execute(values)
+            for name in drops:
+                values.pop(name, None)
+        assert_outputs_identical(
+            serve_one(session, dict(inputs)),
+            {name: values[name] for name in program.output_names})
 
     @pytest.mark.parametrize("extent", [3, 4])
     def test_symbolic_at_s_equals_concrete_at_s(self, extent):

@@ -2,7 +2,7 @@
 
 A ``unary`` / ``binary`` / ``batchnorm`` step that owns an input array
 (``Step.owned``) is bound to a kernel that writes its result into that
-array instead of allocating one.  Both backends run the same bound
+array instead of allocating one.  The emitted runner calls that bound
 kernel, so the contract is that owning changes no byte anywhere:
 
 * every in-place recipe equals its reference kernel bytewise (values,
@@ -15,8 +15,9 @@ kernel, so the contract is that owning changes no byte anywhere:
 * over the zoo, each owned step's kernel returns its operand object, each
   kernel declared fresh returns memory no argument holds, and outputs
   equal the same program with every step back on its reference kernel;
-* a codegen request degraded to numpy by an injected compile failure,
-  after earlier requests wrote in place, replays byte-identically.
+* a process-pool request degraded to the in-process runner by an
+  injected compile failure, after earlier requests wrote in place,
+  replays byte-identically.
 """
 
 from dataclasses import replace
@@ -72,13 +73,13 @@ def unowned(program: ExecutionProgram) -> ExecutionProgram:
 
 
 def walk(program, values):
-    """Run ``program`` step by step as the numpy backend does, yielding
+    """Run ``program`` step by step as its emitted runner does, yielding
     ``(step, kernel arguments, result)``."""
     program.bind_packs(values)
     for step in program.steps:
         args = [values[name] for name in step.arg_names]
-        for idx, apply in step.appliers:
-            args[idx] = apply(args[idx])
+        for idx, view in step.views:
+            args[idx] = view.apply(args[idx])
         result = step.kernel(args, step.attrs)
         outs = result if len(step.out_names) > 1 else (
             result[0] if type(result) in (tuple, list) else result,)
@@ -196,12 +197,10 @@ def _aliased_graph():
 def _assert_matches_oracle(graph, program):
     inputs = make_inputs(graph, seed=1)
     want = get_backend("numpy").run(unowned(program), dict(inputs))
-    for backend in ("numpy", "codegen"):
-        got = get_backend(backend).run(program, dict(inputs))
-        assert got.keys() == want.keys()
-        for name in want:
-            assert got[name].tobytes() == want[name].tobytes(), \
-                (backend, name)
+    got = get_backend("numpy").run(program, dict(inputs))
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestOwnershipRule:
@@ -259,11 +258,10 @@ def _add_step(program):
                 if step.op_type == "binary")
 
 
-@pytest.mark.parametrize("backend", ("numpy", "codegen"))
 class TestVariantOwnership:
-    def test_rebatch_falls_back_and_matches_solo(self, backend):
+    def test_rebatch_falls_back_and_matches_solo(self):
         session = _compile_session(_broadcast_graph(1), "Ours",
-                                   backend=backend, faults=NO_FAULTS)
+                                   faults=NO_FAULTS)
         program = session.program
         add = _add_step(program)
         assert program.steps[add].owned == 1
@@ -281,10 +279,10 @@ class TestVariantOwnership:
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes()
 
-    def test_symbolize_falls_back_and_matches_concrete(self, backend):
+    def test_symbolize_falls_back_and_matches_concrete(self):
         graph = _broadcast_graph(1)
         session = _compile_session(
-            graph, "Ours", backend=backend, faults=NO_FAULTS,
+            graph, "Ours", faults=NO_FAULTS,
             signature={"x": (None, 8)}, max_extent=4)
         add = _add_step(session.program)
         for factor in (1, 2, 4):
@@ -293,7 +291,7 @@ class TestVariantOwnership:
             assert step.kernel is get_kernel("binary")
         for extent in range(1, 5):
             concrete = _compile_session(_broadcast_graph(extent), "Ours",
-                                        backend=backend, faults=NO_FAULTS)
+                                        faults=NO_FAULTS)
             inputs = concrete.make_inputs(seed=extent)
             # parameters are seeded by graph content: the reference
             # reads the symbolic session's own
@@ -355,25 +353,25 @@ def test_conformer_medium_owns_26_of_28_epilogues():
     None,  # the ambient plan: REPRO_FAULT_SEED's chaos, or none
 ], ids=["compile-fault-after-first", "ambient"])
 @pytest.mark.parametrize("name", ["Conformer", "Swin"])
-def test_degraded_codegen_replays_in_place_byte_identically(name, plan):
+def test_degraded_pool_replays_in_place_byte_identically(name, plan):
     graph = build(name, **SMOKE_CONFIGS[name])
-    clean = _compile_session(graph, "Ours", backend="numpy",
-                             faults=NO_FAULTS)
-    chaotic = _compile_session(graph, "Ours", backend="codegen",
-                               faults=plan)
+    clean = _compile_session(graph, "Ours", faults=NO_FAULTS)
+    chaotic = _compile_session(graph, "Ours", backend="parallel",
+                               workers=1, faults=plan)
     try:
         batch = [chaotic.make_inputs(seed=s) for s in range(3)]
         outputs = [serve_one(chaotic, dict(values)) for values in batch]
         outputs += serve_batch(chaotic, [dict(values) for values in batch])
         backends = [run.backend for run in chaotic.stats.runs]
         if plan is not None:
-            # the first request wrote in place on codegen; every later
-            # invocation failed to compile and replayed on numpy
-            assert backends[0] == "codegen"
+            # the first request wrote in place in a worker; every later
+            # invocation failed to compile and replayed in-process
+            assert backends[0] == "parallel"
             assert set(backends[1:]) == {"numpy"}
         for values, got in zip(batch + batch, outputs):
             want = serve_one(clean, dict(values))
             for key in want:
                 assert got[key].tobytes() == want[key].tobytes(), key
     finally:
+        chaotic.close()
         circuit_breaker().reset()

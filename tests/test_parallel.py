@@ -21,7 +21,7 @@ from repro.api import (
 from repro.bench.harness import clear_cell_cache
 from repro.models import build_smoke
 from repro.runtime import FaultPlan, FaultRule, active_segments
-from repro.runtime import parallel_backend as pb
+from repro.runtime import codegen_backend, parallel_backend as pb
 from repro.runtime.batching import _build_variant
 from repro.runtime.parallel_backend import parallel_supported
 from repro.runtime.program import fill_once
@@ -97,11 +97,11 @@ class TestParallelParity:
         assert report.batches == report.stacked_batches == 2
         assert report.worker_restarts == 0
 
-    def test_parallel_codegen_burst_is_byte_identical(self):
+    def test_conformer_burst_is_byte_identical(self):
         graph = build_smoke("Conformer")
         inputs, expected = reference_outputs(graph, 16)
         service = serve(graph, ServeOptions(
-            backend="parallel-codegen", workers=2, max_batch_size=16,
+            backend="parallel", workers=2, max_batch_size=16,
             compile=CompileOptions(faults=NO_FAULTS)))
         try:
             futures = [service.submit(InferenceRequest(inputs=values))
@@ -272,10 +272,12 @@ class TestShmCleanup:
 
 class TestForkDuringAFill:
     """A worker forked while a parent thread is inside a build starts
-    with an empty in-flight fill table: neither another key's held lock
-    nor the held lock of the very variant the worker needs stalls it."""
+    with an empty in-flight fill table and a free emission lock: neither
+    another key's held lock, nor the held lock of the very variant the
+    worker needs, nor the lock an emission holds stalls it."""
 
-    @pytest.mark.parametrize("held", ["another key", "the worker's variant"])
+    @pytest.mark.parametrize("held", [
+        "another key", "the worker's variant", "the emission lock"])
     def test_a_worker_forked_during_a_fill_serves(self, monkeypatch, held):
         monkeypatch.setattr(pb, "_DISPATCH_TIMEOUT_S", 10.0)
         clear_cell_cache()  # a fresh program: no variant built in-process
@@ -289,14 +291,23 @@ class TestForkDuringAFill:
             release.wait(timeout=60)
             return _build_variant(*args) if args else 1
 
+        def emitting():
+            with codegen_backend._EMISSIONS_LOCK:
+                build()
+
+        # The bucket-4 stacked variant a batch of 3 runs: only workers
+        # build it, and each then emits its module.
+        variants = fill_once(model.program.backend_cache,
+                             "batching.variants", dict)
+        assert (4, True) not in variants
         if held == "another key":
-            fill = ({}, "unrelated", build)
-        else:  # the bucket-4 stacked variant a batch of 3 runs
-            variants = fill_once(model.program.backend_cache,
-                                 "batching.variants", dict)
-            assert (4, True) not in variants  # only workers built it
-            fill = (variants, (4, True), build, model.program, 4, True)
-        holder = threading.Thread(target=fill_once, args=fill)
+            holder = threading.Thread(target=fill_once,
+                                      args=({}, "unrelated", build))
+        elif held == "the worker's variant":
+            holder = threading.Thread(target=fill_once, args=(
+                variants, (4, True), build, model.program, 4, True))
+        else:
+            holder = threading.Thread(target=emitting)
         try:
             want = model.run_batch(requests)
             model.close()  # the next batch forks a new worker

@@ -2,7 +2,7 @@
 
 The slot plan's accounting is computed once per program
 (``ExecutionProgram.report``); no request replays it against a run-time
-pool.  The contract, on both in-process backends and every route -
+pool.  The contract, on the in-process runner and every route -
 solo, stacked, symbolic at an off-base extent - plus one parallel burst:
 
 * ``RunStats.pool`` *is* the serving program's (or variant's) report, and
@@ -23,17 +23,16 @@ from repro.runtime import FaultPlan, parallel_supported
 from repro.runtime.batching import bucket, rebatch, symbolize
 from repro.runtime.session import _admit, _compile_session
 
-BACKENDS = ("numpy", "codegen")
 ROUTES = ("solo", "stacked", "symbolic")
 STACKED = 3
 OFF_BASE_EXTENT = 3
 NO_FAULTS = FaultPlan()  # explicit empty plan: overrides ambient chaos
 
 
-def fresh_session(backend):
+def fresh_session():
     graph = build_smoke("Pythia", batch=1)
     return _compile_session(
-        graph, "Ours", backend=backend, faults=NO_FAULTS, max_extent=8,
+        graph, "Ours", faults=NO_FAULTS, max_extent=8,
         signature={name: (None,) + tuple(graph.shape(name))[1:]
                    for name in graph.inputs})
 
@@ -74,20 +73,19 @@ def serve(session, requests):
 
 
 @pytest.mark.parametrize("kind", ROUTES)
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestStaticPoolReport:
-    def test_first_request_reports_the_serving_plan(self, backend, kind):
-        session = fresh_session(backend)
+    def test_first_request_reports_the_serving_plan(self, kind):
+        session = fresh_session()
         requests, serving = route(session, kind)
         served = serve(session, requests)
         assert [stats.batched for _, stats in served] == \
             [kind == "stacked"] * len(requests)
         for _, stats in served:
-            assert stats.backend == backend
+            assert stats.backend == "numpy"
             assert_plan_report(stats.pool, serving)
 
-    def test_failed_request_leaves_nothing_behind(self, backend, kind):
-        session = fresh_session(backend)
+    def test_failed_request_leaves_nothing_behind(self, kind):
+        session = fresh_session()
         requests, serving = route(session, kind)
         program = session.program
         # A wrong-shaped packed weight past the midpoint: admission never
@@ -102,7 +100,7 @@ class TestStaticPoolReport:
                 [dict(values, **{packed: poison}) for values in requests])
         assert session.stats.requests == 0
         served = serve(session, requests)
-        reference = serve(fresh_session(backend), requests)
+        reference = serve(fresh_session(), requests)
         for (got, stats), (want, _) in zip(served, reference):
             assert_plan_report(stats.pool, serving)
             assert got.keys() == want.keys()

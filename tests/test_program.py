@@ -277,7 +277,7 @@ class TestLowering:
     def test_views_preresolved(self, attention_graph):
         optimized = smartmem_optimize(attention_graph).graph
         program = lower(optimized)
-        lowered_views = sum(len(s.appliers) for s in program.steps)
+        lowered_views = sum(len(s.views) for s in program.steps)
         graph_views = sum(
             1 for node in optimized.iter_nodes()
             for view in node.input_views.values() if not view.is_identity)

@@ -154,33 +154,35 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Graceful degradation: codegen -> numpy fallback + circuit breaker
+# Graceful degradation: process pool -> in-process runner + circuit breaker
 # ---------------------------------------------------------------------------
 
 class TestGracefulDegradation:
-    def test_codegen_compile_fault_falls_back_to_identical_outputs(self):
+    def test_pool_compile_fault_falls_back_to_identical_outputs(self):
         graph = _smoke()
         inputs = _graph_inputs(graph, seed=5)
         plan = FaultPlan(rules=(FaultRule(kind="compile"),))
-        model = repro.compile(
-            _smoke(), CompileOptions(backend="codegen", faults=plan))
+        model = repro.compile(_smoke(), CompileOptions(
+            backend="parallel", workers=1, faults=plan))
+        try:
+            degraded = model.run(InferenceRequest(inputs=inputs))
+            assert degraded.stats.backend == "numpy"
+            assert model.session.stats.fallbacks == 1
+            _assert_matches_reference(graph, inputs, degraded.outputs)
 
-        degraded = model.run(InferenceRequest(inputs=inputs))
-        assert degraded.stats.backend == "numpy"
-        assert model.session.stats.fallbacks == 1
-        _assert_matches_reference(graph, inputs, degraded.outputs)
-
-        # Fault budget spent: the next run takes the codegen path again
-        # and produces the same bytes.
-        recovered = model.run(InferenceRequest(inputs=inputs))
-        assert recovered.stats.backend == "codegen"
-        assert model.session.stats.fallbacks == 1
-        _assert_matches_reference(graph, inputs, recovered.outputs)
+            # Fault budget spent: the next run takes the pool again and
+            # produces the same bytes.
+            recovered = model.run(InferenceRequest(inputs=inputs))
+            assert recovered.stats.backend == "parallel"
+            assert model.session.stats.fallbacks == 1
+            _assert_matches_reference(graph, inputs, recovered.outputs)
+        finally:
+            model.close()
 
     def test_circuit_breaker_opens_after_repeated_failures(self):
         plan = FaultPlan(rules=(FaultRule(kind="compile", times=None),))
-        model = repro.compile(
-            _smoke(), CompileOptions(backend="codegen", faults=plan))
+        model = repro.compile(_smoke(), CompileOptions(
+            backend="parallel", workers=1, faults=plan))
         session = model.session
         breaker = circuit_breaker()
         request = model.make_request(seed=0)
@@ -188,16 +190,19 @@ class TestGracefulDegradation:
         for expected in (1, 2, 3):
             assert model.run(request).stats.backend == "numpy"
             assert session.stats.fallbacks == expected
-        assert breaker.is_open("codegen", session.fingerprint)
+        assert breaker.is_open("parallel", session.fingerprint)
 
-        # Open circuit: numpy directly, no further failed codegen tries.
+        # Open circuit: in-process directly, no further failed pool tries.
         assert model.run(request).stats.backend == "numpy"
         assert session.stats.fallbacks == 3
+        model.close()
 
-    def test_compile_faults_never_target_the_reference_backend(self):
+    @pytest.mark.parametrize("backend", ["numpy", "codegen"])
+    def test_compile_faults_never_target_the_in_process_runner(
+            self, backend):
         plan = FaultPlan(rules=(FaultRule(kind="compile", times=None),))
         model = repro.compile(
-            _smoke(), CompileOptions(backend="numpy", faults=plan))
+            _smoke(), CompileOptions(backend=backend, faults=plan))
         response = model.run(model.make_request(seed=0))
         assert response.stats.backend == "numpy"
         assert model.session.stats.fallbacks == 0
@@ -205,8 +210,8 @@ class TestGracefulDegradation:
     def test_run_batch_degrades_as_a_unit(self):
         graph = _smoke()
         plan = FaultPlan(rules=(FaultRule(kind="compile"),))
-        model = repro.compile(
-            _smoke(), CompileOptions(backend="codegen", faults=plan))
+        model = repro.compile(_smoke(), CompileOptions(
+            backend="parallel", workers=1, faults=plan))
         requests = [InferenceRequest(inputs=_graph_inputs(graph, seed=s))
                     for s in range(3)]
         responses = model.run_batch(requests)
@@ -215,6 +220,7 @@ class TestGracefulDegradation:
         for seed, response in enumerate(responses):
             _assert_matches_reference(
                 graph, _graph_inputs(graph, seed), response.outputs)
+        model.close()
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +473,10 @@ class TestCloseAndPressure:
 
 class TestChaos:
     def test_chaos_faults_are_absorbed_with_identical_outputs(self):
-        # The chaos plan may only slow execution or degrade the backend;
-        # outputs must stay byte-identical under any seed - exactly what
-        # the CI chaos job (REPRO_FAULT_SEED over the tier-1 suite)
-        # relies on.
+        # The chaos plan may only slow execution, degrade the process
+        # pool to the in-process runner or kill a worker process; outputs
+        # must stay byte-identical under any seed - exactly what the CI
+        # chaos job (REPRO_FAULT_SEED over the tier-1 suite) relies on.
         graph = _smoke()
         clean = {}
         for seed in (0, 1, 2):
@@ -478,12 +484,14 @@ class TestChaos:
             clean[seed] = (inputs, _reference(graph, inputs))
         for chaos_seed in (1, 20_240_428):
             model = repro.compile(_smoke(), CompileOptions(
-                backend="codegen", faults=FaultPlan.chaos(chaos_seed)))
+                backend="parallel", workers=1,
+                faults=FaultPlan.chaos(chaos_seed)))
             for seed, (inputs, ref) in clean.items():
                 outputs = model.run(InferenceRequest(inputs=inputs)).outputs
                 for key in ref:
                     assert np.array_equal(outputs[key], ref[key]), (
                         chaos_seed, seed, key)
+            model.close()
             circuit_breaker().reset()
 
     def test_injected_crash_is_not_a_repro_error(self):

@@ -1,8 +1,9 @@
 """Route choice by declared capability, driven with fake backends.
 
 ``Session._route`` picks how one invocation executes from what the
-backend *declares* (``shards_requests``, ``inner``) - never from probing
-it - and reports ``(rows, batched)``.
+backend *declares* (``shards_requests``) - never from probing it - and
+reports ``(rows, batched)``.  An offer a sharding backend declines runs
+on the one in-process runner.
 """
 
 import numpy as np
@@ -39,11 +40,10 @@ class Spy(ExecutionBackend):
 
 
 class Sharder(ExecutionBackend):
-    """Declares sharding over the spy; answers offers with ``reply``."""
+    """Declares sharding; answers offers with ``reply``."""
 
     name = "route-sharder"
     shards_requests = True
-    inner = Spy.name
 
     def __init__(self, reply=None):
         self.reply = reply
@@ -81,7 +81,7 @@ def admitted(session, extents):
 
 def test_a_non_sharding_backend_is_never_asked_to_shard(spy):
     session = session_of()
-    assert not spy.shards_requests and spy.inner is None
+    assert not spy.shards_requests
     rows, batched = session._route(spy, admitted(session, [1]))
     assert len(rows) == 1 and not batched
     rows, batched = session._route(spy, admitted(session, [1, 1, 1]))
@@ -89,13 +89,23 @@ def test_a_non_sharding_backend_is_never_asked_to_shard(spy):
     assert spy.calls == [("run_many", 1), ("run_stacked", 3)]
 
 
-def test_a_declined_offer_runs_on_the_declared_inner(spy):
+def test_a_declined_offer_runs_on_the_in_process_runner(
+        spy, monkeypatch):
     session = session_of()
     sharder = Sharder(reply=None)
+    runner = get_backend("numpy")
+    run_stacked = runner.run_stacked
+    calls = []
+
+    def recorded(program, variant, values_list):
+        calls.append(len(values_list))
+        return run_stacked(program, variant, values_list)
+
+    monkeypatch.setattr(runner, "run_stacked", recorded)
     rows, batched = session._route(sharder, admitted(session, [1, 1]))
     assert sharder.offers == [2]
     assert len(rows) == 2 and batched
-    assert spy.calls == [("run_stacked", 2)]
+    assert calls == [2] and spy.calls == []
 
 
 def test_an_accepted_offer_is_returned_as_it_is(spy):

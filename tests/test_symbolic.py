@@ -3,11 +3,11 @@
 The core contract under test: a model compiled once with a symbolic
 leading dim (``CompileOptions(signature=..., max_extent=N)``) serves
 every extent in ``1..N`` **byte-identical** to a fresh concrete compile
-at that extent, on both in-process backends - requests execute at their
-exact runtime extent through per-bucket variants, never padded, never
-stacked.  The property is exercised zoo-wide over randomized extents,
-under chaos (codegen degradation, worker crashes), and guarded by
-compile-count and shm-layout regressions.
+at that extent - requests execute at their exact runtime extent through
+per-bucket variants, never padded, never stacked.  The property is
+exercised zoo-wide over randomized extents, under chaos (process-pool
+degradation, worker crashes), and guarded by compile-count and
+shm-layout regressions.
 """
 
 from dataclasses import replace
@@ -24,7 +24,9 @@ from repro.ir.symbolic import (
 )
 from repro.models import build_smoke
 from repro.models.registry import SMOKE_CONFIGS
-from repro.runtime import FaultPlan, FaultRule, active_segments, get_backend
+from repro.runtime import (
+    FaultPlan, FaultRule, active_segments, circuit_breaker, get_backend,
+)
 from repro.runtime.batching import NotStackable, analyze, bucket, symbolize
 from repro.runtime.codegen_backend import emission_count
 from repro.runtime.parallel_backend import parallel_supported
@@ -35,7 +37,6 @@ from repro.runtime.shm import ShardLayout
 NO_FAULTS = FaultPlan()  # explicit empty plan: overrides ambient chaos
 
 MAX_EXTENT = 8
-BACKENDS = ("numpy", "codegen")
 
 
 def symbolic_signature(graph):
@@ -128,13 +129,11 @@ class TestSymDim:
 
 
 class TestZooParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", STACKABLE)
-    def test_symbolic_serves_randomized_extents_byte_identical(
-            self, name, backend):
+    def test_symbolic_serves_randomized_extents_byte_identical(self, name):
         graph = build_smoke(name, batch=1)
         session = _compile_session(
-            build_smoke(name, batch=1), "Ours", backend=backend,
+            build_smoke(name, batch=1), "Ours",
             faults=NO_FAULTS, signature=symbolic_signature(graph),
             max_extent=MAX_EXTENT)
         for extent in sweep_extents(name):
@@ -142,7 +141,7 @@ class TestZooParity:
             admitted = _admit(session, values)
             results, _backend, _batched = session.execute_values([admitted])
             assert_outputs_identical(
-                results[0][0], want, f"{name} {backend} S={extent}")
+                results[0][0], want, f"{name} S={extent}")
 
     @pytest.mark.parametrize("name", UNSTACKABLE)
     def test_non_symbolizable_models_refuse_with_recorded_reason(self, name):
@@ -210,7 +209,8 @@ class TestZooParity:
     def test_wrong_leading_extent_raises_identically(self):
         # A symbolic spec pins the leading extent too: it is the pass's
         # live extent, so a kernel dropping a row fails at its own step,
-        # with the same words on both backends.
+        # with the same words in the emitted runner and the per-step
+        # timing walk.
         graph = build_smoke("Pythia", batch=1)
         session = _compile_session(
             graph, "Ours", faults=NO_FAULTS,
@@ -232,10 +232,18 @@ class TestZooParity:
             input_signature=variant.input_signature,
             symbolic_extent=variant.symbolic_extent, packs=variant.packs)
         values, _ = concrete_reference(session, "Pythia", 3)
+
+        def timing_walk(values):
+            for execute, drops in broken.op_list:
+                execute(values, 3)
+                for name in drops:
+                    values.pop(name, None)
+
         messages = []
-        for backend in BACKENDS:
+        for run in (lambda values: get_backend("numpy").run(broken, values),
+                    timing_walk):
             with pytest.raises(ExecutionError) as caught:
-                get_backend(backend).run(broken, _admit(session, values))
+                run(_admit(session, values))
             messages.append(str(caught.value))
         want = (3,) + tuple(step.out_shapes[0][1:])
         assert f"({step.node_id}) produced shape {(2,) + want[1:]}, " \
@@ -249,19 +257,23 @@ class TestZooParity:
 
 
 class TestSymbolicReliability:
-    def test_codegen_degradation_preserves_parity_at_odd_extents(self):
+    def test_pool_degradation_preserves_parity_at_odd_extents(self):
         graph = build_smoke("Pythia", batch=1)
         plan = FaultPlan(rules=(FaultRule(kind="compile", times=None),))
         session = _compile_session(
-            build_smoke("Pythia", batch=1), "Ours", backend="codegen",
-            faults=plan, signature=symbolic_signature(graph),
+            build_smoke("Pythia", batch=1), "Ours", backend="parallel",
+            workers=1, faults=plan, signature=symbolic_signature(graph),
             max_extent=MAX_EXTENT)
-        for extent in (3, 5, 7):
-            values, want = concrete_reference(session, "Pythia", extent)
-            results, backend, _batched = session.execute_values(
-                [_admit(session, values)])
-            assert backend == "numpy"  # degraded, not failed
-            assert_outputs_identical(results[0][0], want, f"S={extent}")
+        try:
+            for extent in (3, 5, 7):
+                values, want = concrete_reference(session, "Pythia", extent)
+                results, backend, _batched = session.execute_values(
+                    [_admit(session, values)])
+                assert backend == "numpy"  # degraded, not failed
+                assert_outputs_identical(results[0][0], want, f"S={extent}")
+        finally:
+            session.close()
+            circuit_breaker().reset()  # three failures opened it
 
     @pytest.mark.skipif(not parallel_supported(),
                         reason="fork start method unavailable")
@@ -289,8 +301,8 @@ class TestSymbolicReliability:
     def test_chaos_seeds_preserve_mixed_extent_isolation(self, seed):
         graph = build_smoke("Pythia", batch=1)
         session = _compile_session(
-            build_smoke("Pythia", batch=1), "Ours", backend="codegen",
-            faults=FaultPlan.chaos(seed),
+            build_smoke("Pythia", batch=1), "Ours", backend="parallel",
+            workers=1, faults=FaultPlan.chaos(seed),
             signature=symbolic_signature(graph), max_extent=MAX_EXTENT)
         extents = [5, 1, 3, 8]
         batch, expected = [], []
@@ -298,12 +310,16 @@ class TestSymbolicReliability:
             values, want = concrete_reference(session, "Pythia", extent)
             batch.append(_admit(session, values))
             expected.append(want)
-        for _ in range(3):  # repeated bursts so chaos rules fire
-            results, _backend, _batched = session.execute_values(
-                [dict(v) for v in batch])
-            for extent, (got, _r, _w), want in zip(
-                    extents, results, expected):
-                assert_outputs_identical(got, want, f"chaos S={extent}")
+        try:
+            for _ in range(3):  # repeated bursts so chaos rules fire
+                results, _backend, _batched = session.execute_values(
+                    [dict(v) for v in batch])
+                for extent, (got, _r, _w), want in zip(
+                        extents, results, expected):
+                    assert_outputs_identical(got, want, f"chaos S={extent}")
+        finally:
+            session.close()
+            circuit_breaker().reset()
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +384,7 @@ class TestCompileCount:
     def test_shape_sweep_compiles_once_per_bucket(self):
         graph = build_smoke("Pythia", batch=1)
         session = _compile_session(
-            build_smoke("Pythia", batch=1), "Ours", backend="codegen",
+            build_smoke("Pythia", batch=1), "Ours",
             faults=NO_FAULTS, signature=symbolic_signature(graph),
             max_extent=MAX_EXTENT)
         references = {
@@ -397,7 +413,7 @@ class TestCompileCount:
     def test_second_sweep_emits_nothing_new(self):
         graph = build_smoke("ViT", batch=1)
         session = _compile_session(
-            build_smoke("ViT", batch=1), "Ours", backend="codegen",
+            build_smoke("ViT", batch=1), "Ours",
             faults=NO_FAULTS, signature=symbolic_signature(graph),
             max_extent=MAX_EXTENT)
         values = {extent: concrete_reference(session, "ViT", extent)[0]
