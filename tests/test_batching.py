@@ -22,7 +22,9 @@ from repro.bench.harness import clear_cell_cache
 from repro.ir import GraphBuilder
 from repro.ir.symbolic import SYM
 from repro.models import SMOKE_CONFIGS, build
-from repro.runtime import circuit_breaker, get_backend, lower
+from repro.runtime import (
+    circuit_breaker, get_backend, lower, make_inputs, run_node,
+)
 from repro.runtime.batching import (
     NotStackable, analyze, bucket, mark_unstackable, rebatch, symbolize,
 )
@@ -36,6 +38,14 @@ STACKED_MODELS = ("Pythia", "SD-TextEncoder")
 
 def _smoke(name):
     return build(name, **SMOKE_CONFIGS[name])
+
+
+def _interpret(graph, inputs):
+    """The independent reference: run_node over the topo order."""
+    values = dict(inputs)
+    for node in graph.topo_order():
+        run_node(graph, node, values)
+    return {name: values[name] for name in graph.outputs}
 
 
 def _assert_same_outputs(got, want, context=""):
@@ -108,6 +118,19 @@ class TestZooParity:
         # shared attribution: the pass reports its variant's static plan
         assert stats[0].pool is stats[1].pool is stats[2].pool \
             is rebatch(program, bucket(3)).report
+
+    def test_batched_matches_interpretation(self, name):
+        """The independent reference: each row of a batch of three equals
+        ``run_node`` interpretation of the compiled graph on that row."""
+        model = repro.compile(_smoke(name), CompileOptions())
+        session = model.session
+        params = make_inputs(session.graph)
+        inputs = [session.make_inputs(seed=s) for s in range(3)]
+        outs = serve_batch(session, [dict(i) for i in inputs])
+        for seed, (got, row) in enumerate(zip(outs, inputs)):
+            _assert_same_outputs(
+                got, _interpret(session.graph, {**params, **row}),
+                f"{name}/row {seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ from repro.models import SMOKE_CONFIGS, build, build_smoke
 from repro.runtime import (
     NumPyBackend, available_backends, compile_program,
     emit_program_source, get_backend, lower, make_inputs, program_source,
-    run_node,
+    run_node, verify_equivalence,
 )
+from repro.runtime.batching import analyze
 from repro.runtime.kernels import get_kernel
 from repro.runtime.session import _compile_session
 
@@ -41,6 +42,18 @@ def _interpret(graph, inputs):
     for node in graph.topo_order():
         run_node(graph, node, values)
     return {name: values[name] for name in graph.outputs}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
+class TestCodegenParity:
+    """The verifier's own backend selection accepts ``"codegen"`` on the
+    whole zoo and runs the one runner under it."""
+
+    def test_verify_equivalence_on_codegen_backend(self, name):
+        graph = build(name, **SMOKE_CONFIGS[name])
+        optimized = smartmem_optimize(graph).graph
+        report = verify_equivalence(graph, optimized, backend="codegen")
+        assert report.passed, report.summary()
 
 
 class TestGeneratedModule:
@@ -175,6 +188,23 @@ class TestEmittedAtCompile:
         # the per-step timing walk builds its closures on first read
         assert program.op_list is program.op_list
         assert len(program.op_list) == program.num_steps
+
+    @pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
+    def test_zoo_serving_builds_no_step_closures(self, name):
+        """Solo and batched requests run emitted modules only, on every
+        model: neither the program nor a bucket variant it served from
+        builds the per-step timing walk."""
+        clear_cell_cache()  # a fresh program: nothing read its op_list
+        model = repro.compile(build_smoke(name), CompileOptions())
+        program = model.program
+        model.run(model.make_request(seed=0))
+        model.run_batch([model.make_request(seed=s) for s in range(3)])
+        variants = program.backend_cache.get("batching.variants", {})
+        # a stackable program served the batch from its stacked variant
+        assert len(variants) == analyze(program).stackable
+        for owner in (program, *variants.values()):
+            assert "codegen.module" in owner.backend_cache
+            assert "op_list" not in owner.backend_cache
 
 
 class TestCodegenServing:

@@ -473,6 +473,26 @@ def test_hit_outputs_match_miss_outputs(name):
     assert cell_cache_stats()["misses"] == before["misses"]
 
 
+@pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
+def test_either_backend_name_hits_one_entry(name):
+    """``"numpy"`` and ``"codegen"`` name one runner, so they key one
+    compile: the second name hits the first's entry and reuses its
+    emitted module."""
+    miss = repro.compile(build_smoke(name), CompileOptions(backend="numpy"))
+    request = miss.make_request(seed=11)
+    want = {key: value.copy()
+            for key, value in miss.run(request).outputs.items()}
+    before, emitted = cell_cache_stats(), emission_count()
+    hit = repro.compile(build_smoke(name), CompileOptions(backend="codegen"))
+    after = cell_cache_stats()
+    assert after["misses"] == before["misses"]
+    assert after["hits"] == before["hits"] + 1
+    assert hit.program is miss.program
+    assert hit.session.backend == miss.session.backend == "numpy"
+    _same(hit.run(request).outputs, want)
+    assert emission_count() == emitted
+
+
 def test_reserving_known_graphs_does_not_grow_the_process():
     """300 cold starts over 3 models, in a fresh process so ``ru_maxrss``
     (a high-water mark) reads this loop and nothing else.  The id-keyed

@@ -26,6 +26,7 @@ from repro.models import build_smoke
 from repro.models.registry import SMOKE_CONFIGS
 from repro.runtime import (
     FaultPlan, FaultRule, active_segments, circuit_breaker, get_backend,
+    make_inputs, run_node,
 )
 from repro.runtime.batching import NotStackable, analyze, bucket, symbolize
 from repro.runtime.codegen_backend import emission_count
@@ -140,6 +141,32 @@ class TestZooParity:
             values, want = concrete_reference(session, name, extent)
             admitted = _admit(session, values)
             results, _backend, _batched = session.execute_values([admitted])
+            assert_outputs_identical(
+                results[0][0], want, f"{name} S={extent}")
+
+    @pytest.mark.parametrize("name", STACKABLE)
+    def test_symbolic_matches_interpretation_at_every_bucket(self, name):
+        """The independent reference: one extent per bucket, served
+        symbolically, equals ``run_node`` interpretation of a concrete
+        compile's graph at that extent on the same parameters."""
+        graph = build_smoke(name, batch=1)
+        session = _compile_session(
+            build_smoke(name, batch=1), "Ours",
+            faults=NO_FAULTS, signature=symbolic_signature(graph),
+            max_extent=MAX_EXTENT)
+        params = {key: value
+                  for key, value in make_inputs(session.graph).items()
+                  if key not in session.graph.inputs}
+        for extent in sweep_extents(name, per_bucket=1):
+            concrete = _compile_session(build_smoke(name, batch=extent),
+                                        "Ours", faults=NO_FAULTS)
+            inputs = concrete.make_inputs(seed=extent)
+            results, _backend, _batched = session.execute_values(
+                [_admit(session, dict(inputs))])
+            values = {**params, **inputs}
+            for node in concrete.graph.topo_order():
+                run_node(concrete.graph, node, values)
+            want = {key: values[key] for key in concrete.graph.outputs}
             assert_outputs_identical(
                 results[0][0], want, f"{name} S={extent}")
 
