@@ -91,11 +91,8 @@ class ExecutionError(ReproError, RuntimeError):
 
 class BackendCompilationError(ReproError, RuntimeError):
     """An execution backend failed to compile its per-program runner.
-    Raised by the emitted runner's module compile (at session build, so
-    the compile fails) and injected for the process pool, which is
-    retryable by nature: the session degrades to the in-process runner
-    for the request and may try the pool again later (until its circuit
-    breaker opens)."""
+    Raised by the emitted runner's module compile, at session build, so
+    the compile fails before any request is served."""
 
     def __init__(self, message: str = "", *, retryable: bool = True,
                  **context) -> None:
@@ -136,9 +133,10 @@ class RequestCancelled(ReproError, RuntimeError):
 
 
 class WorkerCrashed(ReproError, RuntimeError):
-    """A parallel worker process died mid-batch and the pool exhausted
-    its respawn/rescue budget for the shard.  Retryable - a fresh
-    worker (or the in-process fallback) can serve the same request."""
+    """The parallel worker pool could not serve a batch: a dispatch
+    stalled past its timeout (the stalled workers are replaced before
+    this is raised) or a replacement worker failed to start.  Retryable
+    - a fresh worker can serve the same request."""
 
     def __init__(self, message: str = "", *, retryable: bool = True,
                  **context) -> None:

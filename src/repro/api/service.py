@@ -260,8 +260,8 @@ class ServiceReport:
     survived by spawning a replacement thread, plus worker-*process*
     respawns performed by the parallel backend's pool."""
     fallbacks: int
-    """Process-pool invocations the session degraded to the in-process
-    runner (:attr:`~repro.runtime.session.SessionStats.fallbacks`)."""
+    """Shards the process pool rescued in-process past their respawn
+    budget (:attr:`~repro.runtime.session.SessionStats.fallbacks`)."""
     total_exec_s: float
     throughput_rps: float
     """Executor-side rate: requests served per second of backend time."""
@@ -769,8 +769,7 @@ class Service:
                             request_id=entry.request_id,
                             retryable=rule.retryable)
         return self._session._serve(
-            [dict(entry.values) for entry in entries],
-            backend=self._backend)
+            [dict(entry.values) for entry in entries])
 
     def _execute(self, batch: list[_Pending],
                  offloaded: bool = False) -> None:

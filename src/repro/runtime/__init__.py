@@ -19,13 +19,10 @@ from .program import (
     available_backends, get_backend, lower, register_backend,
 )
 from .shm import SegmentRing, ShardLayout, SharedSegment, active_segments
-from .session import (
-    CircuitBreaker, RunStats, Session, SessionStats,
-    circuit_breaker, stable_model_key,
-)
+from .session import RunStats, Session, SessionStats, stable_model_key
 
 __all__ = [
-    "CircuitBreaker", "CompiledProgramModule",
+    "CompiledProgramModule",
     "ExecutionBackend", "ExecutionProgram", "FaultInjector",
     "FaultPlan", "FaultRule", "GeneratedKernel", "InjectedCrash",
     "NumPyBackend", "ParallelBackend", "RunStats",
@@ -33,7 +30,7 @@ __all__ = [
     "SessionStats", "ShardLayout", "SharedSegment",
     "SlotPlan", "Step",
     "VerificationReport", "WorkerPool", "active_segments",
-    "circuit_breaker", "parallel_supported", "stable_model_key",
+    "parallel_supported", "stable_model_key",
     "available_backends", "compile_program",
     "emit_program_source", "generate_group",
     "generate_kernel", "get_backend", "lower",

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the serving stack.
 
-The reliability layer (the process pool's fallback to the in-process
-runner, circuit breaker, retry/backoff, worker supervision) is only
+The reliability layer (request isolation, retry/backoff, worker-thread
+supervision and the process pool's worker replacement) is only
 trustworthy if it can be *driven*: this
 module provides the plan objects that make every failure path
 reproducible on demand.
@@ -18,13 +18,11 @@ Two injection sites consume the same plan, split by ``request_id``:
 
 * **session-level** (rules with ``request_id=None``), consulted by
   :meth:`repro.runtime.session.Session.execute_values` once per backend
-  invocation: ``latency`` sleeps, ``kernel``/``alloc`` raise
-  :class:`~repro.api.errors.ExecutionError`, and ``compile`` raises
-  :class:`~repro.api.errors.BackendCompilationError` for the process
-  pool only (exercising its fallback to the in-process runner + the
-  circuit breaker).  The in-process runner emits its program when the
-  session is built, so it has no compile step left to fail and nothing
-  to degrade to.  Install via ``CompileOptions(faults=...)``.
+  invocation: ``latency`` sleeps and ``kernel``/``alloc`` raise
+  :class:`~repro.api.errors.ExecutionError`.  ``worker_crash`` rules
+  are consulted by the process pool's dispatcher instead: they kill a
+  worker process mid-shard (exercising its respawn, re-dispatch and
+  in-process rescue).  Install via ``CompileOptions(faults=...)``.
 * **service-level** (rules naming a ``request_id``), consulted by the
   :class:`~repro.api.Service` scheduler per request *and attempt*:
   ``kernel`` faults a specific request deterministically on chosen
@@ -42,10 +40,10 @@ forever.
 Chaos mode: ``REPRO_FAULT_SEED=<int>`` installs
 :meth:`FaultPlan.chaos` on every session that was not given an explicit
 plan.  The chaos plan injects only faults the reliability layer is
-*required* to absorb - artificial latency, process-pool compile failures
-(which degrade to the in-process runner with byte-identical outputs)
-and worker-process crashes - so the whole tier-1 suite must stay green
-under any seed; CI runs exactly that (see the ``chaos`` job).
+*required* to absorb - artificial latency and worker-process crashes
+(which the pool absorbs with byte-identical outputs) - so the whole
+tier-1 suite must stay green under any seed; CI runs exactly that (see
+the ``chaos`` job).
 """
 
 from __future__ import annotations
@@ -56,14 +54,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..api.errors import BackendCompilationError, ExecutionError
+from ..api.errors import ExecutionError
 
-KINDS = ("kernel", "latency", "alloc", "compile", "crash", "worker_crash")
-
-REFERENCE_BACKEND = "numpy"
-"""The in-process runner's name.  Compile faults never target it - its
-program is emitted when the session is built - and it is what the
-process pool degrades to."""
+KINDS = ("kernel", "latency", "alloc", "crash", "worker_crash")
 
 
 class InjectedCrash(Exception):
@@ -83,7 +76,7 @@ class FaultRule:
     Fields (all defaulted; unused fields are ignored per ``kind``):
 
     * ``kind`` - ``"kernel"``, ``"latency"``, ``"alloc"``,
-      ``"compile"``, ``"crash"`` (worker *thread*), or
+      ``"crash"`` (worker *thread*), or
       ``"worker_crash"`` (parallel worker *process*; session-level
       only, consulted by the pool dispatcher via
       :meth:`FaultInjector.on_parallel_dispatch`).
@@ -166,9 +159,8 @@ class FaultPlan:
         """A randomized-but-seeded plan of *absorbable* faults.
 
         Only fault kinds the reliability layer must hide from callers
-        are generated - artificial latency (slower, never wrong),
-        process-pool compile failures (degraded to the in-process runner
-        with identical outputs) and worker crashes - so any test suite
+        are generated - artificial latency (slower, never wrong) and
+        worker-process crashes - so any test suite
         that passes clean must pass under any chaos seed.  Same seed,
         same plan.
         """
@@ -176,8 +168,6 @@ class FaultPlan:
         rules = [
             FaultRule(kind="latency", probability=0.05,
                       latency_ms=rng.uniform(0.05, 0.3), times=None),
-            FaultRule(kind="compile", probability=rng.uniform(0.1, 0.3),
-                      times=rng.randint(1, 3)),
             # Parallel-pool chaos: kill a worker process mid-shard.  Only
             # consulted by the pool dispatcher (on_parallel_dispatch), so
             # in-process sessions never see it; the pool must absorb it
@@ -248,9 +238,7 @@ class FaultInjector:
                       context: dict | None = None) -> None:
         """Consulted once per backend invocation (before it runs).
 
-        May sleep (latency), raise
-        :class:`~repro.api.errors.BackendCompilationError` (compile
-        faults, never on the in-process runner), or raise
+        May sleep (latency) or raise
         :class:`~repro.api.errors.ExecutionError` (kernel/alloc
         faults).  ``context`` carries model/fingerprint for the error.
         """
@@ -267,12 +255,6 @@ class FaultInjector:
             if rule.kind == "latency":
                 if self._gate(index, rule):
                     time.sleep(rule.latency_ms / 1e3)
-            elif rule.kind == "compile":
-                if backend != REFERENCE_BACKEND and self._gate(index, rule):
-                    raise BackendCompilationError(
-                        f"injected backend-compile failure "
-                        f"(backend {backend!r})",
-                        backend=backend, **context)
             elif rule.kind == "kernel":
                 if self._gate(index, rule):
                     at = "" if rule.step is None else f" at step {rule.step}"
@@ -332,5 +314,4 @@ class FaultInjector:
 
 __all__ = [
     "FaultInjector", "FaultPlan", "FaultRule", "InjectedCrash", "KINDS",
-    "REFERENCE_BACKEND",
 ]

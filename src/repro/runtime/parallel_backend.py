@@ -19,19 +19,22 @@ Dispatch composes with the existing layers instead of bypassing them:
   static layout computed from the program - the control pipe carries
   only ``(segment index, request count)`` tuples and per-request wall
   times;
-* inside each worker, execution funnels through the normal
-  :meth:`~repro.runtime.session.Session.execute_values` path on the
-  in-process runner, so stacked batching and fault injection apply
-  unchanged, and outputs stay byte-identical to single-process serving.
+* inside each worker, execution takes the session's in-process route
+  (:meth:`~repro.runtime.session.Session._route`), so stacked batching
+  applies unchanged and outputs stay byte-identical to single-process
+  serving; injected session-level faults fire once, in the parent.
 
-Supervision extends PR-6's worker-thread story to processes: a worker
-that dies mid-shard is detected on its process sentinel, respawned by a
-fresh fork, and the shard re-dispatched verbatim from its still-intact
-segment; after :data:`_MAX_SHARD_RETRIES` deaths the shard executes
-in-process as a last resort (still byte-identical).  Restarts are
-counted on the pool and surface in ``ServiceReport.worker_restarts``.
-Injected ``worker_crash`` faults (:mod:`repro.runtime.faults`) drive
-exactly this path deterministically.
+The pool alone decides a worker is lost - its sentinel fires
+mid-shard, a send to it fails (it died while idle), or the dispatch
+stalls past :data:`_DISPATCH_TIMEOUT_S` - and replaces it through
+:meth:`WorkerPool._replace` (counted in ``ServiceReport.worker_restarts``).
+A lost shard is re-dispatched verbatim from its still-intact segment;
+after :data:`_MAX_SHARD_RETRIES` losses it runs in-process (still
+byte-identical, counted in ``SessionStats.fallbacks``).  A stall
+replaces every worker with a shard in flight, so no late reply is read
+as the next dispatch's, then raises
+:class:`~repro.api.errors.WorkerCrashed`.  Injected ``worker_crash``
+faults (:mod:`repro.runtime.faults`) drive the mid-shard path.
 
 On platforms without the ``fork`` start method the backend degrades to
 the in-process runner (logged once) - same outputs, no scale-out.
@@ -105,11 +108,9 @@ def _worker_main(conn_, session, ring: SegmentRing) -> None:
     exit_code = 0
     try:
         # Forked locks may be held by threads that do not exist in the
-        # child; give it private reliability state, an empty in-flight
-        # fill table and a free emission lock.
-        from . import codegen_backend, program as program_module, \
-            session as session_module
-        session_module._CIRCUIT = session_module.CircuitBreaker()
+        # child; give it an empty in-flight fill table and a free
+        # emission lock.
+        from . import codegen_backend, program as program_module
         program_module._FILLING = {}
         program_module._FILLING_LOCK = threading.Lock()
         codegen_backend._EMISSIONS_LOCK = threading.Lock()
@@ -141,13 +142,12 @@ def _worker_main(conn_, session, ring: SegmentRing) -> None:
                 values.update(layout.read_inputs(buf, i))
                 values_list.append(values)
             try:
-                results, backend_name, batched = session.execute_values(
-                    values_list, backend=runner)
+                results, batched = session._route(runner, values_list)
                 walls = []
                 for i, (outputs, _report, wall) in enumerate(results):
                     layout.write_outputs(buf, i, outputs)
                     walls.append(float(wall))
-                conn_.send(("ok", seg_index, walls, backend_name, batched))
+                conn_.send(("ok", seg_index, walls, batched))
             except BaseException as err:  # noqa: BLE001 - ship to parent
                 conn_.send(("err", seg_index, _portable(err)))
     except (EOFError, OSError, KeyboardInterrupt):
@@ -165,6 +165,14 @@ class _Worker:
         self.index = index
         self.proc = proc
         self.conn = conn_
+
+
+def _reap(worker: _Worker) -> None:
+    """Close a worker's connection, then kill and join its process (a
+    no-op on one already reaped)."""
+    worker.conn.close()
+    worker.proc.kill()
+    worker.proc.join(timeout=5)
 
 
 class _Shard:
@@ -237,13 +245,13 @@ class WorkerPool:
         session = self.session
         runner = get_backend(NumPyBackend.name)
         values = _admit(session, session.make_inputs(seed=0))
-        session.execute_values([dict(values)], backend=runner)
+        session._route(runner, [dict(values)])
         if self.stackable:
             for size in {self._shard_size(self.capacity),
                          self.capacity}:
                 if size > 1:
-                    session.execute_values(
-                        [dict(values) for _ in range(size)], backend=runner)
+                    session._route(
+                        runner, [dict(values) for _ in range(size)])
         sym = session.symbolic
         if sym is not None:
             # One representative run per symbolic bucket: the children
@@ -260,7 +268,7 @@ class WorkerPool:
                     name: np.resize(value, (extent,) + value.shape[1:])
                     if name in sym.inputs else value
                     for name, value in values.items()}
-                session.execute_values([warm], backend=runner)
+                session._route(runner, [warm])
 
     def _spawn(self, index: int) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
@@ -270,18 +278,30 @@ class WorkerPool:
             daemon=True, name=f"repro-parallel-{index}")
         proc.start()
         child_conn.close()
+        worker = _Worker(index, proc, parent_conn)
         if not parent_conn.poll(_SPAWN_TIMEOUT_S):
-            proc.terminate()
+            _reap(worker)
             raise WorkerCrashed(
                 f"parallel worker {index} failed to come up within "
                 f"{_SPAWN_TIMEOUT_S:.0f}s", backend=ParallelBackend.name)
         message = parent_conn.recv()
         if message[0] != "ready":  # pragma: no cover - protocol bug
-            proc.terminate()
+            _reap(worker)
             raise WorkerCrashed(
                 f"parallel worker {index} sent {message[0]!r} instead of "
                 "the ready handshake", backend=ParallelBackend.name)
-        return _Worker(index, proc, parent_conn)
+        return worker
+
+    def _replace(self, worker_index: int, why: str) -> None:
+        """The one worker-replacement path: reap the lost worker, fork a
+        fresh one into its slot and count a restart.  A failed fork
+        propagates; the slot then still holds the reaped worker, whose
+        closed connection makes the next dispatch replace it again."""
+        logger.warning("parallel worker %d %s; respawning", worker_index,
+                       why)
+        _reap(self._workers[worker_index])
+        self._workers[worker_index] = self._spawn(worker_index)
+        self.restarts += 1
 
     @property
     def alive(self) -> bool:
@@ -390,42 +410,66 @@ class WorkerPool:
         report = self.session.program.report if extent is None else \
             symbolize(self.session.program,
                       self.session.symbolic.factor(extent)).report
-        while pending or active:
-            while pending and idle:
-                shard = shards[pending[0]]
-                if shard.seg is None:
-                    shard.seg = self.ring.acquire()
-                    buf = self.ring.buf(shard.seg)
-                    for i in range(shard.count):
-                        layout.write_inputs(buf, i,
-                                            values_list[shard.start + i])
-                worker_index = idle.popleft()
-                shard_index = pending.popleft()
-                self._workers[worker_index].conn.send(
-                    ("run", shard.seg, shard.count, shard.crash, extent))
-                shard.crash = False  # an injected crash fires once
-                active[worker_index] = shard_index
-            conns = {self._workers[w].conn: w for w in active}
-            sentinels = {self._workers[w].proc.sentinel: w for w in active}
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                raise WorkerCrashed(
-                    f"parallel dispatch stalled past "
-                    f"{_DISPATCH_TIMEOUT_S:.0f}s with shards in flight",
-                    backend=ParallelBackend.name)
-            ready = connection.wait(
-                list(conns) + list(sentinels), timeout=timeout)
-            handled = set()
-            for obj in ready:
-                worker_index = conns.get(obj)
-                if worker_index is None:
-                    worker_index = sentinels.get(obj)
-                if worker_index is None or worker_index in handled \
-                        or worker_index not in active:
-                    continue
-                handled.add(worker_index)
-                self._settle(worker_index, shards, values_list, rows,
-                             active, idle, pending, layout, report)
+        try:
+            while pending or active:
+                while pending and idle:
+                    shard_index = pending.popleft()
+                    shard = shards[shard_index]
+                    if shard.seg is None:
+                        shard.seg = self.ring.acquire()
+                        buf = self.ring.buf(shard.seg)
+                        for i in range(shard.count):
+                            layout.write_inputs(
+                                buf, i, values_list[shard.start + i])
+                    worker_index = idle.popleft()
+                    try:
+                        self._workers[worker_index].conn.send(
+                            ("run", shard.seg, shard.count, shard.crash,
+                             extent))
+                    except OSError as err:  # broken pipe: died while idle
+                        self._lose(worker_index, f"was gone at dispatch "
+                                   f"({type(err).__name__})", shards,
+                                   shard_index, values_list, rows, idle,
+                                   pending)
+                        continue
+                    shard.crash = False  # an injected crash fires once
+                    active[worker_index] = shard_index
+                timeout = deadline - time.monotonic()
+                if timeout <= 0:
+                    # Kill every stalled worker before forking any
+                    # replacement: none of their late replies may be read
+                    # as the next dispatch's.
+                    stalled = list(active)
+                    active.clear()
+                    for worker_index in stalled:
+                        _reap(self._workers[worker_index])
+                    for worker_index in stalled:
+                        self._replace(worker_index, "stalled")
+                    raise WorkerCrashed(
+                        f"parallel dispatch stalled past "
+                        f"{_DISPATCH_TIMEOUT_S:.0f}s with shards in flight",
+                        backend=ParallelBackend.name)
+                conns = {self._workers[w].conn: w for w in active}
+                sentinels = {self._workers[w].proc.sentinel: w
+                             for w in active}
+                ready = connection.wait(
+                    list(conns) + list(sentinels), timeout=timeout)
+                handled = set()
+                for obj in ready:
+                    worker_index = conns.get(obj)
+                    if worker_index is None:
+                        worker_index = sentinels.get(obj)
+                    if worker_index is None or worker_index in handled \
+                            or worker_index not in active:
+                        continue
+                    handled.add(worker_index)
+                    self._settle(worker_index, shards, values_list, rows,
+                                 active, idle, pending, layout, report)
+        finally:
+            for shard in shards:  # every exit hands its segments back
+                if shard.seg is not None:
+                    self.ring.release(shard.seg)
+                    shard.seg = None
         for shard in shards:
             if shard.error is not None:
                 raise shard.error
@@ -435,7 +479,7 @@ class WorkerPool:
                 active, idle, pending, layout, report) -> None:
         """Consume one worker's completion - a reply or a death."""
         worker = self._workers[worker_index]
-        shard_index = active[worker_index]
+        shard_index = active.pop(worker_index)
         shard = shards[shard_index]
         message = None
         try:
@@ -443,35 +487,15 @@ class WorkerPool:
                 message = worker.conn.recv()
         except (EOFError, OSError):
             message = None
-        if message is None:
-            # No reply and the sentinel fired: the process died
-            # mid-shard.  Respawn (the ring - with this shard's inputs
-            # still in place - is re-inherited by the fresh fork) and
-            # re-dispatch; after the retry budget, run in-process.
-            del active[worker_index]
-            worker.conn.close()
-            worker.proc.join(timeout=5)
-            self.restarts += 1
-            shard.tries += 1
-            logger.warning(
-                "parallel worker %d died mid-shard (exit %s); respawning "
-                "(restart %d, shard try %d/%d)", worker_index,
-                worker.proc.exitcode, self.restarts, shard.tries,
-                _MAX_SHARD_RETRIES + 1)
-            self._workers[worker_index] = self._spawn(worker_index)
-            idle.append(worker_index)
-            if shard.tries <= _MAX_SHARD_RETRIES:
-                pending.append(shard_index)
-            else:
-                self._rescue_in_process(shard, values_list, rows)
-                self.ring.release(shard.seg)
-                shard.seg = None
+        if message is None:  # no reply and the sentinel fired
+            self._lose(worker_index,
+                       f"died mid-shard (exit {worker.proc.exitcode})",
+                       shards, shard_index, values_list, rows, idle,
+                       pending)
             return
-        kind = message[0]
-        del active[worker_index]
         idle.append(worker_index)
-        if kind == "ok":
-            _, seg_index, walls, _backend_name, was_batched = message
+        if message[0] == "ok":
+            _, seg_index, walls, was_batched = message
             shard.batched = bool(was_batched)
             buf = self.ring.buf(seg_index)
             for i in range(shard.count):
@@ -482,20 +506,38 @@ class WorkerPool:
         self.ring.release(shard.seg)
         shard.seg = None
 
+    def _lose(self, worker_index: int, why: str, shards, shard_index,
+              values_list, rows, idle, pending) -> None:
+        """A worker was lost holding a shard: replace it, then re-dispatch
+        the shard from its still-intact segment (the fresh fork inherits
+        the same ring) or, past the retry budget, run it in-process."""
+        shard = shards[shard_index]
+        shard.tries += 1
+        self._replace(worker_index, f"{why}, shard try {shard.tries}/"
+                      f"{_MAX_SHARD_RETRIES + 1}")
+        idle.append(worker_index)
+        if shard.tries <= _MAX_SHARD_RETRIES:
+            pending.append(shard_index)
+            return
+        self._rescue_in_process(shard, values_list, rows)
+        self.ring.release(shard.seg)
+        shard.seg = None
+
     def _rescue_in_process(self, shard, values_list, rows) -> None:
-        """Last-resort execution of a repeatedly-crashing shard in the
-        parent, through the same ``execute_values`` funnel on the
-        in-process runner - byte-identical outputs, no scale-out for
-        this shard."""
+        """Last-resort execution of a repeatedly-lost shard in the
+        parent, on the session's in-process route - byte-identical
+        outputs, no scale-out for this shard - counted in
+        ``SessionStats.fallbacks``."""
         logger.warning(
             "shard of %d requests exceeded its respawn budget; executing "
             "in-process", shard.count)
-        copies = [dict(values_list[shard.start + i])
-                  for i in range(shard.count)]
-        results, _backend_name, _batched = self.session.execute_values(
-            copies, backend=get_backend(NumPyBackend.name))
-        for i, row in enumerate(results):
-            rows[shard.start + i] = row
+        session = self.session
+        end = shard.start + shard.count
+        results, shard.batched = session._route(
+            get_backend(NumPyBackend.name), values_list[shard.start:end])
+        rows[shard.start:end] = results
+        with session._stats_lock:
+            session.stats.fallbacks += 1
 
 
 # ---------------------------------------------------------------------------

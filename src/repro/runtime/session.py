@@ -57,17 +57,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..api.errors import (
-    AdmissionError, BackendCompilationError, InvalidOptions, ReproError,
-)
+from ..api.errors import AdmissionError, InvalidOptions
 from ..ir.graph import Graph
 from ..ir.symbolic import SYM, is_placeholder
 from ..memory.pool import PoolReport
 from .batching import analyze, bucket, mark_unstackable, rebatch, symbolize
-from .codegen_backend import compile_program
+from .codegen_backend import NumPyBackend, compile_program
 from .device import DeviceSpec, SD8GEN2
 from .executor import make_inputs, make_params
-from .faults import REFERENCE_BACKEND, FaultPlan
+from .faults import FaultPlan
 from .program import ExecutionProgram, get_backend, lower
 
 logger = logging.getLogger("repro.runtime.session")
@@ -86,10 +84,11 @@ class RunStats:
     graph's dtypes - not what the allocator did.  ``allocations`` is 0
     and ``reuses`` the plan's ``allocs_per_run`` on every request."""
     backend: str = ""
-    """Canonical name of the backend that actually served the request -
-    the session's configured backend unless the process pool failed and
-    the in-process runner served it instead
-    (:attr:`SessionStats.fallbacks`)."""
+    """Canonical name of the backend the request was served through: the
+    session's configured backend.  A ``"parallel"`` request keeps that
+    name when the pool runs it in-process (pool unavailable, mixed
+    extents, or a shard rescued past its respawn budget - the last
+    counted in :attr:`SessionStats.fallbacks`)."""
     batched: bool = False
     """True when the request was served by a stacked pass.  The
     pass is one execution of the variant and one wall-clock interval for
@@ -111,60 +110,14 @@ class SessionStats:
     requests: int = 0
     total_wall_s: float = 0.0
     fallbacks: int = 0
-    """Process-pool invocations degraded to the in-process runner after
-    the pool failed to compile or run them."""
+    """Shards the process pool rescued in-process after their worker
+    was lost more often than its respawn budget allows."""
     runs: deque[RunStats] = field(
         default_factory=lambda: deque(maxlen=256))
 
     @property
     def mean_wall_s(self) -> float:
         return self.total_wall_s / self.requests if self.requests else 0.0
-
-
-class CircuitBreaker:
-    """Stops re-trying a persistently failing process pool per program.
-
-    Keyed by ``(backend name, graph fingerprint)``: after ``threshold``
-    *consecutive* failures the circuit opens and
-    :meth:`Session.execute_values` routes that program straight to the
-    in-process runner without re-attempting the pool; a single success
-    closes the circuit again.  Process-wide (like the backend
-    registry) and thread-safe: every session serving the same program on
-    the same backend shares one failure history.
-    """
-
-    def __init__(self, threshold: int = 3) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be at least 1")
-        self.threshold = threshold
-        self._lock = threading.Lock()
-        self._consecutive: dict[tuple[str, str], int] = {}
-
-    def is_open(self, backend: str, fingerprint: str) -> bool:
-        with self._lock:
-            return self._consecutive.get(
-                (backend, fingerprint), 0) >= self.threshold
-
-    def record_failure(self, backend: str, fingerprint: str) -> bool:
-        """Count one failure; True when this one opened the circuit."""
-        key = (backend, fingerprint)
-        with self._lock:
-            count = self._consecutive.get(key, 0) + 1
-            self._consecutive[key] = count
-            return count == self.threshold
-
-    def record_success(self, backend: str, fingerprint: str) -> None:
-        with self._lock:
-            self._consecutive.pop((backend, fingerprint), None)
-
-    def reset(self) -> None:
-        """Forget every failure history (tests)."""
-        with self._lock:
-            self._consecutive.clear()
-
-
-_CIRCUIT = CircuitBreaker()
-"""Process-wide breaker consulted by every session's fallback path."""
 
 
 @dataclass(frozen=True)
@@ -187,11 +140,6 @@ class SymbolicServing:
         """The bucket serving a runtime extent: the power of two
         covering ``ceil(extent / base_extent)``."""
         return bucket(max(1, -(-extent // self.base_extent)))
-
-
-def circuit_breaker() -> CircuitBreaker:
-    """The process-wide :class:`CircuitBreaker` (for inspection/reset)."""
-    return _CIRCUIT
 
 
 def _refusal(door, body: str, sep: str = ": ") -> AdmissionError:
@@ -457,23 +405,22 @@ class Session:
     @property
     def fingerprint(self) -> str:
         """The served graph's content fingerprint (memoized) - the
-        per-program key for error context and the circuit breaker."""
+        per-program key in error context."""
         if self._fingerprint is None:
             self._fingerprint = self.graph.fingerprint()
         return self._fingerprint
 
     def execute_values(self, values_list, backend=None):
-        """The resilient execution core: run admitted value dicts through
-        one backend invocation, with graceful degradation.
+        """Run admitted value dicts through one backend invocation.
 
         Every execution path of the serving stack funnels through here -
         ``CompiledModel.run[_batch]`` and the :class:`~repro.api.Service`
-        scheduler - so fault injection, the process pool's fallback, the
-        circuit breaker, *and* the stacked-batch routing apply uniformly.
-        Returns ``(results, backend_name, batched)`` where results is the
-        ``run_many``-shaped list of ``(outputs, report, wall_s)``,
-        ``backend_name`` names the backend that actually served the
-        invocation, and ``batched`` reports whether the requests were
+        scheduler - so fault injection and the stacked-batch routing
+        apply uniformly.  Returns ``(results, backend_name, batched)``
+        where results is the ``run_many``-shaped list of
+        ``(outputs, report, wall_s)``, ``backend_name`` names the
+        backend the invocation went through (``backend``, else the
+        session's), and ``batched`` reports whether the requests were
         stacked into one kernel pass per step.
 
         Batching: a multi-request invocation of a batch-stackable
@@ -484,59 +431,20 @@ class Session:
         Non-stackable programs and solo requests take the sequential
         ``run_many`` path; both paths are byte-identical per request.
 
-        Degradation: the in-process runner was emitted when the session
-        was built, so it has nothing to degrade to.  Any other backend -
-        the process pool - that fails with a
-        :class:`~repro.api.errors.BackendCompilationError` (or any
-        runner failure) is retried on the in-process runner against
-        pristine copies of the inputs - identical outputs (the retry
-        keeps the stacked/sequential routing of the failed attempt),
-        logged and counted in :attr:`SessionStats.fallbacks` - and the
-        failure feeds the process-wide :class:`CircuitBreaker`; once a
-        program's circuit opens, it routes straight to the in-process
-        runner (a later explicit success on the pool closes it again).
         Injected session-level faults (:attr:`faults`) fire before the
-        primary invocation; injected kernel/alloc faults propagate (they
-        model backend-independent failures), injected compile faults
-        degrade.
+        invocation runs.  Nothing here retries: the process pool
+        recovers its own lost workers
+        (:class:`~repro.runtime.parallel_backend.WorkerPool`), and any
+        error it cannot absorb propagates once.
         """
-        primary = backend if backend is not None else self._backend
-        name = primary.name
-        context = {"model": self.model or self.graph.name}
-        fallback = None
-        if name != REFERENCE_BACKEND:
-            context["fingerprint"] = self.fingerprint
-            if _CIRCUIT.is_open(name, self.fingerprint):
-                primary = get_backend(REFERENCE_BACKEND)
-                name = REFERENCE_BACKEND
-            else:
-                fallback = get_backend(REFERENCE_BACKEND)
-        # The runners mutate the value dicts in place (drops, outputs),
-        # so the fallback replays pristine shallow copies.  Only armed
-        # for the pool: the in-process runner pays nothing.
-        snapshots = [dict(values) for values in values_list] \
-            if fallback is not None else None
+        bk = backend if backend is not None else self._backend
         injector = self._injector
-        try:
-            if injector is not None:
-                injector.on_invocation(len(values_list), name, context)
-            rows, batched = self._route(primary, values_list)
-        except Exception as err:  # noqa: BLE001 - compile or runner failure
-            # Injected kernel/alloc faults (every other ReproError) are
-            # backend-independent and propagate.  A pool failure
-            # degrades like a compile failure: if it was input-caused
-            # the in-process runner raises the same error; if it was a
-            # pool bug, the request is rescued.
-            if fallback is None or (
-                    isinstance(err, ReproError)
-                    and not isinstance(err, BackendCompilationError)):
-                raise
-            self._degrade(name, err)
-            rows, batched = self._route(fallback, snapshots)
-            return rows, REFERENCE_BACKEND, batched
-        if fallback is not None:
-            _CIRCUIT.record_success(name, self.fingerprint)
-        return rows, name, batched
+        if injector is not None:
+            injector.on_invocation(len(values_list), bk.name, {
+                "model": self.model or self.graph.name,
+                "fingerprint": self.fingerprint})
+        rows, batched = self._route(bk, values_list)
+        return rows, bk.name, batched
 
     def _route(self, bk, vlist):
         """``(rows, batched)`` for one invocation on ``bk``.
@@ -563,7 +471,7 @@ class Session:
             sharded = bk.try_sharded(self, vlist)
             if sharded is not None:
                 return sharded
-            bk = get_backend(REFERENCE_BACKEND)
+            bk = get_backend(NumPyBackend.name)
         program = self.program
         first = program.input_names[0]
         sym = self.symbolic
@@ -652,19 +560,7 @@ class Session:
             self._parallel_pool = None
             pool.close()
 
-    def _degrade(self, backend_name: str, err: BaseException) -> None:
-        """Record one fallback to the in-process runner."""
-        with self._stats_lock:
-            self.stats.fallbacks += 1
-        opened = _CIRCUIT.record_failure(backend_name, self.fingerprint)
-        logger.warning(
-            "backend %r failed for %r (%s); degrading to %r%s",
-            backend_name, self.model or self.graph.name, err,
-            REFERENCE_BACKEND,
-            " - circuit open, routing straight to the in-process runner"
-            if opened else "")
-
-    def _serve(self, requests, admit=None, backend=None):
+    def _serve(self, requests, admit=None):
         """Recorded execution: admit, :meth:`execute_values`, then one
         :class:`RunStats` per request; returns ``[(outputs, RunStats)]``
         in request order.
@@ -689,7 +585,7 @@ class Session:
                 admitted.append(admit(request))
                 admit_walls.append(perf() - start)
             requests = admitted
-        results, served_by, batched = self.execute_values(requests, backend)
+        results, served_by, batched = self.execute_values(requests)
         est = self._est_latency_ms
         if est is None:  # a session built without a cell prices once
             est = self._est_latency_ms = self.est_latency_ms

@@ -294,7 +294,7 @@ class TestServiceScheduler:
             def run_many(self, program, values_list):
                 raise RuntimeError("kernel exploded")
 
-        service._backend = FailingBackend()
+        service._session._backend = FailingBackend()
         futures = [service.submit(inputs) for _ in range(2)]
         service._execute(service._next_batch())
         for future in futures:

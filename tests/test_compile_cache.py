@@ -32,9 +32,7 @@ from repro.runtime import program
 from repro.runtime.batching import rebatch
 from repro.runtime.codegen_backend import emission_count
 from repro.runtime.faults import FaultPlan
-from repro.runtime.session import (
-    _compile_session, circuit_breaker, stable_model_key,
-)
+from repro.runtime.session import _compile_session, stable_model_key
 
 from front_door import serve_batch, serve_one
 
@@ -62,14 +60,10 @@ def _same(got, want):
 
 @pytest.fixture(autouse=True)
 def empty_cache():
-    """Every test starts from - and leaves - an empty compile cache and
-    a closed circuit breaker (its history is keyed by the fingerprints
-    other files use)."""
+    """Every test starts from - and leaves - an empty compile cache."""
     clear_cell_cache()
-    circuit_breaker().reset()
     yield
     clear_cell_cache()
-    circuit_breaker().reset()
 
 
 class TestContentKey:

@@ -30,7 +30,7 @@ from repro.runtime.batching import analyze, rebatch, symbolize
 from repro.runtime.executor import make_params, run_node
 from repro.runtime.kernels import dense_packed, pack
 from repro.runtime.parallel_backend import parallel_supported
-from repro.runtime.session import _admit, _compile_session, circuit_breaker
+from repro.runtime.session import _admit, _compile_session
 
 from front_door import serve_batch, serve_one
 
@@ -79,10 +79,8 @@ def same(got, want, context=""):
 @pytest.fixture(autouse=True)
 def fresh_caches():
     clear_cell_cache()
-    circuit_breaker().reset()
     yield
     clear_cell_cache()
-    circuit_breaker().reset()
 
 
 # ---------------------------------------------------------------------------

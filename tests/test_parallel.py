@@ -10,13 +10,16 @@ reference session - the backend's core contract.
 
 import gc
 import multiprocessing
+import os
+import signal
 import threading
 
 import pytest
 
 import repro
 from repro.api import (
-    CompiledModel, CompileOptions, InferenceRequest, InvalidOptions, ServeOptions, serve,
+    CompiledModel, CompileOptions, ExecutionError, InferenceRequest, InvalidOptions, ServeOptions,
+    WorkerCrashed, serve,
 )
 from repro.bench.harness import clear_cell_cache
 from repro.models import build_smoke
@@ -183,6 +186,154 @@ class TestCrashSupervision:
             responses, _report = self.burst(
                 graph, inputs, FaultPlan.chaos(seed))
             assert_byte_identical(responses, expected)
+        assert not active_segments()
+
+
+def assert_ring_full(pool):
+    """Every segment the pool's dispatches acquired was handed back."""
+    assert len(pool.ring._free) == len(pool.ring.segments)
+
+
+def kill_idle_worker(pool, index=0):
+    worker = pool._workers[index]
+    os.kill(worker.proc.pid, signal.SIGKILL)
+    worker.proc.join(timeout=10)
+    assert not worker.proc.is_alive()
+
+
+class TestPoolOwnsItsFailures:
+    """The pool detects and replaces a lost worker itself - dead while
+    idle, dead mid-shard or stalled - and every exit of a dispatch
+    hands its shared-memory segments back."""
+
+    def test_a_dead_idle_worker_is_replaced_and_serves(self):
+        graph = build_smoke("Pythia")
+        inputs, expected = reference_outputs(graph, 8)
+        service = serve(graph, ServeOptions(
+            backend="parallel", workers=1, max_batch_size=8,
+            compile=CompileOptions(faults=NO_FAULTS)))
+        try:
+            pool = service._session._parallel_pool
+            kill_idle_worker(pool)
+            futures = [service.submit(InferenceRequest(inputs=values))
+                       for values in inputs]
+            responses = [f.result(timeout=120) for f in futures]
+            report = service.report()
+            assert {r.stats.backend for r in responses} == {"parallel"}
+            assert_byte_identical(responses, expected)
+            assert (report.worker_restarts, report.fallbacks) == (1, 0)
+            assert_ring_full(pool)
+        finally:
+            service.close()
+        # Nothing process-wide remembers the loss: a fresh compile of
+        # the same graph starts and serves on its own pool.
+        again = repro.compile(graph, backend="parallel", workers=1,
+                              faults=NO_FAULTS)
+        try:
+            response = again.run(InferenceRequest(inputs=inputs[0]))
+            assert response.stats.backend == "parallel"
+            assert again.session._parallel_pool is not None
+            assert_byte_identical([response], expected[:1])
+        finally:
+            again.close()
+        assert not active_segments()
+
+    def test_a_stall_leaks_no_late_reply_into_the_next_batch(
+            self, monkeypatch):
+        graph = build_smoke("ViT")
+        inputs, expected = reference_outputs(graph, 32)
+        model = repro.compile(graph, backend="parallel", workers=1,
+                              faults=NO_FAULTS)
+        timeout = pb._DISPATCH_TIMEOUT_S
+        try:
+            # Already past its deadline: the dispatch stalls right after
+            # the send, with the shard still running in the worker.
+            monkeypatch.setattr(pb, "_DISPATCH_TIMEOUT_S", -1.0)
+            with pytest.raises(WorkerCrashed, match="stalled"):
+                model.run_batch([InferenceRequest(inputs=values)
+                                 for values in inputs[:16]])
+            monkeypatch.setattr(pb, "_DISPATCH_TIMEOUT_S", timeout)
+            pool = model.session._parallel_pool
+            assert_ring_full(pool)
+            assert pool.restarts == 1
+            got = model.run_batch([InferenceRequest(inputs=values)
+                                   for values in inputs[16:]])
+            assert_byte_identical(got, expected[16:])
+            assert_ring_full(pool)
+        finally:
+            model.close()
+        assert not active_segments()
+
+    def test_a_worker_error_propagates_once(self, monkeypatch):
+        # Workers forked after the patch fail writing their outputs: the
+        # error reaches the caller once, nothing re-runs the batch
+        # in-process, and the segment comes back.
+        def refuse(*_args):
+            raise RuntimeError("output write refused")
+
+        monkeypatch.setattr(pb.ShardLayout, "write_outputs", refuse)
+        model = repro.compile(build_smoke("Pythia"), backend="parallel",
+                              workers=1, faults=NO_FAULTS)
+        try:
+            with pytest.raises(RuntimeError, match="output write refused"):
+                model.run_batch([model.make_request(seed=seed)
+                                 for seed in range(3)])
+            assert model.session.stats.fallbacks == 0
+            assert model.session.stats.requests == 0
+            assert_ring_full(model.session._parallel_pool)
+        finally:
+            model.close()
+        assert not active_segments()
+
+    def test_a_failed_respawn_releases_and_the_next_dispatch_heals(
+            self, monkeypatch):
+        graph = build_smoke("Pythia")
+        inputs, expected = reference_outputs(graph, 2)
+        model = repro.compile(graph, backend="parallel", workers=1,
+                              faults=NO_FAULTS)
+        try:
+            model.run(InferenceRequest(inputs=inputs[0]))  # pool up
+            pool = model.session._parallel_pool
+            kill_idle_worker(pool)
+
+            def refuse(index):
+                raise WorkerCrashed(f"worker {index} refused to fork")
+
+            monkeypatch.setattr(pool, "_spawn", refuse)
+            with pytest.raises(WorkerCrashed, match="refused to fork"):
+                model.run(InferenceRequest(inputs=inputs[1]))
+            assert_ring_full(pool)
+            assert pool.restarts == 0
+            monkeypatch.undo()
+            response = model.run(InferenceRequest(inputs=inputs[1]))
+            assert response.stats.backend == "parallel"
+            assert_byte_identical([response], expected[1:])
+            assert (pool.restarts, model.session.stats.fallbacks) == (1, 0)
+            assert_ring_full(pool)
+        finally:
+            model.close()
+        assert not active_segments()
+
+
+    def test_session_faults_fire_once_in_the_parent(self):
+        # The pool's warm-up and its workers take the in-process route,
+        # not the fault injector: an eagerly started pool consumes no
+        # request ordinal, so the fault meant for request 0 fires on it.
+        graph = build_smoke("Pythia")
+        inputs, expected = reference_outputs(graph, 1)
+        plan = FaultPlan(rules=(FaultRule(kind="kernel", request_index=0),))
+        service = serve(graph, ServeOptions(
+            backend="parallel", workers=1, compile=CompileOptions(faults=plan)))
+        try:
+            assert service._session._parallel_pool is not None
+            request = InferenceRequest(inputs=inputs[0])
+            with pytest.raises(ExecutionError, match="injected kernel fault"):
+                service.submit(request).result(timeout=120)
+            response = service.submit(request).result(timeout=120)
+            assert_byte_identical([response], expected)
+            assert service.report().fallbacks == 0
+        finally:
+            service.close()
         assert not active_segments()
 
 

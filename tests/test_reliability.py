@@ -1,5 +1,6 @@
 """Fault-tolerance tests: error taxonomy, fault injection, isolation,
-retry/backoff, worker supervision, and backend graceful degradation.
+retry/backoff, worker supervision, and the process pool's in-process
+rescue.
 
 Every failure path is driven deterministically through
 :class:`repro.FaultPlan` seeds - no reliance on real crashes or timing
@@ -20,7 +21,8 @@ from repro.api import (
     Service, ServiceClosed, serve,
 )
 from repro.models import SMOKE_CONFIGS, build
-from repro.runtime import circuit_breaker, execute, make_inputs
+from repro.runtime import execute, make_inputs
+from repro.runtime import parallel_backend as pb
 from repro.runtime.faults import FaultInjector, InjectedCrash
 
 
@@ -42,14 +44,6 @@ def _assert_matches_reference(graph, inputs, outputs):
     assert sorted(outputs) == sorted(ref)
     for key in ref:
         assert np.array_equal(outputs[key], ref[key]), key
-
-
-@pytest.fixture(autouse=True)
-def _fresh_circuit():
-    """The circuit breaker is process-wide state; isolate every test."""
-    circuit_breaker().reset()
-    yield
-    circuit_breaker().reset()
 
 
 # ---------------------------------------------------------------------------
@@ -154,73 +148,79 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Graceful degradation: process pool -> in-process runner + circuit breaker
+# Graceful degradation: a lost shard past its respawn budget runs in-process
 # ---------------------------------------------------------------------------
 
+CRASH_ONCE = FaultPlan(rules=(FaultRule(kind="worker_crash"),))
+CRASH_ALWAYS = FaultPlan(rules=(FaultRule(kind="worker_crash", times=None),))
+
+
 class TestGracefulDegradation:
-    def test_pool_compile_fault_falls_back_to_identical_outputs(self):
+    @pytest.fixture(autouse=True)
+    def _no_respawn_budget(self, monkeypatch):
+        """Every lost shard is rescued in-process at once."""
+        monkeypatch.setattr(pb, "_MAX_SHARD_RETRIES", 0)
+
+    def test_rescued_shard_has_identical_outputs(self):
         graph = _smoke()
         inputs = _graph_inputs(graph, seed=5)
-        plan = FaultPlan(rules=(FaultRule(kind="compile"),))
         model = repro.compile(_smoke(), CompileOptions(
-            backend="parallel", workers=1, faults=plan))
+            backend="parallel", workers=1, faults=CRASH_ONCE))
         try:
-            degraded = model.run(InferenceRequest(inputs=inputs))
-            assert degraded.stats.backend == "numpy"
+            rescued = model.run(InferenceRequest(inputs=inputs))
+            assert rescued.stats.backend == "parallel"
             assert model.session.stats.fallbacks == 1
-            _assert_matches_reference(graph, inputs, degraded.outputs)
+            assert model.session.parallel_restarts == 1
+            _assert_matches_reference(graph, inputs, rescued.outputs)
 
-            # Fault budget spent: the next run takes the pool again and
+            # Fault budget spent: the next run is served by a worker and
             # produces the same bytes.
             recovered = model.run(InferenceRequest(inputs=inputs))
-            assert recovered.stats.backend == "parallel"
             assert model.session.stats.fallbacks == 1
             _assert_matches_reference(graph, inputs, recovered.outputs)
         finally:
             model.close()
 
-    def test_circuit_breaker_opens_after_repeated_failures(self):
-        plan = FaultPlan(rules=(FaultRule(kind="compile", times=None),))
+    def test_every_invocation_tries_the_pool_again(self):
+        # No circuit: a persistently crashing pool is offered every
+        # invocation, replaces the worker, and rescues the shard.
         model = repro.compile(_smoke(), CompileOptions(
-            backend="parallel", workers=1, faults=plan))
+            backend="parallel", workers=1, faults=CRASH_ALWAYS))
         session = model.session
-        breaker = circuit_breaker()
         request = model.make_request(seed=0)
-
-        for expected in (1, 2, 3):
-            assert model.run(request).stats.backend == "numpy"
-            assert session.stats.fallbacks == expected
-        assert breaker.is_open("parallel", session.fingerprint)
-
-        # Open circuit: in-process directly, no further failed pool tries.
-        assert model.run(request).stats.backend == "numpy"
-        assert session.stats.fallbacks == 3
-        model.close()
+        try:
+            for expected in (1, 2, 3, 4):
+                assert model.run(request).stats.backend == "parallel"
+                assert session.stats.fallbacks == expected
+                assert session.parallel_restarts == expected
+        finally:
+            model.close()
 
     @pytest.mark.parametrize("backend", ["numpy", "codegen"])
-    def test_compile_faults_never_target_the_in_process_runner(
+    def test_worker_crash_faults_never_target_the_in_process_runner(
             self, backend):
-        plan = FaultPlan(rules=(FaultRule(kind="compile", times=None),))
         model = repro.compile(
-            _smoke(), CompileOptions(backend=backend, faults=plan))
+            _smoke(), CompileOptions(backend=backend, faults=CRASH_ALWAYS))
         response = model.run(model.make_request(seed=0))
         assert response.stats.backend == "numpy"
         assert model.session.stats.fallbacks == 0
+        assert model.session._parallel_pool is None
 
-    def test_run_batch_degrades_as_a_unit(self):
+    def test_run_batch_is_rescued_as_a_unit(self):
         graph = _smoke()
-        plan = FaultPlan(rules=(FaultRule(kind="compile"),))
         model = repro.compile(_smoke(), CompileOptions(
-            backend="parallel", workers=1, faults=plan))
+            backend="parallel", workers=1, faults=CRASH_ONCE))
         requests = [InferenceRequest(inputs=_graph_inputs(graph, seed=s))
                     for s in range(3)]
-        responses = model.run_batch(requests)
-        assert [r.stats.backend for r in responses] == ["numpy"] * 3
+        try:
+            responses = model.run_batch(requests)
+        finally:
+            model.close()
+        assert [r.stats.backend for r in responses] == ["parallel"] * 3
         assert model.session.stats.fallbacks == 1
         for seed, response in enumerate(responses):
             _assert_matches_reference(
                 graph, _graph_inputs(graph, seed), response.outputs)
-        model.close()
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +473,10 @@ class TestCloseAndPressure:
 
 class TestChaos:
     def test_chaos_faults_are_absorbed_with_identical_outputs(self):
-        # The chaos plan may only slow execution, degrade the process
-        # pool to the in-process runner or kill a worker process; outputs
-        # must stay byte-identical under any seed - exactly what the CI
-        # chaos job (REPRO_FAULT_SEED over the tier-1 suite) relies on.
+        # The chaos plan may only slow execution or kill a worker
+        # process; outputs must stay byte-identical under any seed -
+        # exactly what the CI chaos job (REPRO_FAULT_SEED over the
+        # tier-1 suite) relies on.
         graph = _smoke()
         clean = {}
         for seed in (0, 1, 2):
@@ -492,7 +492,6 @@ class TestChaos:
                     assert np.array_equal(outputs[key], ref[key]), (
                         chaos_seed, seed, key)
             model.close()
-            circuit_breaker().reset()
 
     def test_injected_crash_is_not_a_repro_error(self):
         # If InjectedCrash were a ReproError the scheduler would treat
