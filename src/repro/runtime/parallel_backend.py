@@ -30,11 +30,12 @@ stalls past :data:`_DISPATCH_TIMEOUT_S` - and replaces it through
 :meth:`WorkerPool._replace` (counted in ``ServiceReport.worker_restarts``).
 A lost shard is re-dispatched verbatim from its still-intact segment;
 after :data:`_MAX_SHARD_RETRIES` losses it runs in-process (still
-byte-identical, counted in ``SessionStats.fallbacks``).  A stall
-replaces every worker with a shard in flight, so no late reply is read
-as the next dispatch's, then raises
-:class:`~repro.api.errors.WorkerCrashed`.  Injected ``worker_crash``
-faults (:mod:`repro.runtime.faults`) drive the mid-shard path.
+byte-identical, counted in ``SessionStats.fallbacks``).  A dispatch
+that fails - a stall raises :class:`~repro.api.errors.WorkerCrashed` -
+replaces every worker with a shard still in flight before it frees the
+segments, so no late reply is read as the next dispatch's.  Injected
+``worker_crash`` faults (:mod:`repro.runtime.faults`) drive the
+mid-shard path.
 
 On platforms without the ``fork`` start method the backend degrades to
 the in-process runner (logged once) - same outputs, no scale-out.
@@ -436,15 +437,6 @@ class WorkerPool:
                     active[worker_index] = shard_index
                 timeout = deadline - time.monotonic()
                 if timeout <= 0:
-                    # Kill every stalled worker before forking any
-                    # replacement: none of their late replies may be read
-                    # as the next dispatch's.
-                    stalled = list(active)
-                    active.clear()
-                    for worker_index in stalled:
-                        _reap(self._workers[worker_index])
-                    for worker_index in stalled:
-                        self._replace(worker_index, "stalled")
                     raise WorkerCrashed(
                         f"parallel dispatch stalled past "
                         f"{_DISPATCH_TIMEOUT_S:.0f}s with shards in flight",
@@ -465,6 +457,21 @@ class WorkerPool:
                     handled.add(worker_index)
                     self._settle(worker_index, shards, values_list, rows,
                                  active, idle, pending, layout, report)
+        except BaseException:
+            # A worker still holding a shard would go on writing into a
+            # segment the ``finally`` frees, and its late reply would be
+            # read as the next dispatch's: replace each one first.  A
+            # failed fork leaves its slot reaped, so the next dispatch
+            # replaces it again; the original error still propagates.
+            for worker_index in list(active):
+                try:
+                    self._replace(worker_index,
+                                  "held a shard when its dispatch failed")
+                except Exception:
+                    logger.warning("parallel worker %d could not be "
+                                   "respawned", worker_index,
+                                   exc_info=True)
+            raise
         finally:
             for shard in shards:  # every exit hands its segments back
                 if shard.seg is not None:

@@ -621,13 +621,14 @@ class TestStackedParity:
 
 
 class TestChaosDegradation:
-    @pytest.mark.parametrize("chaos_seed", ["17", "20240428"])
+    # seeds whose chaos plan crashes a worker within three requests
+    @pytest.mark.parametrize("chaos_seed", ["1", "7"])
     def test_fused_programs_degrade_as_a_unit(self, monkeypatch,
                                               chaos_seed):
         # under ambient chaos (REPRO_FAULT_SEED) a process-pool session
-        # may lose a worker mid-shard, and with no respawn budget the
-        # shard runs in-process; either way outputs stay byte-identical
-        # to the clean reference
+        # loses a worker mid-shard, and with no respawn budget the shard
+        # runs in-process; outputs stay byte-identical to the clean
+        # reference
         monkeypatch.setenv("REPRO_FAULT_SEED", chaos_seed)
         monkeypatch.setattr(pb, "_MAX_SHARD_RETRIES", 0)
         for name in ("Conformer", "AutoFormer"):
@@ -643,6 +644,9 @@ class TestChaosDegradation:
                     ref = serve_one(clean, dict(inputs))
                     for key in ref:
                         assert np.array_equal(out[key], ref[key]), key
+                if pb.parallel_supported():
+                    assert chaotic.parallel_restarts > 0
+                    assert chaotic.stats.fallbacks > 0
             finally:
                 chaotic.close()
 

@@ -285,35 +285,44 @@ class TestPoolOwnsItsFailures:
             model.close()
         assert not active_segments()
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failed_respawn_releases_and_the_next_dispatch_heals(
-            self, monkeypatch):
+            self, monkeypatch, workers):
+        # The last worker is dead and its respawn fails.  With two, the
+        # first holds a shard meanwhile: it must not outlive the failed
+        # dispatch holding a freed segment, or its late reply is read as
+        # the next dispatch's outputs.
         graph = build_smoke("Pythia")
-        inputs, expected = reference_outputs(graph, 2)
-        model = repro.compile(graph, backend="parallel", workers=1,
+        inputs, expected = reference_outputs(graph, 1 + 2 * workers)
+        monkeypatch.setattr(pb, "_MIN_STACKED_SHARD", 1)
+        monkeypatch.setattr(pb, "_available_cpus", lambda: workers)
+        model = repro.compile(graph, backend="parallel", workers=workers,
                               faults=NO_FAULTS)
         try:
             model.run(InferenceRequest(inputs=inputs[0]))  # pool up
             pool = model.session._parallel_pool
-            kill_idle_worker(pool)
+            kill_idle_worker(pool, index=workers - 1)
 
             def refuse(index):
                 raise WorkerCrashed(f"worker {index} refused to fork")
 
-            monkeypatch.setattr(pool, "_spawn", refuse)
-            with pytest.raises(WorkerCrashed, match="refused to fork"):
-                model.run(InferenceRequest(inputs=inputs[1]))
+            with monkeypatch.context() as patch:
+                patch.setattr(pool, "_spawn", refuse)
+                with pytest.raises(WorkerCrashed, match="refused to fork"):
+                    model.run_batch([InferenceRequest(inputs=values)
+                                     for values in inputs[1:1 + workers]])
             assert_ring_full(pool)
             assert pool.restarts == 0
-            monkeypatch.undo()
-            response = model.run(InferenceRequest(inputs=inputs[1]))
-            assert response.stats.backend == "parallel"
-            assert_byte_identical([response], expected[1:])
-            assert (pool.restarts, model.session.stats.fallbacks) == (1, 0)
+            got = model.run_batch([InferenceRequest(inputs=values)
+                                   for values in inputs[1 + workers:]])
+            assert {r.stats.backend for r in got} == {"parallel"}
+            assert_byte_identical(got, expected[1 + workers:])
+            assert (pool.restarts, model.session.stats.fallbacks) \
+                == (workers, 0)
             assert_ring_full(pool)
         finally:
             model.close()
         assert not active_segments()
-
 
     def test_session_faults_fire_once_in_the_parent(self):
         # The pool's warm-up and its workers take the in-process route,
