@@ -13,7 +13,7 @@ Quickstart - compile once, serve typed requests::
 Every compiled program runs as one generated Python function;
 ``CompileOptions(backend="parallel")`` shards micro-batches across a
 pool of worker processes running that same function (identical
-outputs; see ``docs/architecture.md`` for the backend registry).
+outputs; see ``docs/architecture.md``, "Backends are names").
 
 Serving concurrent traffic - a scheduler coalesces requests into
 micro-batches on the lowered program path::

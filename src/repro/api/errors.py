@@ -48,7 +48,7 @@ class ReproError(Exception):
             (:meth:`~repro.ir.graph.Graph.fingerprint`), when known -
             stable across rebuilt-but-identical graphs, so logs from a
             fleet can be grouped per program.
-        backend: the execution-backend registry name involved.
+        backend: the canonical execution-backend name involved.
         retryable: whether resubmitting the same request could succeed.
     """
 

@@ -75,14 +75,15 @@ class CompileOptions:
     * ``batch`` - request batch size built into the graph; only applies
       to registry-name models (build a :class:`~repro.ir.graph.Graph`
       at the desired batch size otherwise).
-    * ``backend`` - execution-backend registry name
+    * ``backend`` - execution-backend name
       (:func:`repro.runtime.available_backends`): ``"numpy"`` (the
       default; ``"codegen"`` is the same backend) runs the program
       in-process as one generated Python function, emitted at compile
       time; ``"parallel"`` shards micro-batches across a pool of worker
       processes running that same function (see
-      :mod:`repro.runtime.parallel_backend`).  Outputs are identical;
-      ``RunStats.backend`` reports the canonical name.
+      :mod:`repro.runtime.parallel_backend`; it needs the ``fork``
+      start method, and the compile refuses without it).  Outputs are
+      identical; ``RunStats.backend`` reports the canonical name.
     * ``workers`` - worker-process count for the parallel backend
       (ignored by the in-process runner).
     * ``check_memory`` - reject models whose peak footprint exceeds the
@@ -91,9 +92,10 @@ class CompileOptions:
       the SmartMem pass pipeline (ablation toggles, tuned boost).
     * ``faults`` - a :class:`~repro.runtime.faults.FaultPlan` installed
       on the compiled session, deterministically injecting
-      latency/kernel/alloc/compile faults at the backend-invocation
-      level (reliability testing; ``None`` = the ambient
-      ``REPRO_FAULT_SEED`` chaos plan, if set).
+      latency/kernel/alloc faults at the backend-invocation level and
+      worker-process crashes in the ``"parallel"`` pool (reliability
+      testing; ``None`` = the ambient ``REPRO_FAULT_SEED`` chaos plan,
+      if set).
     * ``signature`` - optional symbolic input signature: a mapping from
       graph-input name to its shape with the *leading* dim replaced by a
       placeholder (``None`` or :data:`repro.ir.symbolic.SYM`), e.g.

@@ -54,7 +54,6 @@ import asyncio
 import heapq
 import logging
 import math
-import os
 import random
 import threading
 import time
@@ -67,6 +66,7 @@ import numpy as np
 from ..ir.graph import Graph
 from ..runtime.batching import analyze
 from ..runtime.faults import InjectedCrash
+from ..runtime.parallel_backend import _available_cpus
 from .compiled import CompiledModel, compile
 from .errors import (
     DeadlineExceeded, ExecutionError, QueueFull, ReproError,
@@ -89,15 +89,6 @@ the base program's mean ``Step.bytes_read + bytes_written``, times the
 rows per pass (``n`` stacked, 1 sequential).  numpy drops the GIL inside
 BLAS and ufunc loops, so two heavy passes overlap; light, dispatch-bound
 passes serialise on the GIL and would only lose to the hand-off."""
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the
-    platform has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
 
 
 class InferenceFuture:
@@ -313,7 +304,6 @@ class Service:
         self._session = session
         self._program = session.program
         self._batch_key = self._program.batch_key
-        self._backend = session._backend
         self._max_batch = options.max_batch_size
         self._max_queue = options.max_queue
         self._retry = options.retry
@@ -349,11 +339,12 @@ class Service:
         self._queue_peak = 0
         self._total_exec_s = 0.0
 
-        # A sharding backend (the parallel backend) gets its worker
-        # pool *now*, before the scheduler thread exists: forking from
-        # an effectively single-threaded parent is the safe point, and
-        # the pool's segment capacity must cover a full micro-batch.
-        if self._backend.shards_requests:
+        # A "parallel" session gets its worker pool *now*, before the
+        # scheduler thread exists: forking from an effectively
+        # single-threaded parent is the safe point, and the pool's
+        # segment capacity must cover a full micro-batch.  A pool that
+        # fails to start fails the serve.
+        if session.backend == "parallel":
             session.parallel_capacity = max(session.parallel_capacity,
                                             self._max_batch)
             session.ensure_parallel_pool()
@@ -388,7 +379,8 @@ class Service:
         requests across worker processes, or this process may use one
         CPU only."""
         steps = self._program.steps
-        if self._backend.shards_requests or _usable_cpus() < 2 or not steps:
+        if self._session.backend == "parallel" or _available_cpus() < 2 \
+                or not steps:
             return None
         traffic = sum(step.bytes_read + step.bytes_written
                       for step in steps) / len(steps)

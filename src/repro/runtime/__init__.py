@@ -2,8 +2,8 @@
 
 from .codegen import GeneratedKernel, generate_group, generate_kernel
 from .codegen_backend import (
-    CompiledProgramModule, NumPyBackend, compile_program,
-    emit_program_source, program_source,
+    CompiledProgramModule, NumPyBackend, available_backends,
+    compile_program, emit_program_source, get_backend, program_source,
 )
 from .verify import VerificationReport, verify_equivalence
 from .cost_model import (
@@ -13,19 +13,16 @@ from .device import DEVICES, DIMENSITY700, DeviceSpec, SD835, SD8GEN2, V100, sca
 from .executor import execute, make_inputs, run_node
 from .faults import FaultInjector, FaultPlan, FaultRule, InjectedCrash
 from .kernels import get_kernel
-from .parallel_backend import ParallelBackend, WorkerPool, parallel_supported
-from .program import (
-    ExecutionBackend, ExecutionProgram, SlotPlan, Step,
-    available_backends, get_backend, lower, register_backend,
-)
+from .parallel_backend import WorkerPool, parallel_supported
+from .program import ExecutionProgram, SlotPlan, Step, lower
 from .shm import SegmentRing, ShardLayout, SharedSegment, active_segments
 from .session import RunStats, Session, SessionStats, stable_model_key
 
 __all__ = [
     "CompiledProgramModule",
-    "ExecutionBackend", "ExecutionProgram", "FaultInjector",
+    "ExecutionProgram", "FaultInjector",
     "FaultPlan", "FaultRule", "GeneratedKernel", "InjectedCrash",
-    "NumPyBackend", "ParallelBackend", "RunStats",
+    "NumPyBackend", "RunStats",
     "SegmentRing", "Session",
     "SessionStats", "ShardLayout", "SharedSegment",
     "SlotPlan", "Step",
@@ -34,7 +31,7 @@ __all__ = [
     "available_backends", "compile_program",
     "emit_program_source", "generate_group",
     "generate_kernel", "get_backend", "lower",
-    "program_source", "register_backend",
+    "program_source",
     "verify_equivalence",
     "CostModelConfig", "CostReport", "DEVICES", "DIMENSITY700", "DeviceSpec",
     "KernelCost", "SD835", "SD8GEN2", "V100", "estimate", "execute",

@@ -6,9 +6,9 @@ argument-list comprehension, one dict read per input, one dict write
 per output, one drop loop.  On dispatch-bound models (tiny tensors,
 many steps) that residue is a measurable fraction of the request wall.
 
-:class:`NumPyBackend` - the one in-process runner, selected as
-``"numpy"`` or ``"codegen"`` - removes it by *compiling the whole step
-loop to Python source* once per program:
+:class:`NumPyBackend` - the one in-process runner, which every backend
+name runs (a ``"parallel"`` session inside each worker) - removes it by
+*compiling the whole step loop to Python source* once per program:
 
 * every step of the program becomes inline statements in a single
   generated function, emitted one way for every step, with no per-step
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import re
 import threading
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,9 +59,7 @@ from ..api.errors import BackendCompilationError, ExecutionError
 from ..ir.symbolic import OPEN_STOP, SymDim, SymViewChain
 from ..memory.pool import PoolReport
 from .batching import analyze
-from .program import (
-    ExecutionBackend, ExecutionProgram, fill_once, register_backend,
-)
+from .program import ExecutionProgram, fill_once
 
 _MODULE_CACHE_KEY = "codegen.module"
 
@@ -373,24 +372,40 @@ def program_source(program: ExecutionProgram) -> str:
     return compile_program(program).source
 
 
-@register_backend
-class NumPyBackend(ExecutionBackend):
+class NumPyBackend:
     """The in-process runner: every program and bucket variant runs its
-    emitted function (:func:`compile_program`).
+    emitted function (:func:`compile_program`).  One shared instance
+    (:func:`get_backend`) serves every backend name.
 
     The hot path touches only program-local state: kernels and attrs
     bound as module globals, views inlined, shapes prefetched - no
     graph, tensor-spec, or kernel-registry traffic per request, and no
     pool bookkeeping: the slot plan's accounting is a static fact of the
     program (:attr:`~repro.runtime.program.ExecutionProgram.report`).
-    ``"codegen"`` selects this same instance.
     """
 
     name = "numpy"
 
     def run(self, program: ExecutionProgram,
             values: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Execute ``program`` over ``values`` (mutated in place; pass a
+        private dict) and return the graph outputs."""
         return compile_program(program).run_plain(program.bind_packs(values))
+
+    def run_many(self, program: ExecutionProgram,
+                 values_list: list[dict[str, np.ndarray]],
+                 ) -> list[tuple[dict[str, np.ndarray], PoolReport, float]]:
+        """Serve a batch of requests in one invocation; returns
+        ``(outputs, report, wall_seconds)`` per request, where ``report``
+        is the program's static :attr:`~ExecutionProgram.report`."""
+        perf = time.perf_counter
+        report = program.report
+        results = []
+        for values in values_list:
+            start = perf()
+            outputs = self.run(program, values)
+            results.append((outputs, report, perf() - start))
+        return results
 
     def run_stacked(self, program: ExecutionProgram,
                     variant: ExecutionProgram, values_list,
@@ -430,3 +445,34 @@ class NumPyBackend(ExecutionBackend):
                  for name, value in outputs.items()},
                 report, share))
         return results
+
+
+_RUNNER = NumPyBackend()
+
+_BACKENDS = {"numpy": "numpy", "codegen": "numpy", "parallel": "parallel"}
+"""Every accepted backend name and the canonical name it reports.
+``"codegen"`` was the emitted runner's own name before it became the
+only in-process runner; a ``"parallel"`` session shards invocations
+over its worker pool (:meth:`~repro.runtime.session.Session.execute_values`)
+and runs on this same runner inside each worker."""
+
+
+def canonical_backend(name: str) -> str:
+    """The canonical name of backend ``name``; ``KeyError`` for an
+    unknown one."""
+    try:
+        return _BACKENDS[name]
+    except KeyError:
+        raise KeyError(f"unknown backend {name!r}; "
+                       f"available: {available_backends()}") from None
+
+
+def get_backend(name: str = "numpy") -> NumPyBackend:
+    """The shared in-process runner, which every accepted backend name
+    executes on; ``KeyError`` for an unknown name."""
+    canonical_backend(name)
+    return _RUNNER
+
+
+def available_backends() -> list[str]:
+    return sorted(_BACKENDS)

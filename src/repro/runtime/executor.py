@@ -107,6 +107,7 @@ def execute(graph: Graph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray
     :class:`~repro.runtime.program.ExecutionProgram` path the serving
     session uses.
     """
-    from .program import get_backend, lower
+    from .codegen_backend import get_backend
+    from .program import lower
 
     return get_backend("numpy").run(lower(graph), dict(inputs))

@@ -1,12 +1,12 @@
-"""Multi-process parallel execution backend.
+"""The ``"parallel"`` backend's worker-process pool.
 
 The in-process runner executes a whole invocation under one GIL, so
 aggregate throughput on kernel-bound models is capped no matter how
-fast each kernel gets.  :class:`ParallelBackend` escapes the cap by
-owning a supervised pool of **worker processes**, each holding its own
-copy of the compiled program, its emitted modules and variants, and the
-materialized parameters - all inherited for free over ``fork``, never
-pickled.
+fast each kernel gets.  A ``"parallel"`` session escapes the cap by
+owning a supervised :class:`WorkerPool` of **worker processes**, each
+holding its own copy of the compiled program, its emitted modules and
+variants, and the materialized parameters - all inherited for free over
+``fork``, never pickled.
 
 Dispatch composes with the existing layers instead of bypassing them:
 
@@ -37,8 +37,10 @@ segments, so no late reply is read as the next dispatch's.  Injected
 ``worker_crash`` faults (:mod:`repro.runtime.faults`) drive the
 mid-shard path.
 
-On platforms without the ``fork`` start method the backend degrades to
-the in-process runner (logged once) - same outputs, no scale-out.
+A pool that fails to start raises to the invocation that needed it;
+the session's next invocation starts one again.  On platforms without
+the ``fork`` start method ``repro.compile(..., backend="parallel")``
+refuses with :class:`~repro.api.errors.InvalidOptions`.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ import numpy as np
 
 from ..api.errors import WorkerCrashed
 from .batching import analyze, symbolize
-from .codegen_backend import NumPyBackend
-from .program import get_backend, register_backend
 from .shm import SegmentRing, ShardLayout
 
 logger = logging.getLogger("repro.runtime.parallel")
@@ -115,7 +115,6 @@ def _worker_main(conn_, session, ring: SegmentRing) -> None:
         program_module._FILLING = {}
         program_module._FILLING_LOCK = threading.Lock()
         codegen_backend._EMISSIONS_LOCK = threading.Lock()
-        runner = get_backend(NumPyBackend.name)
         # Per-extent layouts, built lazily and deterministically from
         # (program, capacity, extent) - the parent derives the same
         # offsets from the same triple, so only the extent crosses the
@@ -143,7 +142,7 @@ def _worker_main(conn_, session, ring: SegmentRing) -> None:
                 values.update(layout.read_inputs(buf, i))
                 values_list.append(values)
             try:
-                results, batched = session._route(runner, values_list)
+                results, batched = session._route(values_list)
                 walls = []
                 for i, (outputs, _report, wall) in enumerate(results):
                     layout.write_outputs(buf, i, outputs)
@@ -244,15 +243,13 @@ class WorkerPool:
         from .session import _admit
 
         session = self.session
-        runner = get_backend(NumPyBackend.name)
         values = _admit(session, session.make_inputs(seed=0))
-        session._route(runner, [dict(values)])
+        session._route([dict(values)])
         if self.stackable:
             for size in {self._shard_size(self.capacity),
                          self.capacity}:
                 if size > 1:
-                    session._route(
-                        runner, [dict(values) for _ in range(size)])
+                    session._route([dict(values) for _ in range(size)])
         sym = session.symbolic
         if sym is not None:
             # One representative run per symbolic bucket: the children
@@ -269,7 +266,7 @@ class WorkerPool:
                     name: np.resize(value, (extent,) + value.shape[1:])
                     if name in sym.inputs else value
                     for name, value in values.items()}
-                session._route(runner, [warm])
+                session._route([warm])
 
     def _spawn(self, index: int) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
@@ -284,13 +281,13 @@ class WorkerPool:
             _reap(worker)
             raise WorkerCrashed(
                 f"parallel worker {index} failed to come up within "
-                f"{_SPAWN_TIMEOUT_S:.0f}s", backend=ParallelBackend.name)
+                f"{_SPAWN_TIMEOUT_S:.0f}s", backend="parallel")
         message = parent_conn.recv()
         if message[0] != "ready":  # pragma: no cover - protocol bug
             _reap(worker)
             raise WorkerCrashed(
                 f"parallel worker {index} sent {message[0]!r} instead of "
-                "the ready handshake", backend=ParallelBackend.name)
+                "the ready handshake", backend="parallel")
         return worker
 
     def _replace(self, worker_index: int, why: str) -> None:
@@ -356,7 +353,7 @@ class WorkerPool:
         """Serve one invocation across the pool.
 
         Returns ``(rows, batched)`` shaped like
-        ``ExecutionBackend.run_many`` output, or ``None`` when the
+        ``NumPyBackend.run_many`` output, or ``None`` when the
         invocation cannot shard (the pool is closed, or a symbolic
         micro-batch mixes leading extents - the in-process path groups
         those per extent) and must run in-process.
@@ -440,7 +437,7 @@ class WorkerPool:
                     raise WorkerCrashed(
                         f"parallel dispatch stalled past "
                         f"{_DISPATCH_TIMEOUT_S:.0f}s with shards in flight",
-                        backend=ParallelBackend.name)
+                        backend="parallel")
                 conns = {self._workers[w].conn: w for w in active}
                 sentinels = {self._workers[w].proc.sentinel: w
                              for w in active}
@@ -540,46 +537,10 @@ class WorkerPool:
             "in-process", shard.count)
         session = self.session
         end = shard.start + shard.count
-        results, shard.batched = session._route(
-            get_backend(NumPyBackend.name), values_list[shard.start:end])
+        results, shard.batched = session._route(values_list[shard.start:end])
         rows[shard.start:end] = results
         with session._stats_lock:
             session.stats.fallbacks += 1
 
 
-# ---------------------------------------------------------------------------
-# the backends
-# ---------------------------------------------------------------------------
-
-
-@register_backend
-class ParallelBackend(NumPyBackend):
-    """Multi-process backend: shards invocations across a worker pool.
-
-    It declares ``shards_requests``, so
-    :meth:`~repro.runtime.session.Session.execute_values` offers it
-    whole invocations through :meth:`try_sharded`.  Everything else -
-    ``run``, ``run_many``, ``run_stacked`` - is the in-process runner it
-    inherits, so a parallel session that cannot shard (platform without
-    ``fork``, pool startup failure) serves exactly like an in-process
-    one.
-    """
-
-    name = "parallel"
-    shards_requests = True
-
-    def try_sharded(self, session, values_list):
-        """Serve the invocation across the session's worker pool.
-
-        Returns ``(rows, batched)`` or ``None`` when the pool is
-        unavailable (unsupported platform, startup failure, closed) or
-        declines the invocation (mixed symbolic extents) - the caller
-        then runs it on the in-process runner.
-        """
-        pool = session.ensure_parallel_pool()
-        if pool is None:
-            return None
-        return pool.run(values_list)
-
-
-__all__ = ["ParallelBackend", "WorkerPool", "parallel_supported"]
+__all__ = ["WorkerPool", "parallel_supported"]

@@ -1,4 +1,4 @@
-"""Lowered execution programs and pluggable execution backends.
+"""Lowered execution programs.
 
 SmartMem's central claim is that decisions made once at compile time pay
 off on every inference.  The serving layer used to undercut that by
@@ -36,15 +36,6 @@ generation), so the executor, the verifier, and every
 share one lowering - and the PR-1 compile-core cache, which pins graph
 objects, carries the program across sessions for free.
 
-Execution itself lives behind the :class:`ExecutionBackend` interface
-with a registry mirroring ``@register_pass``::
-
-    @register_backend
-    class MyBackend(ExecutionBackend):
-        name = "my-backend"
-
-        def run(self, program, values): ...
-
 The one in-process runner,
 :class:`~repro.runtime.codegen_backend.NumPyBackend`, executes each
 program as one emitted Python function; ``Session``,
@@ -55,7 +46,6 @@ same program path.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -667,80 +657,3 @@ def _lower(graph: Graph) -> ExecutionProgram:
         packs=tuple((name, w, w in still_read)
                     for w, name in packed.items()))
 
-
-# ---------------------------------------------------------------------------
-# backend registry (mirrors the @register_pass registry)
-# ---------------------------------------------------------------------------
-
-
-
-
-class ExecutionBackend:
-    """Executes lowered programs.  Subclass, set :attr:`name`, decorate
-    with :func:`register_backend`, and implement :meth:`run` - the one
-    way the backend executes a program, for verification and serving
-    alike."""
-
-    name = "backend"
-
-    shards_requests = False
-    """True when :meth:`~repro.runtime.session.Session.execute_values`
-    should offer whole invocations to ``try_sharded(session,
-    values_list)`` (a worker pool) before running them on the in-process
-    runner."""
-
-    def run(self, program: ExecutionProgram,
-            values: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Execute ``program`` over ``values`` (mutated in place; pass a
-        private dict) and return the graph outputs."""
-        raise NotImplementedError
-
-    def run_many(self, program: ExecutionProgram,
-                 values_list: list[dict[str, np.ndarray]],
-                 ) -> list[tuple[dict[str, np.ndarray], PoolReport, float]]:
-        """Serve a batch of requests in one backend invocation; returns
-        ``(outputs, report, wall_seconds)`` per request, where ``report``
-        is the program's static :attr:`~ExecutionProgram.report`."""
-        perf = time.perf_counter
-        report = program.report
-        results = []
-        for values in values_list:
-            start = perf()
-            outputs = self.run(program, values)
-            results.append((outputs, report, perf() - start))
-        return results
-
-
-BACKEND_REGISTRY: dict[str, type[ExecutionBackend]] = {}
-_BACKEND_INSTANCES: dict[str, ExecutionBackend] = {}
-_ALIASES = {"codegen": "numpy"}
-"""Names that select another backend's instance: ``"codegen"`` was the
-emitted runner's own name before it became the only in-process runner."""
-
-
-def register_backend(cls: type[ExecutionBackend]) -> type[ExecutionBackend]:
-    """Class decorator: make ``cls`` constructible by name."""
-    if not cls.name or cls.name == ExecutionBackend.name \
-            or cls.name in _ALIASES:
-        raise ValueError(f"backend class {cls.__name__} needs a distinct name")
-    BACKEND_REGISTRY[cls.name] = cls
-    _BACKEND_INSTANCES.pop(cls.name, None)  # re-registration resets singleton
-    return cls
-
-
-def get_backend(name: str = "numpy") -> ExecutionBackend:
-    """Shared backend instance by registry name (or alias)."""
-    name = _ALIASES.get(name, name)
-    found = _BACKEND_INSTANCES.get(name)
-    if found is None:
-        try:
-            cls = BACKEND_REGISTRY[name]
-        except KeyError:
-            raise KeyError(f"unknown backend {name!r}; "
-                           f"available: {available_backends()}") from None
-        found = _BACKEND_INSTANCES[name] = cls()
-    return found
-
-
-def available_backends() -> list[str]:
-    return sorted((*BACKEND_REGISTRY, *_ALIASES))

@@ -17,8 +17,9 @@ The session itself is now only request admission + statistics: every
 request a front door serves (``CompiledModel.run`` / ``run_batch``, the
 :class:`~repro.api.Service` scheduler) is validated by :func:`_admit`
 against the graph's declared inputs, merged over the session's
-materialized parameters, and handed to the session's
-:class:`~repro.runtime.program.ExecutionBackend` - the per-node
+materialized parameters, and handed to the one in-process runner
+(:class:`~repro.runtime.codegen_backend.NumPyBackend`) or, on a
+``"parallel"`` session, to its worker pool - the per-node
 interpretation (kernel lookups, view resolution, liveness bookkeeping)
 was all moved to compile time by
 :func:`~repro.runtime.program.lower`:
@@ -62,13 +63,18 @@ from ..ir.graph import Graph
 from ..ir.symbolic import SYM, is_placeholder
 from ..memory.pool import PoolReport
 from .batching import analyze, bucket, mark_unstackable, rebatch, symbolize
-from .codegen_backend import NumPyBackend, compile_program
+from .codegen_backend import canonical_backend, compile_program, get_backend
 from .device import DeviceSpec, SD8GEN2
 from .executor import make_inputs, make_params
 from .faults import FaultPlan
-from .program import ExecutionProgram, get_backend, lower
+from .parallel_backend import WorkerPool, parallel_supported
+from .program import ExecutionProgram, lower
 
 logger = logging.getLogger("repro.runtime.session")
+
+_RUNNER = get_backend()
+"""The one in-process runner every backend name executes on."""
+
 
 @dataclass
 class RunStats:
@@ -86,9 +92,9 @@ class RunStats:
     backend: str = ""
     """Canonical name of the backend the request was served through: the
     session's configured backend.  A ``"parallel"`` request keeps that
-    name when the pool runs it in-process (pool unavailable, mixed
-    extents, or a shard rescued past its respawn budget - the last
-    counted in :attr:`SessionStats.fallbacks`)."""
+    name when the pool runs it in-process (mixed extents, or a shard
+    rescued past its respawn budget - the last counted in
+    :attr:`SessionStats.fallbacks`)."""
     batched: bool = False
     """True when the request was served by a stacked pass.  The
     pass is one execution of the variant and one wall-clock interval for
@@ -239,8 +245,7 @@ class Session:
         self.device = device
         self.framework = framework
         self.model = model
-        self._backend = get_backend(backend)
-        self.backend = self._backend.name
+        self.backend = canonical_backend(backend)
         self._cell = cell
         self._report = None
         # Priced once per cell, at compile time: the cost model (1-2 ms)
@@ -272,11 +277,10 @@ class Session:
         self._fingerprint: str | None = None
         # Parallel-backend state: the worker-process pool is created
         # lazily (or eagerly by the Service front door, which owns the
-        # fork-before-threads timing) and only for sharding backends.
+        # fork-before-threads timing) and only for "parallel" sessions.
         self.workers = max(1, int(workers))
         self.parallel_capacity = 16
         self._parallel_pool = None
-        self._parallel_failed = False
         # Symbolic serving contract; None for concrete sessions.
         self.symbolic: SymbolicServing | None = None
         if signature is not None:
@@ -419,59 +423,55 @@ class Session:
         apply uniformly.  Returns ``(results, backend_name, batched)``
         where results is the ``run_many``-shaped list of
         ``(outputs, report, wall_s)``, ``backend_name`` names the
-        backend the invocation went through (``backend``, else the
+        backend the invocation went through (``backend.name``, else the
         session's), and ``batched`` reports whether the requests were
         stacked into one kernel pass per step.
 
-        Batching: a multi-request invocation of a batch-stackable
-        program (:func:`repro.runtime.batching.analyze`) routes through
-        ``run_stacked`` - inputs concatenated along the batch axis, one
-        pass of the power-of-two bucket's stacked variant at the batch's
-        exact size, outputs split per request.
-        Non-stackable programs and solo requests take the sequential
-        ``run_many`` path; both paths are byte-identical per request.
+        A ``"parallel"`` session offers the invocation to its worker
+        pool (:meth:`ensure_parallel_pool`), which shards it and stacks
+        *inside* each worker's shard; what the pool declines (mixed
+        symbolic extents) runs in-process.  Passing ``backend``
+        (:func:`~repro.runtime.codegen_backend.get_backend`) forces the
+        in-process route (:meth:`_route`).
 
         Injected session-level faults (:attr:`faults`) fire before the
         invocation runs.  Nothing here retries: the process pool
         recovers its own lost workers
         (:class:`~repro.runtime.parallel_backend.WorkerPool`), and any
-        error it cannot absorb propagates once.
+        error it cannot absorb - a pool that fails to start included -
+        propagates once.
         """
-        bk = backend if backend is not None else self._backend
+        name = self.backend if backend is None else backend.name
         injector = self._injector
         if injector is not None:
-            injector.on_invocation(len(values_list), bk.name, {
+            injector.on_invocation(len(values_list), name, {
                 "model": self.model or self.graph.name,
                 "fingerprint": self.fingerprint})
-        rows, batched = self._route(bk, values_list)
-        return rows, bk.name, batched
-
-    def _route(self, bk, vlist):
-        """``(rows, batched)`` for one invocation on ``bk``.
-
-        A backend declaring ``shards_requests`` (the process pool) is
-        offered the whole invocation for its worker pool; stacking then
-        happens *inside* each worker's shard.  When the pool declines
-        (unavailable, mixed extents), the invocation runs on the
-        in-process runner; every other backend runs it in-process
-        itself.
-
-        In-process, requests are grouped by leading extent - a concrete
-        session is the one-group case - and rows scatter back in request
-        order.  A base-extent group of several requests runs as one
-        stacked pass of the bucket's stacked variant when analysis
-        licenses it, the sequential loop otherwise.  Any other extent
-        runs its bucket's exact variant (:meth:`SymbolicServing.factor`)
-        per request, which keeps outputs byte-identical to a fresh concrete
-        compile at that extent.  A variant that fails to build demotes
-        the program for good: a wrong stacked result is never
-        acceptable, a sequential one always is.
-        """
-        if bk.shards_requests:
-            sharded = bk.try_sharded(self, vlist)
+        if backend is None and name == "parallel":
+            sharded = self.ensure_parallel_pool().run(values_list)
             if sharded is not None:
-                return sharded
-            bk = get_backend(NumPyBackend.name)
+                return sharded[0], name, sharded[1]
+        rows, batched = self._route(values_list)
+        return rows, name, batched
+
+    def _route(self, vlist):
+        """``(rows, batched)`` for one invocation on the in-process
+        runner - also what the worker pool's warm-up, its workers and
+        its in-process rescue run.
+
+        Requests are grouped by leading extent - a concrete session is
+        the one-group case - and rows scatter back in request order.  A
+        base-extent group of several requests runs as one stacked pass
+        of the bucket's stacked variant (``run_stacked``) when analysis
+        licenses it (:func:`repro.runtime.batching.analyze`), the
+        sequential ``run_many`` loop otherwise; both are byte-identical
+        per request.  Any other extent runs its bucket's exact variant
+        (:meth:`SymbolicServing.factor`) per request, which keeps outputs
+        byte-identical to a fresh concrete compile at that extent.  A
+        variant that fails to build demotes the program for good: a
+        wrong stacked result is never acceptable, a sequential one
+        always is.
+        """
         program = self.program
         first = program.input_names[0]
         sym = self.symbolic
@@ -498,9 +498,9 @@ class Session:
                     mark_unstackable(
                         program, f"rebatch({factor}) failed: {err}")
             if variant is None:
-                served = bk.run_many(serving, sub)
+                served = _RUNNER.run_many(serving, sub)
             else:
-                served = bk.run_stacked(program, variant, sub)
+                served = _RUNNER.run_stacked(program, variant, sub)
                 batched = True
             for index, row in zip(indices, served):
                 rows[index] = row
@@ -509,40 +509,20 @@ class Session:
     # -- parallel worker pool ----------------------------------------------
 
     def ensure_parallel_pool(self):
-        """The session's worker-process pool, created on first need.
+        """The session's worker-process pool, started on first need.
 
-        Only meaningful for the sharding ``"parallel"`` backend.  Returns
-        ``None`` - permanently, after logging once - when the platform
-        cannot fork or pool startup fails; the caller then serves on the
-        in-process runner.
-        The :class:`~repro.api.Service` front door calls this eagerly
-        before starting its scheduler thread, so the fork happens while
-        the parent is still effectively single-threaded.
+        Only meaningful for a ``"parallel"`` session.  A pool that fails
+        to start raises to the caller, and the next call starts one
+        again.  The :class:`~repro.api.Service` front door calls this
+        eagerly before starting its scheduler thread, so the fork
+        happens while the parent is still effectively single-threaded.
         """
         pool = self._parallel_pool
-        if pool is not None and pool.alive:
-            return pool
-        if self._parallel_failed:
-            return None
-        from .parallel_backend import WorkerPool, parallel_supported
-
-        if not parallel_supported():
-            self._parallel_failed = True
-            logger.warning(
-                "platform lacks the fork start method; %r serves "
-                "in-process", self.backend)
-            return None
-        try:
-            self._parallel_pool = WorkerPool(
+        if pool is None or not pool.alive:
+            pool = self._parallel_pool = WorkerPool(
                 self, workers=self.workers,
                 capacity=self.parallel_capacity)
-        except Exception:
-            self._parallel_failed = True
-            logger.exception(
-                "parallel worker pool failed to start for %r; serving "
-                "in-process", self.model or self.graph.name)
-            return None
-        return self._parallel_pool
+        return pool
 
     @property
     def parallel_restarts(self) -> int:
@@ -634,7 +614,10 @@ def _compile_session(model: str | Graph, framework: str = "Ours",
     # Imported lazily: the harness sits above the runtime layer.
     from ..bench.harness import run_cell
 
-    get_backend(backend)  # fail on a bad backend name before compiling
+    # Refuse a bad backend before compiling.
+    if canonical_backend(backend) == "parallel" and not parallel_supported():
+        raise InvalidOptions("backend 'parallel' needs the fork start "
+                             "method, which this platform lacks")
     if batch != 1 and not isinstance(model, str):
         raise ValueError(
             "batch only applies to registry-name models; build the Graph "

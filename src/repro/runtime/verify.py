@@ -14,7 +14,8 @@ import numpy as np
 
 from ..ir.graph import Graph
 from .executor import make_inputs
-from .program import get_backend, lower
+from .codegen_backend import get_backend
+from .program import lower
 
 
 @dataclass
@@ -56,17 +57,16 @@ def verify_equivalence(
     seeds: tuple[int, ...] = (0, 1),
     rtol: float = 1e-4,
     atol: float = 1e-5,
-    backend: str = "numpy",
 ) -> VerificationReport:
     """Compare graph outputs over several input seeds.
 
     Both graphs are lowered once (memoized per graph generation) and
-    executed through the named
-    :class:`~repro.runtime.program.ExecutionBackend` - the same program
-    path the executor and the serving sessions use, so verification
-    exercises exactly the code that serves requests.
+    executed by the one in-process runner
+    (:class:`~repro.runtime.codegen_backend.NumPyBackend`) - the same
+    program path the executor and the serving sessions use, so
+    verification exercises exactly the code that serves requests.
     """
-    run = get_backend(backend).run
+    run = get_backend().run
     ref_program = lower(reference)
     cand_program = lower(candidate)
     report = VerificationReport(seeds=tuple(seeds))

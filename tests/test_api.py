@@ -15,7 +15,7 @@ from repro.api import (
 from repro.api import options as options_module
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import (
-    FaultPlan, FaultRule, NumPyBackend, execute, make_inputs,
+    FaultPlan, FaultRule, execute, get_backend, make_inputs,
 )
 
 
@@ -285,16 +285,15 @@ class TestServiceScheduler:
         assert report.requests == 1
         service.close()
 
-    def test_backend_failure_fails_the_batch(self):
+    def test_backend_failure_fails_the_batch(self, monkeypatch):
         model = repro.compile(_smoke("Pythia"))
         service = Service(model, ServeOptions(max_batch_size=4), _start=False)
         inputs = _graph_inputs(service.program.graph, 0)
 
-        class FailingBackend(NumPyBackend):  # still named "numpy"
-            def run_many(self, program, values_list):
-                raise RuntimeError("kernel exploded")
+        def explode(program, values_list):
+            raise RuntimeError("kernel exploded")
 
-        service._session._backend = FailingBackend()
+        monkeypatch.setattr(get_backend("numpy"), "run_many", explode)
         futures = [service.submit(inputs) for _ in range(2)]
         service._execute(service._next_batch())
         for future in futures:

@@ -138,10 +138,10 @@ class TestZooParity:
 
 
 def _row_spy(monkeypatch, session):
-    """Record, per ``run_many`` call on the session's backend, the
+    """Record, per ``run_many`` call on the in-process runner, the
     serving program and the leading extent of each values dict it ran."""
     calls = []
-    backend = session._backend
+    backend = get_backend("numpy")
     original = backend.run_many
     lead = session.program.input_names[0]
 

@@ -23,13 +23,14 @@ import pytest
 import repro
 from repro import FaultPlan, FaultRule
 from repro.api import CompileOptions, ExecutionError
-from repro.api.service import HEAVY_STEP_BYTES, _usable_cpus
+from repro.api.service import HEAVY_STEP_BYTES
 from repro.models import SMOKE_CONFIGS, build
 from repro.runtime import lower
 from repro.runtime import batching, codegen_backend
 from repro.runtime.batching import rebatch
 from repro.runtime.codegen_backend import compile_program, emission_count
 from repro.runtime.faults import FaultInjector
+from repro.runtime.parallel_backend import _available_cpus
 from repro.runtime.session import _admit, _compile_session
 
 from front_door import serve_one
@@ -38,7 +39,7 @@ from front_door import serve_one
 CONFORMER_MEDIUM = dict(frames=64, mels=80, dim=96, depth=2, heads=4)
 
 #: Whether this process may spawn an executor (the service's own test).
-TWO_CPUS = _usable_cpus() >= 2
+TWO_CPUS = _available_cpus() >= 2
 
 HOLD_MS = 200.0
 

@@ -28,7 +28,7 @@ from repro.runtime import codegen_backend, parallel_backend as pb
 from repro.runtime.batching import _build_variant
 from repro.runtime.parallel_backend import parallel_supported
 from repro.runtime.program import fill_once
-from repro.runtime.session import _admit, _compile_session
+from repro.runtime.session import _compile_session
 
 from front_door import serve_one
 
@@ -126,23 +126,18 @@ class TestParallelParity:
         finally:
             session.close()
 
-    def test_unsupported_platform_degrades_in_process(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.runtime.parallel_backend.parallel_supported",
-            lambda: False)
+    def test_a_platform_without_fork_refuses_the_compile(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
         graph = build_smoke("Pythia")
-        inputs, expected = reference_outputs(graph, 4)
-        session = _compile_session(
-            graph, "Ours", backend="parallel", workers=2, faults=NO_FAULTS)
-        try:
-            assert session.ensure_parallel_pool() is None
-            results, backend_name, _ = session.execute_values(
-                [_admit(session, dict(values)) for values in inputs])
-            for (outputs, _report, _wall), want in zip(results, expected):
-                for key, value in want.items():
-                    assert outputs[key].tobytes() == value.tobytes()
-        finally:
-            session.close()
+        with pytest.raises(InvalidOptions, match="fork"):
+            repro.compile(graph, backend="parallel", workers=2,
+                          faults=NO_FAULTS)
+        with pytest.raises(InvalidOptions, match="fork"):
+            serve(graph, backend="parallel", workers=2)
+        # The in-process names need no fork.
+        model = repro.compile(graph, backend="codegen", faults=NO_FAULTS)
+        assert model.run(model.make_request(seed=0)).stats.backend == "numpy"
 
 
 class TestCrashSupervision:
@@ -319,6 +314,39 @@ class TestPoolOwnsItsFailures:
             assert_byte_identical(got, expected[1 + workers:])
             assert (pool.restarts, model.session.stats.fallbacks) \
                 == (workers, 0)
+            assert_ring_full(pool)
+        finally:
+            model.close()
+        assert not active_segments()
+
+    def test_a_refused_pool_start_raises_and_the_next_batch_retries(
+            self, monkeypatch):
+        # Nothing remembers a pool that failed to start: the batch that
+        # needed it fails, and the next one starts a pool and shards.
+        graph = build_smoke("Pythia")
+        inputs, expected = reference_outputs(graph, 4)
+        batch = [InferenceRequest(inputs=values) for values in inputs]
+        model = repro.compile(graph, backend="parallel", workers=1,
+                              faults=NO_FAULTS)
+
+        def refuse(_pool, index):
+            raise WorkerCrashed(f"worker {index} refused to fork")
+
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(pb.WorkerPool, "_spawn", refuse)
+                with pytest.raises(WorkerCrashed, match="refused to fork"):
+                    model.run_batch(batch)
+                with pytest.raises(WorkerCrashed, match="refused to fork"):
+                    serve(graph, backend="parallel", workers=1)
+            assert model.session._parallel_pool is None
+            assert model.session.stats.requests == 0
+            assert not active_segments()
+            got = model.run_batch(batch)
+            assert {r.stats.backend for r in got} == {"parallel"}
+            assert_byte_identical(got, expected)
+            pool = model.session._parallel_pool
+            assert pool is not None and pool.restarts == 0
             assert_ring_full(pool)
         finally:
             model.close()

@@ -14,9 +14,8 @@ from repro.ir.tensor import TensorSpec
 from repro.memory.pool import liveness_schedule
 from repro.models import SMOKE_CONFIGS, build, build_smoke
 from repro.runtime import (
-    SD8GEN2, ExecutionBackend, ExecutionProgram, NumPyBackend,
-    available_backends, execute, get_backend, lower, make_inputs,
-    register_backend, run_node,
+    SD8GEN2, ExecutionProgram, NumPyBackend, available_backends, execute,
+    get_backend, lower, make_inputs, run_node,
 )
 from repro.runtime import program as program_module
 from repro.runtime.batching import analyze, rebatch, symbolize
@@ -462,27 +461,3 @@ class TestBackendRegistry:
         with pytest.raises(KeyError, match="unknown backend"):
             get_backend("tpu")
 
-    def test_register_backend_requires_name(self):
-        with pytest.raises(ValueError):
-            @register_backend
-            class Nameless(ExecutionBackend):
-                pass
-
-    def test_custom_backend_pluggable(self, attention_graph):
-        calls = []
-
-        @register_backend
-        class CountingBackend(NumPyBackend):
-            name = "numpy-counting"
-
-            def run(self, program, values):
-                calls.append(program.num_steps)
-                return super().run(program, values)
-
-        backend = get_backend("numpy-counting")
-        values = make_inputs(attention_graph)
-        out = backend.run(lower(attention_graph), dict(values))
-        assert calls == [len(attention_graph.nodes)]
-        ref = execute(attention_graph, values)
-        for key in ref:
-            assert np.array_equal(out[key], ref[key])

@@ -10,7 +10,7 @@ from repro.api import CompileOptions
 from repro.bench.harness import cell_cache_stats
 from repro.core import PipelineStages
 from repro.models import ALL_MODELS, SMOKE_CONFIGS as SMALL_CONFIGS, build
-from repro.runtime import SD8GEN2, Session, execute, make_inputs
+from repro.runtime import SD8GEN2, Session, execute, get_backend, make_inputs
 from repro.runtime.session import _admit
 
 from front_door import serve_batch, serve_one
@@ -169,13 +169,14 @@ class TestProgramPlumbing:
         g = build("ViT", **SMALL_CONFIGS["ViT"])
         session = fresh_session(g, "Ours")
         calls = []
-        original = session._backend.run_many
+        runner = get_backend("numpy")
+        original = runner.run_many
 
         def counting_run_many(program, values_list):
             calls.append(len(values_list))
             return original(program, values_list)
 
-        monkeypatch.setattr(session._backend, "run_many", counting_run_many)
+        monkeypatch.setattr(runner, "run_many", counting_run_many)
         serve_batch(session, [session.make_inputs(seed=s) for s in range(3)])
         # One backend invocation for the whole batch: the sequential
         # path passes all 3 value dicts at once, the stacked path passes
