@@ -23,13 +23,13 @@ from repro.bench.harness import clear_cell_cache
 from repro.core import smartmem_optimize
 from repro.models import SMOKE_CONFIGS, build, build_smoke
 from repro.runtime import (
-    NumPyBackend, available_backends, compile_program,
-    emit_program_source, get_backend, lower, make_inputs, program_source,
-    run_node,
+    FaultPlan, NumPyBackend, WorkerPool, available_backends,
+    compile_program, emit_program_source, execute, get_backend, lower,
+    make_inputs, parallel_supported, program_source, run_node,
 )
 from repro.runtime.batching import analyze
 from repro.runtime.kernels import get_kernel
-from repro.runtime.session import _compile_session
+from repro.runtime.session import _admit, _compile_session
 
 from front_door import serve_one
 
@@ -42,6 +42,43 @@ def _interpret(graph, inputs):
     for node in graph.topo_order():
         run_node(graph, node, values)
     return {name: values[name] for name in graph.outputs}
+
+
+def _untouchable(*_args, **_kwargs):
+    raise AssertionError("the worker pool was touched")
+
+
+@pytest.mark.skipif(not parallel_supported(),
+                    reason="fork start method unavailable")
+@pytest.mark.parametrize("name", sorted(SMOKE_CONFIGS))
+class TestCodegenParity:
+    """Every accepted backend name, passed to ``execute_values``, runs
+    the one in-process runner on the whole zoo - even on a
+    ``"parallel"`` session, whose own route goes to its pool."""
+
+    def test_every_name_runs_in_process(self, name, monkeypatch):
+        monkeypatch.setattr(WorkerPool, "__init__", _untouchable)
+        monkeypatch.setattr(WorkerPool, "run", _untouchable)
+        session = _compile_session(build_smoke(name), "Ours",
+                                   faults=FaultPlan(), backend="parallel",
+                                   workers=1)
+        batch = [_admit(session, session.make_inputs(seed=s))
+                 for s in range(2)]
+        # executing the compiled graph directly, as test_session does
+        refs = [execute(session.graph, values) for values in batch]
+        for backend in available_backends():
+            rows, reported, _ = session.execute_values(
+                [dict(values) for values in batch],
+                backend=get_backend(backend))
+            assert reported == "numpy"
+            assert len(rows) == len(refs)
+            for (out, _, _), ref in zip(rows, refs):
+                assert list(out) == list(ref)
+                for key in ref:
+                    assert np.array_equal(out[key], ref[key]), (backend, key)
+        # the session's own route asks the pool, and its refusal surfaces
+        with pytest.raises(AssertionError, match="pool was touched"):
+            session.execute_values([dict(values) for values in batch])
 
 
 class TestGeneratedModule:

@@ -15,11 +15,12 @@ from repro.memory.pool import liveness_schedule
 from repro.models import SMOKE_CONFIGS, build, build_smoke
 from repro.runtime import (
     SD8GEN2, ExecutionProgram, NumPyBackend, available_backends, execute,
-    get_backend, lower, make_inputs, run_node,
+    get_backend, lower, make_inputs, parallel_supported, run_node,
 )
 from repro.runtime import program as program_module
 from repro.runtime.batching import analyze, rebatch, symbolize
 from repro.runtime.program import fill_once
+from repro.runtime.session import _compile_session
 
 
 def _interpret(graph, inputs):
@@ -460,4 +461,18 @@ class TestBackendRegistry:
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError, match="unknown backend"):
             get_backend("tpu")
+
+    @pytest.mark.parametrize("name,canonical", [
+        ("codegen", "numpy"), ("numpy", "numpy"), ("parallel", "parallel")])
+    def test_every_name_is_the_shared_runner(self, name, canonical,
+                                             attention_graph):
+        """Each accepted name resolves to the one shared runner, and a
+        session compiled under it reports the canonical name."""
+        assert get_backend(name) is get_backend("numpy")
+        assert get_backend(name).name == "numpy"
+        if canonical == "parallel" and not parallel_supported():
+            pytest.skip("fork start method unavailable")
+        session = _compile_session(attention_graph, "Ours", backend=name)
+        assert session.backend == canonical
+        assert session._parallel_pool is None  # compiling starts no pool
 
